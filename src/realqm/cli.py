@@ -299,6 +299,8 @@ def _cmd_evolve(args) -> int:
             "pass --diagnostics to integrate the nonphysical flow anyway")
     if args.steps < 1:
         raise UsageError("need at least one step")
+    if not (np.isfinite(args.t0) and np.isfinite(args.t1)):
+        raise UsageError(f"--t0 and --t1 must be finite, got {args.t0!r} and {args.t1!r}")
     times = np.linspace(args.t0, args.t1, args.steps + 1)
     observables = []
     for text in args.observable or []:

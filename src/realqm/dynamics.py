@@ -7,8 +7,9 @@ symmetric matrices is symmetric, and it satisfies the Jacobi identity.
 States move by d(rho)/dt = {H, rho}; this preserves the trace and the
 physicality condition [rho, J] = 0 when H commutes with J, which is why
 only complex-linear Hamiltonians are accepted as generators.  For those,
-the flow integrates exactly to rho(t) = U(t) rho(0) U(-t) with the
-orthogonal, symplectic propagator U(t) = exp(-(t/hbar) J H).
+the flow integrates exactly to rho(t) = U(t) rho(0) U(t)^T with the
+orthogonal, symplectic propagator U(t) = exp(-(t/hbar) J H), which J^2 = -I
+and [H, J] = 0 reduce to the closed form cos(tH/hbar) - J sin(tH/hbar).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .linalg import (
     expm,
     frobenius,
     is_symmetric,
+    sym_eig,
 )
 from .realify import ComplexStructure
 from .states import DensityMatrix, density_matrix
@@ -44,6 +46,10 @@ __all__ = [
     "evolve",
     "liouville_flow",
 ]
+
+# Largest phase |t E / hbar| the propagator accepts.  Past it, a float64
+# phase keeps no digits below 2*pi, so cos and sin would return noise.
+_MAX_PHASE = 1e15
 
 
 @dataclass(frozen=True)
@@ -142,6 +148,12 @@ def propagator(h: Hamiltonian, t: float, j: ComplexStructure,
                hbar: float = 1.0, tol: Tolerance = DEFAULT_TOL) -> Propagator:
     """U(t) = exp(-(t/hbar) J H) for a complex-linear Hamiltonian.
 
+    Computed exactly from one eigendecomposition H = V diag(e) V^T as
+    cos(tH/hbar) - J sin(tH/hbar), written I - V diag(2 sin^2(theta/2)) V^T
+    - J V diag(sin theta) V^T with theta = t e / hbar so that U(0) is exactly
+    the identity.  Phases |t E / hbar| above 1e15, or not finite, raise
+    ConstraintError.
+
     Non-J-commuting generators are rejected: their flow would not preserve
     the trace or the physicality of states (see `liouville_flow` for the
     deliberately unguarded variant).
@@ -150,20 +162,33 @@ def propagator(h: Hamiltonian, t: float, j: ComplexStructure,
         raise ValueError("hbar must be positive")
     if not h.complex_linear or not commutes(h.matrix, j.matrix, tol):
         raise ConstraintError("propagator requires a Hamiltonian that commutes with J")
-    u = expm(-(t / hbar) * (j.matrix @ h.matrix))
+    e, v = sym_eig(h.matrix, tol)
+    # A J-commuting H has each eigenvalue twice, on a J-invariant pair of
+    # adjacent columns.  Averaging each pair removes the roundoff splitting
+    # that would otherwise grow into a [U, J] residual at long times.
+    e = np.repeat((e[0::2] + e[1::2]) / 2.0, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = (t / hbar) * e
+    # The comparison is also false for NaN and infinite phases.
+    if not np.all(np.abs(theta) <= _MAX_PHASE):
+        raise ConstraintError(
+            f"phase |t E / hbar| = {float(np.max(np.abs(theta))):.3g} at t = {float(t):.3g} "
+            f"exceeds {_MAX_PHASE:g}; cos and sin keep no phase digits there")
+    half = np.sin(theta / 2.0)
+    u = (np.eye(h.dim) - (v * (2.0 * half * half)) @ v.T
+         - j.matrix @ ((v * np.sin(theta)) @ v.T))
     return Propagator(u=u, t=float(t))
 
 
 def evolve(rho0: DensityMatrix, h: Hamiltonian, t: float, j: ComplexStructure,
            hbar: float = 1.0, tol: Tolerance = DEFAULT_TOL) -> DensityMatrix:
-    """rho(t) = U(t) rho(0) U(-t), revalidated as a density matrix.
+    """rho(t) = U(t) rho(0) U(t)^T, revalidated as a density matrix.
 
-    The conjugation is by an orthogonal symplectic matrix, so trace,
-    spectrum and the physicality flag are preserved.
+    The conjugation is by an orthogonal symplectic matrix (U(-t) = U(t)^T),
+    so trace, spectrum and the physicality flag are preserved.
     """
-    fwd = propagator(h, t, j, hbar, tol).u
-    bwd = propagator(h, -t, j, hbar, tol).u
-    return density_matrix(fwd @ rho0.matrix @ bwd, j=j, tol=tol)
+    u = propagator(h, t, j, hbar, tol).u
+    return density_matrix(u @ rho0.matrix @ u.T, j=j, tol=tol)
 
 
 def liouville_flow(rho_matrix, h_matrix, t: float, w: SymplecticForm) -> np.ndarray:

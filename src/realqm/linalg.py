@@ -1,7 +1,7 @@
 """Dense real-matrix substrate.
 
 Everything downstream works on square numpy float64 arrays.  This module
-supplies the product, a cyclic-Jacobi symmetric eigensolver, a
+supplies the product, a validated symmetric eigensolver on LAPACK, a
 Pade/scaling-squaring matrix exponential, and the tolerance-scaled
 predicates (symmetric, antisymmetric, commutes, anticommutes) that replace
 raw float comparisons everywhere else.
@@ -21,7 +21,6 @@ __all__ = [
     "DEFAULT_TOL",
     "as_real_matrix",
     "frobenius",
-    "identity",
     "matmul",
     "sym_eig",
     "expm",
@@ -30,9 +29,6 @@ __all__ = [
     "commutes",
     "anticommutes",
 ]
-
-_JACOBI_MAX_SWEEPS = 100
-
 
 class ConstraintError(ValueError):
     """A domain constraint was violated by otherwise well-formed input."""
@@ -75,10 +71,6 @@ def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, "fro"))
 
 
-def identity(dim: int) -> np.ndarray:
-    return np.eye(dim)
-
-
 def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
@@ -117,65 +109,18 @@ def anticommutes(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
     return frobenius(a @ b + b @ a) <= tol.abs_tol * scale
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return frobenius(off)
-
-
 def sym_eig(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a symmetric matrix (LAPACK, via numpy.linalg.eigh).
 
     Returns (eigenvalues, eigenvectors) with eigenvalues ascending and the
-    eigenvectors as orthonormal columns, so that a = V diag(w) V^T.  Ties in
-    the final sort keep the order in which the Jacobi sweep produced them.
-
-    Jacobi is chosen over faster solvers because the accumulated plane
-    rotations stay orthogonal to machine precision, which the projector
-    algebra built on top of this relies on.
+    eigenvectors as orthonormal columns, so that a = V diag(w) V^T.  Inside
+    a degenerate eigenspace the basis is whatever LAPACK returns; callers
+    rely only on basis-invariant quantities such as spectral projectors.
     """
     a = as_real_matrix(a)
     if not is_symmetric(a, tol):
         raise ValueError("sym_eig requires a symmetric matrix")
-    n = a.shape[0]
-    w = (a + a.T) / 2.0
-    v = np.eye(n)
-    fro0 = max(1.0, frobenius(w))
-    conv_tol = 1e-14 * fro0
-    skip_tol = conv_tol / (n * n)
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        if _offdiag_norm(w) <= conv_tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = w[p, q]
-                if abs(apq) <= skip_tol:
-                    continue
-                theta = (w[q, q] - w[p, p]) / (2.0 * apq)
-                t = np.sign(theta) if theta != 0.0 else 1.0
-                t = t / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                # w <- G^T w G and v <- v G for the plane rotation G(p, q)
-                colp = w[:, p].copy()
-                colq = w[:, q].copy()
-                w[:, p] = c * colp - s * colq
-                w[:, q] = s * colp + c * colq
-                rowp = w[p, :].copy()
-                rowq = w[q, :].copy()
-                w[p, :] = c * rowp - s * rowq
-                w[q, :] = s * rowp + c * rowq
-                w[p, q] = 0.0
-                w[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    else:
-        if _offdiag_norm(w) > 1e-9 * fro0:
-            raise RuntimeError("Jacobi eigensolver did not converge")
-    diag = np.diag(w).copy()
-    order = np.argsort(diag, kind="stable")
-    return diag[order], v[:, order]
+    return np.linalg.eigh((a + a.T) / 2.0)
 
 
 # Diagonal Pade approximant of order 6: c_k = (12-k)! 6! / (12! k! (6-k)!)

@@ -166,6 +166,8 @@ def lengths_from_energy(energy: float, params: OscillatorParams,
     if branch not in ("plus", "minus"):
         raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
     bound = params.ground_energy
+    if not np.isfinite(energy):
+        raise ConstraintError(f"target energy {energy!r} is not finite")
     if energy < bound - _BOUND_SLACK:
         raise ConstraintError(
             f"target energy {energy!r} is below the spectral bound hbar*omega/2 = {bound!r}")
@@ -265,13 +267,18 @@ def build_fermionic(xi: float, params: OscillatorParams) -> FermionicStructure:
     )
 
 
+def _rotation(unit: np.ndarray, theta: float) -> np.ndarray:
+    """exp(theta * unit) = cos(theta) I + sin(theta) unit for unit^2 = -I."""
+    return np.cos(theta) * np.eye(unit.shape[0]) + np.sin(theta) * unit
+
+
 def fermionic_propagator(fs: FermionicStructure, t: float) -> np.ndarray:
     """exp(-(t/hbar) J H') computed in its reduced form exp((w t / 2) K).
 
-    K^2 = -I makes this a planar rotation by w t / 2, so the propagator is
-    orthogonal with period 4 pi / w.
+    K^2 = -I makes this the planar rotation cos(w t / 2) I + sin(w t / 2) K,
+    so the propagator is orthogonal with period 4 pi / w.
     """
-    return expm((fs.params.omega * t / 2.0) * fs.commuting_unit)
+    return _rotation(fs.commuting_unit, fs.params.omega * t / 2.0)
 
 
 def dual_picture(alpha: float, beta: float, gamma: float, delta: float,
@@ -288,12 +295,9 @@ def dual_picture(alpha: float, beta: float, gamma: float, delta: float,
     s = fs.basis_swap
     rho_tilde = s @ rho @ s
     h_prime = fs.hamiltonian
-    u_fwd = fermionic_propagator(fs, t)
-    u_bwd = fermionic_propagator(fs, -t)
-    omega = fs.params.omega
+    u = fermionic_propagator(fs, t)
     j4 = standard_complex_structure(2).matrix
-    ut_fwd = expm((omega * t / 2.0) * j4)
-    ut_bwd = expm((-omega * t / 2.0) * j4)
+    u_tilde = _rotation(j4, fs.params.omega * t / 2.0)
     return DualPictureReport(
         rho=rho,
         rho_tilde=rho_tilde,
@@ -301,6 +305,6 @@ def dual_picture(alpha: float, beta: float, gamma: float, delta: float,
         energy_tilde=float(np.trace(rho_tilde @ h_prime)),
         x_expectation=float(np.trace(rho @ fs.x)),
         x_expectation_tilde=float(np.trace(rho_tilde @ fs.x)),
-        rho_t=u_fwd @ rho @ u_bwd,
-        rho_tilde_t=ut_fwd @ rho_tilde @ ut_bwd,
+        rho_t=u @ rho @ u.T,
+        rho_tilde_t=u_tilde @ rho_tilde @ u_tilde.T,
     )

@@ -18,7 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, as_real_matrix, frobenius
+from .linalg import (
+    DEFAULT_TOL,
+    Tolerance,
+    anticommutes,
+    as_real_matrix,
+    commutes,
+    frobenius,
+    is_antisymmetric,
+    is_symmetric,
+)
 
 __all__ = [
     "ComplexMatrixRep",
@@ -141,9 +150,7 @@ def extract_matrix(a, j: ComplexStructure, tol: Tolerance = DEFAULT_TOL) -> Comp
     a = as_real_matrix(a)
     if a.shape[0] != j.dim:
         raise ValueError("matrix dimension does not match the complex structure")
-    jm = j.matrix
-    scale = max(1.0, frobenius(a) * frobenius(jm))
-    if frobenius(a @ jm - jm @ a) > tol.abs_tol * scale:
+    if not commutes(a, j.matrix, tol):
         raise ValueError("matrix is not complex linear (does not commute with J)")
     re = (a[0::2, 0::2] + a[1::2, 1::2]) / 2.0
     im = (a[1::2, 0::2] - a[0::2, 1::2]) / 2.0
@@ -199,14 +206,13 @@ def classify(a, j: ComplexStructure, tol: Tolerance = DEFAULT_TOL) -> OperatorFl
     fro = frobenius(a)
     eye = np.eye(a.shape[0])
     quad_scale = max(1.0, fro * fro)
-    comm_scale = max(1.0, fro * frobenius(jm))
     return OperatorFlags(
-        symmetric=frobenius(a - a.T) <= tol.abs_tol * max(1.0, fro),
-        antisymmetric=frobenius(a + a.T) <= tol.abs_tol * max(1.0, fro),
+        symmetric=is_symmetric(a, tol),
+        antisymmetric=is_antisymmetric(a, tol),
         orthogonal=frobenius(a.T @ a - eye) <= tol.abs_tol * quad_scale,
         symplectic=frobenius(a.T @ jm @ a - jm) <= tol.abs_tol * quad_scale,
-        complex_linear=frobenius(a @ jm - jm @ a) <= tol.abs_tol * comm_scale,
-        complex_antilinear=frobenius(a @ jm + jm @ a) <= tol.abs_tol * comm_scale,
+        complex_linear=commutes(a, jm, tol),
+        complex_antilinear=anticommutes(a, jm, tol),
     )
 
 

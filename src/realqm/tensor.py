@@ -21,7 +21,7 @@ from functools import reduce
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, as_real_matrix, frobenius
+from .linalg import DEFAULT_TOL, Tolerance, as_real_matrix, frobenius, sym_eig
 from .realify import ComplexStructure, standard_complex_structure
 
 __all__ = [
@@ -41,8 +41,6 @@ __all__ = [
 
 # Dense construction only; three factors of complex dimension 2 hit this cap.
 MAX_PRODUCT_DIM = 256
-
-_BASIS_DROP_NORM = 1e-8
 
 
 @dataclass(frozen=True)
@@ -164,22 +162,13 @@ def physical_escape_check(lifted, space: ProductSpace,
 def physical_basis(space: ProductSpace) -> np.ndarray:
     """Orthonormal columns spanning the physical subspace.
 
-    Built by projecting the standard basis and running modified Gram-Schmidt
-    in index order, dropping vectors whose projected residual is below 1e-8;
-    the construction is deterministic, and restricting embedded complex
-    operators to these columns reproduces the complex tensor product.
+    These are the eigenvectors of the physical projector with eigenvalue 1
+    (its eigenvalues are 0 and 1, so the cut at 1/2 separates them).  The
+    basis is deterministic, and restricting embedded complex operators to
+    these columns reproduces the complex tensor product.
     """
-    projector = space.physical_projector
-    basis: list[np.ndarray] = []
-    for i in range(space.dim):
-        w = projector[:, i].copy()
-        for _ in range(2):  # double pass keeps orthogonality at roundoff level
-            for b in basis:
-                w = w - (b @ w) * b
-        nrm = float(np.linalg.norm(w))
-        if nrm >= _BASIS_DROP_NORM:
-            basis.append(w / nrm)
-    return np.column_stack(basis)
+    vals, vecs = sym_eig(space.physical_projector)
+    return vecs[:, vals > 0.5]
 
 
 def validate_product_density(rho, space: ProductSpace,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from realqm.cli import main
+from realqm.realify import ComplexMatrixRep, embed_matrix
 
 STATE_QUARTER = '{"physical_density": [0.25, 0.25, 0, 0.25]}'
 FERMIONIC_H = '{"fermionic": {"length": 1.0}}'
@@ -59,6 +60,14 @@ class TestSpectrum:
         code, _, err = run_cli(capsys, "spectrum", "0.5,abc")
         assert code == 1
         assert "parse" in err
+
+    @pytest.mark.parametrize("target", ["nan", "inf"])
+    def test_non_finite_target_is_rejected(self, capsys, target):
+        code, out, err = run_cli(capsys, "spectrum", f"0.5,{target}")
+        assert code in (1, 2)
+        assert out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert target in err and "lengths must be positive" not in err
 
     def test_csv_output(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "0.5", "--format", "csv")
@@ -137,6 +146,37 @@ class TestEvolve:
         assert len(lines) == 1002
         traces = [float(line.split(",")[1]) for line in lines[1:]]
         assert max(abs(t - 1.0) for t in traces) <= 1e-9
+
+    def test_long_time_keeps_trace_and_physicality(self, capsys):
+        rng = np.random.default_rng(11)
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        h = embed_matrix(ComplexMatrixRep.from_complex((g + g.conj().T) / 2.0))
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
+        state = json.dumps({"complex_density": {"re": rho.real.tolist(),
+                                                "im": rho.imag.tolist()}})
+        hamiltonian = json.dumps({"matrix": {"dim": 8, "entries": h.ravel().tolist()}})
+        t1 = 1e12 / float(np.linalg.norm(h, 2))
+        code, out, _ = run_cli(
+            capsys, "evolve", "--state", state, "--hamiltonian", hamiltonian,
+            "--t1", repr(t1), "--steps", "2")
+        assert code == 0
+        for r in json.loads(out)["rows"]:
+            assert abs(r["trace"] - 1.0) <= 1e-12
+            assert r["physicality_residual"] <= 1e-12
+
+    @pytest.mark.parametrize("argv,code", [
+        (["--t1", "1e300"], 2),
+        (["--t1", "nan"], 1),
+        (["--t0=-inf"], 1),
+    ])
+    def test_extreme_times_rejected(self, capsys, argv, code):
+        got, out, err = run_cli(
+            capsys, "evolve", "--state", STATE_QUARTER,
+            "--hamiltonian", FERMIONIC_H, "--steps", "2", *argv)
+        assert got == code
+        assert out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_non_commuting_hamiltonian_rejected(self, capsys):
         position = ('{"matrix": {"dim": 4, "entries": '

@@ -13,8 +13,18 @@ from realqm.dynamics import (
     symplectic_lie_form_check,
 )
 from realqm.linalg import ConstraintError, sym_eig
-from realqm.oscillator import OscillatorParams, build_canonical_pair, oscillator_hamiltonian
-from realqm.realify import ComplexMatrixRep, embed_matrix, standard_complex_structure
+from realqm.oscillator import (
+    OscillatorParams,
+    build_canonical_pair,
+    design_spectrum,
+    oscillator_hamiltonian,
+)
+from realqm.realify import (
+    ComplexMatrixRep,
+    embed_matrix,
+    extract_matrix,
+    standard_complex_structure,
+)
 from realqm.states import physical_from_complex
 
 SEED = 3177
@@ -220,6 +230,38 @@ class TestPropagator:
         with pytest.raises(ConstraintError):
             propagator(h, 1.0, j)
 
+    def test_degenerate_oscillator_spectrum(self):
+        # duplicate targets give fourfold-degenerate levels on the real side
+        params = OscillatorParams(hbar=0.7)
+        targets = [1.5, 1.5, 0.9]
+        h = oscillator_hamiltonian(
+            build_canonical_pair(design_spectrum(targets, params), params), params)
+        j = standard_complex_structure(3)
+        t = 2.3
+        u = propagator(h, t, j, hbar=params.hbar).u
+        expected = np.zeros((6, 6))
+        for i, e in enumerate(targets):
+            angle = e * t / params.hbar
+            expected[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [
+                [np.cos(angle), np.sin(angle)],
+                [-np.sin(angle), np.cos(angle)],
+            ]
+        np.testing.assert_allclose(u, expected, atol=1e-12)
+        assert np.linalg.norm(u @ j.matrix - j.matrix @ u) <= 1e-14
+
+    @pytest.mark.parametrize("t", [1e300, -1e300, np.inf, np.nan])
+    def test_rejects_phase_beyond_float_precision(self, t):
+        rng = np.random.default_rng(SEED)
+        j = standard_complex_structure(2)
+        h = hamiltonian(embed_c(rand_hermitean(rng, 2)), j)
+        with pytest.raises(ConstraintError, match="phase"):
+            propagator(h, t, j)
+
+    def test_zero_hamiltonian_accepts_huge_time(self):
+        j = standard_complex_structure(2)
+        h = hamiltonian(np.zeros((4, 4)), j)
+        np.testing.assert_array_equal(propagator(h, 1e300, j).u, np.eye(4))
+
 
 class TestEvolve:
     def test_stationary_state(self):
@@ -268,6 +310,45 @@ class TestEvolve:
         for t in (0.5, 2.0, 7.5):
             value = float(np.trace(evolve(rho0, h, t, j).matrix @ a))
             assert value == pytest.approx(reference, abs=1e-9)
+
+
+def generic_hamiltonian(j):
+    rng = np.random.default_rng(SEED + 1)
+    return hamiltonian(embed_c(rand_hermitean(rng, j.d)), j)
+
+
+def oscillator_1_2(j):
+    params = OscillatorParams()
+    return oscillator_hamiltonian(build_canonical_pair([1.0, 2.0], params), params)
+
+
+class TestLongTimeEvolve:
+    """Evolution at phases |t| ||H||_2 / hbar far beyond one period."""
+
+    @staticmethod
+    def reference(rho_c, h, t, j):
+        # complex e^{-iHt} rho e^{iHt}, embedded with the halved trace
+        w, v = np.linalg.eigh(extract_matrix(h.matrix, j).to_complex())
+        u_c = (v * np.exp(-1j * w * t)) @ v.conj().T
+        return embed_c(u_c @ rho_c @ u_c.conj().T) / 2.0
+
+    @pytest.mark.parametrize("build,d", [(generic_hamiltonian, 4), (oscillator_1_2, 2)])
+    @pytest.mark.parametrize("phase", [3.7, 1e6, 1e12])
+    def test_trace_and_physicality_hold(self, build, d, phase):
+        rng = np.random.default_rng(SEED + 2)
+        j = standard_complex_structure(d)
+        h = build(j)
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        rho_c = g @ g.conj().T / np.trace(g @ g.conj().T).real
+        rho0 = physical_from_complex(ComplexMatrixRep.from_complex(rho_c))
+        t = -phase / np.linalg.norm(h.matrix, 2)
+        rho_t = evolve(rho0, h, t, j).matrix
+        assert abs(np.trace(rho_t) - 1.0) <= 1e-12
+        assert np.linalg.norm(rho_t @ j.matrix - j.matrix @ rho_t) <= 1e-12
+        # phase roundoff grows like phase * eps, so the comparison with the
+        # complex reference is tight only at moderate times
+        err = np.linalg.norm(rho_t - self.reference(rho_c, h, t, j))
+        assert err <= max(1e-12, 1e-14 * phase)
 
 
 class TestLiouvilleFlow:

@@ -322,6 +322,17 @@ class TestFermionicPropagator:
             via_h = expm(-(t / params.hbar) * (j @ fs.hamiltonian))
             assert np.linalg.norm(via_k - via_h) <= 1e-10
 
+    def test_closed_form_matches_expm(self):
+        rng = np.random.default_rng(SEED)
+        params = OscillatorParams(omega=1.7, hbar=0.9)
+        fs = build_fermionic(1.1, params)
+        j = standard_complex_structure(2).matrix
+        for t in rng.uniform(-6.0, 6.0, size=10):
+            via_h = expm(-(t / params.hbar) * (j @ fs.hamiltonian))
+            u = fermionic_propagator(fs, float(t))
+            assert np.linalg.norm(u - via_h) <= 1e-14
+            np.testing.assert_array_equal(fermionic_propagator(fs, -float(t)), u.T)
+
     def test_orthogonal(self):
         fs = build_fermionic(1.0, OscillatorParams())
         u = fermionic_propagator(fs, 2.9)

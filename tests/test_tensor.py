@@ -200,6 +200,14 @@ class TestPhysicalBasis:
         assert basis.shape == (4 * da * db, 2 * da * db)
         np.testing.assert_allclose(basis.T @ basis, np.eye(2 * da * db), atol=1e-10)
 
+    def test_largest_dense_product(self):
+        space = two_factor_space(8, 8)
+        basis = physical_basis(space)
+        assert basis.shape == (256, space.physical_rank)
+        np.testing.assert_allclose(basis.T @ basis, np.eye(space.physical_rank),
+                                   atol=1e-12)
+        np.testing.assert_allclose(space.physical_projector @ basis, basis, atol=1e-12)
+
     def test_restricted_unit_is_complex_structure(self):
         space = two_factor_space(2, 2)
         basis = physical_basis(space)

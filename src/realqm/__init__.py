@@ -14,9 +14,11 @@ from .dynamics import (
     Propagator,
     SymplecticForm,
     evolve,
+    evolve_grid,
     hamiltonian,
     jacobi_residual,
     liouville_flow,
+    liouville_grid,
     liouville_rhs,
     poisson_bracket,
     propagator,
@@ -72,6 +74,7 @@ from .states import (
     DensityMatrix,
     MeasurementStatistics,
     SpectralDecomposition,
+    StateStack,
     are_orthogonal_states,
     density_matrix,
     expectation,
@@ -80,6 +83,7 @@ from .states import (
     physical_from_complex,
     sharp_realizability,
     spectral_decompose,
+    state_stack,
     variance,
 )
 from .tensor import (

@@ -15,13 +15,14 @@ identical arguments produce byte-identical output.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 import numpy as np
 
 from . import checks, dynamics, oscillator, states
-from .linalg import ConstraintError, Tolerance, as_real_matrix, frobenius, sym_eig
+from .linalg import ConstraintError, Tolerance, as_real_matrix, sym_eig
 from .realify import ComplexMatrixRep, standard_complex_structure
 
 __all__ = ["main", "run"]
@@ -30,6 +31,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CONSTRAINT = 2
 EXIT_CHECK_FAILED = 3
+
+# Largest --steps value: it bounds the time grid and the rows held before
+# output.
+MAX_STEPS = 100_000
 
 
 class UsageError(ValueError):
@@ -128,6 +133,16 @@ def _config(args) -> dict:
     }
 
 
+def _validate_common(args) -> None:
+    """Reject flag values the library would refuse, as usage errors."""
+    for flag in ("hbar", "mass", "omega"):
+        value = getattr(args, flag)
+        if not (np.isfinite(value) and value > 0.0):
+            raise UsageError(f"--{flag} must be positive and finite, got {value!r}")
+    if args.tol is not None and not (np.isfinite(args.tol) and args.tol >= 0.0):
+        raise UsageError(f"--tol must be nonnegative and finite, got {args.tol!r}")
+
+
 def _tolerance(args) -> Tolerance:
     if args.tol is None:
         return Tolerance()
@@ -160,11 +175,27 @@ def _load_spec(text: str) -> dict:
     return spec
 
 
+def _floats(value, what: str) -> np.ndarray:
+    """A JSON value as a finite float array, else a usage error naming it."""
+    try:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{what} must be numeric: {exc}") from exc
+    if not np.all(np.isfinite(array)):
+        raise UsageError(f"{what} must be finite")
+    return array
+
+
 def _matrix_from_spec(doc) -> np.ndarray:
     if not isinstance(doc, dict) or "dim" not in doc or "entries" not in doc:
         raise UsageError("matrix spec needs 'dim' and row-major 'entries'")
-    dim = int(doc["dim"])
-    entries = np.asarray(doc["entries"], dtype=float)
+    dim = _floats(doc["dim"], "matrix 'dim'")
+    if dim.shape != () or dim != int(dim):
+        raise UsageError(f"matrix 'dim' must be an integer, got {doc['dim']!r}")
+    dim = int(dim)
+    entries = _floats(doc["entries"], "matrix 'entries'")
+    if dim < 2 or dim % 2:
+        raise UsageError(f"matrix dimension must be even and at least 2, got {dim}")
     if entries.size != dim * dim:
         raise UsageError(f"matrix spec has {entries.size} entries, expected {dim * dim}")
     return as_real_matrix(entries.reshape(dim, dim))
@@ -174,14 +205,18 @@ def _state_from_spec(text: str, tol: Tolerance, need_physical: bool) -> states.D
     spec = _load_spec(text)
     key, doc = next(iter(spec.items()))
     if key == "physical_density":
-        if not isinstance(doc, (list, tuple)) or len(doc) != 4:
+        values = _floats(doc, "physical_density")
+        if values.shape != (4,):
             raise UsageError("physical_density expects [alpha, beta, gamma, delta]")
-        return states.physical_density_4d(*(float(v) for v in doc))
+        return states.physical_density_4d(*values.tolist())
     if key == "complex_density":
         if not isinstance(doc, dict) or "re" not in doc or "im" not in doc:
             raise UsageError("complex_density expects 're' and 'im' arrays")
-        re = np.asarray(doc["re"], dtype=float)
-        im = np.asarray(doc["im"], dtype=float)
+        re = _floats(doc["re"], "complex_density 're'")
+        im = _floats(doc["im"], "complex_density 'im'")
+        if re.ndim != 2 or re.shape[0] != re.shape[1] or im.shape != re.shape:
+            raise UsageError("complex_density 're' and 'im' must be square arrays "
+                             f"of one shape, got {re.shape} and {im.shape}")
         return states.physical_from_complex(ComplexMatrixRep(re=re, im=im), tol)
     if key == "matrix":
         m = _matrix_from_spec(doc)
@@ -200,15 +235,20 @@ def _hamiltonian_from_spec(text: str, params: oscillator.OscillatorParams,
     spec = _load_spec(text)
     key, doc = next(iter(spec.items()))
     if key == "oscillator":
-        if not isinstance(doc, dict) or not doc.get("lengths"):
+        lengths = np.empty(0)
+        if isinstance(doc, dict) and "lengths" in doc:
+            lengths = _floats(doc["lengths"], "oscillator 'lengths'")
+        if lengths.ndim != 1 or lengths.size == 0:
             raise UsageError("oscillator spec needs a nonempty 'lengths' list")
-        pair = oscillator.build_canonical_pair(
-            [float(v) for v in doc["lengths"]], params)
+        pair = oscillator.build_canonical_pair(lengths.tolist(), params)
         return oscillator.oscillator_hamiltonian(pair, params)
     if key == "fermionic":
         if not isinstance(doc, dict) or "length" not in doc:
             raise UsageError("fermionic spec needs a 'length' value")
-        fs = oscillator.build_fermionic(float(doc["length"]), params)
+        length = _floats(doc["length"], "fermionic 'length'")
+        if length.shape != ():
+            raise UsageError("fermionic spec needs a single 'length' value")
+        fs = oscillator.build_fermionic(float(length), params)
         return dynamics.Hamiltonian(matrix=fs.hamiltonian, complex_linear=True)
     if key == "matrix":
         m = _matrix_from_spec(doc)
@@ -297,38 +337,37 @@ def _cmd_evolve(args) -> int:
         raise ConstraintError(
             "Hamiltonian does not commute with the complex structure; "
             "pass --diagnostics to integrate the nonphysical flow anyway")
-    if args.steps < 1:
-        raise UsageError("need at least one step")
+    if not 1 <= args.steps <= MAX_STEPS:
+        raise UsageError(f"--steps must be between 1 and {MAX_STEPS}, got {args.steps}")
     if not (np.isfinite(args.t0) and np.isfinite(args.t1)):
         raise UsageError(f"--t0 and --t1 must be finite, got {args.t0!r} and {args.t1!r}")
     times = np.linspace(args.t0, args.t1, args.steps + 1)
-    observables = []
+    observables = [("energy", h.matrix)]
     for text in args.observable or []:
         spec = _load_spec(text)
         key, doc = next(iter(spec.items()))
         if key != "observable":
             raise UsageError(f"unknown observable spec key {key!r}")
-        name = str(doc.get("name", f"obs{len(observables)}"))
-        observables.append((name, _matrix_from_spec(doc.get("matrix"))))
-    rows = []
-    for t in times:
-        if args.diagnostics:
-            m = dynamics.liouville_flow(rho.matrix, h.matrix, float(t), w)
-        else:
-            m = dynamics.evolve(rho, h, float(t), j, params.hbar, tol).matrix
-        vals, _ = sym_eig(m, tol)
-        row = {
-            "t": float(t),
-            "trace": float(np.trace(m)),
-            "min_eigenvalue": float(vals[0]),
-            "physicality_residual": frobenius(m @ j.matrix - j.matrix @ m),
-            "energy": float(np.trace(m @ h.matrix)),
-        }
-        for name, obs in observables:
-            row[name] = float(np.trace(m @ obs))
-        rows.append(row)
-    columns = ["t", "trace", "min_eigenvalue", "physicality_residual", "energy"]
+        if not isinstance(doc, dict):
+            raise UsageError("observable spec needs a 'matrix' and optionally a 'name'")
+        name = str(doc.get("name", f"obs{len(observables) - 1}"))
+        matrix = _matrix_from_spec(doc.get("matrix"))
+        if matrix.shape != h.matrix.shape:
+            raise UsageError(f"observable {name!r} has dimension {matrix.shape[0]}, "
+                             f"expected {h.dim}")
+        observables.append((name, matrix))
+    if args.diagnostics:
+        blocks = dynamics.liouville_grid(rho.matrix, h.matrix, times, j, w, tol)
+    else:
+        blocks = dynamics.evolve_grid(rho, h, times, j, params.hbar, tol)
+    columns = ["t", "trace", "min_eigenvalue", "physicality_residual"]
     columns += [name for name, _ in observables]
+    rows = []
+    for block_times, stack in blocks:
+        values = [block_times, stack.trace, stack.min_eigenvalue,
+                  stack.physicality_residual]
+        values += [np.einsum("tij,ji->t", stack.matrices, obs) for _, obs in observables]
+        rows += [dict(zip(columns, row)) for row in zip(*(v.tolist() for v in values))]
     payload = {
         "command": "evolve",
         "config": _config(args),
@@ -382,7 +421,9 @@ def _cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    # Built once per process: parse_args keeps no state between calls.
     common = _Parser(add_help=False)
     common.add_argument("--hbar", type=float, default=1.0)
     common.add_argument("--mass", type=float, default=1.0)
@@ -448,6 +489,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse signals usage problems (and --help)
         return int(exc.code or 0)
     try:
+        _validate_common(args)
         return args.func(args)
     except UsageError as exc:
         sys.stderr.write(f"realqm: error: {exc}\n")

@@ -28,9 +28,11 @@ from .realify import ComplexMatrixRep, ComplexStructure, embed_matrix
 
 __all__ = [
     "DensityMatrix",
+    "StateStack",
     "SpectralDecomposition",
     "MeasurementStatistics",
     "density_matrix",
+    "state_stack",
     "spectral_decompose",
     "expectation",
     "variance",
@@ -96,24 +98,79 @@ def density_matrix(matrix, j: ComplexStructure | None = None,
 
     Boundary states with an eigenvalue of exactly zero are accepted.  When
     no complex structure is supplied the physicality flag is False (the
-    general, non-physical state set).
+    general, non-physical state set).  The checks are those of
+    `state_stack`, on a stack of one.
     """
     m = as_real_matrix(matrix)
-    if not is_symmetric(m, tol):
-        raise ConstraintError("density matrix must be symmetric")
-    tr = float(np.trace(m))
-    if abs(tr - 1.0) > _TRACE_TOL:
-        raise ConstraintError(f"density matrix must have unit trace, got {tr!r}")
-    vals, _ = sym_eig(m, tol)
-    if vals[0] < -_PSD_SLACK:
-        raise ConstraintError(
-            f"density matrix must be positive semidefinite, minimum eigenvalue {vals[0]!r}")
-    physical = False
-    if j is not None:
-        if m.shape[0] != j.dim:
-            raise ValueError("matrix dimension does not match the complex structure")
-        physical = commutes(m, j.matrix, tol)
-    return DensityMatrix(matrix=m, physical=physical)
+    if j is not None and m.shape[0] != j.dim:
+        raise ValueError("matrix dimension does not match the complex structure")
+    stack = state_stack(m[np.newaxis], j, tol)
+    return DensityMatrix(matrix=m, physical=bool(stack.physical[0]))
+
+
+@dataclass(frozen=True)
+class StateStack:
+    """A (T, n, n) stack of validated matrices with per-matrix statistics.
+
+    `physicality_residual` is ||[rho, J]||_F (NaN without a complex
+    structure) and `physical` records whether it is within tolerance.
+    """
+
+    matrices: np.ndarray
+    trace: np.ndarray
+    min_eigenvalue: np.ndarray
+    physicality_residual: np.ndarray
+    physical: np.ndarray
+
+
+def state_stack(matrices, j: ComplexStructure | None = None, tol: Tolerance = DEFAULT_TOL,
+                times=None, density: bool = True) -> StateStack:
+    """Validate a stack of states in one pass: the batched `density_matrix`.
+
+    Every matrix must be finite and symmetric and, when `density` is set,
+    have unit trace within 1e-10 and be PSD within 1e-10; density=False
+    only measures, for the trace-nonpreserving diagnostics flow.  The
+    symmetry and physicality tests use the scale rules of `is_symmetric`
+    and `commutes`.  One eigvalsh of the symmetrized stack gives both the
+    PSD test and `min_eigenvalue`.  The earliest failing matrix raises
+    ConstraintError, naming its entry of `times` when given.
+    """
+    m = np.asarray(matrices, dtype=float)
+    if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[1] < 1:
+        raise ValueError(f"expected a (T, n, n) stack of matrices, got shape {m.shape}")
+    what = "density matrix" if density else "flowed matrix"
+    where = (lambda k: "") if times is None else (lambda k: f" at t = {float(times[k])!r}")
+    finite = np.all(np.isfinite(m), axis=(1, 2))
+    mt = m.transpose(0, 2, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(m, axis=(1, 2))
+        symmetric = np.linalg.norm(m - mt, axis=(1, 2)) <= tol.abs_tol * np.maximum(1.0, norms)
+        trace = np.trace(m, axis1=1, axis2=2)
+        min_eigenvalue = np.linalg.eigvalsh(
+            np.where(finite[:, np.newaxis, np.newaxis], (m + mt) / 2.0, 0.0))[:, 0]
+        if j is None:
+            residual = np.full(len(m), np.nan)
+            physical = np.zeros(len(m), dtype=bool)
+        else:
+            residual = np.linalg.norm(m @ j.matrix - j.matrix @ m, axis=(1, 2))
+            physical = residual <= tol.abs_tol * np.maximum(1.0, norms * frobenius(j.matrix))
+    checks = [(~finite, lambda k: f"{what} is not finite"),
+              (~symmetric, lambda k: f"{what} must be symmetric")]
+    if density:
+        checks += [
+            (np.abs(trace - 1.0) > _TRACE_TOL,
+             lambda k: f"{what} must have unit trace, got {float(trace[k])!r}"),
+            (min_eigenvalue < -_PSD_SLACK,
+             lambda k: f"{what} must be positive semidefinite, "
+                       f"minimum eigenvalue {float(min_eigenvalue[k])!r}"),
+        ]
+    failing = np.logical_or.reduce([bad for bad, _ in checks])
+    if failing.any():
+        k = int(np.argmax(failing))
+        message = next(describe(k) for bad, describe in checks if bad[k])
+        raise ConstraintError(message + where(k))
+    return StateStack(matrices=m, trace=trace, min_eigenvalue=min_eigenvalue,
+                      physicality_residual=residual, physical=physical)
 
 
 def spectral_decompose(a, tol: Tolerance = DEFAULT_TOL) -> SpectralDecomposition:

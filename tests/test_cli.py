@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from realqm.cli import main
+from realqm import dynamics
+from realqm.cli import MAX_STEPS, _build_parser, main
 from realqm.realify import ComplexMatrixRep, embed_matrix
 
 STATE_QUARTER = '{"physical_density": [0.25, 0.25, 0, 0.25]}'
@@ -16,6 +17,28 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def generic_evolve_specs(d, seed=11):
+    """JSON state, Hamiltonian and observable specs at real dimension 2d."""
+    rng = np.random.default_rng(seed)
+
+    def hermitean():
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        return (g + g.conj().T) / 2.0
+
+    def matrix(c):
+        m = embed_matrix(ComplexMatrixRep.from_complex(c))
+        return {"dim": 2 * d, "entries": m.ravel().tolist()}
+
+    h_c, o_c = hermitean(), hermitean()
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho_c = g @ g.conj().T / np.trace(g @ g.conj().T).real
+    state = json.dumps({"complex_density": {"re": rho_c.real.tolist(),
+                                            "im": rho_c.imag.tolist()}})
+    return (state, json.dumps({"matrix": matrix(h_c)}),
+            json.dumps({"observable": {"name": "obs", "matrix": matrix(o_c)}}),
+            h_c, rho_c, o_c)
 
 
 class TestSpectrum:
@@ -222,6 +245,128 @@ class TestEvolve:
             capsys, "evolve", "--state", "{not json", "--hamiltonian", FERMIONIC_H)
         assert code == 1
         assert "JSON" in err
+
+
+class TestEvolveGrid:
+    """Rows of the batched time grid."""
+
+    @pytest.mark.parametrize("d", [2, 8, 32])
+    @pytest.mark.parametrize("phase", [1e6, 1e12])
+    def test_rows_match_complex_reference(self, capsys, d, phase):
+        state, hamiltonian, obs, h_c, rho_c, o_c = generic_evolve_specs(d)
+        t1 = phase / float(np.linalg.norm(h_c, 2))
+        code, out, _ = run_cli(capsys, "evolve", "--state", state, "--hamiltonian", hamiltonian,
+                               "--observable", obs, "--t0", repr(-t1), "--t1", repr(t1),
+                               "--steps", "2")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [r["t"] for r in rows] == [-t1, 0.0, t1]
+        w, v = np.linalg.eigh(h_c)
+        energy = float(np.trace(rho_c @ h_c).real)
+        min_eig = float(np.linalg.eigvalsh(rho_c)[0]) / 2.0
+        for r in rows:
+            u = (v * np.exp(-1j * w * r["t"])) @ v.conj().T
+            expected_obs = float(np.trace(u @ rho_c @ u.conj().T @ o_c).real)
+            assert abs(r["trace"] - 1.0) <= 1e-12
+            assert r["physicality_residual"] <= 1e-12
+            assert r["min_eigenvalue"] == pytest.approx(min_eig, abs=1e-12)
+            assert r["energy"] == pytest.approx(energy, abs=1e-12 * max(1.0, abs(w).max()))
+            # phase roundoff grows like phase * eps
+            assert abs(r["obs"] - expected_obs) <= max(1e-12, 1e-14 * phase) * abs(w).max()
+
+    def test_long_grid_matches_separate_commands(self, capsys):
+        state, hamiltonian, obs, *_ = generic_evolve_specs(4)
+        base = ("evolve", "--state", state, "--hamiltonian", hamiltonian, "--observable", obs)
+        steps = 2 * dynamics._GRID_BLOCK + 2
+        code, out, _ = run_cli(capsys, *base, "--t0", "-2", "--t1", "5", "--steps", str(steps))
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert len(rows) == steps + 1
+        for row in rows:
+            t = repr(row["t"])
+            code, out, _ = run_cli(capsys, *base, "--t0", t, "--t1", t, "--steps", "1")
+            assert code == 0
+            assert json.loads(out)["rows"][0] == row
+
+    def test_phase_guard_at_last_point_writes_nothing(self, capsys):
+        # the fermionic levels are +-1/2, so only t = 3e15 passes phase 1e15
+        code, out, err = run_cli(
+            capsys, "evolve", "--state", STATE_QUARTER, "--hamiltonian", FERMIONIC_H,
+            "--t0", "0", "--t1", "3e15", "--steps", "2")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "at t = 3e+15" in err
+
+    def test_diagnostics_overflowing_flow_is_domain_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "evolve", "--state", STATE_QUARTER, "--hamiltonian", FERMIONIC_H,
+            "--diagnostics", "--t1", "1e300")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "not finite" in err
+
+    def test_steps_above_cap_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "evolve", "--state", STATE_QUARTER, "--hamiltonian", FERMIONIC_H,
+            "--steps", str(MAX_STEPS + 1))
+        assert code == 1
+        assert out == ""
+        assert str(MAX_STEPS) in err
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--state", STATE_QUARTER, "--hamiltonian", FERMIONIC_H, "--hbar", "-1"],
+        ["check", "--tol", "-1"],
+        ["evolve", "--state", STATE_QUARTER, "--hamiltonian",
+         '{"matrix": {"dim": 3, "entries": [1,0,0, 0,1,0, 0,0,1]}}'],
+        ["evolve", "--state", STATE_QUARTER, "--hamiltonian",
+         '{"matrix": {"dim": "four", "entries": []}}'],
+        ["evolve", "--state", STATE_QUARTER, "--hamiltonian", FERMIONIC_H,
+         "--observable", '{"observable": {"matrix": {"dim": 2, "entries": [1, 0, 0, 1]}}}'],
+        ["evolve", "--state", STATE_QUARTER, "--hamiltonian", FERMIONIC_H,
+         "--observable", '{"observable": [1, 0, 0, 1]}'],
+        ["evolve", "--state", '{"complex_density": {"re": [[1]], "im": [[0, 0]]}}',
+         "--hamiltonian", FERMIONIC_H],
+        ["evolve", "--state", '{"physical_density": ["x", 0.25, 0, 0.25]}',
+         "--hamiltonian", FERMIONIC_H],
+        ["evolve", "--state", '{"physical_density": [NaN, 0.25, 0, 0.25]}',
+         "--hamiltonian", FERMIONIC_H],
+        ["evolve", "--state", STATE_QUARTER, "--hamiltonian", '{"fermionic": {"length": [1, 2]}}'],
+        ["evolve", "--state", STATE_QUARTER, "--hamiltonian", '{"oscillator": {"lengths": 3}}'],
+    ], ids=["negative-hbar", "negative-tol", "odd-matrix-dimension", "non-numeric-dimension",
+            "observable-dimension", "observable-list", "non-square-complex-density",
+            "non-numeric-entry", "nan-entry", "fermionic-length-list", "oscillator-lengths-scalar"])
+    def test_library_value_errors_are_usage_errors(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("realqm: error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_consecutive_calls_share_no_state(self, capsys):
+        def observable(name):
+            return json.dumps({"observable": {"name": name, "matrix": {
+                "dim": 4, "entries": [1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]}}})
+
+        base = ("evolve", "--state", STATE_QUARTER, "--hamiltonian", FERMIONIC_H,
+                "--steps", "2", "--format", "csv")
+        code, first, _ = run_cli(capsys, *base, "--observable", observable("a"))
+        assert code == 0 and first.splitlines()[0].endswith(",energy,a")
+        code, second, _ = run_cli(capsys, *base, "--observable", observable("b"),
+                                  "--observable", observable("c"))
+        assert code == 0 and second.splitlines()[0].endswith(",energy,b,c")
+        code, third, _ = run_cli(capsys, *base)
+        assert code == 0 and third.splitlines()[0].endswith(",energy")
+        assert run_cli(capsys, "evolve", "--steps", "x")[0] == 1
+        code, again, _ = run_cli(capsys, *base, "--observable", observable("a"))
+        assert code == 0 and again == first
 
 
 class TestCheck:

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from realqm import dynamics
 from realqm.dynamics import (
     evolve,
+    evolve_grid,
     hamiltonian,
     jacobi_residual,
     liouville_flow,
+    liouville_grid,
     liouville_rhs,
     poisson_bracket,
     propagator,
@@ -372,3 +375,111 @@ class TestLiouvilleFlow:
         assert abs(np.trace(flowed) - 1.0) > 1e-3
         # still symmetric even though unphysical
         assert np.linalg.norm(flowed - flowed.T) <= 1e-12
+
+
+class TestEvolveGrid:
+    """The whole time grid from one eigendecomposition of H, in blocks."""
+
+    @staticmethod
+    def grid(rho0, h, times, j, hbar=1.0):
+        blocks = list(evolve_grid(rho0, h, times, j, hbar))
+        matrices = np.concatenate([stack.matrices for _, stack in blocks])
+        return blocks, matrices
+
+    @staticmethod
+    def check_against_reference(h_c, rho_c, times, j, hbar=1.0):
+        h = hamiltonian(embed_c(h_c), j)
+        rho0 = physical_from_complex(ComplexMatrixRep.from_complex(rho_c))
+        blocks, matrices = TestEvolveGrid.grid(rho0, h, times, j, hbar)
+        np.testing.assert_array_equal(np.concatenate([t for t, _ in blocks]), times)
+        w, v = np.linalg.eigh(h_c)
+        min_eig = np.linalg.eigvalsh(rho_c)[0] / 2.0
+        for (_, stack) in blocks:
+            assert np.all(np.abs(stack.trace - 1.0) <= 1e-12)
+            assert np.all(stack.physicality_residual <= 1e-12)
+            assert np.all(stack.physical)
+            np.testing.assert_allclose(stack.min_eigenvalue, min_eig, atol=1e-12)
+        phases = np.abs(times) * np.linalg.norm(h_c, 2) / hbar
+        for t, phase, m in zip(times, phases, matrices):
+            u_c = (v * np.exp(-1j * w * t / hbar)) @ v.conj().T
+            reference = embed_c(u_c @ rho_c @ u_c.conj().T) / 2.0
+            assert abs(np.trace(m) - 1.0) <= 1e-12
+            assert np.linalg.norm(m @ j.matrix - j.matrix @ m) <= 1e-12
+            # phase roundoff grows like phase * eps
+            assert np.linalg.norm(m - reference) <= max(1e-12, 1e-14 * phase)
+
+    @pytest.mark.parametrize("d", [2, 8, 32])
+    def test_matches_complex_reference_at_long_times(self, d):
+        # real dimensions 4, 16 and 64
+        rng = np.random.default_rng(SEED + d)
+        h_c = rand_hermitean(rng, d)
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        rho_c = g @ g.conj().T / np.trace(g @ g.conj().T).real
+        phases = np.array([0.0, 3.7, -1e6, 1e6, -1e12, 1e12])
+        self.check_against_reference(h_c, rho_c, phases / np.linalg.norm(h_c, 2),
+                                     standard_complex_structure(d), hbar=0.8)
+
+    def test_degenerate_spectrum(self):
+        rng = np.random.default_rng(SEED)
+        d = 6
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        h_c = (q * np.array([1.0, 1.0, 1.0, -2.5, -2.5, 4.0])) @ q.conj().T
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        rho_c = g @ g.conj().T / np.trace(g @ g.conj().T).real
+        phases = np.array([0.0, 2.9, 1e6, -1e12])
+        self.check_against_reference(h_c, rho_c, phases / np.linalg.norm(h_c, 2),
+                                     standard_complex_structure(d))
+
+    def test_evolve_is_the_matching_slice_of_the_grid(self):
+        rng = np.random.default_rng(SEED)
+        d = 4
+        j = standard_complex_structure(d)
+        h = hamiltonian(embed_c(rand_hermitean(rng, d)), j)
+        rho0 = rand_physical(rng, d)
+        times = np.linspace(-4.0, 9.0, 2 * dynamics._GRID_BLOCK + 3)
+        blocks, matrices = self.grid(rho0, h, times, j)
+        assert len(blocks) == 3
+        for k in (0, 1, dynamics._GRID_BLOCK - 1, dynamics._GRID_BLOCK, len(times) - 1):
+            rho_t = evolve(rho0, h, float(times[k]), j)
+            np.testing.assert_array_equal(rho_t.matrix, matrices[k])
+            assert rho_t.physical
+            u = propagator(h, float(times[k]), j).u
+            np.testing.assert_array_equal(u @ rho0.matrix @ u.T, matrices[k])
+
+    def test_phase_guard_names_first_offending_time(self):
+        rng = np.random.default_rng(SEED)
+        j = standard_complex_structure(2)
+        h = hamiltonian(embed_c(rand_hermitean(rng, 2)), j)
+        with pytest.raises(ConstraintError, match=r"at t = 1e\+300"):
+            evolve_grid(rand_physical(rng, 2), h, [0.0, 1.0, 1e300, np.inf], j)
+
+    def test_rejects_non_commuting_hamiltonian(self):
+        rng = np.random.default_rng(SEED)
+        j = standard_complex_structure(2)
+        h = hamiltonian(np.diag([1.0, -1.0, 2.0, -2.0]), j)
+        with pytest.raises(ConstraintError):
+            evolve_grid(rand_physical(rng, 2), h, [0.0, 1.0], j)
+
+
+class TestLiouvilleGrid:
+    def test_rows_match_liouville_flow(self):
+        rng = np.random.default_rng(SEED)
+        j = standard_complex_structure(2)
+        w = symplectic_form(j)
+        x = np.diag([1.0, -1.0, 2.0, -2.0])
+        rho0 = rand_physical(rng, 2)
+        times = np.linspace(0.0, 1.0, 5)
+        (block, stack), = liouville_grid(rho0.matrix, x, times, j, w)
+        np.testing.assert_array_equal(block, times)
+        for t, m, tr in zip(times, stack.matrices, stack.trace):
+            np.testing.assert_array_equal(m, liouville_flow(rho0.matrix, x, float(t), w))
+            assert tr == pytest.approx(np.trace(m), abs=1e-15)
+        assert abs(stack.trace[-1] - 1.0) > 1e-3
+
+    @pytest.mark.parametrize("t", [1e300, np.inf, np.nan])
+    def test_non_finite_generator_is_a_constraint_error(self, t):
+        rng = np.random.default_rng(SEED)
+        j = standard_complex_structure(2)
+        rho0 = rand_physical(rng, 2)
+        with pytest.raises(ConstraintError, match="not finite"):
+            liouville_flow(rho0.matrix, embed_c(rand_hermitean(rng, 2)), t, symplectic_form(j))

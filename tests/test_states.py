@@ -12,6 +12,7 @@ from realqm.states import (
     physical_from_complex,
     sharp_realizability,
     spectral_decompose,
+    state_stack,
     variance,
 )
 
@@ -347,3 +348,55 @@ class TestStructuralInvariants:
         rho = density_matrix(np.diag([1.0, 0.0, 0.0, 0.0]),
                              j=standard_complex_structure(2))
         assert not rho.physical
+
+
+class TestStateStack:
+    """The batched validation behind density_matrix and the evolve grid."""
+
+    @staticmethod
+    def stack(rng, d, count):
+        return np.stack([rand_physical(rng, d).matrix for _ in range(count)])
+
+    def test_statistics_match_single_matrix_checks(self):
+        rng = np.random.default_rng(SEED)
+        j = standard_complex_structure(3)
+        matrices = self.stack(rng, 3, 5)
+        matrices[2] = np.diag([1.0, 0, 0, 0, 0, 0])  # a state, but not a physical one
+        stack = state_stack(matrices, j)
+        for k, m in enumerate(matrices):
+            assert stack.trace[k] == pytest.approx(np.trace(m), abs=1e-15)
+            assert stack.min_eigenvalue[k] == pytest.approx(sym_eig(m)[0][0], abs=1e-15)
+            assert stack.physicality_residual[k] == pytest.approx(
+                np.linalg.norm(m @ j.matrix - j.matrix @ m), abs=1e-15)
+            assert stack.physical[k] == density_matrix(m, j=j).physical
+        assert list(stack.physical) == [True, True, False, True, True]
+
+    @pytest.mark.parametrize("index,bad,message", [
+        (3, lambda m: m * 1.5, "unit trace"),
+        (1, lambda m: m + np.diag([0.2, -0.2, 0, 0]), "positive semidefinite"),
+        (2, lambda m: m + np.triu(np.ones((4, 4)), 1), "symmetric"),
+        (4, lambda m: m * np.nan, "not finite"),
+        (4, lambda m: m * np.inf, "not finite"),
+    ])
+    def test_first_failing_matrix_names_its_time(self, index, bad, message):
+        rng = np.random.default_rng(SEED)
+        matrices = self.stack(rng, 2, 6)
+        matrices[index] = bad(matrices[index])
+        matrices[5] = matrices[5] * 2.0  # a later failure is not the one reported
+        times = np.arange(6) * 0.5
+        with pytest.raises(ConstraintError, match=message) as info:
+            state_stack(matrices, standard_complex_structure(2), times=times)
+        assert str(info.value).endswith(f"at t = {float(times[index])!r}")
+
+    def test_measure_only_accepts_non_states(self):
+        rng = np.random.default_rng(SEED)
+        matrices = self.stack(rng, 2, 3) * 3.0
+        stack = state_stack(matrices, standard_complex_structure(2), density=False)
+        np.testing.assert_allclose(stack.trace, 3.0, atol=1e-14)
+        with pytest.raises(ConstraintError, match="unit trace"):
+            state_stack(matrices, standard_complex_structure(2))
+
+    def test_without_complex_structure_nothing_is_physical(self):
+        stack = state_stack(np.eye(4)[np.newaxis] / 4.0)
+        assert not stack.physical[0]
+        assert np.isnan(stack.physicality_residual[0])

@@ -55,7 +55,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt_float(x: float) -> str:
     if not np.isfinite(x):
-        raise ValueError(f"refusing to emit non-finite value {x!r}")
+        # Finite inputs can still overflow a result; nothing is written then.
+        raise ConstraintError(f"a result is not finite ({x!r}); "
+                              "the inputs are outside the representable range")
     return f"{float(x):.17g}"
 
 
@@ -141,6 +143,14 @@ def _validate_common(args) -> None:
             raise UsageError(f"--{flag} must be positive and finite, got {value!r}")
     if args.tol is not None and not (np.isfinite(args.tol) and args.tol >= 0.0):
         raise UsageError(f"--tol must be nonnegative and finite, got {args.tol!r}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be nonnegative, got {args.seed}")
+
+
+def _require_finite(what: str, *matrices) -> None:
+    """Finite parameters can still overflow an operator: a domain error."""
+    if not all(np.all(np.isfinite(m)) for m in matrices):
+        raise ConstraintError(f"{what} is not finite at these parameters")
 
 
 def _tolerance(args) -> Tolerance:
@@ -241,7 +251,9 @@ def _hamiltonian_from_spec(text: str, params: oscillator.OscillatorParams,
         if lengths.ndim != 1 or lengths.size == 0:
             raise UsageError("oscillator spec needs a nonempty 'lengths' list")
         pair = oscillator.build_canonical_pair(lengths.tolist(), params)
-        return oscillator.oscillator_hamiltonian(pair, params)
+        h = oscillator.oscillator_hamiltonian(pair, params)
+        _require_finite("the oscillator Hamiltonian", h.matrix)
+        return h
     if key == "fermionic":
         if not isinstance(doc, dict) or "length" not in doc:
             raise UsageError("fermionic spec needs a 'length' value")
@@ -249,6 +261,7 @@ def _hamiltonian_from_spec(text: str, params: oscillator.OscillatorParams,
         if length.shape != ():
             raise UsageError("fermionic spec needs a single 'length' value")
         fs = oscillator.build_fermionic(float(length), params)
+        _require_finite("the fermionic Hamiltonian", fs.hamiltonian)
         return dynamics.Hamiltonian(matrix=fs.hamiltonian, complex_linear=True)
     if key == "matrix":
         m = _matrix_from_spec(doc)
@@ -272,10 +285,14 @@ def _cmd_spectrum(args) -> int:
         branches = [b.strip() for b in args.branch.split(",")]
         if len(branches) != len(targets):
             raise UsageError("per-level branch list must match the number of targets")
+        bad = [b for b in branches if b not in ("plus", "minus")]
+        if bad:
+            raise UsageError(f"--branch entries must be 'plus' or 'minus', got {bad[0]!r}")
     xis = oscillator.design_spectrum(targets, params, branches)
     levels = oscillator.energy_levels(xis, params)
     pair = oscillator.build_canonical_pair(xis, params)
     h = oscillator.oscillator_hamiltonian(pair, params)
+    _require_finite("the oscillator Hamiltonian", h.matrix)
     eigenvalues, _ = sym_eig(h.matrix, _tolerance(args))
     # One row per real-side eigenvalue; each is matched to its nearest
     # designed level so the table carries the lengths and residuals too.
@@ -299,11 +316,16 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_uncertainty(args) -> int:
+    for name in ("alpha", "beta", "gamma", "delta", "xi1", "xi2"):
+        value = getattr(args, name)
+        if not np.isfinite(value):
+            raise UsageError(f"{name} must be finite, got {value!r}")
     params = _params(args)
     closed = oscillator.uncertainty_product(
         args.alpha, args.beta, args.gamma, args.delta, [args.xi1, args.xi2], params)
     rho = states.physical_density_4d(args.alpha, args.beta, args.gamma, args.delta)
     pair = oscillator.build_canonical_pair([args.xi1, args.xi2], params)
+    _require_finite("the position or momentum operator", pair.x, pair.p)
     tol = _tolerance(args)
     delta_x = float(np.sqrt(max(states.variance(rho, pair.x, tol), 0.0)))
     delta_p = float(np.sqrt(max(states.variance(rho, pair.p, tol), 0.0)))
@@ -496,6 +518,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except ConstraintError as exc:
         sys.stderr.write(f"realqm: constraint violated: {exc}\n")
+        return EXIT_CONSTRAINT
+    except OverflowError:  # Python float arithmetic past 1.8e308, e.g. omega**2
+        sys.stderr.write("realqm: constraint violated: "
+                         "a result overflows at these parameters\n")
         return EXIT_CONSTRAINT
     except OSError as exc:
         sys.stderr.write(f"realqm: error: {exc}\n")

@@ -12,16 +12,28 @@ intersection of the plus ranges all lifted units coincide.
 Operators that anticommute with a factor's unit lift to operators mapping
 the physical half onto the unphysical one; such maps have no counterpart in
 the complex theory.
+
+Every lifted unit I (x) J_k (x) I touches one Kronecker factor, so it is
+applied to a block by reshaping the product index to (before, d_k, after)
+and multiplying by the small J_k: O(d_k n c) work for an n x c block
+instead of the O(n^2 c) of a dense product.  The projectors are applied
+the same way, one factor pair at a time, from the left or the right; the
+dense `units` and `physical_projector` fields are kept for callers only.
+The physical basis needs no eigensolve of the n x n projector: Kronecker
+products of the factors' +i eigenvectors span the physical subspace over
+the complex numbers, and their real parts (with the U_0 images) give an
+orthonormal real basis for any orthogonal antisymmetric J.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, as_real_matrix, frobenius, sym_eig
+from .linalg import DEFAULT_TOL, Tolerance, as_real_matrix, frobenius
 from .realify import ComplexStructure, standard_complex_structure
 
 __all__ = [
@@ -80,6 +92,39 @@ def _lift(op: np.ndarray, index: int, dims: list[int]) -> np.ndarray:
     return reduce(np.kron, mats)
 
 
+def _apply_lifted(m: np.ndarray, index: int, dims: list[int], x: np.ndarray,
+                  right: bool = False) -> np.ndarray:
+    """(I_L (x) m (x) I_R) @ x, or x @ (I_L (x) m (x) I_R) when `right`.
+
+    The lift acts on factor `index` alone, so reshaping the product index
+    of x to (before, d_k, after) turns it into small products with m:
+    O(d_k n c) work for an n x c block instead of O(n^2 c).
+    """
+    d = dims[index]
+    if not right:
+        before = math.prod(dims[:index])
+        return np.matmul(m, x.reshape(before, d, -1)).reshape(x.shape)
+    after = math.prod(dims[index + 1:])
+    if after == 1:
+        return (x.reshape(-1, d) @ m).reshape(x.shape)
+    return np.matmul(m.T, x.reshape(-1, d, after)).reshape(x.shape)
+
+
+def _apply_projector(factors, signs, x: np.ndarray, right: bool = False) -> np.ndarray:
+    """prod_k (I - s_k U_0 U_k)/2 times x, from the left (or the right)."""
+    dims = [f.dim for f in factors]
+    j0 = factors[0].j.matrix
+    for k, sign in enumerate(signs, start=1):
+        flipped = _apply_lifted(
+            j0, 0, dims, _apply_lifted(factors[k].j.matrix, k, dims, x, right), right)
+        # x <- (x - sign * flipped) / 2, in place to spare two n x c temporaries
+        flipped *= -sign
+        flipped += x
+        flipped *= 0.5
+        x = flipped
+    return x
+
+
 def build_product_space(factors) -> ProductSpace:
     """Assemble lifted units and the physical projector for >= 2 factors."""
     factors = tuple(factors)
@@ -91,10 +136,7 @@ def build_product_space(factors) -> ProductSpace:
         raise ValueError(
             f"dense product dimension {total} exceeds the cap {MAX_PRODUCT_DIM}")
     units = tuple(_lift(f.j.matrix, i, dims) for i, f in enumerate(factors))
-    eye = np.eye(total)
-    projector = eye
-    for k in range(1, len(factors)):
-        projector = projector @ ((eye - units[0] @ units[k]) / 2.0)
+    projector = _apply_projector(factors, [1] * (len(factors) - 1), np.eye(total))
     return ProductSpace(factors=factors, dim=total, units=units,
                         physical_projector=projector)
 
@@ -107,11 +149,7 @@ def subspace_projector(space: ProductSpace, signs) -> np.ndarray:
         raise ValueError("need one sign per factor beyond the first")
     if any(s not in (1, -1) for s in signs):
         raise ValueError("signs must be +1 or -1")
-    eye = np.eye(space.dim)
-    projector = eye
-    for k, sign in enumerate(signs, start=1):
-        projector = projector @ ((eye - sign * space.units[0] @ space.units[k]) / 2.0)
-    return projector
+    return _apply_projector(space.factors, signs, np.eye(space.dim))
 
 
 def subspace_unit_relation(space: ProductSpace, signs,
@@ -119,9 +157,12 @@ def subspace_unit_relation(space: ProductSpace, signs,
     """True iff (J_first - sign_k J_k) vanishes on the selected subspace."""
     signs = list(signs)
     projector = subspace_projector(space, signs)
+    dims = [f.dim for f in space.factors]
+    first = _apply_lifted(space.factors[0].j.matrix, 0, dims, projector)
     scale = max(1.0, float(space.dim))
     for k, sign in enumerate(signs, start=1):
-        residual = (space.units[0] - sign * space.units[k]) @ projector
+        residual = first - sign * _apply_lifted(space.factors[k].j.matrix, k, dims,
+                                                projector)
         if frobenius(residual) > tol.abs_tol * scale:
             return False
     return True
@@ -148,27 +189,34 @@ def physical_escape_check(lifted, space: ProductSpace,
     lifted = as_real_matrix(lifted)
     if lifted.shape[0] != space.dim:
         raise ValueError("operator dimension does not match the product space")
-    p_plus = space.physical_projector
-    p_minus = np.eye(space.dim) - p_plus
-    scale = max(1.0, frobenius(lifted))
-    within = frobenius(lifted @ p_plus - p_plus @ lifted) <= tol.abs_tol * scale
-    across = (
-        frobenius(p_plus @ lifted @ p_plus) <= tol.abs_tol * scale
-        and frobenius(p_minus @ lifted @ p_plus - lifted @ p_plus) <= tol.abs_tol * scale
-    )
+    signs = [1] * (len(space.factors) - 1)
+    limit = tol.abs_tol * max(1.0, frobenius(lifted))
+    l_p = _apply_projector(space.factors, signs, lifted, right=True)
+    within = frobenius(l_p - _apply_projector(space.factors, signs, lifted)) <= limit
+    # (I - P) L P - L P = -P L P, so P L P alone decides "across".
+    across = frobenius(_apply_projector(space.factors, signs, l_p)) <= limit
     return EscapeCheck(maps_within=within, maps_across=across)
 
 
 def physical_basis(space: ProductSpace) -> np.ndarray:
-    """Orthonormal columns spanning the physical subspace.
+    """Orthonormal columns spanning the physical subspace, in closed form.
 
-    These are the eigenvectors of the physical projector with eigenvalue 1
-    (its eigenvalues are 0 and 1, so the cut at 1/2 separates them).  The
-    basis is deterministic, and restricting embedded complex operators to
-    these columns reproduces the complex tensor product.
+    Each factor's J has the +i eigenvectors v (J v = i v), and a Kronecker
+    product z of one per factor has U_k z = i z for every lifted unit, so
+    it lies in the physical subspace, as do its real and imaginary parts.
+    The columns come in pairs (b, U_0 b) with b = sqrt(2) Re z, since
+    U_0 b = -sqrt(2) Im z; they are orthonormal because z is orthogonal to
+    its conjugate (eigenvalue -i).  On these columns the restricted U_0 is
+    the standard interleaved complex structure, so restricting embedded
+    complex operators reproduces the complex tensor product up to a
+    unitary change of basis.
     """
-    vals, vecs = sym_eig(space.physical_projector)
-    return vecs[:, vals > 0.5]
+    eigvecs = [np.linalg.eigh(-1j * f.j.matrix)[1][:, f.d:] for f in space.factors]
+    z = np.sqrt(2.0) * reduce(np.kron, eigvecs)
+    basis = np.empty((space.dim, 2 * z.shape[1]))
+    basis[:, 0::2] = z.real
+    basis[:, 1::2] = -z.imag
+    return basis
 
 
 def validate_product_density(rho, space: ProductSpace,
@@ -182,12 +230,22 @@ def validate_product_density(rho, space: ProductSpace,
     rho = as_real_matrix(rho)
     if rho.shape[0] != space.dim:
         raise ValueError("state dimension does not match the product space")
-    p = space.physical_projector
-    scale = max(1.0, frobenius(rho))
-    for compressed in (p @ rho, rho @ p, p @ rho @ p):
-        if frobenius(rho - compressed) > tol.abs_tol * scale:
-            return False
-    for unit in space.units:
-        if frobenius(rho @ unit - unit @ rho) > tol.abs_tol * scale:
+    signs = [1] * (len(space.factors) - 1)
+    limit = tol.abs_tol * max(1.0, frobenius(rho))
+
+    def unchanged(compressed):
+        return frobenius(rho - compressed) <= limit
+
+    if not unchanged(_apply_projector(space.factors, signs, rho)):
+        return False
+    rho_p = _apply_projector(space.factors, signs, rho, right=True)
+    if not (unchanged(rho_p) and unchanged(_apply_projector(space.factors, signs, rho_p))):
+        return False
+    dims = [f.dim for f in space.factors]
+    for k, factor in enumerate(space.factors):
+        j = factor.j.matrix
+        commutator = (_apply_lifted(j, k, dims, rho, right=True)
+                      - _apply_lifted(j, k, dims, rho))
+        if frobenius(commutator) > limit:
             return False
     return True

@@ -92,6 +92,15 @@ class TestSpectrum:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert target in err and "lengths must be positive" not in err
 
+    @pytest.mark.parametrize("targets,branch", [("1,2", "plus,bogus"), ("1", "bogus"),
+                                                ("1", "")])
+    def test_bad_branch_is_usage_error(self, capsys, targets, branch):
+        code, out, err = run_cli(capsys, "spectrum", targets, f"--branch={branch}")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("realqm: error: --branch") and err.count("\n") == 1
+        assert repr(branch.split(",")[-1]) in err
+
     def test_csv_output(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "0.5", "--format", "csv")
         assert code == 0
@@ -125,6 +134,24 @@ class TestUncertainty:
                                "1", "1")
         assert code == 2
         assert "alpha+beta" in err
+
+    @pytest.mark.parametrize("slot", range(6))
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_argument_is_usage_error(self, capsys, slot, value):
+        names = ["alpha", "beta", "gamma", "delta", "xi1", "xi2"]
+        values = ["0.25", "0.25", "0", "0", "1", "2"]
+        values[slot] = value
+        code, out, err = run_cli(capsys, "uncertainty", "--", *values)
+        assert code == 1
+        assert out == ""
+        assert err == f"realqm: error: {names[slot]} must be finite, got {float(value)!r}\n"
+
+    @pytest.mark.parametrize("lengths", [("5e-324", "2"), ("1e308", "1")])
+    def test_overflowing_lengths_are_domain_errors(self, capsys, lengths):
+        code, out, err = run_cli(capsys, "uncertainty", "0.25", "0.25", "0", "0", *lengths)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("realqm: constraint violated:") and err.count("\n") == 1
 
     def test_scales_with_hbar(self, capsys):
         code, out, _ = run_cli(capsys, "uncertainty", "0.25", "0.25", "0", "0",
@@ -346,6 +373,28 @@ class TestInputBoundary:
         assert "Traceback" not in err
 
 
+class TestOverflow:
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "1e200", "--omega", "1e160"],
+        ["spectrum", "5e138", "--branch", "minus", "--hbar", "7.2e101",
+         "--mass", "7.3e197", "--omega", "4.3e31"],
+        ["evolve", "--state", STATE_QUARTER, "--hamiltonian",
+         '{"oscillator": {"lengths": [1, 1]}}', "--omega", "1e160"],
+        ["evolve", "--state", STATE_QUARTER, "--hamiltonian",
+         '{"oscillator": {"lengths": [1e200, 1]}}'],
+        ["evolve", "--state", STATE_QUARTER, "--hamiltonian", FERMIONIC_H,
+         "--hbar", "1e200", "--omega", "1e200"],
+        ["uncertainty", "0.25", "0.25", "0", "0", "1", "1", "--hbar", "1e300",
+         "--omega", "1e300"],
+    ], ids=["spectrum-omega-squared", "spectrum-hamiltonian", "oscillator-omega-squared", "oscillator-length",
+            "fermionic-hbar-omega", "uncertainty-result"])
+    def test_finite_inputs_that_overflow_are_domain_errors(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("realqm: constraint violated:") and err.count("\n") == 1
+
+
 class TestParserReuse:
     def test_parser_is_built_once(self):
         assert _build_parser() is _build_parser()
@@ -386,6 +435,12 @@ class TestCheck:
         doc = json.loads(out)
         assert [s["suite"] for s in doc["summary"]] == ["tensor"]
         assert all(r["suite"] == "tensor" for r in doc["rows"])
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "check", "--suite", "realify", "--seed", "-1")
+        assert code == 1
+        assert out == ""
+        assert err == "realqm: error: --seed must be nonnegative, got -1\n"
 
     def test_unknown_suite_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "check", "--suite", "bogus")

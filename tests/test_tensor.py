@@ -1,12 +1,21 @@
+import itertools
+from functools import reduce
+
 import numpy as np
 import pytest
 
-from realqm.linalg import sym_eig
+from realqm.linalg import DEFAULT_TOL, sym_eig
 from realqm.oscillator import OscillatorParams, build_canonical_pair
-from realqm.realify import ComplexMatrixRep, embed_matrix, standard_complex_structure
+from realqm.realify import (
+    ComplexMatrixRep,
+    ComplexStructure,
+    embed_matrix,
+    standard_complex_structure,
+)
 from realqm.states import physical_from_complex
 from realqm.tensor import (
     FactorSpace,
+    _apply_lifted,
     build_product_space,
     kron,
     lift_operator,
@@ -275,3 +284,174 @@ class TestVectorIndependence:
             gram = vecs @ vecs.T
             gvals, _ = sym_eig(gram)
             assert int(np.sum(gvals > 1e-8 * max(1.0, gvals[-1]))) == 4
+
+
+# ---------------------------------------------------------------------------
+# The factor-wise layer against the dense formulas it replaced.  The
+# reference builds every lifted unit and projector as a full n x n matrix.
+
+FACTOR_LISTS = [[1, 1], [2, 3], [2, 2, 2], [1, 2, 3]]
+
+
+def _dense_units(space):
+    dims = [f.dim for f in space.factors]
+    units = []
+    for k, f in enumerate(space.factors):
+        mats = [np.eye(n) for n in dims]
+        mats[k] = f.j.matrix
+        units.append(reduce(np.kron, mats))
+    return units
+
+
+def _dense_projector(space, signs):
+    units = _dense_units(space)
+    eye = np.eye(space.dim)
+    projector = eye
+    for k, sign in enumerate(signs, start=1):
+        projector = projector @ ((eye - sign * units[0] @ units[k]) / 2.0)
+    return projector
+
+
+def _dense_escape(lifted, space, tol=DEFAULT_TOL):
+    p_plus = _dense_projector(space, [1] * (len(space.factors) - 1))
+    p_minus = np.eye(space.dim) - p_plus
+    scale = max(1.0, np.linalg.norm(lifted))
+    within = np.linalg.norm(lifted @ p_plus - p_plus @ lifted) <= tol.abs_tol * scale
+    across = (
+        np.linalg.norm(p_plus @ lifted @ p_plus) <= tol.abs_tol * scale
+        and np.linalg.norm(p_minus @ lifted @ p_plus - lifted @ p_plus)
+        <= tol.abs_tol * scale
+    )
+    return within, across
+
+
+def _dense_validate(rho, space, tol=DEFAULT_TOL):
+    p = _dense_projector(space, [1] * (len(space.factors) - 1))
+    scale = max(1.0, np.linalg.norm(rho))
+    for compressed in (p @ rho, rho @ p, p @ rho @ p):
+        if np.linalg.norm(rho - compressed) > tol.abs_tol * scale:
+            return False
+    for unit in _dense_units(space):
+        if np.linalg.norm(rho @ unit - unit @ rho) > tol.abs_tol * scale:
+            return False
+    return True
+
+
+def random_structure(rng, d):
+    """Q J_std Q^T for a random orthogonal Q: a non-standard complex structure."""
+    q, _ = np.linalg.qr(rng.standard_normal((2 * d, 2 * d)))
+    return ComplexStructure(d=d, matrix=q @ standard_complex_structure(d).matrix @ q.T)
+
+
+def rotated_space(rng, ds):
+    return build_product_space([FactorSpace(d=d, j=random_structure(rng, d)) for d in ds])
+
+
+def _split(rng, j):
+    """A random J-commuting and a random J-anticommuting operator."""
+    m = rng.standard_normal(j.shape)
+    return (m - j @ m @ j) / 2.0, (m + j @ m @ j) / 2.0
+
+
+class TestFactorwiseLayer:
+    @pytest.mark.parametrize("ds", FACTOR_LISTS)
+    def test_projectors_match_dense_products(self, ds):
+        rng = np.random.default_rng(SEED + sum(ds))
+        space = rotated_space(rng, ds)
+        for unit, want in zip(space.units, _dense_units(space)):
+            np.testing.assert_array_equal(unit, want)
+        np.testing.assert_allclose(space.physical_projector,
+                                   _dense_projector(space, [1] * (len(ds) - 1)),
+                                   rtol=0, atol=1e-14)
+        for signs in itertools.product((1, -1), repeat=len(ds) - 1):
+            np.testing.assert_allclose(subspace_projector(space, signs),
+                                       _dense_projector(space, signs), rtol=0, atol=1e-14)
+            assert subspace_unit_relation(space, signs)
+
+    @pytest.mark.parametrize("ds", FACTOR_LISTS)
+    def test_escape_flags_match_dense_reference(self, ds):
+        rng = np.random.default_rng(SEED + 7 * sum(ds))
+        space = rotated_space(rng, ds)
+        operators = list(space.units)
+        for k, f in enumerate(space.factors):
+            linear, antilinear = _split(rng, f.j.matrix)
+            operators += [lift_operator(linear, k, space), lift_operator(antilinear, k, space)]
+        operators.append(operators[-1] @ operators[-1])
+        operators.append(rng.standard_normal((space.dim, space.dim)))
+        flags = set()
+        for op in operators:
+            check = physical_escape_check(op, space)
+            got = (check.maps_within, check.maps_across)
+            assert got == _dense_escape(op, space)
+            flags.add(got)
+        assert flags == {(True, False), (False, True), (False, False)}
+
+    @pytest.mark.parametrize("ds", FACTOR_LISTS)
+    def test_density_verdicts_match_dense_reference(self, ds):
+        rng = np.random.default_rng(SEED + 11 * sum(ds))
+        space = rotated_space(rng, ds)
+        p = space.physical_projector
+        u0 = space.units[0]
+        g = rng.standard_normal((space.dim, space.dim))
+        inside = p @ (g @ g.T) @ p
+        physical = (inside - u0 @ inside @ u0) / 2.0
+        candidates = {
+            "physical": physical / np.trace(physical),
+            "projector": p / np.trace(p),
+            "inside, not J-commuting": inside / np.trace(inside),
+            "asymmetric": p @ g / np.trace(p @ g),
+            "full mixture": np.eye(space.dim) / space.dim,
+        }
+        verdicts = {}
+        for name, rho in candidates.items():
+            verdicts[name] = validate_product_density(rho, space)
+            assert verdicts[name] == _dense_validate(rho, space), name
+        assert verdicts["physical"] and verdicts["projector"]
+        assert not verdicts["asymmetric"] and not verdicts["full mixture"]
+
+    @pytest.mark.parametrize("ds", FACTOR_LISTS)
+    def test_basis_for_rotated_structures(self, ds):
+        rng = np.random.default_rng(SEED + 13 * sum(ds))
+        space = rotated_space(rng, ds)
+        basis = physical_basis(space)
+        rank = space.physical_rank
+        assert basis.shape == (space.dim, rank)
+        assert np.linalg.matrix_rank(basis) == rank
+        np.testing.assert_allclose(basis.T @ basis, np.eye(rank), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(space.physical_projector @ basis, basis,
+                                   rtol=0, atol=1e-14)
+        j_std = standard_complex_structure(rank // 2).matrix
+        for unit in space.units:
+            restricted = basis.T @ unit @ basis
+            np.testing.assert_allclose(restricted @ restricted, -np.eye(rank),
+                                       rtol=0, atol=1e-14)
+            # the columns pair up as (b, U_0 b): every unit restricts to J_std
+            np.testing.assert_allclose(restricted, j_std, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("ds", [[8, 8], [2, 4, 4]])
+    def test_largest_products_match_dense_projector(self, ds):
+        space = build_product_space([FactorSpace.standard(d) for d in ds])
+        np.testing.assert_allclose(space.physical_projector,
+                                   _dense_projector(space, [1] * (len(ds) - 1)),
+                                   rtol=0, atol=1e-14)
+        minus = [-1] * (len(ds) - 1)
+        np.testing.assert_allclose(subspace_projector(space, minus),
+                                   _dense_projector(space, minus), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("right", [False, True])
+    def test_unit_helper_matches_kron_lift(self, right):
+        rng = np.random.default_rng(SEED)
+        space = rotated_space(rng, [1, 2, 3])
+        dims = [f.dim for f in space.factors]
+        x = rng.standard_normal((space.dim, space.dim))
+        for k, n in enumerate(dims):
+            m = rng.standard_normal((n, n))
+            lifted = lift_operator(m, k, space)
+            want = x @ lifted if right else lifted @ x
+            np.testing.assert_allclose(_apply_lifted(m, k, dims, x, right), want,
+                                       rtol=0, atol=1e-12)
+        block = x[:, :5] if not right else x[:5]
+        want = block @ space.units[1] if right else space.units[1] @ block
+        np.testing.assert_allclose(
+            _apply_lifted(space.factors[1].j.matrix, 1, dims, block, right), want,
+            rtol=0, atol=1e-14)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -54,11 +55,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt_float(x: float) -> str:
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         # Finite inputs can still overflow a result; nothing is written then.
         raise ConstraintError(f"a result is not finite ({x!r}); "
                               "the inputs are outside the representable range")
-    return f"{float(x):.17g}"
+    return f"{x:.17g}"
 
 
 def _render_json(value, indent: int = 0) -> str:
@@ -128,7 +129,7 @@ def _config(args) -> dict:
         "hbar": float(args.hbar),
         "mass": float(args.mass),
         "omega": float(args.omega),
-        "abs_tol": float(args.tol) if args.tol is not None else Tolerance().abs_tol,
+        "abs_tol": _tolerance(args).abs_tol,
         "spectral_gap_tol": _tolerance(args).spectral_gap_tol,
         "seed": int(args.seed),
         "format": args.format,
@@ -157,8 +158,7 @@ def _tolerance(args) -> Tolerance:
     if args.tol is None:
         return Tolerance()
     abs_tol = float(args.tol)
-    return Tolerance(abs_tol=abs_tol,
-                     spectral_gap_tol=max(abs_tol, Tolerance().spectral_gap_tol))
+    return Tolerance(abs_tol, max(abs_tol, Tolerance().spectral_gap_tol))
 
 
 def _params(args) -> oscillator.OscillatorParams:
@@ -512,7 +512,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         _validate_common(args)
-        return args.func(args)
+        with np.errstate(all="ignore"):  # the finiteness guards report overflow
+            return args.func(args)
     except UsageError as exc:
         sys.stderr.write(f"realqm: error: {exc}\n")
         return EXIT_USAGE

@@ -35,6 +35,7 @@ from .linalg import (
     expm,
     frobenius,
     is_symmetric,
+    negligible,
     sym_eig,
 )
 from .realify import ComplexStructure
@@ -143,8 +144,7 @@ def symplectic_lie_form_check(a, b, c, j: ComplexStructure, hbar: float = 1.0,
     jm = j.matrix
     lhs = (jm @ a) @ (jm @ b) - (jm @ b) @ (jm @ a)
     rhs = -hbar * (jm @ c)
-    scale = max(1.0, frobenius(a) * frobenius(b))
-    return frobenius(lhs - rhs) <= tol.abs_tol * scale
+    return negligible(frobenius(lhs - rhs), frobenius(a) * frobenius(b), tol)
 
 
 def liouville_rhs(h: Hamiltonian, rho: DensityMatrix, w: SymplecticForm) -> np.ndarray:

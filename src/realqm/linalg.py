@@ -4,7 +4,7 @@ Everything downstream works on square numpy float64 arrays.  This module
 supplies the product, a validated symmetric eigensolver on LAPACK, a
 Pade/scaling-squaring matrix exponential, and the tolerance-scaled
 predicates (symmetric, antisymmetric, commutes, anticommutes) that replace
-raw float comparisons everywhere else.
+raw float comparisons everywhere else; all of them use `negligible`.
 
 All functions are pure and never mutate their inputs.
 """
@@ -22,6 +22,7 @@ __all__ = [
     "as_real_matrix",
     "frobenius",
     "matmul",
+    "negligible",
     "sym_eig",
     "expm",
     "is_symmetric",
@@ -83,30 +84,36 @@ def matmul(a, b) -> np.ndarray:
     return a @ b
 
 
+def negligible(residual, scale, tol: Tolerance = DEFAULT_TOL):
+    """residual <= max(1, scale) * abs_tol, as a bool or, for stacks, a bool array."""
+    # NaN residuals fail; a NaN scale counts as 1 in np.fmax and Python's max alike.
+    floor = max(1.0, scale) if isinstance(scale, float) else np.fmax(1.0, scale)
+    verdict = residual <= tol.abs_tol * floor
+    return verdict if isinstance(verdict, np.ndarray) else bool(verdict)
+
+
 def is_symmetric(a, tol: Tolerance = DEFAULT_TOL) -> bool:
     a = as_real_matrix(a)
-    return frobenius(a - a.T) <= tol.abs_tol * max(1.0, frobenius(a))
+    return negligible(frobenius(a - a.T), frobenius(a), tol)
 
 
 def is_antisymmetric(a, tol: Tolerance = DEFAULT_TOL) -> bool:
     a = as_real_matrix(a)
-    return frobenius(a + a.T) <= tol.abs_tol * max(1.0, frobenius(a))
+    return negligible(frobenius(a + a.T), frobenius(a), tol)
 
 
 def commutes(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
     a = as_real_matrix(a)
     b = as_real_matrix(b)
     _check_same_dim(a, b)
-    scale = max(1.0, frobenius(a) * frobenius(b))
-    return frobenius(a @ b - b @ a) <= tol.abs_tol * scale
+    return negligible(frobenius(a @ b - b @ a), frobenius(a) * frobenius(b), tol)
 
 
 def anticommutes(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
     a = as_real_matrix(a)
     b = as_real_matrix(b)
     _check_same_dim(a, b)
-    scale = max(1.0, frobenius(a) * frobenius(b))
-    return frobenius(a @ b + b @ a) <= tol.abs_tol * scale
+    return negligible(frobenius(a @ b + b @ a), frobenius(a) * frobenius(b), tol)
 
 
 def sym_eig(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:

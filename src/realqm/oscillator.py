@@ -161,7 +161,9 @@ def lengths_from_energy(energy: float, params: OscillatorParams,
     """Invert the level formula: xi = sqrt((2E +- sqrt(4E^2 - hbar^2 w^2)) / (2 m w^2)).
 
     Both branches reproduce the same energy; "plus" is the larger length.
-    Energies below the bound hbar*w/2 are rejected.
+    Energies below the bound hbar*w/2, or whose xi^2 is not a positive float,
+    are rejected.  With S = 2E + sqrt(2E - hbar w) sqrt(2E + hbar w) the roots
+    are S/(2 m w^2) and hbar^2/(2 m S), forming neither 4E^2 nor a difference.
     """
     if branch not in ("plus", "minus"):
         raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
@@ -171,9 +173,14 @@ def lengths_from_energy(energy: float, params: OscillatorParams,
     if energy < bound - _BOUND_SLACK:
         raise ConstraintError(
             f"target energy {energy!r} is below the spectral bound hbar*omega/2 = {bound!r}")
-    disc = max(4.0 * energy * energy - (params.hbar * params.omega) ** 2, 0.0)
-    sign = 1.0 if branch == "plus" else -1.0
-    xi_sq = (2.0 * energy + sign * np.sqrt(disc)) / (2.0 * params.mass * params.omega**2)
+    two_e, hbar_w = 2.0 * energy, params.hbar * params.omega
+    with np.errstate(all="ignore"):
+        s = two_e + np.sqrt(max(two_e - hbar_w, 0.0)) * np.sqrt(two_e + hbar_w)
+        xi_sq = (s / (2.0 * params.mass * params.omega**2) if branch == "plus"
+                 else params.hbar / (2.0 * params.mass * s) * params.hbar)
+    if not (np.isfinite(xi_sq) and xi_sq > 0.0):
+        raise ConstraintError(f"target energy {energy!r} gives a length squared of "
+                              f"{float(xi_sq)!r}, outside the positive float range")
     return float(np.sqrt(xi_sq))
 
 

@@ -27,6 +27,7 @@ from .linalg import (
     frobenius,
     is_antisymmetric,
     is_symmetric,
+    negligible,
 )
 
 __all__ = [
@@ -202,17 +203,14 @@ def classify(a, j: ComplexStructure, tol: Tolerance = DEFAULT_TOL) -> OperatorFl
     a = as_real_matrix(a)
     if a.shape[0] != j.dim:
         raise ValueError("matrix dimension does not match the complex structure")
-    jm = j.matrix
     fro = frobenius(a)
-    eye = np.eye(a.shape[0])
-    quad_scale = max(1.0, fro * fro)
     return OperatorFlags(
         symmetric=is_symmetric(a, tol),
         antisymmetric=is_antisymmetric(a, tol),
-        orthogonal=frobenius(a.T @ a - eye) <= tol.abs_tol * quad_scale,
-        symplectic=frobenius(a.T @ jm @ a - jm) <= tol.abs_tol * quad_scale,
-        complex_linear=commutes(a, jm, tol),
-        complex_antilinear=anticommutes(a, jm, tol),
+        orthogonal=negligible(frobenius(a.T @ a - np.eye(a.shape[0])), fro * fro, tol),
+        symplectic=negligible(frobenius(a.T @ j.matrix @ a - j.matrix), fro * fro, tol),
+        complex_linear=commutes(a, j.matrix, tol),
+        complex_antilinear=anticommutes(a, j.matrix, tol),
     )
 
 
@@ -226,8 +224,6 @@ def matrix_set_rank(mats) -> int:
     if stack.size == 0:
         return 0
     svals = np.linalg.svd(stack, compute_uv=False)
-    if svals.size == 0 or svals[0] == 0.0:
-        return 0
     return int(np.sum(svals > _RANK_SV_THRESHOLD * max(1.0, svals[0])))
 
 

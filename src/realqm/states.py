@@ -22,6 +22,7 @@ from .linalg import (
     commutes,
     frobenius,
     is_symmetric,
+    negligible,
     sym_eig,
 )
 from .realify import ComplexMatrixRep, ComplexStructure, embed_matrix
@@ -85,10 +86,12 @@ class MeasurementStatistics:
     variance: float
 
 
-def _check_observable(a, tol: Tolerance) -> np.ndarray:
+def _check_observable(a, tol: Tolerance, dim: int | None = None) -> np.ndarray:
     a = as_real_matrix(a)
     if not is_symmetric(a, tol):
         raise ValueError("observables must be symmetric matrices")
+    if dim is not None and a.shape[0] != dim:
+        raise ValueError("observable and state dimensions differ")
     return a
 
 
@@ -144,7 +147,7 @@ def state_stack(matrices, j: ComplexStructure | None = None, tol: Tolerance = DE
     mt = m.transpose(0, 2, 1)
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.linalg.norm(m, axis=(1, 2))
-        symmetric = np.linalg.norm(m - mt, axis=(1, 2)) <= tol.abs_tol * np.maximum(1.0, norms)
+        symmetric = negligible(np.linalg.norm(m - mt, axis=(1, 2)), norms, tol)
         trace = np.trace(m, axis1=1, axis2=2)
         min_eigenvalue = np.linalg.eigvalsh(
             np.where(finite[:, np.newaxis, np.newaxis], (m + mt) / 2.0, 0.0))[:, 0]
@@ -153,7 +156,7 @@ def state_stack(matrices, j: ComplexStructure | None = None, tol: Tolerance = DE
             physical = np.zeros(len(m), dtype=bool)
         else:
             residual = np.linalg.norm(m @ j.matrix - j.matrix @ m, axis=(1, 2))
-            physical = residual <= tol.abs_tol * np.maximum(1.0, norms * frobenius(j.matrix))
+            physical = negligible(residual, norms * frobenius(j.matrix), tol)
     checks = [(~finite, lambda k: f"{what} is not finite"),
               (~symmetric, lambda k: f"{what} must be symmetric")]
     if density:
@@ -194,16 +197,12 @@ def spectral_decompose(a, tol: Tolerance = DEFAULT_TOL) -> SpectralDecomposition
 
 
 def expectation(rho: DensityMatrix, a, tol: Tolerance = DEFAULT_TOL) -> float:
-    a = _check_observable(a, tol)
-    if a.shape[0] != rho.dim:
-        raise ValueError("observable and state dimensions differ")
+    a = _check_observable(a, tol, rho.dim)
     return float(np.trace(rho.matrix @ a))
 
 
 def variance(rho: DensityMatrix, a, tol: Tolerance = DEFAULT_TOL) -> float:
-    a = _check_observable(a, tol)
-    if a.shape[0] != rho.dim:
-        raise ValueError("observable and state dimensions differ")
+    a = _check_observable(a, tol, rho.dim)
     mean = float(np.trace(rho.matrix @ a))
     return float(np.trace(rho.matrix @ (a @ a))) - mean * mean
 
@@ -276,9 +275,9 @@ def are_orthogonal_states(rho1: DensityMatrix, rho2: DensityMatrix,
     """True when both products of the two states vanish."""
     if rho1.dim != rho2.dim:
         raise ValueError("state dimensions differ")
-    scale = max(1.0, frobenius(rho1.matrix) * frobenius(rho2.matrix))
-    return (frobenius(rho1.matrix @ rho2.matrix) <= tol.abs_tol * scale
-            and frobenius(rho2.matrix @ rho1.matrix) <= tol.abs_tol * scale)
+    scale = frobenius(rho1.matrix) * frobenius(rho2.matrix)
+    return (negligible(frobenius(rho1.matrix @ rho2.matrix), scale, tol)
+            and negligible(frobenius(rho2.matrix @ rho1.matrix), scale, tol))
 
 
 def sharp_realizability(a, j: ComplexStructure,

@@ -18,7 +18,7 @@ applied to a block by reshaping the product index to (before, d_k, after)
 and multiplying by the small J_k: O(d_k n c) work for an n x c block
 instead of the O(n^2 c) of a dense product.  The projectors are applied
 the same way, one factor pair at a time, from the left or the right; the
-dense `units` and `physical_projector` fields are kept for callers only.
+dense `units`, `physical_projector` (on first read) and lifts apply them to I.
 The physical basis needs no eigensolve of the n x n projector: Kronecker
 products of the factors' +i eigenvectors span the physical subspace over
 the complex numbers, and their real parts (with the U_0 images) give an
@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, as_real_matrix, frobenius
+from .linalg import DEFAULT_TOL, Tolerance, as_real_matrix, frobenius, negligible
 from .realify import ComplexStructure, standard_complex_structure
 
 __all__ = [
@@ -73,8 +73,14 @@ class FactorSpace:
 class ProductSpace:
     factors: tuple[FactorSpace, ...]
     dim: int
-    units: tuple[np.ndarray, ...]  # lifted imaginary units, one per factor
-    physical_projector: np.ndarray
+
+    @cached_property
+    def units(self) -> tuple[np.ndarray, ...]:  # dense fields are built on first read
+        return tuple(lift_operator(f.j.matrix, k, self) for k, f in enumerate(self.factors))
+
+    @cached_property
+    def physical_projector(self) -> np.ndarray:
+        return subspace_projector(self, [1] * (len(self.factors) - 1))
 
     @property
     def physical_rank(self) -> int:
@@ -84,12 +90,6 @@ class ProductSpace:
 def kron(a, b) -> np.ndarray:
     """Real tensor product with first-factor-major block layout."""
     return np.kron(as_real_matrix(a), as_real_matrix(b))
-
-
-def _lift(op: np.ndarray, index: int, dims: list[int]) -> np.ndarray:
-    mats = [np.eye(n) for n in dims]
-    mats[index] = op
-    return reduce(np.kron, mats)
 
 
 def _apply_lifted(m: np.ndarray, index: int, dims: list[int], x: np.ndarray,
@@ -126,19 +126,14 @@ def _apply_projector(factors, signs, x: np.ndarray, right: bool = False) -> np.n
 
 
 def build_product_space(factors) -> ProductSpace:
-    """Assemble lifted units and the physical projector for >= 2 factors."""
+    """The product of >= 2 factors; its dense units and projector are built on first read."""
     factors = tuple(factors)
     if len(factors) < 2:
         raise ValueError("a product space needs at least two factors")
-    dims = [f.dim for f in factors]
-    total = int(np.prod(dims))
+    total = math.prod(f.dim for f in factors)
     if total > MAX_PRODUCT_DIM:
-        raise ValueError(
-            f"dense product dimension {total} exceeds the cap {MAX_PRODUCT_DIM}")
-    units = tuple(_lift(f.j.matrix, i, dims) for i, f in enumerate(factors))
-    projector = _apply_projector(factors, [1] * (len(factors) - 1), np.eye(total))
-    return ProductSpace(factors=factors, dim=total, units=units,
-                        physical_projector=projector)
+        raise ValueError(f"dense product dimension {total} exceeds the cap {MAX_PRODUCT_DIM}")
+    return ProductSpace(factors=factors, dim=total)
 
 
 def subspace_projector(space: ProductSpace, signs) -> np.ndarray:
@@ -159,11 +154,9 @@ def subspace_unit_relation(space: ProductSpace, signs,
     projector = subspace_projector(space, signs)
     dims = [f.dim for f in space.factors]
     first = _apply_lifted(space.factors[0].j.matrix, 0, dims, projector)
-    scale = max(1.0, float(space.dim))
     for k, sign in enumerate(signs, start=1):
-        residual = first - sign * _apply_lifted(space.factors[k].j.matrix, k, dims,
-                                                projector)
-        if frobenius(residual) > tol.abs_tol * scale:
+        other = _apply_lifted(space.factors[k].j.matrix, k, dims, projector)
+        if not negligible(frobenius(first - sign * other), space.dim, tol):
             return False
     return True
 
@@ -175,7 +168,7 @@ def lift_operator(op, factor_index: int, space: ProductSpace) -> np.ndarray:
         raise ValueError(f"factor index {factor_index} out of range")
     if op.shape[0] != space.factors[factor_index].dim:
         raise ValueError("operator dimension does not match the chosen factor")
-    return _lift(op, factor_index, [f.dim for f in space.factors])
+    return _apply_lifted(op, factor_index, [f.dim for f in space.factors], np.eye(space.dim))
 
 
 @dataclass(frozen=True)
@@ -190,11 +183,12 @@ def physical_escape_check(lifted, space: ProductSpace,
     if lifted.shape[0] != space.dim:
         raise ValueError("operator dimension does not match the product space")
     signs = [1] * (len(space.factors) - 1)
-    limit = tol.abs_tol * max(1.0, frobenius(lifted))
+    scale = frobenius(lifted)
     l_p = _apply_projector(space.factors, signs, lifted, right=True)
-    within = frobenius(l_p - _apply_projector(space.factors, signs, lifted)) <= limit
+    within = negligible(frobenius(l_p - _apply_projector(space.factors, signs, lifted)),
+                        scale, tol)
     # (I - P) L P - L P = -P L P, so P L P alone decides "across".
-    across = frobenius(_apply_projector(space.factors, signs, l_p)) <= limit
+    across = negligible(frobenius(_apply_projector(space.factors, signs, l_p)), scale, tol)
     return EscapeCheck(maps_within=within, maps_across=across)
 
 
@@ -231,10 +225,10 @@ def validate_product_density(rho, space: ProductSpace,
     if rho.shape[0] != space.dim:
         raise ValueError("state dimension does not match the product space")
     signs = [1] * (len(space.factors) - 1)
-    limit = tol.abs_tol * max(1.0, frobenius(rho))
+    scale = frobenius(rho)
 
     def unchanged(compressed):
-        return frobenius(rho - compressed) <= limit
+        return negligible(frobenius(rho - compressed), scale, tol)
 
     if not unchanged(_apply_projector(space.factors, signs, rho)):
         return False
@@ -242,10 +236,6 @@ def validate_product_density(rho, space: ProductSpace,
     if not (unchanged(rho_p) and unchanged(_apply_projector(space.factors, signs, rho_p))):
         return False
     dims = [f.dim for f in space.factors]
-    for k, factor in enumerate(space.factors):
-        j = factor.j.matrix
-        commutator = (_apply_lifted(j, k, dims, rho, right=True)
-                      - _apply_lifted(j, k, dims, rho))
-        if frobenius(commutator) > limit:
-            return False
-    return True
+    return all(negligible(frobenius(_apply_lifted(f.j.matrix, k, dims, rho, right=True)
+                                    - _apply_lifted(f.j.matrix, k, dims, rho)), scale, tol)
+               for k, f in enumerate(space.factors))

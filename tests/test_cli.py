@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -78,6 +79,22 @@ class TestSpectrum:
         minus_xi = json.loads(out)["rows"][0]["length"]
         plus_xi = json.loads(plus_out)["rows"][0]["length"]
         assert minus_xi < plus_xi
+
+    @pytest.mark.parametrize("target", ["1e6", "1e10", "1e100"])
+    def test_minus_branch_of_large_targets_keeps_its_digits(self, capsys, target):
+        code, out, _ = run_cli(capsys, "spectrum", target, "--branch", "minus")
+        assert code == 0
+        for row in json.loads(out)["rows"]:
+            assert row["roundtrip_residual"] <= 1e-12
+            assert row["eigenvalue"] == pytest.approx(float(target), rel=1e-12)
+
+    @pytest.mark.parametrize("argv", [["1e308"], ["1", "--omega", "1e-308"]])
+    def test_length_outside_float_range_names_the_target(self, capsys, argv):
+        code, out, err = run_cli(capsys, "spectrum", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(f"realqm: constraint violated: target energy {float(argv[0])!r}")
 
     def test_malformed_targets_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "0.5,abc")
@@ -393,6 +410,39 @@ class TestOverflow:
         assert code == 2
         assert out == ""
         assert err.startswith("realqm: constraint violated:") and err.count("\n") == 1
+
+
+OVERFLOW_ARGV = [
+    ["uncertainty", "0.25", "0.25", "0", "0", "5e-324", "2"],
+    ["spectrum", "1e308"],
+    ["spectrum", "1", "--omega", "1e-308"],
+]
+
+
+class TestNoNumpyWarnings:
+    @pytest.mark.parametrize("argv", OVERFLOW_ARGV, ids=["uncertainty", "spectrum-energy",
+                                                         "spectrum-omega"])
+    def test_stderr_is_exactly_the_error_line(self, argv):
+        proc = subprocess.run([sys.executable, "-m", "realqm", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("realqm: constraint violated:")
+
+    @pytest.mark.parametrize("argv", OVERFLOW_ARGV + [
+        ["spectrum", "1e200", "--omega", "1e160"],
+        ["evolve", "--state", STATE_QUARTER, "--hamiltonian",
+         '{"oscillator": {"lengths": [1e200, 1]}}'],
+        ["evolve", "--state", STATE_QUARTER, "--hamiltonian", FERMIONIC_H,
+         "--hbar", "1e200", "--omega", "1e200"],
+    ])
+    def test_main_warns_nothing(self, capsys, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and err.count("\n") == 1
+        assert caught == []
 
 
 class TestParserReuse:

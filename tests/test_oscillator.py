@@ -1,3 +1,6 @@
+import decimal
+import re
+
 import numpy as np
 import pytest
 
@@ -139,6 +142,55 @@ class TestLengthsFromEnergy:
     def test_unknown_branch(self):
         with pytest.raises(ValueError):
             lengths_from_energy(1.0, OscillatorParams(), "middle")
+
+    @staticmethod
+    def _exact(energy, params, branch):
+        """xi from the textbook formula in 320-digit decimal arithmetic.
+
+        hbar*w enters as its float product: next to the bound xi is so
+        ill-conditioned that one rounding of that product shows."""
+        with decimal.localcontext() as ctx:
+            ctx.prec = 320
+            e, m, w, hw = (decimal.Decimal(v) for v in
+                           (energy, params.mass, params.omega, params.hbar * params.omega))
+            root = (4 * e * e - hw * hw).sqrt()
+            return float(((2 * e + (root if branch == "plus" else -root))
+                          / (2 * m * w * w)).sqrt())
+
+    @pytest.mark.parametrize("branch", ["plus", "minus"])
+    def test_full_precision_from_bound_to_1e100(self, branch):
+        rng = np.random.default_rng(SEED)
+        for params in (OscillatorParams(), OscillatorParams(mass=0.7, omega=1.9, hbar=1.1)):
+            bound = params.ground_energy
+            energies = [bound, bound * (1 + 1e-15), bound * (1 + 1e-8)]
+            energies += [float(e) for e in bound * 10.0 ** rng.uniform(0, 100, size=40)]
+            for energy in energies:
+                want = self._exact(energy, params, branch)
+                got = lengths_from_energy(energy, params, branch)
+                assert abs(got - want) <= 4e-16 * want, (energy, got, want)
+
+    def test_minus_branch_keeps_its_digits(self):
+        params = OscillatorParams()
+        for energy in (1e6, 1e10, 1e100, 1e300):
+            xi = lengths_from_energy(energy, params, "minus")
+            # Both roots multiply to (hbar / (2 m w))^2.
+            partner = lengths_from_energy(energy, params, "plus")
+            assert xi * partner == pytest.approx(0.5, rel=1e-15)
+            assert energy_levels([xi], params)[0] == pytest.approx(energy, rel=1e-14)
+
+    @pytest.mark.parametrize("energy,params", [
+        (1e308, OscillatorParams()),
+        (1.0, OscillatorParams(omega=1e-308)),
+        (1e200, OscillatorParams(mass=1e-200, omega=1e-100)),
+    ], ids=["energy-1e308", "omega-1e-308", "mass-omega-tiny"])
+    def test_length_outside_float_range_names_the_target(self, energy, params):
+        with pytest.raises(ConstraintError, match=re.escape(f"target energy {energy!r} gives a length")):
+            lengths_from_energy(energy, params, "plus")
+
+    def test_minus_root_needs_no_finite_plus_root(self):
+        # The plus length squared overflows; the minus one is hbar^2 / (8 m E) here.
+        xi = lengths_from_energy(1.0, OscillatorParams(omega=1e-308), "minus")
+        assert xi == pytest.approx(np.sqrt(1.0 / 8.0), rel=1e-15)
 
 
 class TestDesignSpectrum:

@@ -160,6 +160,17 @@ class TestLiftOperator:
         lifted = lift_operator(a, 1, space) @ lift_operator(b, 1, space)
         np.testing.assert_allclose(lifted, lift_operator(a @ b, 1, space), atol=1e-12)
 
+    @pytest.mark.parametrize("ds", [[1, 1], [2, 2], [4, 4], [1, 1, 1], [1, 2, 2]])
+    def test_lifts_and_units_equal_the_kronecker_chain(self, ds):
+        rng = np.random.default_rng(SEED + sum(ds))
+        space = rotated_space(rng, ds)
+        dims = [f.dim for f in space.factors]
+        for k, (unit, want_unit) in enumerate(zip(space.units, _dense_units(space))):
+            np.testing.assert_array_equal(unit, want_unit)
+            m = rng.standard_normal((dims[k], dims[k]))
+            want = reduce(np.kron, [m if i == k else np.eye(d) for i, d in enumerate(dims)])
+            np.testing.assert_array_equal(lift_operator(m, k, space), want)
+
     def test_rejects_bad_index_and_dim(self):
         space = two_factor_space(1, 2)
         with pytest.raises(ValueError):
@@ -354,6 +365,15 @@ def _split(rng, j):
 
 
 class TestFactorwiseLayer:
+    def test_dense_fields_are_built_on_first_read(self):
+        space = build_product_space([FactorSpace.standard(2), FactorSpace.standard(2)])
+        assert "units" not in vars(space) and "physical_projector" not in vars(space)
+        physical_basis(space)
+        validate_product_density(np.eye(space.dim) / space.dim, space)
+        assert "units" not in vars(space) and "physical_projector" not in vars(space)
+        assert space.units is space.units
+        assert space.physical_projector is space.physical_projector
+
     @pytest.mark.parametrize("ds", FACTOR_LISTS)
     def test_projectors_match_dense_products(self, ds):
         rng = np.random.default_rng(SEED + sum(ds))
@@ -446,12 +466,13 @@ class TestFactorwiseLayer:
         x = rng.standard_normal((space.dim, space.dim))
         for k, n in enumerate(dims):
             m = rng.standard_normal((n, n))
-            lifted = lift_operator(m, k, space)
+            lifted = reduce(np.kron, [m if i == k else np.eye(d) for i, d in enumerate(dims)])
             want = x @ lifted if right else lifted @ x
             np.testing.assert_allclose(_apply_lifted(m, k, dims, x, right), want,
                                        rtol=0, atol=1e-12)
         block = x[:, :5] if not right else x[:5]
-        want = block @ space.units[1] if right else space.units[1] @ block
+        unit = _dense_units(space)[1]
+        want = block @ unit if right else unit @ block
         np.testing.assert_allclose(
             _apply_lifted(space.factors[1].j.matrix, 1, dims, block, right), want,
             rtol=0, atol=1e-14)

@@ -520,7 +520,7 @@ def main(argv=None) -> int:
     except ConstraintError as exc:
         sys.stderr.write(f"realqm: constraint violated: {exc}\n")
         return EXIT_CONSTRAINT
-    except OverflowError:  # Python float arithmetic past 1.8e308, e.g. omega**2
+    except OverflowError:  # safety net: Python float arithmetic raises where numpy gives inf
         sys.stderr.write("realqm: constraint violated: "
                          "a result overflows at these parameters\n")
         return EXIT_CONSTRAINT

@@ -11,12 +11,12 @@ the flow integrates exactly to rho(t) = U(t) rho(0) U(t)^T with the
 orthogonal, symplectic propagator U(t) = exp(-(t/hbar) J H), which J^2 = -I
 and [H, J] = 0 reduce to the closed form cos(tH/hbar) - J sin(tH/hbar).
 
-Every time point shares one eigendecomposition of H, so `evolve_grid`
-evaluates a whole time grid at once: one eigendecomposition and one phase
-guard for the grid, then, block by block, a (B, n, n) stack of
-propagators, one batched conjugation U rho U^T and one batched
-revalidation of the evolved states.  `propagator` and `evolve` are its
-one-point cases.
+Such an H is an embedded complex Hermitean d x d matrix, so `evolve_grid`
+diagonalises it once in the complex frame of J, where each level appears
+once, and evaluates a whole time grid from it: one phase guard for the
+grid, then, block by block, a (B, n, n) stack of propagators, one batched
+conjugation U rho U^T and one batched revalidation of the evolved states.
+`propagator` and `evolve` are its one-point cases.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .linalg import (
     frobenius,
     is_symmetric,
     negligible,
-    sym_eig,
 )
 from .realify import ComplexStructure
 from .states import DensityMatrix, StateStack, state_stack
@@ -160,23 +159,17 @@ def liouville_rhs(h: Hamiltonian, rho: DensityMatrix, w: SymplecticForm) -> np.n
 
 def _spectrum(h: Hamiltonian, j: ComplexStructure, hbar: float,
               tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (degenerate ones averaged) and eigenvectors of a
-    complex-linear H: the setup every propagator of a time grid shares."""
+    """Each level e of a complex-linear H once, with complex eigenvectors
+    X = F W in the frame F of J: the setup a time grid's propagators share."""
     if hbar <= 0.0:
         raise ValueError("hbar must be positive")
     if not h.complex_linear or not commutes(h.matrix, j.matrix, tol):
         raise ConstraintError("propagator requires a Hamiltonian that commutes with J")
-    e, v = sym_eig(h.matrix, tol)
-    # A J-commuting H has each eigenvalue twice, on a J-invariant pair of
-    # adjacent columns, and each of its eigenspaces is J-invariant.
-    # Averaging each pair, then each run of pairs that differ only by
-    # roundoff (n eps max|E|, below what eigh resolves), removes the
-    # splitting that would otherwise grow into a [U, J] residual at long
-    # times.
-    e = np.repeat((e[0::2] + e[1::2]) / 2.0, 2)
-    split = np.diff(e) > e.size * np.finfo(float).eps * np.max(np.abs(e))
-    cluster = np.concatenate(([0], np.cumsum(split)))
-    return (np.bincount(cluster, e) / np.bincount(cluster))[cluster], v
+    if not is_symmetric(h.matrix, tol):
+        raise ValueError("propagator requires a symmetric Hamiltonian")
+    f = j.frame
+    e, w = np.linalg.eigh(f.conj().T @ h.matrix @ f)
+    return e, f @ w
 
 
 def _scaled_times(times: np.ndarray, e: np.ndarray, hbar: float) -> np.ndarray:
@@ -184,7 +177,7 @@ def _scaled_times(times: np.ndarray, e: np.ndarray, hbar: float) -> np.ndarray:
 
     The guard needs only the largest phase of each time point, and
     max_i |(t/hbar) e_i| = |t/hbar| max_i |e_i| exactly, since rounding is
-    monotone; so the (T, n) phase array is never built.
+    monotone; so the (T, d) phase array is never built.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = times / hbar
@@ -199,24 +192,23 @@ def _scaled_times(times: np.ndarray, e: np.ndarray, hbar: float) -> np.ndarray:
     return scaled
 
 
-def _propagators(scaled: np.ndarray, e: np.ndarray, v: np.ndarray,
-                 jm: np.ndarray) -> np.ndarray:
-    """The (T, n, n) stack I - V diag(2 sin^2(theta/2)) V^T - J V diag(sin theta) V^T,
+def _propagators(scaled: np.ndarray, e: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The (T, n, n) stack I - 2 Re(X diag(2 sin^2(theta/2) + i sin theta) X^H),
     theta = (t/hbar) e, for each scaled time t/hbar."""
     theta = scaled[:, np.newaxis] * e
     half = np.sin(theta / 2.0)
-    return (np.eye(e.size) - (v * (2.0 * half * half)[:, np.newaxis, :]) @ v.T
-            - jm @ ((v * np.sin(theta)[:, np.newaxis, :]) @ v.T))
+    g = 2.0 * half * half + 1j * np.sin(theta)
+    return np.eye(x.shape[0]) - 2.0 * ((x * g[:, np.newaxis, :]) @ x.conj().T).real
 
 
 def propagator(h: Hamiltonian, t: float, j: ComplexStructure,
                hbar: float = 1.0, tol: Tolerance = DEFAULT_TOL) -> Propagator:
     """U(t) = exp(-(t/hbar) J H) for a complex-linear Hamiltonian.
 
-    Computed exactly from one eigendecomposition H = V diag(e) V^T as
-    cos(tH/hbar) - J sin(tH/hbar), written I - V diag(2 sin^2(theta/2)) V^T
-    - J V diag(sin theta) V^T with theta = t e / hbar so that U(0) is exactly
-    the identity.  Phases |t E / hbar| above 1e15, or not finite, raise
+    With F the frame of J (`ComplexStructure.frame`) and F^H H F = W diag(e) W^H,
+    X = F W has H X = X diag(e) and U X = X diag(exp(-i theta)), theta = t e / hbar;
+    so U = I - 2 Re(X diag(2 sin^2(theta/2) + i sin theta) X^H), exactly I at
+    t = 0.  Phases |t E / hbar| above 1e15, or not finite, raise
     ConstraintError.  This is the one-point case of the stacked propagators
     `evolve_grid` applies.
 
@@ -224,9 +216,9 @@ def propagator(h: Hamiltonian, t: float, j: ComplexStructure,
     the trace or the physicality of states (see `liouville_flow` for the
     deliberately unguarded variant).
     """
-    e, v = _spectrum(h, j, hbar, tol)
+    e, x = _spectrum(h, j, hbar, tol)
     scaled = _scaled_times(np.array([t], dtype=float), e, hbar)
-    return Propagator(u=_propagators(scaled, e, v, j.matrix)[0], t=float(t))
+    return Propagator(u=_propagators(scaled, e, x)[0], t=float(t))
 
 
 def evolve_grid(rho0: DensityMatrix, h: Hamiltonian, times, j: ComplexStructure,
@@ -244,13 +236,13 @@ def evolve_grid(rho0: DensityMatrix, h: Hamiltonian, times, j: ComplexStructure,
     times = np.asarray(times, dtype=float).reshape(-1)
     if rho0.dim != h.dim:
         raise ValueError("Hamiltonian and state dimensions differ")
-    e, v = _spectrum(h, j, hbar, tol)
+    e, x = _spectrum(h, j, hbar, tol)
     scaled = _scaled_times(times, e, hbar)
 
     def blocks():
         for start in range(0, times.size, _GRID_BLOCK):
             block = slice(start, start + _GRID_BLOCK)
-            u = _propagators(scaled[block], e, v, j.matrix)
+            u = _propagators(scaled[block], e, x)
             rho = u @ rho0.matrix @ u.transpose(0, 2, 1)
             yield times[block], state_stack(rho, j, tol, times[block])
 

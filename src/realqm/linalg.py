@@ -4,7 +4,8 @@ Everything downstream works on square numpy float64 arrays.  This module
 supplies the product, a validated symmetric eigensolver on LAPACK, a
 Pade/scaling-squaring matrix exponential, and the tolerance-scaled
 predicates (symmetric, antisymmetric, commutes, anticommutes) that replace
-raw float comparisons everywhere else; all of them use `negligible`.
+raw float comparisons everywhere else; all of them use `negligible`, whose
+bound is relative to each residual's scale with no floor.
 
 All functions are pure and never mutate their inputs.
 """
@@ -85,10 +86,9 @@ def matmul(a, b) -> np.ndarray:
 
 
 def negligible(residual, scale, tol: Tolerance = DEFAULT_TOL):
-    """residual <= max(1, scale) * abs_tol, as a bool or, for stacks, a bool array."""
-    # NaN residuals fail; a NaN scale counts as 1 in np.fmax and Python's max alike.
-    floor = max(1.0, scale) if isinstance(scale, float) else np.fmax(1.0, scale)
-    verdict = residual <= tol.abs_tol * floor
+    """residual <= scale * abs_tol with no floor, so scaling every input by 2^k
+    keeps the verdict; a bool, or for stacks a bool array.  NaN fails."""
+    verdict = residual <= tol.abs_tol * scale
     return verdict if isinstance(verdict, np.ndarray) else bool(verdict)
 
 

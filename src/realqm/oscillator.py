@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Hamiltonian
-from .linalg import ConstraintError, expm
+from .linalg import ConstraintError, sym_eig
 from .realify import ComplexStructure, standard_complex_structure
 from .states import physical_density_4d
 
@@ -140,7 +140,7 @@ def oscillator_hamiltonian(pair: CanonicalPair, params: OscillatorParams) -> Ham
     """p^2/(2m) + m w^2 x^2 / 2: diagonal, and commutes with J even though
     x and p individually anticommute with it."""
     m = pair.p @ pair.p / (2.0 * params.mass)
-    m = m + 0.5 * params.mass * params.omega**2 * (pair.x @ pair.x)
+    m = m + 0.5 * params.mass * (params.omega * params.omega) * (pair.x @ pair.x)
     return Hamiltonian(matrix=m, complex_linear=True)
 
 
@@ -151,8 +151,8 @@ def energy_levels(xis, params: OscillatorParams) -> np.ndarray:
     hbar*w/2, with equality exactly at xi^2 = hbar/(2 m w).
     """
     xis = _check_lengths(xis)
-    kinetic = params.hbar**2 / (8.0 * params.mass * xis**2)
-    potential = 0.5 * params.mass * params.omega**2 * xis**2
+    kinetic = params.hbar * params.hbar / (8.0 * params.mass * xis**2)
+    potential = 0.5 * params.mass * (params.omega * params.omega) * xis**2
     return kinetic + potential
 
 
@@ -176,7 +176,7 @@ def lengths_from_energy(energy: float, params: OscillatorParams,
     two_e, hbar_w = 2.0 * energy, params.hbar * params.omega
     with np.errstate(all="ignore"):
         s = two_e + np.sqrt(max(two_e - hbar_w, 0.0)) * np.sqrt(two_e + hbar_w)
-        xi_sq = (s / (2.0 * params.mass * params.omega**2) if branch == "plus"
+        xi_sq = (s / (2.0 * params.mass * (params.omega * params.omega)) if branch == "plus"
                  else params.hbar / (2.0 * params.mass * s) * params.hbar)
     if not (np.isfinite(xi_sq) and xi_sq > 0.0):
         raise ConstraintError(f"target energy {energy!r} gives a length squared of "
@@ -224,13 +224,14 @@ def uncertainty_product(alpha: float, beta: float, gamma: float, delta: float,
 
 def translation_operator(pair: CanonicalPair, distance: float,
                          j: ComplexStructure, hbar: float = 1.0) -> np.ndarray:
-    """exp(-(d/hbar) J p): a spatial translation that is symplectic but,
-    because J p is symmetric, not orthogonal for d != 0."""
+    """exp(-(d/hbar) J p) = I + V diag(expm1(-(d/hbar) k)) V^T for J p = V diag(k) V^T,
+    a translation that is symplectic but, J p being symmetric, not orthogonal for d != 0."""
     if hbar <= 0.0:
         raise ValueError("hbar must be positive")
     if pair.dim != j.dim:
         raise ValueError("pair dimension does not match the complex structure")
-    return expm(-(distance / hbar) * (j.matrix @ pair.p))
+    k, v = sym_eig(j.matrix @ pair.p)
+    return np.eye(j.dim) + (v * np.expm1(-(distance / hbar) * k)) @ v.T
 
 
 def build_fermionic(xi: float, params: OscillatorParams) -> FermionicStructure:

@@ -90,6 +90,11 @@ class ComplexStructure:
     def dim(self) -> int:
         return 2 * self.d
 
+    @property
+    def frame(self) -> np.ndarray:
+        """The complex frame of J: 2d x d orthonormal columns F with J F = i F."""
+        return np.linalg.eigh(-1j * self.matrix)[1][:, self.d:]
+
 
 @dataclass(frozen=True)
 class LinearAntilinearSplit:

@@ -272,12 +272,12 @@ def physical_density_4d(alpha: float, beta: float, gamma: float,
 
 def are_orthogonal_states(rho1: DensityMatrix, rho2: DensityMatrix,
                           tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True when both products of the two states vanish."""
+    """True when the product of the two states vanishes (for symmetric
+    states rho2 rho1 is the transpose of rho1 rho2)."""
     if rho1.dim != rho2.dim:
         raise ValueError("state dimensions differ")
     scale = frobenius(rho1.matrix) * frobenius(rho2.matrix)
-    return (negligible(frobenius(rho1.matrix @ rho2.matrix), scale, tol)
-            and negligible(frobenius(rho2.matrix @ rho1.matrix), scale, tol))
+    return negligible(frobenius(rho1.matrix @ rho2.matrix), scale, tol)
 
 
 def sharp_realizability(a, j: ComplexStructure,

@@ -205,7 +205,7 @@ def physical_basis(space: ProductSpace) -> np.ndarray:
     complex operators reproduces the complex tensor product up to a
     unitary change of basis.
     """
-    eigvecs = [np.linalg.eigh(-1j * f.j.matrix)[1][:, f.d:] for f in space.factors]
+    eigvecs = [f.j.frame for f in space.factors]
     z = np.sqrt(2.0) * reduce(np.kron, eigvecs)
     basis = np.empty((space.dim, 2 * z.shape[1]))
     basis[:, 0::2] = z.real

@@ -411,6 +411,12 @@ class TestOverflow:
         assert out == ""
         assert err.startswith("realqm: constraint violated:") and err.count("\n") == 1
 
+    def test_omega_squared_overflow_names_the_length(self, capsys):
+        code, out, err = run_cli(capsys, "spectrum", "1e200", "--omega", "1e160")
+        assert code == 2 and out == ""
+        assert err.startswith("realqm: constraint violated: target energy 1e+200 gives a "
+                              "length squared of 0.0")
+
 
 OVERFLOW_ARGV = [
     ["uncertainty", "0.25", "0.25", "0", "0", "5e-324", "2"],

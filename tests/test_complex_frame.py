@@ -1,0 +1,92 @@
+"""The complex frame of J and the propagators built in it."""
+
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import realqm
+from realqm.dynamics import Hamiltonian, evolve_grid, hamiltonian, propagator
+from realqm.realify import (
+    ComplexMatrixRep,
+    ComplexStructure,
+    embed_matrix,
+    standard_complex_structure,
+)
+from realqm.states import density_matrix, physical_from_complex
+
+SEED = 6021
+
+
+def rotated(rng, d):
+    q, _ = np.linalg.qr(rng.standard_normal((2 * d, 2 * d)))
+    return q, ComplexStructure(d=d, matrix=q @ standard_complex_structure(d).matrix @ q.T)
+
+
+def embed_c(a):
+    return embed_matrix(ComplexMatrixRep.from_complex(a))
+
+
+def rand_complex(rng, d):
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_frame_is_orthonormal_and_spans_the_plus_i_eigenspace(d):
+    rng = np.random.default_rng(SEED + d)
+    for j in (standard_complex_structure(d), rotated(rng, d)[1]):
+        f = j.frame
+        assert f.shape == (2 * d, d)
+        np.testing.assert_allclose(j.matrix @ f, 1j * f, atol=1e-14)
+        np.testing.assert_allclose(f.conj().T @ f, np.eye(d), atol=1e-14)
+
+
+def test_frame_compresses_embedded_matrices_to_their_complex_form():
+    rng = np.random.default_rng(SEED)
+    j = standard_complex_structure(3)
+    a = rand_complex(rng, 3)
+    f = j.frame
+    compressed = f.conj().T @ embed_c(a) @ f
+    # The frame is unique up to a unitary change of basis, so compare invariants.
+    np.testing.assert_allclose(np.sort_complex(np.linalg.eigvals(compressed)),
+                               np.sort_complex(np.linalg.eigvals(a)), atol=1e-12)
+    np.testing.assert_allclose(2.0 * (f @ compressed @ f.conj().T).real, embed_c(a),
+                               atol=1e-13)
+
+
+@pytest.mark.parametrize("phase", [1.0, 1e3, 1e6])
+def test_evolution_is_covariant_under_a_rotated_structure(phase):
+    rng = np.random.default_rng(SEED + 1)
+    d = 3
+    j = standard_complex_structure(d)
+    q, jq = rotated(rng, d)
+    h_c = rand_complex(rng, d)
+    h_c = (h_c + h_c.conj().T) / 2.0
+    g = rand_complex(rng, d)
+    rho_c = g @ g.conj().T
+    rho0 = physical_from_complex(ComplexMatrixRep.from_complex(rho_c / np.trace(rho_c).real))
+    h = embed_c(h_c)
+    t = phase / np.linalg.norm(h_c, 2)
+    times = np.linspace(t - 1.0, t, 5)
+    _, plain = next(evolve_grid(rho0, hamiltonian(h, j), times, j))
+    _, turned = next(evolve_grid(density_matrix(q @ rho0.matrix @ q.T, jq),
+                                 hamiltonian(q @ h @ q.T, jq), times, jq))
+    diff = np.max(np.linalg.norm(turned.matrices - q @ plain.matrices @ q.T, axis=(1, 2)))
+    assert diff <= max(1e-12, 1e-14 * phase)
+    assert turned.physical.all()
+
+
+def test_asymmetric_complex_linear_hamiltonian_is_rejected():
+    rng = np.random.default_rng(SEED + 2)
+    j = standard_complex_structure(2)
+    h = Hamiltonian(matrix=embed_c(rand_complex(rng, 2)), complex_linear=True)
+    with pytest.raises(ValueError, match="symmetric"):
+        propagator(h, 1.0, j)
+
+
+def test_frame_is_computed_in_one_place():
+    src = Path(realqm.__file__).parent
+    hits = [(path.name, line) for path in sorted(src.glob("*.py"))
+            for line in path.read_text().splitlines() if re.search(r"eigh\(-1j", line)]
+    assert len(hits) == 1 and hits[0][0] == "realify.py"

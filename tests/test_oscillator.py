@@ -282,6 +282,16 @@ class TestTranslation:
         assert np.linalg.norm(u.T @ u - np.eye(4)) > 0.1
         assert np.linalg.norm(u.T @ j.matrix @ u - j.matrix) <= 1e-9
 
+    @pytest.mark.parametrize("distance", [0.3, 5.0, 40.0, -2.0])
+    def test_matches_scipy_expm(self, distance):
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        params = OscillatorParams(hbar=0.8)
+        pair = build_canonical_pair([0.7, 1.3], params)
+        j = standard_complex_structure(2)
+        u = translation_operator(pair, distance, j, hbar=params.hbar)
+        want = scipy_linalg.expm(-(distance / params.hbar) * (j.matrix @ pair.p))
+        assert np.linalg.norm(u - want) <= 1e-15 * np.linalg.norm(want)
+
     def test_generator_is_symmetric(self):
         pair = build_canonical_pair([0.7, 1.3], OscillatorParams())
         j = standard_complex_structure(2)

@@ -1,11 +1,11 @@
 """The shared residual rule `linalg.negligible` and the verdicts built on it.
 
 Every "residual is zero" verdict in the package goes through `negligible`.
-Each test below keeps the rule its site wrote out by hand before that
-(`residual <= abs_tol * max(1, scale)` with the site's own residual and
-scale) as a reference, and checks that the site's verdict equals it with
-the tolerance placed just below, exactly at and just above every threshold
-the seeded inputs meet, where the two are closest to disagreeing.
+Each test below writes the rule out by hand for its site
+(`residual <= abs_tol * scale` with the site's own residual and scale) as a
+reference, and checks that the site's verdict equals it with the tolerance
+placed just below, exactly at and just above every threshold the seeded
+inputs meet, where the two are closest to disagreeing.
 """
 
 import re
@@ -67,7 +67,7 @@ def placed(pairs):
     """Tolerances just below, at and just above the flip of each (residual, scale)."""
     tols = []
     for residual, scale in pairs:
-        critical = float(residual) / max(1.0, float(scale))
+        critical = float(residual) / float(scale)
         assert critical > 0.0, "a zero residual has no threshold to place"
         tols += [tol_of(critical * f) for f in (1.0 - NEAR, 1.0, 1.0 + NEAR)]
     return tols
@@ -76,7 +76,7 @@ def placed(pairs):
 def assert_flips(reference, pairs):
     """The reference verdict is False just below each lone threshold, True above."""
     for residual, scale in pairs:
-        critical = residual / max(1.0, scale)
+        critical = residual / scale
         assert not reference(tol_of(critical * (1.0 - NEAR)))
         assert reference(tol_of(critical * (1.0 + NEAR)))
 
@@ -108,7 +108,7 @@ def split(m, j):
 class TestPredicate:
     @pytest.mark.parametrize("scale", [0.0, 0.25, 1.0, 3.0, 1e6])
     def test_threshold_passes_and_next_float_fails(self, scale):
-        at = DEFAULT_TOL.abs_tol * max(1.0, scale)
+        at = DEFAULT_TOL.abs_tol * scale
         assert negligible(at, scale) is True
         assert negligible(np.nextafter(at, np.inf), scale) is False
         assert negligible(np.nextafter(at, -np.inf), scale) is True
@@ -123,14 +123,11 @@ class TestPredicate:
         assert negligible(float("nan"), np.inf) is False
         assert not negligible(np.array([np.nan, 0.0]), np.ones(2))[0]
 
-    def test_nan_scale_counts_as_one_like_python_max(self):
-        assert max(1.0, float("nan")) == 1.0
-        assert negligible(DEFAULT_TOL.abs_tol, np.nan) is True
-        assert negligible(np.nextafter(DEFAULT_TOL.abs_tol, 1.0), np.nan) is False
-        at = DEFAULT_TOL.abs_tol
+    def test_nan_scale_fails(self):
+        assert negligible(0.0, np.nan) is False
+        assert negligible(0.0, float("nan")) is False
         np.testing.assert_array_equal(
-            negligible(np.array([at, np.nextafter(at, 1.0)]), np.array([np.nan, np.nan])),
-            [True, False])
+            negligible(np.array([0.0, 0.0]), np.array([np.nan, 1.0])), [False, True])
 
     @pytest.mark.parametrize("residual,scale", [(0.0, 1.0), (1.0, 1.0), (np.float64(0.0), 2),
                                                 (np.array(0.0), np.array(1.0))])
@@ -154,24 +151,24 @@ class TestPredicate:
 
 
 def ref_is_symmetric(a, tol):
-    return frobenius(a - a.T) <= tol.abs_tol * max(1.0, frobenius(a))
+    return frobenius(a - a.T) <= tol.abs_tol * frobenius(a)
 
 
 def ref_is_antisymmetric(a, tol):
-    return frobenius(a + a.T) <= tol.abs_tol * max(1.0, frobenius(a))
+    return frobenius(a + a.T) <= tol.abs_tol * frobenius(a)
 
 
 def ref_commutes(a, b, tol):
-    scale = max(1.0, frobenius(a) * frobenius(b))
+    scale = frobenius(a) * frobenius(b)
     return frobenius(a @ b - b @ a) <= tol.abs_tol * scale
 
 
 def ref_anticommutes(a, b, tol):
-    scale = max(1.0, frobenius(a) * frobenius(b))
+    scale = frobenius(a) * frobenius(b)
     return frobenius(a @ b + b @ a) <= tol.abs_tol * scale
 
 
-# Magnitudes on both sides of the max(1, scale) floor.
+# Magnitudes on both sides of 1, where a max(1, scale) floor would bind.
 MAGNITUDES = [0.01, 0.3, 1.0, 7.0]
 
 
@@ -220,7 +217,7 @@ class TestLinalgPredicates:
 def ref_stack_symmetric(m, tol):
     norms = np.linalg.norm(m, axis=(1, 2))
     return (np.linalg.norm(m - m.transpose(0, 2, 1), axis=(1, 2))
-            <= tol.abs_tol * np.maximum(1.0, norms))
+            <= tol.abs_tol * norms)
 
 
 def stack_physicality(m, j):
@@ -230,13 +227,12 @@ def stack_physicality(m, j):
 
 def ref_stack_physical(m, j, tol):
     residual, scale = stack_physicality(m, j)
-    return residual <= tol.abs_tol * np.maximum(1.0, scale)
+    return residual <= tol.abs_tol * scale
 
 
 def ref_orthogonal_states(r1, r2, tol):
-    scale = max(1.0, frobenius(r1) * frobenius(r2))
-    return (frobenius(r1 @ r2) <= tol.abs_tol * scale
-            and frobenius(r2 @ r1) <= tol.abs_tol * scale)
+    scale = frobenius(r1) * frobenius(r2)
+    return frobenius(r1 @ r2) <= tol.abs_tol * scale
 
 
 def near_physical_density(rng, d, eps):
@@ -271,7 +267,7 @@ class TestStates:
             np.testing.assert_array_equal(got, want)
         # Each placed pair flips exactly its own entry.
         k = 4
-        critical = residual[k] / max(1.0, scale[k])
+        critical = residual[k] / scale[k]
         below = ref_stack_physical(m, j.matrix, tol_of(critical * (1 - NEAR)))
         above = ref_stack_physical(m, j.matrix, tol_of(critical * (1 + NEAR)))
         assert not below[k] and above[k]
@@ -339,14 +335,14 @@ class TestStates:
 def ref_lie_form(a, b, c, jm, hbar, tol):
     lhs = (jm @ a) @ (jm @ b) - (jm @ b) @ (jm @ a)
     rhs = -hbar * (jm @ c)
-    scale = max(1.0, frobenius(a) * frobenius(b))
+    scale = frobenius(a) * frobenius(b)
     return frobenius(lhs - rhs) <= tol.abs_tol * scale
 
 
 def ref_classify(a, jm, tol):
     fro = frobenius(a)
     eye = np.eye(a.shape[0])
-    quad_scale = max(1.0, fro * fro)
+    quad_scale = fro * fro
     return (frobenius(a.T @ a - eye) <= tol.abs_tol * quad_scale,
             frobenius(a.T @ jm @ a - jm) <= tol.abs_tol * quad_scale)
 
@@ -392,7 +388,7 @@ def ref_subspace_unit_relation(space, signs, tol):
     projector = subspace_projector(space, signs)
     dims = [f.dim for f in space.factors]
     first = _apply_lifted(space.factors[0].j.matrix, 0, dims, projector)
-    scale = max(1.0, float(space.dim))
+    scale = float(space.dim)
     for k, sign in enumerate(signs, start=1):
         residual = first - sign * _apply_lifted(space.factors[k].j.matrix, k, dims,
                                                 projector)
@@ -412,7 +408,7 @@ def unit_relation_residuals(space, signs):
 
 def ref_escape(lifted, space, tol):
     signs = [1] * (len(space.factors) - 1)
-    limit = tol.abs_tol * max(1.0, frobenius(lifted))
+    limit = tol.abs_tol * frobenius(lifted)
     l_p = _apply_projector(space.factors, signs, lifted, right=True)
     within = frobenius(l_p - _apply_projector(space.factors, signs, lifted)) <= limit
     across = frobenius(_apply_projector(space.factors, signs, l_p)) <= limit
@@ -441,7 +437,7 @@ def density_residuals(rho, space):
 
 def ref_validate(rho, space, tol):
     signs = [1] * (len(space.factors) - 1)
-    limit = tol.abs_tol * max(1.0, frobenius(rho))
+    limit = tol.abs_tol * frobenius(rho)
 
     def unchanged(compressed):
         return frobenius(rho - compressed) <= limit
@@ -503,7 +499,7 @@ class TestTensor:
         g = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
         inner = embed_matrix(ComplexMatrixRep.from_complex(g @ g.conj().T))
         rho = basis @ inner @ basis.T
-        # The trace is not checked, so size > 1 puts the scale above the floor.
+        # The trace is not checked, so size > 1 puts the scale above 1.
         rho = size * (rho / np.trace(rho) + 1e-9 * sym(rng, space.dim))
         scale = frobenius(rho)
         for tol in placed([(res, scale) for res in density_residuals(rho, space)]):

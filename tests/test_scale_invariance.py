@@ -1,0 +1,135 @@
+"""Verdicts that do not depend on units.
+
+`negligible` bounds a residual relative to its scale with no floor, so
+scaling every input of a predicate by 2^k, which is exact in binary,
+leaves each verdict unchanged.  A Hamiltonian of small norm in particular
+is complex-linear only when it really commutes with J.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from realqm.cli import main
+from realqm.dynamics import hamiltonian
+from realqm.linalg import ConstraintError, anticommutes, commutes, is_symmetric
+from realqm.realify import (
+    ComplexMatrixRep,
+    ComplexStructure,
+    embed_matrix,
+    standard_complex_structure,
+)
+from realqm.states import state_stack
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=80)
+
+# Relative size of the off-structure part: its decades straddle abs_tol.
+EPS_DECADES = (-14.0, -6.0)
+
+
+def random_structure(rng, d):
+    q, _ = np.linalg.qr(rng.standard_normal((2 * d, 2 * d)))
+    return ComplexStructure(d=d, matrix=q @ standard_complex_structure(d).matrix @ q.T)
+
+
+def near_structure(seed, decade):
+    """The seeded generator, a random J, the symmetric and antisymmetric
+    parts s, a of a random matrix, the J-commuting and J-anticommuting
+    parts of s, and eps = 10^decade."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 4))
+    j = random_structure(rng, d)
+    g = rng.standard_normal((2 * d, 2 * d))
+    s, a = (g + g.T) / 2.0, (g - g.T) / 2.0
+    plus, minus = (s - j.matrix @ s @ j.matrix) / 2.0, (s + j.matrix @ s @ j.matrix) / 2.0
+    return rng, j, s, a, plus, minus, 10.0 ** decade
+
+
+cases = st.tuples(st.integers(0, 2**32 - 1), st.floats(*EPS_DECADES), st.integers(-100, 100))
+
+
+@SETTINGS
+@given(cases)
+def test_predicate_verdicts_are_scale_invariant(case):
+    seed, decade, k = case
+    _, j, s, a, plus, minus, eps = near_structure(seed, decade)
+    c = 2.0 ** k
+    for m in (s + eps * a, a + eps * s):
+        assert is_symmetric(c * m) is is_symmetric(m)
+    for m in (plus + eps * minus, minus + eps * plus):
+        assert commutes(c * m, c * j.matrix) is commutes(m, j.matrix)
+        assert anticommutes(c * m, c * j.matrix) is anticommutes(m, j.matrix)
+        assert hamiltonian(c * m, j).complex_linear is hamiltonian(m, j).complex_linear
+
+
+@SETTINGS
+@given(cases)
+def test_state_stack_verdicts_are_scale_invariant(case):
+    seed, decade, k = case
+    rng, j, _, _, plus, minus, eps = near_structure(seed, decade)
+    n = j.dim
+    g = rng.standard_normal((n, n))
+    stack = np.array([plus + eps * minus, plus + eps * (g - g.T) / 2.0])
+
+    def verdicts(m):
+        try:
+            return state_stack(m, j, density=False).physical.tolist()
+        except ConstraintError as exc:
+            assert "must be symmetric" in str(exc)
+            return "asymmetric"
+
+    assert verdicts(2.0 ** k * stack) == verdicts(stack)
+
+
+def test_small_generic_hamiltonian_is_not_complex_linear():
+    rng = np.random.default_rng(7)
+    j = standard_complex_structure(2)
+    g = rng.standard_normal((4, 4))
+    for c in (1.0, 1e-12, 1e-40):
+        assert not hamiltonian(c * (g + g.T) / 2.0, j).complex_linear
+    assert hamiltonian(np.zeros((4, 4)), j).complex_linear
+
+
+STATE = '{"physical_density": [0.25, 0.25, 0, 0.25]}'
+
+
+def matrix_spec(m):
+    return json.dumps({"matrix": {"dim": m.shape[0], "entries": m.ravel().tolist()}})
+
+
+def run_cli(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_small_generic_hamiltonian_is_rejected_at_long_times(capsys):
+    rng = np.random.default_rng(7)
+    g = rng.standard_normal((4, 4))
+    h = 1e-12 * (g + g.T) / 2.0
+    code, out, err = run_cli(capsys, "evolve", "--state", STATE, "--hamiltonian",
+                             matrix_spec(h), "--t1", "1e12", "--steps", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("realqm: constraint violated:") and err.count("\n") == 1
+    assert "does not commute with the complex structure" in err
+
+
+def test_si_units_evolve_physically(capsys):
+    rng = np.random.default_rng(8)
+    g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    h = 1e-31 * embed_matrix(ComplexMatrixRep.from_complex((g + g.conj().T) / 2.0))
+    code, out, err = run_cli(capsys, "evolve", "--state", STATE, "--hamiltonian",
+                             matrix_spec(h), "--hbar", "1.054571817e-34", "--t1", "1e-3",
+                             "--steps", "4")
+    assert code == 0, err
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 5
+    for row in rows:
+        assert abs(row["trace"] - 1.0) <= 1e-12
+        assert row["physicality_residual"] <= 1e-12

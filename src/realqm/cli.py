@@ -6,10 +6,15 @@ position/momentum product on a four-dimensional physical state, `evolve`
 integrates a state under a complex-linear Hamiltonian, and `check` replays
 the library's invariant suites.
 
-Output is JSON (default) or CSV; both render every float with 17
-significant digits and contain nothing time- or environment-dependent, so
-identical arguments produce byte-identical output.  Exit codes: 0 success,
-1 usage error, 2 domain-constraint violation, 3 failed invariant check.
+Each subcommand builds one column table, an ordered dict from column name
+to a list of values, and `_emit` writes it as JSON (default, one object per
+row) or CSV; `_scalar` formats every value of both.  Column names are
+unique, so an observable cannot take a fixed column's name, an earlier
+observable's name, or a name with a comma, a double quote or a line break.
+Every float has 17 significant digits and nothing is time- or
+environment-dependent, so identical arguments produce byte-identical
+output.  Exit codes: 0 success, 1 usage error, 2 domain-constraint
+violation, 3 failed invariant check.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import sys
 import numpy as np
 
 from . import checks, dynamics, oscillator, states
-from .linalg import ConstraintError, Tolerance, as_real_matrix, sym_eig
+from .linalg import ConstraintError, Tolerance, as_real_matrix, is_symmetric, sym_eig
 from .realify import ComplexMatrixRep, standard_complex_structure
 
 __all__ = ["main", "run"]
@@ -54,65 +59,54 @@ class _Parser(argparse.ArgumentParser):
 # Deterministic rendering
 
 
-def _fmt_float(x: float) -> str:
-    if not math.isfinite(x):
-        # Finite inputs can still overflow a result; nothing is written then.
-        raise ConstraintError(f"a result is not finite ({x!r}); "
-                              "the inputs are outside the representable range")
-    return f"{x:.17g}"
-
-
-def _render_json(value, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [f'{inner}{json.dumps(str(k))}: {_render_json(v, indent + 1)}'
-                 for k, v in value.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not len(value):
-            return "[]"
-        items = [f"{inner}{_render_json(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(value, bool) or value is None:
-        return json.dumps(value)
+def _scalar(value, quote: bool = True) -> str:
+    """One output value as text; strings are JSON-quoted unless `quote` is off."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return "null"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return _fmt_float(float(value))
+        if not math.isfinite(value):
+            # Finite inputs can still overflow a result; nothing is written then.
+            raise ConstraintError(f"a result is not finite ({float(value)!r}); "
+                                  "the inputs are outside the representable range")
+        return f"{float(value):.17g}"
     if isinstance(value, str):
-        return json.dumps(value)
+        return json.dumps(value) if quote else value
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _fmt_float(float(value))
-    return str(value)
-
-
-def _render_csv(columns, rows) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_cell(row[c]) for c in columns))
-    return "\n".join(lines) + "\n"
+def _render_json(value, indent: int = 0) -> str:
+    if not isinstance(value, (dict, list, tuple)):
+        return _scalar(value)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if isinstance(value, dict):
+        items = [f'{inner}{json.dumps(str(k))}: {_render_json(v, indent + 1)}'
+                 for k, v in value.items()]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    items = [f"{inner}{_render_json(v, indent + 1)}" for v in value]
+    return "[\n" + ",\n".join(items) + "\n" + pad + "]"
 
 
 def _matrix_payload(m: np.ndarray) -> dict:
     return {"dim": int(m.shape[0]), "entries": [float(x) for x in m.ravel()]}
 
 
-def _emit(args, payload: dict, columns, rows) -> None:
+def _emit(args, payload: dict, table: dict) -> None:
+    """Write `payload` and the column table (column name -> list of values)."""
+    rows = zip(*table.values(), strict=True)
     if args.format == "json":
-        text = _render_json({**payload, "rows": list(rows)}) + "\n"
+        rows = [dict(zip(table, row)) for row in rows]
+        text = _render_json({**payload, "rows": rows}) + "\n"
     else:
-        text = _render_csv(columns, rows)
+        lines = [",".join(table)]
+        lines += [",".join(_scalar(v, quote=False) for v in row) for row in rows]
+        text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -172,7 +166,8 @@ def _parse_floats(text: str) -> list[float]:
         raise UsageError(f"could not parse numeric list {text!r}: {exc}") from exc
 
 
-def _load_spec(text: str) -> dict:
+def _load_spec(text: str) -> tuple[str, object]:
+    """The one (key, document) pair of a JSON spec given inline or as @file."""
     if text.startswith("@"):
         with open(text[1:], "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -182,7 +177,7 @@ def _load_spec(text: str) -> dict:
         raise UsageError(f"invalid JSON document: {exc}") from exc
     if not isinstance(spec, dict) or len(spec) != 1:
         raise UsageError("spec must be a JSON object with exactly one key")
-    return spec
+    return next(iter(spec.items()))
 
 
 def _floats(value, what: str) -> np.ndarray:
@@ -212,8 +207,7 @@ def _matrix_from_spec(doc) -> np.ndarray:
 
 
 def _state_from_spec(text: str, tol: Tolerance, need_physical: bool) -> states.DensityMatrix:
-    spec = _load_spec(text)
-    key, doc = next(iter(spec.items()))
+    key, doc = _load_spec(text)
     if key == "physical_density":
         values = _floats(doc, "physical_density")
         if values.shape != (4,):
@@ -242,8 +236,7 @@ def _state_from_spec(text: str, tol: Tolerance, need_physical: bool) -> states.D
 
 def _hamiltonian_from_spec(text: str, params: oscillator.OscillatorParams,
                            tol: Tolerance) -> dynamics.Hamiltonian:
-    spec = _load_spec(text)
-    key, doc = next(iter(spec.items()))
+    key, doc = _load_spec(text)
     if key == "oscillator":
         lengths = np.empty(0)
         if isinstance(doc, dict) and "lengths" in doc:
@@ -294,30 +287,29 @@ def _cmd_spectrum(args) -> int:
     h = oscillator.oscillator_hamiltonian(pair, params)
     _require_finite("the oscillator Hamiltonian", h.matrix)
     eigenvalues, _ = sym_eig(h.matrix, _tolerance(args))
-    # One row per real-side eigenvalue; each is matched to its nearest
-    # designed level so the table carries the lengths and residuals too.
-    rows = []
-    for idx, value in enumerate(eigenvalues):
-        level = int(np.argmin(np.abs(levels - value)))
-        rows.append({
-            "index": idx,
-            "eigenvalue": float(value),
-            "level": level,
-            "target_energy": float(targets[level]),
-            "branch": branches[level],
-            "length": float(xis[level]),
-            "roundtrip_residual": float(abs(levels[level] - targets[level])
-                                        / max(1.0, abs(targets[level]))),
-        })
-    columns = ["index", "eigenvalue", "level", "target_energy", "branch",
-               "length", "roundtrip_residual"]
-    _emit(args, {"command": "spectrum", "config": _config(args)}, columns, rows)
+    # One row per real-side eigenvalue.  H is diagonal with level i twice on
+    # block i, so the k-th smallest eigenvalue is the level of the k-th
+    # smallest diagonal entry; repeated targets keep their own rows.
+    level = np.argsort(np.diag(h.matrix), kind="stable") // 2
+    targets = np.asarray(targets)
+    residual = np.abs(levels - targets) / np.maximum(1.0, np.abs(targets))
+    table = {
+        "index": list(range(eigenvalues.size)),
+        "eigenvalue": eigenvalues.tolist(),
+        "level": level.tolist(),
+        "target_energy": targets[level].tolist(),
+        "branch": [branches[i] for i in level],
+        "length": xis[level].tolist(),
+        "roundtrip_residual": residual[level].tolist(),
+    }
+    _emit(args, {"command": "spectrum", "config": _config(args)}, table)
     return EXIT_OK
 
 
 def _cmd_uncertainty(args) -> int:
-    for name in ("alpha", "beta", "gamma", "delta", "xi1", "xi2"):
-        value = getattr(args, name)
+    table = {name: [getattr(args, name)]
+             for name in ("alpha", "beta", "gamma", "delta", "xi1", "xi2")}
+    for name, (value,) in table.items():
         if not np.isfinite(value):
             raise UsageError(f"{name} must be finite, got {value!r}")
     params = _params(args)
@@ -330,18 +322,10 @@ def _cmd_uncertainty(args) -> int:
     delta_x = float(np.sqrt(max(states.variance(rho, pair.x, tol), 0.0)))
     delta_p = float(np.sqrt(max(states.variance(rho, pair.p, tol), 0.0)))
     bound = params.hbar / 2.0
-    row = {
-        "alpha": args.alpha, "beta": args.beta,
-        "gamma": args.gamma, "delta": args.delta,
-        "xi1": args.xi1, "xi2": args.xi2,
-        "delta_x": delta_x, "delta_p": delta_p,
-        "product": delta_x * delta_p,
-        "closed_form": closed,
-        "lower_bound": bound,
-        "bound_satisfied": closed >= bound - 1e-12,
-    }
-    _emit(args, {"command": "uncertainty", "config": _config(args)},
-          list(row.keys()), [row])
+    table.update(delta_x=[delta_x], delta_p=[delta_p], product=[delta_x * delta_p],
+                 closed_form=[closed], lower_bound=[bound],
+                 bound_satisfied=[closed >= bound - 1e-12])
+    _emit(args, {"command": "uncertainty", "config": _config(args)}, table)
     return EXIT_OK
 
 
@@ -364,32 +348,41 @@ def _cmd_evolve(args) -> int:
     if not (np.isfinite(args.t0) and np.isfinite(args.t1)):
         raise UsageError(f"--t0 and --t1 must be finite, got {args.t0!r} and {args.t1!r}")
     times = np.linspace(args.t0, args.t1, args.steps + 1)
-    observables = [("energy", h.matrix)]
+    # The table's keys are the columns, so a taken name is caught here,
+    # before any block is evolved.
+    table = {name: [] for name in ("t", "trace", "min_eigenvalue", "physicality_residual",
+                                   "energy")}
+    observables = [h.matrix]
     for text in args.observable or []:
-        spec = _load_spec(text)
-        key, doc = next(iter(spec.items()))
+        key, doc = _load_spec(text)
         if key != "observable":
             raise UsageError(f"unknown observable spec key {key!r}")
         if not isinstance(doc, dict):
             raise UsageError("observable spec needs a 'matrix' and optionally a 'name'")
         name = str(doc.get("name", f"obs{len(observables) - 1}"))
+        if name in table:
+            raise UsageError(f"observable name {name!r} is already a column")
+        if any(c in name for c in ',"\r\n'):
+            raise UsageError(f"observable name {name!r} contains a comma, a double "
+                             "quote or a line break")
         matrix = _matrix_from_spec(doc.get("matrix"))
         if matrix.shape != h.matrix.shape:
             raise UsageError(f"observable {name!r} has dimension {matrix.shape[0]}, "
                              f"expected {h.dim}")
-        observables.append((name, matrix))
+        if not is_symmetric(matrix, tol):
+            raise ConstraintError(f"observable {name!r} must be symmetric")
+        table[name] = []
+        observables.append(matrix)
     if args.diagnostics:
         blocks = dynamics.liouville_grid(rho.matrix, h.matrix, times, j, w, tol)
     else:
         blocks = dynamics.evolve_grid(rho, h, times, j, params.hbar, tol)
-    columns = ["t", "trace", "min_eigenvalue", "physicality_residual"]
-    columns += [name for name, _ in observables]
-    rows = []
     for block_times, stack in blocks:
         values = [block_times, stack.trace, stack.min_eigenvalue,
                   stack.physicality_residual]
-        values += [np.einsum("tij,ji->t", stack.matrices, obs) for _, obs in observables]
-        rows += [dict(zip(columns, row)) for row in zip(*(v.tolist() for v in values))]
+        values += [np.einsum("tij,ji->t", stack.matrices, obs) for obs in observables]
+        for column, block in zip(table.values(), values, strict=True):
+            column += block.tolist()
     payload = {
         "command": "evolve",
         "config": _config(args),
@@ -397,29 +390,26 @@ def _cmd_evolve(args) -> int:
         "state": _matrix_payload(rho.matrix),
         "hamiltonian": _matrix_payload(h.matrix),
     }
-    _emit(args, payload, columns, rows)
+    _emit(args, payload, table)
     return EXIT_OK
 
 
 def _cmd_check(args) -> int:
     suites = None
-    if args.suite:
+    if args.suite is not None:
         suites = [s.strip() for s in args.suite.split(",") if s.strip()]
         unknown = [s for s in suites if s not in checks.SUITE_NAMES]
-        if unknown:
-            raise UsageError(
-                f"unknown suite(s) {', '.join(unknown)}; "
-                f"available: {', '.join(checks.SUITE_NAMES)}")
+        if unknown or not suites:
+            what = (f"unknown suite(s) {', '.join(unknown)}" if unknown
+                    else f"--suite {args.suite!r} names no suite")
+            raise UsageError(f"{what}; available: {', '.join(checks.SUITE_NAMES)}")
     override = float(args.tol) if args.tol is not None else None
     results = checks.run_checks(suites=suites, seed=args.seed,
                                 threshold_override=override)
-    rows = [{
-        "suite": r.suite,
-        "check": r.name,
-        "residual": r.residual,
-        "threshold": r.threshold,
-        "passed": r.passed,
-    } for r in results]
+    table = {"suite": [r.suite for r in results], "check": [r.name for r in results],
+             "residual": [r.residual for r in results],
+             "threshold": [r.threshold for r in results],
+             "passed": [r.passed for r in results]}
     summary = []
     for name in checks.SUITE_NAMES:
         in_suite = [r for r in results if r.suite == name]
@@ -430,8 +420,7 @@ def _cmd_check(args) -> int:
                 "failures": sum(1 for r in in_suite if not r.passed),
             })
     payload = {"command": "check", "config": _config(args), "summary": summary}
-    columns = ["suite", "check", "residual", "threshold", "passed"]
-    _emit(args, payload, columns, rows)
+    _emit(args, payload, table)
     for entry in summary:
         sys.stderr.write(
             f"suite {entry['suite']}: {entry['checks']} checks, "

@@ -342,8 +342,8 @@ def _check_oscillator(rng) -> list[tuple[str, float, float]]:
     p = np.zeros((n, 4, 4))
     p[:, 0, 1] = p[:, 1, 0] = hbar / (2.0 * xi1)
     p[:, 2, 3] = p[:, 3, 2] = hbar / (2.0 * xi2)
-    var_x = np.einsum("nii->n", rho @ (x @ x)) - np.einsum("nii->n", rho @ x) ** 2
-    var_p = np.einsum("nii->n", rho @ (p @ p)) - np.einsum("nii->n", rho @ p) ** 2
+    var_x = np.einsum("nij,nji->n", rho, x @ x) - np.einsum("nij,nji->n", rho, x) ** 2
+    var_p = np.einsum("nij,nji->n", rho, p @ p) - np.einsum("nij,nji->n", rho, p) ** 2
     direct = np.sqrt(var_x * var_p)
     ratio = xi1 / xi2 - xi2 / xi1
     closed = hbar * np.sqrt((alpha + beta) ** 2 + alpha * beta * ratio**2)

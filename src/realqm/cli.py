@@ -6,24 +6,33 @@ position/momentum product on a four-dimensional physical state, `evolve`
 integrates a state under a complex-linear Hamiltonian, and `check` replays
 the library's invariant suites.
 
-Each subcommand builds one column table, an ordered dict from column name
-to a list of values, and `_emit` writes it as JSON (default, one object per
-row) or CSV; `_scalar` formats every value of both.  Column names are
-unique, so an observable cannot take a fixed column's name, an earlier
-observable's name, or a name with a comma, a double quote or a line break.
-Every float has 17 significant digits and nothing is time- or
-environment-dependent, so identical arguments produce byte-identical
-output.  Exit codes: 0 success, 1 usage error, 2 domain-constraint
+Each subcommand fixes its column names once, and `_write` writes its rows
+as JSON (default, one object per row) or CSV.  The rows come in blocks of
+columns: `spectrum`, `uncertainty` and `check` give one (`_emit`), and
+`evolve` one per block of its time grid, rendered as the grid yields it.
+Each block is formatted by one `%` over a row template of per-column specs
+(`_cells`): "%.17g" for a column of finite floats, else "%s" over `_scalar`
+text.  Column names are unique, so an observable cannot take a fixed
+column's name, an earlier observable's name, or a name with a comma, a
+double quote or a line break.  Every float has 17 significant digits and
+nothing is time- or environment-dependent, so identical arguments produce
+byte-identical output.  Nothing is written unless the whole command
+succeeds: stdout gets the text at the end, and `--out` a renamed temporary
+file.  Exit codes: 0 success, 1 usage error, 2 domain-constraint
 violation, 3 failed invariant check.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import itertools
 import json
 import math
+import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -38,8 +47,8 @@ EXIT_USAGE = 1
 EXIT_CONSTRAINT = 2
 EXIT_CHECK_FAILED = 3
 
-# Largest --steps value: it bounds the time grid and the rows held before
-# output.
+# Largest --steps value: it bounds the time grid, and the text held before
+# output to stdout.
 MAX_STEPS = 100_000
 
 
@@ -78,6 +87,31 @@ def _scalar(value, quote: bool = True) -> str:
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
+def _cells(columns: list[list], quote: bool = True) -> tuple[list[str], tuple]:
+    """The format spec of each column and the row-major values they format.
+
+    A column of finite Python floats keeps its values under "%.17g", which
+    prints what `_scalar` does; any other column becomes `_scalar` text under
+    "%s", so a float that is not finite raises ConstraintError there.
+    """
+    specs, cells = [], []
+    try:
+        for column in columns:
+            if {*map(type, column)} <= {float} and all(map(math.isfinite, column)):
+                specs.append("%.17g")
+                cells.append(column)
+            else:
+                specs.append("%s")
+                cells.append([_scalar(v, quote) for v in column])
+    except ConstraintError:
+        for value in itertools.chain.from_iterable(zip(*columns)):
+            _scalar(value)  # name the first non-finite value in row order
+        raise
+    # Through a list: a tuple grown from an iterator is resized in place
+    # step by step, which left the heap of a long-running caller growing.
+    return specs, tuple(list(itertools.chain.from_iterable(zip(*cells, strict=True))))
+
+
 def _render_json(value, indent: int = 0) -> str:
     if not isinstance(value, (dict, list, tuple)):
         return _scalar(value)
@@ -89,29 +123,97 @@ def _render_json(value, indent: int = 0) -> str:
         items = [f'{inner}{json.dumps(str(k))}: {_render_json(v, indent + 1)}'
                  for k, v in value.items()]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    items = [f"{inner}{_render_json(v, indent + 1)}" for v in value]
-    return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if {*map(type, value)} == {float}:
+        (spec,), cells = _cells([value])
+        items = ",\n".join([inner + spec] * len(value)) % cells
+    else:
+        items = ",\n".join(f"{inner}{_render_json(v, indent + 1)}" for v in value)
+    return "[\n" + items + "\n" + pad + "]"
 
 
 def _matrix_payload(m: np.ndarray) -> dict:
-    return {"dim": int(m.shape[0]), "entries": [float(x) for x in m.ravel()]}
+    return {"dim": int(m.shape[0]), "entries": m.ravel().tolist()}
+
+
+@contextlib.contextmanager
+def _sink(path: str | None):
+    """A write function whose text reaches `path` (stdout if empty) only when
+    the body completes, so a failure writes nothing.
+
+    Stdout and existing special files get the held text at the end.  A
+    regular file is written through a temporary file in its directory,
+    renamed onto it at the end and unlinked on failure.
+    """
+    if not path or (os.path.exists(path) and not os.path.isfile(path)):
+        parts: list[str] = []
+        yield parts.append
+        if not path:
+            sys.stdout.writelines(parts)
+        else:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.writelines(parts)
+        return
+    target = os.path.realpath(path)
+    try:
+        fd, temp = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp")
+    except OSError as exc:  # name the target, not the random temporary name
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            yield fh.write
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(temp, 0o666 & ~umask)  # the mode a plain open() would give
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise
+
+
+def _json_frame(payload: dict) -> tuple[str, str]:
+    """The text of `{**payload, "rows": [...]}` before and after the rows array."""
+    doc = {**payload, "rows": None}
+    items = [f'  {json.dumps(str(k))}: {"" if k == "rows" else _render_json(v, 1)}'
+             for k, v in doc.items()]
+    at = list(doc).index("rows")
+    return "{\n" + ",\n".join(items[:at + 1]), "".join(",\n" + i for i in items[at + 1:])
+
+
+def _write(args, payload: dict, names: list[str], blocks) -> None:
+    """Write `payload` and the rows of `blocks`, each a list of columns in
+    the order of `names`, as JSON (one object per row) or CSV.
+
+    The key text of each column is taken once; each block is formatted by
+    one `%` over its row-major values with a row template of the columns'
+    specs (`_cells`).
+    """
+    as_json = args.format == "json"
+    if as_json:
+        keys = [f'      {json.dumps(name)}: '.replace("%", "%%") for name in names]
+        head, tail = _json_frame(payload)
+    else:
+        head = ",".join(names) + "\n"
+    rows = 0
+    with _sink(args.out) as write:
+        write(head)
+        for columns in blocks:
+            specs, values = _cells(columns, quote=as_json)
+            if not values:
+                continue
+            n = len(values) // len(specs)
+            if as_json:
+                row = "    {\n" + ",\n".join(map(str.__add__, keys, specs)) + "\n    }"
+                write(("[\n" if not rows else ",\n") + ",\n".join([row] * n) % values)
+            else:
+                write((",".join(specs) + "\n") * n % values)
+            rows += n
+        if as_json:
+            write(("\n  ]" if rows else "[]") + tail + "\n}\n")
 
 
 def _emit(args, payload: dict, table: dict) -> None:
     """Write `payload` and the column table (column name -> list of values)."""
-    rows = zip(*table.values(), strict=True)
-    if args.format == "json":
-        rows = [dict(zip(table, row)) for row in rows]
-        text = _render_json({**payload, "rows": rows}) + "\n"
-    else:
-        lines = [",".join(table)]
-        lines += [",".join(_scalar(v, quote=False) for v in row) for row in rows]
-        text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, payload, list(table), [list(table.values())])
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +450,8 @@ def _cmd_evolve(args) -> int:
     if not (np.isfinite(args.t0) and np.isfinite(args.t1)):
         raise UsageError(f"--t0 and --t1 must be finite, got {args.t0!r} and {args.t1!r}")
     times = np.linspace(args.t0, args.t1, args.steps + 1)
-    # The table's keys are the columns, so a taken name is caught here,
-    # before any block is evolved.
-    table = {name: [] for name in ("t", "trace", "min_eigenvalue", "physicality_residual",
-                                   "energy")}
+    # A taken name is caught here, before any block is evolved.
+    names = ["t", "trace", "min_eigenvalue", "physicality_residual", "energy"]
     observables = [h.matrix]
     for text in args.observable or []:
         key, doc = _load_spec(text)
@@ -360,7 +460,7 @@ def _cmd_evolve(args) -> int:
         if not isinstance(doc, dict):
             raise UsageError("observable spec needs a 'matrix' and optionally a 'name'")
         name = str(doc.get("name", f"obs{len(observables) - 1}"))
-        if name in table:
+        if name in names:
             raise UsageError(f"observable name {name!r} is already a column")
         if any(c in name for c in ',"\r\n'):
             raise UsageError(f"observable name {name!r} contains a comma, a double "
@@ -371,18 +471,20 @@ def _cmd_evolve(args) -> int:
                              f"expected {h.dim}")
         if not is_symmetric(matrix, tol):
             raise ConstraintError(f"observable {name!r} must be symmetric")
-        table[name] = []
+        names.append(name)
         observables.append(matrix)
     if args.diagnostics:
-        blocks = dynamics.liouville_grid(rho.matrix, h.matrix, times, j, w, tol)
+        grid = dynamics.liouville_grid(rho.matrix, h.matrix, times, j, w, tol)
     else:
-        blocks = dynamics.evolve_grid(rho, h, times, j, params.hbar, tol)
-    for block_times, stack in blocks:
-        values = [block_times, stack.trace, stack.min_eigenvalue,
-                  stack.physicality_residual]
-        values += [np.einsum("tij,ji->t", stack.matrices, obs) for obs in observables]
-        for column, block in zip(table.values(), values, strict=True):
-            column += block.tolist()
+        grid = dynamics.evolve_grid(rho, h, times, j, params.hbar, tol)
+
+    def blocks():
+        for block_times, stack in grid:
+            columns = [block_times, stack.trace, stack.min_eigenvalue,
+                       stack.physicality_residual]
+            columns += [np.einsum("tij,ji->t", stack.matrices, obs) for obs in observables]
+            yield [column.tolist() for column in columns]
+
     payload = {
         "command": "evolve",
         "config": _config(args),
@@ -390,7 +492,7 @@ def _cmd_evolve(args) -> int:
         "state": _matrix_payload(rho.matrix),
         "hamiltonian": _matrix_payload(h.matrix),
     }
-    _emit(args, payload, table)
+    _write(args, payload, names, blocks())
     return EXIT_OK
 
 

@@ -230,8 +230,9 @@ def evolve_grid(rho0: DensityMatrix, h: Hamiltonian, times, j: ComplexStructure,
     point, so a bad phase anywhere raises before any state is built.  The
     grid is then evolved in blocks of at most _GRID_BLOCK points: each
     block stacks its propagators, conjugates the state with one batched
-    matmul and revalidates the stack with `state_stack`.  Yields
-    (block times, StateStack) in time order.
+    matmul and revalidates the stack with `state_stack`; a physical rho0
+    whose evolved state is not physical at some t raises ConstraintError
+    naming the first such t.  Yields (block times, StateStack) in time order.
     """
     times = np.asarray(times, dtype=float).reshape(-1)
     if rho0.dim != h.dim:
@@ -244,7 +245,13 @@ def evolve_grid(rho0: DensityMatrix, h: Hamiltonian, times, j: ComplexStructure,
             block = slice(start, start + _GRID_BLOCK)
             u = _propagators(scaled[block], e, x)
             rho = u @ rho0.matrix @ u.transpose(0, 2, 1)
-            yield times[block], state_stack(rho, j, tol, times[block])
+            stack = state_stack(rho, j, tol, times[block])
+            if rho0.physical and not stack.physical.all():
+                k = int(np.argmin(stack.physical))
+                raise ConstraintError(
+                    f"evolved state is not physical at t = {float(times[block][k])!r}: "
+                    f"||[rho, J]|| = {float(stack.physicality_residual[k]):.3g}")
+            yield times[block], stack
 
     return blocks()
 

@@ -28,7 +28,7 @@ from realqm.realify import (
     extract_matrix,
     standard_complex_structure,
 )
-from realqm.states import physical_from_complex
+from realqm.states import DensityMatrix, physical_from_complex
 
 SEED = 3177
 
@@ -459,6 +459,17 @@ class TestEvolveGrid:
         h = hamiltonian(np.diag([1.0, -1.0, 2.0, -2.0]), j)
         with pytest.raises(ConstraintError):
             evolve_grid(rand_physical(rng, 2), h, [0.0, 1.0], j)
+
+    def test_state_flagged_physical_that_is_not_is_rejected(self):
+        j = standard_complex_structure(2)
+        h = hamiltonian(embed_c(np.diag([1.0, -0.5]).astype(complex)), j)
+        m = np.diag([0.4, 0.1, 0.3, 0.2])  # each J pair has unequal diagonal entries
+        assert np.linalg.norm(m @ j.matrix - j.matrix @ m) > 0.1
+        times = np.linspace(0.5, 3.0, dynamics._GRID_BLOCK + 5)
+        with pytest.raises(ConstraintError, match=r"not physical at t = 0\.5"):
+            list(evolve_grid(DensityMatrix(matrix=m, physical=True), h, times, j))
+        blocks = list(evolve_grid(DensityMatrix(matrix=m, physical=False), h, times, j))
+        assert not any(stack.physical.any() for _, stack in blocks)
 
 
 class TestLiouvilleGrid:

@@ -1,8 +1,9 @@
 """The column-table writer and the column names it can be given.
 
-`_emit` takes one ordered table (column name -> list of values) per command
-and formats every value with `_scalar`.  The renderer it replaced -- a row
-dict per row, with separate JSON and CSV cell formatters -- is kept below,
+`_write` takes blocks of columns and formats each block with one row
+template; `_emit` is its one-block case, for one ordered table (column name
+-> list of values) per command.  The renderer they replaced -- a row dict
+per row, with separate JSON and CSV cell formatters -- is kept below,
 verbatim, as the byte-for-byte reference.
 """
 
@@ -286,3 +287,122 @@ class TestCheckSuiteSelection:
         result = run_cli(capsys, "check", "--suite", value)
         assert_rejected(result, 1)
         assert SUITES in result[2]
+
+
+# ---------------------------------------------------------------------------
+# Blocks and output targets
+
+
+def written(fmt: str, payload: dict, names: list, blocks) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._write(argparse.Namespace(format=fmt, out=None), payload, names, blocks)
+    return out.getvalue()
+
+
+@st.composite
+def tables_and_cuts(draw):
+    table = draw(tables())
+    rows = len(next(iter(table.values())))
+    cuts = sorted(draw(st.lists(st.integers(0, rows), max_size=4)))
+    return table, [0, *cuts, rows]
+
+
+def failing_blocks(bad):
+    yield [[0.5, 1.5], ["a", "b"]]
+    yield [[2.5, bad], ["c", "d"]]
+
+
+class TestBlocks:
+    @SETTINGS
+    @given(payload=payloads, table_and_cuts=tables_and_cuts())
+    def test_any_split_into_blocks_gives_the_reference_bytes(self, payload, table_and_cuts):
+        table, bounds = table_and_cuts
+        blocks = [[column[a:b] for column in table.values()]
+                  for a, b in zip(bounds, bounds[1:])]
+        for fmt in ("json", "csv"):
+            assert written(fmt, payload, list(table), blocks).encode() == \
+                reference(fmt, payload, table).encode()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, np.float64("-inf")])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_cell_in_a_later_block_writes_nothing(self, tmp_path, fmt, bad):
+        out = io.StringIO()
+        with pytest.raises(ConstraintError), contextlib.redirect_stdout(out):
+            cli._write(argparse.Namespace(format=fmt, out=None), {"command": "x"},
+                       ["t", "name"], failing_blocks(bad))
+        assert out.getvalue() == ""
+
+        target = tmp_path / "table.out"
+        with pytest.raises(ConstraintError):
+            cli._write(argparse.Namespace(format=fmt, out=str(target)), {"command": "x"},
+                       ["t", "name"], failing_blocks(bad))
+        assert list(tmp_path.iterdir()) == []
+
+        target.write_bytes(b"earlier output\n")
+        with pytest.raises(ConstraintError):
+            cli._write(argparse.Namespace(format=fmt, out=str(target)), {"command": "x"},
+                       ["t", "name"], failing_blocks(bad))
+        assert list(tmp_path.iterdir()) == [target]
+        assert target.read_bytes() == b"earlier output\n"
+
+    def test_out_streams_blocks_into_a_temporary_file_beside_the_target(self, tmp_path):
+        target = tmp_path / "rows.csv"
+        seen = []
+
+        def blocks():
+            yield [[0.5], ["a"]]
+            seen.extend(p.name for p in tmp_path.iterdir())
+            yield [[1.5], ["b"]]
+
+        cli._write(argparse.Namespace(format="csv", out=str(target)), {}, ["t", "name"], blocks())
+        assert len(seen) == 1 and seen[0] != target.name and seen[0].endswith(".tmp")
+        assert target.read_text() == "t,name\n0.5,a\n1.5,b\n"
+        assert list(tmp_path.iterdir()) == [target]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_three_block_evolve_to_out_matches_stdout(self, capsys, tmp_path, fmt):
+        argv = ["evolve", "--state", STATE_QUARTER, "--hamiltonian", FERMIONIC_H,
+                "--steps", "300", "--format", fmt, "--observable", observable("x")]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert len(out.splitlines()) > 300
+        target = tmp_path / f"rows.{fmt}"
+        code, printed, _ = run_cli(capsys, *argv, "--out", str(target))
+        assert (code, printed) == (0, "")
+        assert target.read_bytes() == out.encode()
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_out_in_a_missing_directory_names_the_target(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "table.json"
+        result = run_cli(capsys, "spectrum", "0.5", "--out", str(target))
+        assert_rejected(result, 1)
+        assert repr(str(target)) in result[2]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_replaces_a_linked_file_and_keeps_the_link(self, capsys, tmp_path):
+        real = tmp_path / "real.csv"
+        real.write_text("old\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(real)
+        code, _, _ = run_cli(capsys, "spectrum", "0.5", "--format", "csv", "--out", str(link))
+        assert code == 0
+        assert link.is_symlink()
+        assert real.read_text().startswith("index,")
+
+    def test_out_file_has_the_mode_of_a_plain_open(self, capsys, tmp_path):
+        plain = tmp_path / "plain"
+        plain.open("w").close()
+        target = tmp_path / "table.json"
+        assert run_cli(capsys, "spectrum", "0.5", "--out", str(target))[0] == 0
+        assert target.stat().st_mode == plain.stat().st_mode
+
+    def test_percent_sign_in_a_column_name_is_literal(self, capsys):
+        code, out, _ = evolve(capsys, observable("100%"))
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert list(rows[0])[-1] == "100%"
+        code, out_csv, _ = evolve(capsys, observable("100%"), fmt="csv")
+        assert out_csv.splitlines()[0].endswith(",energy,100%")
+        assert [float(line.split(",")[-1]) for line in out_csv.splitlines()[1:]] == \
+            [row["100%"] for row in rows]

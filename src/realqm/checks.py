@@ -288,10 +288,9 @@ def _check_dynamics(rng) -> list[tuple[str, float, float]]:
         worst_orth = max(worst_orth, linalg.frobenius(u.T @ u - eye))
         worst_symp = max(worst_symp, linalg.frobenius(u.T @ j.matrix @ u - j.matrix))
         rho0 = _rand_physical_density(rng, d)
-        rho_t = dynamics.evolve(rho0, h, t, j)
-        worst_comm = max(worst_comm, linalg.frobenius(
-            rho_t.matrix @ j.matrix - j.matrix @ rho_t.matrix))
-        worst_trace = max(worst_trace, abs(float(np.trace(rho_t.matrix)) - 1.0))
+        rho_t = u @ rho0.matrix @ u.T  # not `evolve`, which raises on this failure
+        worst_comm = max(worst_comm, linalg.frobenius(rho_t @ j.matrix - j.matrix @ rho_t))
+        worst_trace = max(worst_trace, abs(float(np.trace(rho_t)) - 1.0))
     out.append(("propagator_orthogonality", worst_orth, 1e-8))
     out.append(("propagator_symplecticity", worst_symp, 1e-8))
     out.append(("evolved_state_physicality", worst_comm, 1e-9))

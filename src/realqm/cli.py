@@ -17,22 +17,19 @@ column's name, an earlier observable's name, or a name with a comma, a
 double quote or a line break.  Every float has 17 significant digits and
 nothing is time- or environment-dependent, so identical arguments produce
 byte-identical output.  Nothing is written unless the whole command
-succeeds: stdout gets the text at the end, and `--out` a renamed temporary
-file.  Exit codes: 0 success, 1 usage error, 2 domain-constraint
-violation, 3 failed invariant check.
+succeeds: the block texts are held and go to stdout or `--out` at the end.
+Exit codes: 0 success, 1 usage error, 2 domain-constraint violation, 3
+failed invariant check.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import itertools
 import json
 import math
-import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -48,7 +45,7 @@ EXIT_CONSTRAINT = 2
 EXIT_CHECK_FAILED = 3
 
 # Largest --steps value: it bounds the time grid, and the text held before
-# output to stdout.
+# output.
 MAX_STEPS = 100_000
 
 
@@ -112,71 +109,49 @@ def _cells(columns: list[list], quote: bool = True) -> tuple[list[str], tuple]:
     return specs, tuple(list(itertools.chain.from_iterable(zip(*cells, strict=True))))
 
 
+_PAD = "  "  # one level of JSON indentation
+
+
+def _key(name, level: int) -> str:
+    """The text of a JSON object key at `level` levels, up to its value."""
+    return f"{_PAD * level}{json.dumps(str(name))}: "
+
+
+def _enclose(items, level: int, brackets: str = "[]") -> str:
+    """A JSON array (or object, with brackets "{}") at `level` levels around
+    `items`, each already indented one level deeper."""
+    return brackets[0] + "\n" + ",\n".join(items) + "\n" + _PAD * level + brackets[1]
+
+
 def _render_json(value, indent: int = 0) -> str:
     if not isinstance(value, (dict, list, tuple)):
         return _scalar(value)
     if not value:
         return "{}" if isinstance(value, dict) else "[]"
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
     if isinstance(value, dict):
-        items = [f'{inner}{json.dumps(str(k))}: {_render_json(v, indent + 1)}'
-                 for k, v in value.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        return _enclose([_key(k, indent + 1) + _render_json(v, indent + 1)
+                         for k, v in value.items()], indent, "{}")
+    inner = _PAD * (indent + 1)
     if {*map(type, value)} == {float}:
         (spec,), cells = _cells([value])
-        items = ",\n".join([inner + spec] * len(value)) % cells
-    else:
-        items = ",\n".join(f"{inner}{_render_json(v, indent + 1)}" for v in value)
-    return "[\n" + items + "\n" + pad + "]"
+        return _enclose([inner + spec] * len(value), indent) % cells
+    return _enclose([inner + _render_json(v, indent + 1) for v in value], indent)
 
 
 def _matrix_payload(m: np.ndarray) -> dict:
     return {"dim": int(m.shape[0]), "entries": m.ravel().tolist()}
 
 
-@contextlib.contextmanager
-def _sink(path: str | None):
-    """A write function whose text reaches `path` (stdout if empty) only when
-    the body completes, so a failure writes nothing.
-
-    Stdout and existing special files get the held text at the end.  A
-    regular file is written through a temporary file in its directory,
-    renamed onto it at the end and unlinked on failure.
-    """
-    if not path or (os.path.exists(path) and not os.path.isfile(path)):
-        parts: list[str] = []
-        yield parts.append
-        if not path:
-            sys.stdout.writelines(parts)
-        else:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.writelines(parts)
-        return
-    target = os.path.realpath(path)
-    try:
-        fd, temp = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp")
-    except OSError as exc:  # name the target, not the random temporary name
-        raise OSError(exc.errno, exc.strerror, path) from None
-    try:
-        with open(fd, "w", encoding="utf-8") as fh:
-            yield fh.write
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(temp, 0o666 & ~umask)  # the mode a plain open() would give
-        os.replace(temp, target)
-    except BaseException:
-        os.unlink(temp)
-        raise
-
-
 def _json_frame(payload: dict) -> tuple[str, str]:
-    """The text of `{**payload, "rows": [...]}` before and after the rows array."""
-    doc = {**payload, "rows": None}
-    items = [f'  {json.dumps(str(k))}: {"" if k == "rows" else _render_json(v, 1)}'
-             for k, v in doc.items()]
-    at = list(doc).index("rows")
-    return "{\n" + ",\n".join(items[:at + 1]), "".join(",\n" + i for i in items[at + 1:])
+    """The text of `{**payload, "rows": [...]}` before and after the rows array.
+
+    The rows value is a NUL, which no rendered value or key contains (JSON
+    escapes it), so the document splits there.
+    """
+    items = [_key(k, 1) + ("\0" if k == "rows" else _render_json(v, 1))
+             for k, v in {**payload, "rows": None}.items()]
+    head, tail = _enclose(items, 0, "{}").split("\0")
+    return head, tail + "\n"
 
 
 def _write(args, payload: dict, names: list[str], blocks) -> None:
@@ -185,30 +160,36 @@ def _write(args, payload: dict, names: list[str], blocks) -> None:
 
     The key text of each column is taken once; each block is formatted by
     one `%` over its row-major values with a row template of the columns'
-    specs (`_cells`).
+    specs (`_cells`).  The block texts are held and written to stdout or
+    `--out` only when every block has been formatted, so a failure writes
+    nothing.
     """
     as_json = args.format == "json"
     if as_json:
-        keys = [f'      {json.dumps(name)}: '.replace("%", "%%") for name in names]
+        keys = [_key(name, 3).replace("%", "%%") for name in names]
         head, tail = _json_frame(payload)
     else:
         head = ",".join(names) + "\n"
+    parts = [head]
     rows = 0
-    with _sink(args.out) as write:
-        write(head)
-        for columns in blocks:
-            specs, values = _cells(columns, quote=as_json)
-            if not values:
-                continue
-            n = len(values) // len(specs)
-            if as_json:
-                row = "    {\n" + ",\n".join(map(str.__add__, keys, specs)) + "\n    }"
-                write(("[\n" if not rows else ",\n") + ",\n".join([row] * n) % values)
-            else:
-                write((",".join(specs) + "\n") * n % values)
-            rows += n
+    for columns in blocks:
+        specs, values = _cells(columns, quote=as_json)
+        if not values:
+            continue
+        n = len(values) // len(specs)
         if as_json:
-            write(("\n  ]" if rows else "[]") + tail + "\n}\n")
+            row = _PAD * 2 + _enclose(map(str.__add__, keys, specs), 2, "{}")
+            parts.append(("[\n" if not rows else ",\n") + ",\n".join([row] * n) % values)
+        else:
+            parts.append((",".join(specs) + "\n") * n % values)
+        rows += n
+    if as_json:
+        parts.append(("\n" + _PAD + "]" if rows else "[]") + tail)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.writelines(parts)
+    else:
+        sys.stdout.writelines(parts)
 
 
 def _emit(args, payload: dict, table: dict) -> None:

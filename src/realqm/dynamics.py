@@ -262,7 +262,8 @@ def evolve(rho0: DensityMatrix, h: Hamiltonian, t: float, j: ComplexStructure,
     one-point case of `evolve_grid`.
 
     The conjugation is by an orthogonal symplectic matrix (U(-t) = U(t)^T),
-    so trace, spectrum and the physicality flag are preserved.
+    so trace, spectrum and physicality are preserved; a physical rho0 whose
+    evolved state is not physical raises ConstraintError (`evolve_grid`).
     """
     _, stack = next(evolve_grid(rho0, h, [t], j, hbar, tol))
     return DensityMatrix(matrix=stack.matrices[0], physical=bool(stack.physical[0]))

@@ -513,6 +513,24 @@ class TestCheck:
             assert row["residual"] > row["threshold"]
             assert np.isfinite(row["residual"])
 
+    def test_propagator_that_breaks_physicality_is_a_failed_row(self, capsys, monkeypatch):
+        # An orthogonal factor that does not commute with J: evolved states
+        # lose physicality, which `evolve` would refuse with exit 2.
+        propagators = dynamics._propagators
+
+        def broken(scaled, e, x):
+            n = x.shape[0]
+            q = np.linalg.qr(np.random.default_rng(0).standard_normal((n, n)))[0]
+            return propagators(scaled, e, x) @ q
+
+        monkeypatch.setattr(dynamics, "_propagators", broken)
+        code, out, _ = run_cli(capsys, "check", "--suite", "dynamics")
+        assert code == 3
+        rows = {r["check"]: r for r in json.loads(out)["rows"]}
+        assert rows["propagator_orthogonality"]["passed"]
+        assert not rows["propagator_symplecticity"]["passed"]
+        assert not rows["evolved_state_physicality"]["passed"]
+
 
 class TestDeterminism:
     def test_check_byte_identical(self, capsys):

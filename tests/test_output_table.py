@@ -346,20 +346,6 @@ class TestBlocks:
         assert list(tmp_path.iterdir()) == [target]
         assert target.read_bytes() == b"earlier output\n"
 
-    def test_out_streams_blocks_into_a_temporary_file_beside_the_target(self, tmp_path):
-        target = tmp_path / "rows.csv"
-        seen = []
-
-        def blocks():
-            yield [[0.5], ["a"]]
-            seen.extend(p.name for p in tmp_path.iterdir())
-            yield [[1.5], ["b"]]
-
-        cli._write(argparse.Namespace(format="csv", out=str(target)), {}, ["t", "name"], blocks())
-        assert len(seen) == 1 and seen[0] != target.name and seen[0].endswith(".tmp")
-        assert target.read_text() == "t,name\n0.5,a\n1.5,b\n"
-        assert list(tmp_path.iterdir()) == [target]
-
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_three_block_evolve_to_out_matches_stdout(self, capsys, tmp_path, fmt):
         argv = ["evolve", "--state", STATE_QUARTER, "--hamiltonian", FERMIONIC_H,
@@ -380,7 +366,7 @@ class TestBlocks:
         assert repr(str(target)) in result[2]
         assert list(tmp_path.iterdir()) == []
 
-    def test_out_replaces_a_linked_file_and_keeps_the_link(self, capsys, tmp_path):
+    def test_out_writes_through_a_symbolic_link(self, capsys, tmp_path):
         real = tmp_path / "real.csv"
         real.write_text("old\n")
         link = tmp_path / "link.csv"
@@ -389,13 +375,6 @@ class TestBlocks:
         assert code == 0
         assert link.is_symlink()
         assert real.read_text().startswith("index,")
-
-    def test_out_file_has_the_mode_of_a_plain_open(self, capsys, tmp_path):
-        plain = tmp_path / "plain"
-        plain.open("w").close()
-        target = tmp_path / "table.json"
-        assert run_cli(capsys, "spectrum", "0.5", "--out", str(target))[0] == 0
-        assert target.stat().st_mode == plain.stat().st_mode
 
     def test_percent_sign_in_a_column_name_is_literal(self, capsys):
         code, out, _ = evolve(capsys, observable("100%"))

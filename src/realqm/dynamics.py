@@ -30,6 +30,7 @@ from .linalg import (
     DEFAULT_TOL,
     ConstraintError,
     Tolerance,
+    _symmetric,
     as_real_matrix,
     commutes,
     expm,
@@ -97,7 +98,7 @@ def symplectic_form(j: ComplexStructure, hbar: float = 1.0) -> SymplecticForm:
 def hamiltonian(matrix, j: ComplexStructure, tol: Tolerance = DEFAULT_TOL) -> Hamiltonian:
     """Validate a symmetric generator and record whether it commutes with J."""
     m = as_real_matrix(matrix)
-    if not is_symmetric(m, tol):
+    if not _symmetric(m, tol):
         raise ConstraintError("Hamiltonian must be symmetric")
     if m.shape[0] != j.dim:
         raise ValueError("matrix dimension does not match the complex structure")
@@ -109,7 +110,7 @@ def _check_symmetric_pair(a, b, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]
     b = as_real_matrix(b)
     if a.shape != b.shape:
         raise ValueError("dimension mismatch between bracket arguments")
-    if not (is_symmetric(a, tol) and is_symmetric(b, tol)):
+    if not (_symmetric(a, tol) and _symmetric(b, tol)):
         raise ValueError("bracket arguments must be symmetric")
     return a, b
 
@@ -285,7 +286,8 @@ def liouville_flow(rho_matrix, h_matrix, t: float, w: SymplecticForm) -> np.ndar
         raise ValueError("Hamiltonian and state dimensions differ")
     with np.errstate(over="ignore", invalid="ignore"):
         generator = t * (h_matrix @ w.omega)
-        norm = frobenius(generator)
+        # expm needs a finite sum of squares; frobenius would rescale past it.
+        norm = float(np.sqrt(np.vdot(generator, generator)))
         if not np.isfinite(norm):
             raise ConstraintError(
                 f"flow generator norm ||t H Omega|| = {norm:.3g} at t = {float(t):.3g} "

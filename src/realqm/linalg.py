@@ -5,13 +5,17 @@ supplies the product, a validated symmetric eigensolver on LAPACK, a
 Pade/scaling-squaring matrix exponential, and the tolerance-scaled
 predicates (symmetric, antisymmetric, commutes, anticommutes) that replace
 raw float comparisons everywhere else; all of them use `negligible`, whose
-bound is relative to each residual's scale with no floor.
+bound is relative to each residual's scale with no floor.  Small matrices
+are many, so the cost of a call matters: each function validates each
+argument once, and `frobenius` is one BLAS dot unless the sum of squares
+leaves the normal range.
 
 All functions are pure and never mutate their inputs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +60,8 @@ class Tolerance:
 
 DEFAULT_TOL = Tolerance()
 
+_TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)
+
 
 def as_real_matrix(a) -> np.ndarray:
     """Validate and return `a` as a square float64 matrix with finite entries."""
@@ -64,13 +70,24 @@ def as_real_matrix(a) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] < 1:
         raise ValueError("matrix dimension must be at least 1")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
 
 def frobenius(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a, "fro"))
+    """||a||_F: one dot, bit for bit numpy's norm(a, "fro"), while the sum of
+    squares is a normal float; past that range the entries are first divided
+    by the largest one, so the norm neither overflows nor flushes to zero."""
+    r = a.ravel(order="K")
+    sq = r.dot(r)
+    if _TINY <= sq <= _HUGE or not r.any():
+        return math.sqrt(sq)
+    big = np.abs(r).max()
+    if not math.isfinite(big):
+        return math.sqrt(sq)
+    r = r / big
+    return float(big * math.sqrt(r.dot(r)))
 
 
 def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
@@ -92,9 +109,13 @@ def negligible(residual, scale, tol: Tolerance = DEFAULT_TOL):
     return verdict if isinstance(verdict, np.ndarray) else bool(verdict)
 
 
-def is_symmetric(a, tol: Tolerance = DEFAULT_TOL) -> bool:
-    a = as_real_matrix(a)
+def _symmetric(a: np.ndarray, tol: Tolerance) -> bool:
+    """`is_symmetric` of a matrix already validated by `as_real_matrix`."""
     return negligible(frobenius(a - a.T), frobenius(a), tol)
+
+
+def is_symmetric(a, tol: Tolerance = DEFAULT_TOL) -> bool:
+    return _symmetric(as_real_matrix(a), tol)
 
 
 def is_antisymmetric(a, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -125,8 +146,12 @@ def sym_eig(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     rely only on basis-invariant quantities such as spectral projectors.
     """
     a = as_real_matrix(a)
-    if not is_symmetric(a, tol):
+    if not _symmetric(a, tol):
         raise ValueError("sym_eig requires a symmetric matrix")
+    return _eigh(a)
+
+
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:  # a validated and symmetric
     return np.linalg.eigh((a + a.T) / 2.0)
 
 

@@ -10,10 +10,14 @@ Real matrices that commute with J are exactly the embedded (complex-linear)
 ones; matrices that anticommute with J are antilinear, i.e. conjugation
 followed by a complex-linear map.  `split_linear_antilinear` separates any
 real matrix into those two parts.
+
+`standard_complex_structure(d)` is built once per d and shared, so its
+matrix is read-only; each `ComplexStructure` computes its frame once.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,12 +25,9 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
-    anticommutes,
     as_real_matrix,
     commutes,
     frobenius,
-    is_antisymmetric,
-    is_symmetric,
     negligible,
 )
 
@@ -90,10 +91,12 @@ class ComplexStructure:
     def dim(self) -> int:
         return 2 * self.d
 
-    @property
+    @functools.cached_property
     def frame(self) -> np.ndarray:
-        """The complex frame of J: 2d x d orthonormal columns F with J F = i F."""
-        return np.linalg.eigh(-1j * self.matrix)[1][:, self.d:]
+        """The complex frame of J: 2d x d orthonormal columns F with J F = i F (read-only)."""
+        f = np.linalg.eigh(-1j * self.matrix)[1][:, self.d:]
+        f.setflags(write=False)
+        return f
 
 
 @dataclass(frozen=True)
@@ -112,14 +115,16 @@ class OperatorFlags:
     complex_antilinear: bool
 
 
+@functools.lru_cache(maxsize=32, typed=True)
 def standard_complex_structure(d: int) -> ComplexStructure:
-    """The block-diagonal J for complex dimension d in interleaved layout."""
+    """The block-diagonal J for complex dimension d in interleaved layout (shared)."""
     if d < 1:
         raise ValueError("complex dimension must be at least 1")
     j = np.zeros((2 * d, 2 * d))
     idx = np.arange(d)
     j[2 * idx, 2 * idx + 1] = -1.0
     j[2 * idx + 1, 2 * idx] = 1.0
+    j.setflags(write=False)
     return ComplexStructure(d=d, matrix=j)
 
 
@@ -208,14 +213,15 @@ def classify(a, j: ComplexStructure, tol: Tolerance = DEFAULT_TOL) -> OperatorFl
     a = as_real_matrix(a)
     if a.shape[0] != j.dim:
         raise ValueError("matrix dimension does not match the complex structure")
+    jm = as_real_matrix(j.matrix)
     fro = frobenius(a)
     return OperatorFlags(
-        symmetric=is_symmetric(a, tol),
-        antisymmetric=is_antisymmetric(a, tol),
+        symmetric=negligible(frobenius(a - a.T), fro, tol),
+        antisymmetric=negligible(frobenius(a + a.T), fro, tol),
         orthogonal=negligible(frobenius(a.T @ a - np.eye(a.shape[0])), fro * fro, tol),
-        symplectic=negligible(frobenius(a.T @ j.matrix @ a - j.matrix), fro * fro, tol),
-        complex_linear=commutes(a, j.matrix, tol),
-        complex_antilinear=anticommutes(a, j.matrix, tol),
+        symplectic=negligible(frobenius(a.T @ jm @ a - jm), fro * fro, tol),
+        complex_linear=negligible(frobenius(a @ jm - jm @ a), fro * frobenius(jm), tol),
+        complex_antilinear=negligible(frobenius(a @ jm + jm @ a), fro * frobenius(jm), tol),
     )
 
 

@@ -18,6 +18,8 @@ from .linalg import (
     DEFAULT_TOL,
     ConstraintError,
     Tolerance,
+    _eigh,
+    _symmetric,
     as_real_matrix,
     commutes,
     frobenius,
@@ -88,7 +90,7 @@ class MeasurementStatistics:
 
 def _check_observable(a, tol: Tolerance, dim: int | None = None) -> np.ndarray:
     a = as_real_matrix(a)
-    if not is_symmetric(a, tol):
+    if not _symmetric(a, tol):
         raise ValueError("observables must be symmetric matrices")
     if dim is not None and a.shape[0] != dim:
         raise ValueError("observable and state dimensions differ")
@@ -143,11 +145,11 @@ def state_stack(matrices, j: ComplexStructure | None = None, tol: Tolerance = DE
         raise ValueError(f"expected a (T, n, n) stack of matrices, got shape {m.shape}")
     what = "density matrix" if density else "flowed matrix"
     where = (lambda k: "") if times is None else (lambda k: f" at t = {float(times[k])!r}")
-    finite = np.all(np.isfinite(m), axis=(1, 2))
+    finite = np.isfinite(m).all(axis=(1, 2))
     mt = m.transpose(0, 2, 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.linalg.norm(m, axis=(1, 2))
-        symmetric = negligible(np.linalg.norm(m - mt, axis=(1, 2)), norms, tol)
+        norms = _stack_norms(m)
+        symmetric = negligible(_stack_norms(m - mt), norms, tol)
         trace = np.trace(m, axis1=1, axis2=2)
         min_eigenvalue = np.linalg.eigvalsh(
             np.where(finite[:, np.newaxis, np.newaxis], (m + mt) / 2.0, 0.0))[:, 0]
@@ -155,7 +157,7 @@ def state_stack(matrices, j: ComplexStructure | None = None, tol: Tolerance = DE
             residual = np.full(len(m), np.nan)
             physical = np.zeros(len(m), dtype=bool)
         else:
-            residual = np.linalg.norm(m @ j.matrix - j.matrix @ m, axis=(1, 2))
+            residual = _stack_norms(m @ j.matrix - j.matrix @ m)
             physical = negligible(residual, norms * frobenius(j.matrix), tol)
     checks = [(~finite, lambda k: f"{what} is not finite"),
               (~symmetric, lambda k: f"{what} must be symmetric")]
@@ -176,6 +178,11 @@ def state_stack(matrices, j: ComplexStructure | None = None, tol: Tolerance = DE
                       physicality_residual=residual, physical=physical)
 
 
+def _stack_norms(x: np.ndarray) -> np.ndarray:
+    """numpy's norm(x, axis=(1, 2)) of a real (T, n, n) stack, undispatched."""
+    return np.sqrt(np.add.reduce(x * x, axis=(1, 2)))
+
+
 def spectral_decompose(a, tol: Tolerance = DEFAULT_TOL) -> SpectralDecomposition:
     """Spectral representation A = sum_n a_n P_n with clustered eigenvalues.
 
@@ -184,7 +191,7 @@ def spectral_decompose(a, tol: Tolerance = DEFAULT_TOL) -> SpectralDecomposition
     orthogonal projector onto its whole eigenspace.
     """
     a = _check_observable(a, tol)
-    vals, vecs = sym_eig(a, tol)
+    vals, vecs = _eigh(a)
     clusters: list[list[int]] = [[0]]
     for k in range(1, vals.size):
         if vals[k] - vals[k - 1] > tol.spectral_gap_tol:

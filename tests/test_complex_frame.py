@@ -90,3 +90,27 @@ def test_frame_is_computed_in_one_place():
     hits = [(path.name, line) for path in sorted(src.glob("*.py"))
             for line in path.read_text().splitlines() if re.search(r"eigh\(-1j", line)]
     assert len(hits) == 1 and hits[0][0] == "realify.py"
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_standard_structure_is_shared_and_read_only(d):
+    j = standard_complex_structure(d)
+    assert standard_complex_structure(d) is j
+    assert j.frame is j.frame
+    np.testing.assert_array_equal(j.frame, np.linalg.eigh(-1j * j.matrix)[1][:, d:])
+    with pytest.raises(ValueError, match="read-only"):
+        j.matrix[0, 1] = 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        j.frame[0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        j.matrix += 0.0
+
+
+def test_a_rotated_structure_gets_its_own_frame():
+    rng = np.random.default_rng(SEED + 3)
+    q, jq = rotated(rng, 2)
+    f = jq.frame
+    assert jq.frame is f and f is not standard_complex_structure(2).frame
+    np.testing.assert_array_equal(f, np.linalg.eigh(-1j * jq.matrix)[1][:, 2:])
+    np.testing.assert_allclose(jq.matrix @ f, 1j * f, atol=1e-14)
+    assert ComplexStructure(d=2, matrix=jq.matrix).frame is not f

@@ -13,7 +13,13 @@ import pytest
 
 from realqm.cli import main
 from realqm.dynamics import hamiltonian
-from realqm.linalg import ConstraintError, anticommutes, commutes, is_symmetric
+from realqm.linalg import (
+    ConstraintError,
+    anticommutes,
+    commutes,
+    is_antisymmetric,
+    is_symmetric,
+)
 from realqm.realify import (
     ComplexMatrixRep,
     ComplexStructure,
@@ -133,3 +139,52 @@ def test_si_units_evolve_physically(capsys):
     for row in rows:
         assert abs(row["trace"] - 1.0) <= 1e-12
         assert row["physicality_residual"] <= 1e-12
+
+
+# Scaling only the matrix under test keeps each residual and each scale
+# linear in 2^k, so no product leaves the float range over k in [-900, 900];
+# the sums of squares inside the norms do, from about |k| = 510 on.
+wide_cases = st.tuples(st.integers(0, 2**32 - 1), st.floats(*EPS_DECADES),
+                       st.integers(-900, 900))
+
+
+@SETTINGS
+@given(wide_cases)
+def test_verdicts_hold_where_the_squares_leave_the_float_range(case):
+    seed, decade, k = case
+    _, j, s, a, plus, minus, eps = near_structure(seed, decade)
+    c = 2.0 ** k
+    # numpy warns when the first dot of a norm overflows, as its norm did.
+    with np.errstate(over="ignore"):
+        for m in (s + eps * a, a + eps * s):
+            assert is_symmetric(c * m) is is_symmetric(m)
+            assert is_antisymmetric(c * m) is is_antisymmetric(m)
+        for m in (plus + eps * minus, minus + eps * plus):
+            assert commutes(c * m, j.matrix) is commutes(m, j.matrix)
+            assert anticommutes(c * m, j.matrix) is anticommutes(m, j.matrix)
+
+
+@pytest.mark.parametrize("c", [1.0, 1e200, 1e-200])
+def test_symmetry_verdict_survives_overflow_and_underflow(c):
+    with np.errstate(over="ignore"):
+        assert not is_symmetric(c * np.array([[1.0, 1.0], [-1.0, 1.0]]))
+        assert is_antisymmetric(c * np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-140, 1e-170, 1e-300])
+def test_tiny_antilinear_matrix_does_not_commute_with_j(c):
+    j = standard_complex_structure(1).matrix
+    m = np.diag([c, -c])
+    assert not commutes(m, j)
+    assert anticommutes(m, j)
+
+
+@pytest.mark.parametrize("c", [1e-140, 1e-170])
+def test_tiny_antilinear_hamiltonian_is_rejected(capsys, c):
+    code, out, err = run_cli(capsys, "evolve",
+                             "--state", '{"matrix": {"dim": 2, "entries": [0.5, 0, 0, 0.5]}}',
+                             "--hamiltonian", matrix_spec(np.diag([c, -c])))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("realqm: constraint violated:") and err.count("\n") == 1
+    assert "does not commute with the complex structure" in err

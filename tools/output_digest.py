@@ -1,7 +1,10 @@
-"""Digest the CLI output of the benchmark's `evolve` and `check` operations.
+"""Digest the output of every operation of the benchmark's gated workloads.
 
-Prints one line per (workload, seed, operation, format): the sha256 of the
-exit code, stdout and stderr of `realqm.cli.main` on that operation.  Two
+Prints one line per (workload, seed, operation, format).  For a CLI
+operation that is the sha256 of the exit code, stdout and stderr of
+`realqm.cli.main`; for a `tensor_products` library operation it is the
+sha256 of the workload's own fingerprint of the result (its flags and the
+raw bytes of the basis and lifted operators), with format `lib`.  Two
 checkouts print the same lines exactly when their output is byte-identical,
 so a diff of two runs names every operation whose output changed:
 
@@ -9,11 +12,11 @@ so a diff of two runs names every operation whose output changed:
     python tools/output_digest.py /path/to/other/checkout > old.txt
     diff old.txt new.txt
 
-The operations are those of the `evolve_physical` and `check_sweep`
-workloads in `perfbench/workloads.py` at seeds 1-6, each run once with
-`--format json` and once with `--format csv`.  ROOT (default: the checkout
-holding this script) supplies both `src/` and `perfbench/`.  Nothing is
-written to disk.
+The operations are those of the `evolve_physical`, `check_sweep` and
+`tensor_products` workloads in `perfbench/workloads.py` at seeds 1-6; each
+CLI operation runs once with `--format json` and once with `--format csv`.
+ROOT (default: the checkout holding this script) supplies both `src/` and
+`perfbench/`.  Nothing is written to disk.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-WORKLOADS = ("evolve_physical", "check_sweep")
+WORKLOADS = ("evolve_physical", "check_sweep", "tensor_products")
 SEEDS = range(1, 7)
 FORMATS = ("json", "csv")
 
@@ -39,15 +42,21 @@ def main(argv=None) -> int:
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import realqm.cli
+    import realqm.tensor
     import workloads
 
     for name in WORKLOADS:
+        workload = workloads.WORKLOADS[name]
         for seed in SEEDS:
-            ops = workloads.WORKLOADS[name].make_ops(np.random.default_rng(seed))
+            ops = workload.make_ops(np.random.default_rng(seed))
             for index, op in enumerate(ops):
-                for fmt in FORMATS:
-                    result = workloads.run_cli(realqm.cli, [*op.argv, "--format", fmt])
-                    blob = json.dumps([result.rc, result.out, result.err]).encode()
+                if op.argv is None:
+                    blobs = [("lib", workload.fingerprint(workload.execute(op, realqm)))]
+                else:
+                    results = [(fmt, workloads.run_cli(realqm.cli, [*op.argv, "--format", fmt]))
+                               for fmt in FORMATS]
+                    blobs = [(fmt, json.dumps([r.rc, r.out, r.err]).encode()) for fmt, r in results]
+                for fmt, blob in blobs:
                     print(f"{name} seed={seed} op={index:02d} {fmt} "
                           f"{hashlib.sha256(blob).hexdigest()}  {op.label}")
     return 0

@@ -17,8 +17,11 @@ Every lifted unit I (x) J_k (x) I touches one Kronecker factor, so it is
 applied to a block by reshaping the product index to (before, d_k, after)
 and multiplying by the small J_k: O(d_k n c) work for an n x c block
 instead of the O(n^2 c) of a dense product.  The projectors are applied
-the same way, one factor pair at a time, from the left or the right; the
-dense `units`, `physical_projector` (on first read) and lifts apply them to I.
+the same way, one factor pair at a time, from the left or the right; each
+pair costs two elementwise passes, both in the fresh flipped block.  Every
+residual is likewise written into a temporary the function owns, never into
+an input.  The dense `units`, `physical_projector` (on first read) and lifts
+apply the same kernels to I.
 The physical basis needs no eigensolve of the n x n projector: Kronecker
 products of the factors' +i eigenvectors span the physical subspace over
 the complex numbers, and their real parts (with the U_0 images) give an
@@ -110,18 +113,21 @@ def _apply_lifted(m: np.ndarray, index: int, dims: list[int], x: np.ndarray,
     return np.matmul(m.T, x.reshape(-1, d, after)).reshape(x.shape)
 
 
+def _minus(x: np.ndarray, sign, y: np.ndarray) -> np.ndarray:
+    """x - sign * y for sign +-1, bit for bit, written into y (a temporary the caller owns)."""
+    return (np.subtract if sign > 0 else np.add)(x, y, out=y)
+
+
 def _apply_projector(factors, signs, x: np.ndarray, right: bool = False) -> np.ndarray:
-    """prod_k (I - s_k U_0 U_k)/2 times x, from the left (or the right)."""
+    """prod_k (I - s_k U_0 U_k)/2 times x, from the left (or the right), as a fresh array."""
+    if not signs:  # callers write into the result, so it is never x itself
+        return x.copy()
     dims = [f.dim for f in factors]
     j0 = factors[0].j.matrix
     for k, sign in enumerate(signs, start=1):
-        flipped = _apply_lifted(
-            j0, 0, dims, _apply_lifted(factors[k].j.matrix, k, dims, x, right), right)
-        # x <- (x - sign * flipped) / 2, in place to spare two n x c temporaries
-        flipped *= -sign
-        flipped += x
-        flipped *= 0.5
-        x = flipped
+        x = _minus(x, sign, _apply_lifted(
+            j0, 0, dims, _apply_lifted(factors[k].j.matrix, k, dims, x, right), right))
+        x *= 0.5
     return x
 
 
@@ -156,7 +162,7 @@ def subspace_unit_relation(space: ProductSpace, signs,
     first = _apply_lifted(space.factors[0].j.matrix, 0, dims, projector)
     for k, sign in enumerate(signs, start=1):
         other = _apply_lifted(space.factors[k].j.matrix, k, dims, projector)
-        if not negligible(frobenius(first - sign * other), space.dim, tol):
+        if not negligible(frobenius(_minus(first, sign, other)), space.dim, tol):
             return False
     return True
 
@@ -185,7 +191,7 @@ def physical_escape_check(lifted, space: ProductSpace,
     signs = [1] * (len(space.factors) - 1)
     scale = frobenius(lifted)
     l_p = _apply_projector(space.factors, signs, lifted, right=True)
-    within = negligible(frobenius(l_p - _apply_projector(space.factors, signs, lifted)),
+    within = negligible(frobenius(_minus(l_p, 1, _apply_projector(space.factors, signs, lifted))),
                         scale, tol)
     # (I - P) L P - L P = -P L P, so P L P alone decides "across".
     across = negligible(frobenius(_apply_projector(space.factors, signs, l_p)), scale, tol)
@@ -227,15 +233,16 @@ def validate_product_density(rho, space: ProductSpace,
     signs = [1] * (len(space.factors) - 1)
     scale = frobenius(rho)
 
-    def unchanged(compressed):
-        return negligible(frobenius(rho - compressed), scale, tol)
+    def unchanged(compressed):  # overwrites `compressed` with its residual
+        return negligible(frobenius(_minus(rho, 1, compressed)), scale, tol)
 
     if not unchanged(_apply_projector(space.factors, signs, rho)):
         return False
     rho_p = _apply_projector(space.factors, signs, rho, right=True)
-    if not (unchanged(rho_p) and unchanged(_apply_projector(space.factors, signs, rho_p))):
+    # P rho P first: the second test overwrites rho P.
+    if not (unchanged(_apply_projector(space.factors, signs, rho_p)) and unchanged(rho_p)):
         return False
     dims = [f.dim for f in space.factors]
-    return all(negligible(frobenius(_apply_lifted(f.j.matrix, k, dims, rho, right=True)
-                                    - _apply_lifted(f.j.matrix, k, dims, rho)), scale, tol)
+    return all(negligible(frobenius(_minus(_apply_lifted(f.j.matrix, k, dims, rho, right=True), 1,
+                                           _apply_lifted(f.j.matrix, k, dims, rho))), scale, tol)
                for k, f in enumerate(space.factors))

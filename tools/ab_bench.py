@@ -1,0 +1,118 @@
+"""Time two checkouts against each other in one process, on one workload.
+
+    python tools/ab_bench.py /path/to/other/checkout --workload tensor_products --seed 1 --seconds 20
+
+Imports `src/realqm` of this checkout (the checkout holding this script)
+as `realqm_this` and that of OTHER_ROOT as `realqm_other`; with no
+OTHER_ROOT both sides are this checkout, which shows the noise floor.  The
+workload's operations are built once from this checkout's
+`perfbench/workloads.py` and handed to both sides.  A first, untimed round
+runs every operation on each side through the benchmark's own loop
+(`perfbench/run.py`), which checks it with the workload's oracle.  Unless
+every operation's fingerprint (its output bytes) is the same on both sides
+the script stops there with exit 1.  Then whole cycles alternate between
+the sides, the side that goes first swapped each round, until `--seconds`
+pass (at least two rounds).
+
+Printed per side: ops/s over the fastest repeat of each operation (as
+`perfbench/run.py` computes it) and the minor page faults (`ru_minflt`) of
+each timed cycle, as min / median / max; then the ratio of this side's
+ops/s to the other's.  BLAS runs on one thread, as in the benchmark.
+
+Both sides share one interpreter and one heap, so one side's allocations
+can change the other's page faults and cache state.  The script ranks two
+checkouts within seconds on one state of the host; a claim rests on paired
+`perfbench/run.py` runs, each in its own process, which confirm it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import resource
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+MIN_ROUNDS = 2
+
+
+def load_realqm(root: Path, name: str):
+    """Import `root/src/realqm` as the package `name`, with the submodules
+    the workloads use."""
+    init = root / "src" / "realqm" / "__init__.py"
+    if not init.is_file():
+        raise SystemExit(f"ab_bench: no realqm source at {init}")
+    spec = importlib.util.spec_from_file_location(name, init,
+                                                  submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    for sub in ("cli", "tensor"):
+        importlib.import_module(f"{name}.{sub}")
+    return package
+
+
+def minflt() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def main(argv=None) -> int:
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import run  # pins BLAS to one thread before numpy loads
+    import numpy as np
+
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("other_root", nargs="?", default=str(ROOT), metavar="OTHER_ROOT")
+    parser.add_argument("--workload", required=True, choices=sorted(run.WORKLOADS))
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    args = parser.parse_args(argv)
+
+    workload = run.WORKLOADS[args.workload]
+    ops = workload.make_ops(np.random.default_rng(args.seed % 2**64))
+    roots = {"this": ROOT, "other": Path(args.other_root).resolve()}
+    sides = {side: load_realqm(root, f"realqm_{side}") for side, root in roots.items()}
+    verdicts = {side: {} for side in sides}
+    attempts = {side: [] for side in sides}
+    faults = {side: [] for side in sides}
+
+    for side, rq in sides.items():
+        run.run_cycles(workload, ops, rq, 0.0, verdicts[side], cycles=1)
+    differ = [k for k in range(len(ops))
+              if verdicts["this"][k].fingerprint != verdicts["other"][k].fingerprint]
+    if differ:
+        print(f"ab_bench: {len(differ)} of {len(ops)} operations differ between the sides, "
+              f"first op {differ[0]} ({ops[differ[0]].label})", file=sys.stderr)
+        return 1
+
+    order = list(sides)
+    rounds = 0
+    start = time.perf_counter()
+    while rounds < MIN_ROUNDS or time.perf_counter() - start < args.seconds:
+        for side in order:
+            before = minflt()
+            attempts[side] += run.run_cycles(workload, ops, sides[side], 0.0, verdicts[side],
+                                             cycles=1)[0]
+            faults[side].append(minflt() - before)
+        order.reverse()
+        rounds += 1
+
+    failed = sum(not a.verdict.ok for side in sides for a in attempts[side])
+    print(f"ab_bench {args.workload} seed={args.seed}: {rounds} rounds x {len(ops)} ops, "
+          f"fingerprints identical, {failed} failed")
+    rate = {}
+    for side, root in roots.items():
+        rate[side] = run.end_to_end(attempts[side], 0.0)[0]["ops_per_s"]
+        f = faults[side]
+        print(f"  {side:<5} {rate[side]:10.2f} ops/s   ru_minflt/cycle "
+              f"{min(f)} / {statistics.median(f):g} / {max(f)}   {root}")
+    print(f"  ratio this/other {rate['this'] / rate['other']:.4f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

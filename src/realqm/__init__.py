@@ -14,7 +14,7 @@ from .dynamics import (
     Propagator,
     SymplecticForm,
     evolve,
-    evolve_grid,
+    expectation_grid,
     hamiltonian,
     jacobi_residual,
     liouville_flow,

@@ -183,10 +183,12 @@ def _check_realify(rng) -> list[tuple[str, float, float]]:
 def _check_states(rng) -> list[tuple[str, float, float]]:
     out = []
     worst_sum = worst_mean = worst_var = worst_floor = 0.0
+    samples = []
     for _ in range(8):
         d = int(rng.integers(2, 5))  # real dimension 4..8
         rho = _rand_physical_density(rng, d)
         a = _rand_symmetric(rng, 2 * d)
+        samples.append((d, rho, a))
         stats = states.measurement_statistics(rho, a)
         probs = np.array([p for _, p in stats.outcomes])
         vals = np.array([v for v, _ in stats.outcomes])
@@ -199,6 +201,13 @@ def _check_states(rng) -> list[tuple[str, float, float]]:
     out.append(("spectral_mean_consistency", worst_mean, 1e-10))
     out.append(("spectral_variance_consistency", worst_var, 1e-10))
     out.append(("variance_nonnegative", worst_floor, 1e-12))
+
+    # The antilinear part of an observable is invisible to physical states.
+    worst = 0.0
+    for d, rho, a in samples[:4]:
+        minus = realify.split_linear_antilinear(a, realify.standard_complex_structure(d)).minus
+        worst = max(worst, abs(states.expectation(rho, minus)) / linalg.frobenius(a))
+    out.append(("antilinear_expectation_vanishes", worst, 1e-12))
 
     worst = 0.0
     for _ in range(6):
@@ -295,6 +304,21 @@ def _check_dynamics(rng) -> list[tuple[str, float, float]]:
     out.append(("propagator_symplecticity", worst_symp, 1e-8))
     out.append(("evolved_state_physicality", worst_comm, 1e-9))
     out.append(("evolved_state_trace", worst_trace, 1e-9))
+
+    # Time reversal: conjugation T commutes with an H whose complex form is
+    # real and turns U(t) into U(-t).  One sample: propagators dominate.
+    d = 3
+    j = realify.standard_complex_structure(d)
+    # A real complex form embeds as its Kronecker product with I_2.
+    h = dynamics.Hamiltonian(matrix=np.kron(_rand_symmetric(rng, d), np.eye(2)),
+                             complex_linear=True)
+    conj = realify.conjugation_operator(d)
+    t = float(rng.uniform(-5.0, 5.0))
+    worst_h = linalg.frobenius(conj @ h.matrix @ conj - h.matrix)
+    worst_u = linalg.frobenius(
+        conj @ dynamics.propagator(h, t, j).u @ conj - dynamics.propagator(h, -t, j).u)
+    out.append(("time_reversal_hamiltonian", worst_h, 0.0))
+    out.append(("time_reversal_propagator", worst_u, 1e-10))
     return out
 
 

@@ -455,17 +455,15 @@ def _cmd_evolve(args) -> int:
         names.append(name)
         observables.append(matrix)
     if args.diagnostics:
-        grid = dynamics.liouville_grid(rho.matrix, h.matrix, times, j, w, tol)
-    else:
-        grid = dynamics.evolve_grid(rho, h, times, j, params.hbar, tol)
-
-    def blocks():
-        for block_times, stack in grid:
-            columns = [block_times, stack.trace, stack.min_eigenvalue,
-                       stack.physicality_residual]
-            columns += [np.einsum("tij,ji->t", stack.matrices, obs) for obs in observables]
-            yield [column.tolist() for column in columns]
-
+        grid = ((block, [stack.trace, stack.min_eigenvalue, stack.physicality_residual,
+                         *(np.einsum("tij,ji->t", stack.matrices, obs) for obs in observables)])
+                for block, stack in dynamics.liouville_grid(rho.matrix, h.matrix, times, j, w, tol))
+    else:  # trace, spectrum and physicality are invariants of the motion
+        start = states.state_stack(rho.matrix[np.newaxis], j, tol)
+        fixed = [start.trace, start.min_eigenvalue, start.physicality_residual]
+        grid = ((block, [c.repeat(block.size) for c in fixed] + columns)
+                for block, columns in dynamics.expectation_grid(
+                    rho, h, observables, times, j, params.hbar, tol))
     payload = {
         "command": "evolve",
         "config": _config(args),
@@ -473,7 +471,7 @@ def _cmd_evolve(args) -> int:
         "state": _matrix_payload(rho.matrix),
         "hamiltonian": _matrix_payload(h.matrix),
     }
-    _write(args, payload, names, blocks())
+    _write(args, payload, names, ([c.tolist() for c in [b, *cols]] for b, cols in grid))
     return EXIT_OK
 
 

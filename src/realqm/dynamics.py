@@ -11,12 +11,12 @@ the flow integrates exactly to rho(t) = U(t) rho(0) U(t)^T with the
 orthogonal, symplectic propagator U(t) = exp(-(t/hbar) J H), which J^2 = -I
 and [H, J] = 0 reduce to the closed form cos(tH/hbar) - J sin(tH/hbar).
 
-Such an H is an embedded complex Hermitean d x d matrix, so `evolve_grid`
-diagonalises it once in the complex frame of J, where each level appears
-once, and evaluates a whole time grid from it: one phase guard for the
-grid, then, block by block, a (B, n, n) stack of propagators, one batched
-conjugation U rho U^T and one batched revalidation of the evolved states.
-`propagator` and `evolve` are its one-point cases.
+Such an H is an embedded complex Hermitean d x d matrix, diagonalised once
+in the complex frame of J, where each level appears once.  In that energy
+eigenbasis `expectation_grid` evaluates Tr(rho(t) A) over a time grid with
+O(d^2) work per point and no state rebuilt or revalidated: trace, spectrum
+and physicality are invariants of the motion.  `propagator` and `evolve`
+are the one-point real-space references.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ __all__ = [
     "symplectic_lie_form_check",
     "liouville_rhs",
     "propagator",
-    "evolve_grid",
+    "expectation_grid",
     "evolve",
     "liouville_flow",
     "liouville_grid",
@@ -62,8 +62,7 @@ __all__ = [
 # phase keeps no digits below 2*pi, so cos and sin would return noise.
 _MAX_PHASE = 1e15
 
-# Time points evolved together.  At real dimension 64 one (B, n, n) stack
-# of a block takes 4 MB, so a long grid never holds more than a few.
+# Time points per block: it bounds a block's (B, d) phase arrays.
 _GRID_BLOCK = 128
 
 
@@ -209,9 +208,7 @@ def propagator(h: Hamiltonian, t: float, j: ComplexStructure,
     With F the frame of J (`ComplexStructure.frame`) and F^H H F = W diag(e) W^H,
     X = F W has H X = X diag(e) and U X = X diag(exp(-i theta)), theta = t e / hbar;
     so U = I - 2 Re(X diag(2 sin^2(theta/2) + i sin theta) X^H), exactly I at
-    t = 0.  Phases |t E / hbar| above 1e15, or not finite, raise
-    ConstraintError.  This is the one-point case of the stacked propagators
-    `evolve_grid` applies.
+    t = 0.  Phases |t E / hbar| above 1e15, or not finite, raise ConstraintError.
 
     Non-J-commuting generators are rejected: their flow would not preserve
     the trace or the physicality of states (see `liouville_flow` for the
@@ -222,37 +219,37 @@ def propagator(h: Hamiltonian, t: float, j: ComplexStructure,
     return Propagator(u=_propagators(scaled, e, x)[0], t=float(t))
 
 
-def evolve_grid(rho0: DensityMatrix, h: Hamiltonian, times, j: ComplexStructure,
-                hbar: float = 1.0, tol: Tolerance = DEFAULT_TOL
-                ) -> Iterator[tuple[np.ndarray, StateStack]]:
-    """rho(t) = U(t) rho(0) U(t)^T over a whole time grid.
+def expectation_grid(rho0: DensityMatrix, h: Hamiltonian, observables, times,
+                     j: ComplexStructure, hbar: float = 1.0, tol: Tolerance = DEFAULT_TOL
+                     ) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
+    """Tr(rho(t) A) of each observable A, rho(t) = U(t) rho0 U(t)^T, over a
+    time grid: yields (block times, one column per observable) in blocks of
+    at most _GRID_BLOCK points.  Every check and the phase guard raise first.
 
-    One eigendecomposition of H and one phase guard cover every time
-    point, so a bad phase anywhere raises before any state is built.  The
-    grid is then evolved in blocks of at most _GRID_BLOCK points: each
-    block stacks its propagators, conjugates the state with one batched
-    matmul and revalidates the stack with `state_stack`; a physical rho0
-    whose evolved state is not physical at some t raises ConstraintError
-    naming the first such t.  Yields (block times, StateStack) in time order.
+    [X, conj X], X the eigenvectors of H in the frame of J, diagonalises
+    U(t) as diag(z, conj z), z = exp(-i t e / hbar).  So with R = X^H rho0 X,
+    S = X^H rho0 conj X, M1 = R o (X^H A X)^T and M2 = S o (X^T A X)^T,
+    Tr(rho(t) A) = 2 Re sum_kl (z_k M1_kl conj z_l + z_k M2_kl z_l), which is
+    O(d^2) per point.  S sees only the antilinear part of rho0, nonzero for
+    a state that is physical only within tolerance.
     """
     times = np.asarray(times, dtype=float).reshape(-1)
-    if rho0.dim != h.dim:
-        raise ValueError("Hamiltonian and state dimensions differ")
+    observables = [as_real_matrix(a) for a in observables]
+    if rho0.dim != h.dim or any(a.shape != h.matrix.shape for a in observables):
+        raise ValueError("Hamiltonian, state and observable dimensions differ")
     e, x = _spectrum(h, j, hbar, tol)
     scaled = _scaled_times(times, e, hbar)
+    x_h = x.conj().T
+    r, s = x_h @ rho0.matrix @ x, x_h @ rho0.matrix @ x.conj()
+    # [M1 | M2] of each observable, read against [conj z | z] of each point.
+    terms = [np.hstack([r * (x_h @ a @ x).T, s * (x.T @ a @ x).T]) for a in observables]
 
     def blocks():
         for start in range(0, times.size, _GRID_BLOCK):
             block = slice(start, start + _GRID_BLOCK)
-            u = _propagators(scaled[block], e, x)
-            rho = u @ rho0.matrix @ u.transpose(0, 2, 1)
-            stack = state_stack(rho, j, tol, times[block])
-            if rho0.physical and not stack.physical.all():
-                k = int(np.argmin(stack.physical))
-                raise ConstraintError(
-                    f"evolved state is not physical at t = {float(times[block][k])!r}: "
-                    f"||[rho, J]|| = {float(stack.physicality_residual[k]):.3g}")
-            yield times[block], stack
+            z = np.exp(-1j * (scaled[block, np.newaxis] * e))
+            w = np.hstack([z.conj(), z])
+            yield times[block], [2.0 * ((z @ m) * w).sum(axis=1).real for m in terms]
 
     return blocks()
 
@@ -260,13 +257,17 @@ def evolve_grid(rho0: DensityMatrix, h: Hamiltonian, times, j: ComplexStructure,
 def evolve(rho0: DensityMatrix, h: Hamiltonian, t: float, j: ComplexStructure,
            hbar: float = 1.0, tol: Tolerance = DEFAULT_TOL) -> DensityMatrix:
     """rho(t) = U(t) rho(0) U(t)^T, revalidated as a density matrix: the
-    one-point case of `evolve_grid`.
-
-    The conjugation is by an orthogonal symplectic matrix (U(-t) = U(t)^T),
+    real-space reference at one time point.  U is orthogonal and symplectic,
     so trace, spectrum and physicality are preserved; a physical rho0 whose
-    evolved state is not physical raises ConstraintError (`evolve_grid`).
+    evolved state is not physical raises ConstraintError naming t.
     """
-    _, stack = next(evolve_grid(rho0, h, [t], j, hbar, tol))
+    if rho0.dim != h.dim:
+        raise ValueError("Hamiltonian and state dimensions differ")
+    u = propagator(h, t, j, hbar, tol).u
+    stack = state_stack((u @ rho0.matrix @ u.T)[np.newaxis], j, tol, [t])
+    if rho0.physical and not stack.physical[0]:
+        raise ConstraintError(f"evolved state is not physical at t = {float(t)!r}: "
+                              f"||[rho, J]|| = {float(stack.physicality_residual[0]):.3g}")
     return DensityMatrix(matrix=stack.matrices[0], physical=bool(stack.physical[0]))
 
 
@@ -298,8 +299,8 @@ def liouville_flow(rho_matrix, h_matrix, t: float, w: SymplecticForm) -> np.ndar
 
 def liouville_grid(rho_matrix, h_matrix, times, j: ComplexStructure, w: SymplecticForm,
                    tol: Tolerance = DEFAULT_TOL) -> Iterator[tuple[np.ndarray, StateStack]]:
-    """`liouville_flow` at each time point, measured in blocks like
-    `evolve_grid`: the stacks are checked to be finite and symmetric, but
+    """`liouville_flow` at each time point, measured in blocks of at most
+    _GRID_BLOCK points: the stacks are checked to be finite and symmetric, but
     not to be states.  Diagnostics only."""
     times = np.asarray(times, dtype=float).reshape(-1)
     for start in range(0, times.size, _GRID_BLOCK):

@@ -80,7 +80,7 @@ def frobenius(a: np.ndarray) -> float:
     squares is a normal float; past that range the entries are first divided
     by the largest one, so the norm neither overflows nor flushes to zero."""
     r = a.ravel(order="K")
-    sq = r.dot(r)
+    sq = np.vdot(r, r)  # the same BLAS dot as r.dot(r), with no overflow warning
     if _TINY <= sq <= _HUGE or not r.any():
         return math.sqrt(sq)
     big = np.abs(r).max()

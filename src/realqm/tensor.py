@@ -77,6 +77,11 @@ class ProductSpace:
     factors: tuple[FactorSpace, ...]
     dim: int
 
+    def __post_init__(self) -> None:
+        if self.dim != math.prod(f.dim for f in self.factors):
+            raise ValueError(f"product dimension {self.dim} is not the product of the "
+                             "factor dimensions")
+
     @cached_property
     def units(self) -> tuple[np.ndarray, ...]:  # dense fields are built on first read
         return tuple(lift_operator(f.j.matrix, k, self) for k, f in enumerate(self.factors))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import realqm
-from realqm.dynamics import Hamiltonian, evolve_grid, hamiltonian, propagator
+from realqm.dynamics import Hamiltonian, evolve, expectation_grid, hamiltonian, propagator
 from realqm.realify import (
     ComplexMatrixRep,
     ComplexStructure,
@@ -67,14 +67,22 @@ def test_evolution_is_covariant_under_a_rotated_structure(phase):
     rho_c = g @ g.conj().T
     rho0 = physical_from_complex(ComplexMatrixRep.from_complex(rho_c / np.trace(rho_c).real))
     h = embed_c(h_c)
+    a = rng.standard_normal((2 * d, 2 * d))
+    a = a + a.T  # generic: antilinear part included
     t = phase / np.linalg.norm(h_c, 2)
     times = np.linspace(t - 1.0, t, 5)
-    _, plain = next(evolve_grid(rho0, hamiltonian(h, j), times, j))
-    _, turned = next(evolve_grid(density_matrix(q @ rho0.matrix @ q.T, jq),
-                                 hamiltonian(q @ h @ q.T, jq), times, jq))
-    diff = np.max(np.linalg.norm(turned.matrices - q @ plain.matrices @ q.T, axis=(1, 2)))
-    assert diff <= max(1e-12, 1e-14 * phase)
-    assert turned.physical.all()
+    plain_h = hamiltonian(h, j)
+    turned_rho0 = density_matrix(q @ rho0.matrix @ q.T, jq)
+    turned_h = hamiltonian(q @ h @ q.T, jq)
+    _, (plain,) = next(expectation_grid(rho0, plain_h, [a], times, j))
+    _, (turned,) = next(expectation_grid(turned_rho0, turned_h, [q @ a @ q.T], times, jq))
+    bound = max(1e-12, 1e-14 * phase)
+    assert np.max(np.abs(turned - plain)) <= bound * np.linalg.norm(a)
+    for time in times:
+        plain_t = evolve(rho0, plain_h, float(time), j).matrix
+        turned_t = evolve(turned_rho0, turned_h, float(time), jq)
+        assert np.linalg.norm(turned_t.matrix - q @ plain_t @ q.T) <= bound
+        assert turned_t.physical
 
 
 def test_asymmetric_complex_linear_hamiltonian_is_rejected():

@@ -4,7 +4,7 @@ import pytest
 from realqm import dynamics
 from realqm.dynamics import (
     evolve,
-    evolve_grid,
+    expectation_grid,
     hamiltonian,
     jacobi_residual,
     liouville_flow,
@@ -378,35 +378,39 @@ class TestLiouvilleFlow:
 
 
 class TestEvolveGrid:
-    """The whole time grid from one eigendecomposition of H, in blocks."""
+    """`expectation_grid` over a whole time grid, in blocks, against the
+    complex reference and against `evolve`, the one-point reference."""
 
     @staticmethod
-    def grid(rho0, h, times, j, hbar=1.0):
-        blocks = list(evolve_grid(rho0, h, times, j, hbar))
-        matrices = np.concatenate([stack.matrices for _, stack in blocks])
-        return blocks, matrices
+    def grid(rho0, h, observables, times, j, hbar=1.0):
+        blocks = list(expectation_grid(rho0, h, observables, times, j, hbar))
+        columns = [np.concatenate(c) for c in zip(*(cols for _, cols in blocks))]
+        return blocks, columns
 
     @staticmethod
     def check_against_reference(h_c, rho_c, times, j, hbar=1.0):
+        rng = np.random.default_rng(SEED)
         h = hamiltonian(embed_c(h_c), j)
         rho0 = physical_from_complex(ComplexMatrixRep.from_complex(rho_c))
-        blocks, matrices = TestEvolveGrid.grid(rho0, h, times, j, hbar)
+        # H, an embedded observable and a generic symmetric one (antilinear part included)
+        observables = [h.matrix, embed_c(rand_hermitean(rng, j.d)), rand_symmetric(rng, j.dim)]
+        blocks, columns = TestEvolveGrid.grid(rho0, h, observables, times, j, hbar)
         np.testing.assert_array_equal(np.concatenate([t for t, _ in blocks]), times)
         w, v = np.linalg.eigh(h_c)
         min_eig = np.linalg.eigvalsh(rho_c)[0] / 2.0
-        for (_, stack) in blocks:
-            assert np.all(np.abs(stack.trace - 1.0) <= 1e-12)
-            assert np.all(stack.physicality_residual <= 1e-12)
-            assert np.all(stack.physical)
-            np.testing.assert_allclose(stack.min_eigenvalue, min_eig, atol=1e-12)
         phases = np.abs(times) * np.linalg.norm(h_c, 2) / hbar
-        for t, phase, m in zip(times, phases, matrices):
+        for k, (t, phase) in enumerate(zip(times, phases)):
             u_c = (v * np.exp(-1j * w * t / hbar)) @ v.conj().T
             reference = embed_c(u_c @ rho_c @ u_c.conj().T) / 2.0
+            # phase roundoff grows like phase * eps
+            bound = max(1e-12, 1e-14 * phase)
+            for a, column in zip(observables, columns):
+                assert abs(column[k] - np.trace(reference @ a)) <= bound * np.linalg.norm(a)
+            m = evolve(rho0, h, float(t), j, hbar).matrix
             assert abs(np.trace(m) - 1.0) <= 1e-12
             assert np.linalg.norm(m @ j.matrix - j.matrix @ m) <= 1e-12
-            # phase roundoff grows like phase * eps
-            assert np.linalg.norm(m - reference) <= max(1e-12, 1e-14 * phase)
+            assert abs(np.linalg.eigvalsh(m)[0] - min_eig) <= 1e-12
+            assert np.linalg.norm(m - reference) <= bound
 
     @pytest.mark.parametrize("d", [2, 8, 32])
     def test_matches_complex_reference_at_long_times(self, d):
@@ -436,40 +440,51 @@ class TestEvolveGrid:
         j = standard_complex_structure(d)
         h = hamiltonian(embed_c(rand_hermitean(rng, d)), j)
         rho0 = rand_physical(rng, d)
+        observables = [h.matrix, rand_symmetric(rng, 2 * d)]
         times = np.linspace(-4.0, 9.0, 2 * dynamics._GRID_BLOCK + 3)
-        blocks, matrices = self.grid(rho0, h, times, j)
+        blocks, columns = self.grid(rho0, h, observables, times, j)
         assert len(blocks) == 3
         for k in (0, 1, dynamics._GRID_BLOCK - 1, dynamics._GRID_BLOCK, len(times) - 1):
             rho_t = evolve(rho0, h, float(times[k]), j)
-            np.testing.assert_array_equal(rho_t.matrix, matrices[k])
             assert rho_t.physical
             u = propagator(h, float(times[k]), j).u
-            np.testing.assert_array_equal(u @ rho0.matrix @ u.T, matrices[k])
+            np.testing.assert_array_equal(rho_t.matrix, u @ rho0.matrix @ u.T)
+            for a, column in zip(observables, columns):
+                expected = np.trace(rho_t.matrix @ a)
+                assert abs(column[k] - expected) <= 1e-13 * np.linalg.norm(a, 2)
 
     def test_phase_guard_names_first_offending_time(self):
         rng = np.random.default_rng(SEED)
         j = standard_complex_structure(2)
         h = hamiltonian(embed_c(rand_hermitean(rng, 2)), j)
         with pytest.raises(ConstraintError, match=r"at t = 1e\+300"):
-            evolve_grid(rand_physical(rng, 2), h, [0.0, 1.0, 1e300, np.inf], j)
+            expectation_grid(rand_physical(rng, 2), h, [h.matrix], [0.0, 1.0, 1e300, np.inf], j)
 
     def test_rejects_non_commuting_hamiltonian(self):
         rng = np.random.default_rng(SEED)
         j = standard_complex_structure(2)
         h = hamiltonian(np.diag([1.0, -1.0, 2.0, -2.0]), j)
         with pytest.raises(ConstraintError):
-            evolve_grid(rand_physical(rng, 2), h, [0.0, 1.0], j)
+            expectation_grid(rand_physical(rng, 2), h, [h.matrix], [0.0, 1.0], j)
+        with pytest.raises(ConstraintError):
+            evolve(rand_physical(rng, 2), h, 1.0, j)
 
     def test_state_flagged_physical_that_is_not_is_rejected(self):
+        rng = np.random.default_rng(SEED)
         j = standard_complex_structure(2)
         h = hamiltonian(embed_c(np.diag([1.0, -0.5]).astype(complex)), j)
         m = np.diag([0.4, 0.1, 0.3, 0.2])  # each J pair has unequal diagonal entries
         assert np.linalg.norm(m @ j.matrix - j.matrix @ m) > 0.1
-        times = np.linspace(0.5, 3.0, dynamics._GRID_BLOCK + 5)
         with pytest.raises(ConstraintError, match=r"not physical at t = 0\.5"):
-            list(evolve_grid(DensityMatrix(matrix=m, physical=True), h, times, j))
-        blocks = list(evolve_grid(DensityMatrix(matrix=m, physical=False), h, times, j))
-        assert not any(stack.physical.any() for _, stack in blocks)
+            evolve(DensityMatrix(matrix=m, physical=True), h, 0.5, j)
+        # Unflagged, it evolves; the grid carries its large antilinear part exactly.
+        a = rand_symmetric(rng, 4)
+        times = np.linspace(0.5, 3.0, dynamics._GRID_BLOCK + 5)
+        _, (column,) = self.grid(DensityMatrix(matrix=m, physical=False), h, [a], times, j)
+        for k in (0, dynamics._GRID_BLOCK, len(times) - 1):
+            rho_t = evolve(DensityMatrix(matrix=m, physical=False), h, float(times[k]), j)
+            assert not rho_t.physical
+            assert abs(column[k] - np.trace(rho_t.matrix @ a)) <= 1e-13 * np.linalg.norm(a, 2)
 
 
 class TestLiouvilleGrid:

@@ -1,0 +1,57 @@
+"""`expectation_grid` against `evolve`, the one-point real-space reference.
+
+The grid evaluates Tr(rho(t) A) in the energy eigenbasis and never builds
+rho(t).  Over generic Hamiltonians, states that are physical only within
+tolerance (a small antilinear part) and generic symmetric observables (an
+antilinear part included), every column must match the trace of the state
+`evolve` builds at that time.
+"""
+
+import numpy as np
+import pytest
+
+from realqm.dynamics import evolve, expectation_grid, hamiltonian
+from realqm.linalg import DEFAULT_TOL
+from realqm.realify import ComplexMatrixRep, embed_matrix, standard_complex_structure
+from realqm.states import density_matrix
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+
+def rand_complex(rng, d):
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+
+def embed_c(a):
+    return embed_matrix(ComplexMatrixRep.from_complex(a))
+
+
+@SETTINGS
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+def test_columns_match_evolve(d, seed, antilinear):
+    rng = np.random.default_rng(seed)
+    j = standard_complex_structure(d)
+    h_c = rand_complex(rng, d)
+    h = hamiltonian(embed_c(h_c + h_c.conj().T), j)
+    g = rand_complex(rng, d)
+    rho = embed_c(g @ g.conj().T) / (2.0 * np.trace(g @ g.conj().T).real)
+    # A traceless symmetric antilinear part delta: ||[delta, J]|| = 2 ||delta||,
+    # so this scale keeps the state physical within at most half the tolerance.
+    delta = rng.standard_normal((2 * d, 2 * d))
+    delta = delta + delta.T
+    delta = (delta + j.matrix @ delta @ j.matrix) / 2.0
+    limit = 0.25 * DEFAULT_TOL.abs_tol * np.linalg.norm(rho) * np.linalg.norm(j.matrix)
+    rho0 = density_matrix(rho + antilinear * limit * delta / np.linalg.norm(delta), j)
+    assert rho0.physical
+    a = rng.standard_normal((2 * d, 2 * d))
+    a = a + a.T
+    times = np.sort(rng.uniform(-10.0, 10.0, size=5))
+    [(block, (column,))] = expectation_grid(rho0, h, [a], times, j)
+    np.testing.assert_array_equal(block, times)
+    for t, value in zip(times, column):
+        expected = np.trace(evolve(rho0, h, float(t), j).matrix @ a)
+        assert abs(value - expected) <= 1e-13 * np.linalg.norm(a, 2)

@@ -6,6 +6,7 @@ from realqm.linalg import (
     anticommutes,
     commutes,
     expm,
+    frobenius,
     is_antisymmetric,
     is_symmetric,
     matmul,
@@ -179,6 +180,15 @@ class TestPredicates:
         a = rand_symmetric(rng, 4)
         big = 1e6 * a
         assert commutes(big, big @ big)
+
+    def test_overflowing_sum_of_squares_warns_nothing(self):
+        # Runs under the error::RuntimeWarning filter: an "overflow
+        # encountered in dot" warning would raise here.
+        m = 1e200 * np.array([[1.0, 1.0], [-1.0, 1.0]])
+        assert not is_symmetric(m)
+        assert not is_antisymmetric(m)
+        assert is_symmetric(m + m.T)
+        assert frobenius(m) == 2e200
 
 
 class TestTolerance:

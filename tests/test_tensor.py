@@ -15,6 +15,7 @@ from realqm.realify import (
 from realqm.states import physical_from_complex
 from realqm.tensor import (
     FactorSpace,
+    ProductSpace,
     _apply_lifted,
     build_product_space,
     kron,
@@ -112,6 +113,14 @@ class TestProductSpace:
     def test_rejects_single_factor(self):
         with pytest.raises(ValueError):
             build_product_space([FactorSpace.standard(2)])
+
+    def test_rejects_inconsistent_dimension(self):
+        # Built directly, the dataclass checks its dimension: no verdict on
+        # an operator of the stated size can come from a wrong space.
+        with pytest.raises(ValueError, match="product dimension 8"):
+            physical_escape_check(np.eye(8), ProductSpace(
+                factors=(FactorSpace.standard(1),) * 2, dim=8))
+        assert ProductSpace(factors=(FactorSpace.standard(1),) * 2, dim=4).dim == 4
 
     def test_rejects_oversided_product(self):
         with pytest.raises(ValueError, match="cap"):

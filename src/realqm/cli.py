@@ -34,8 +34,8 @@ import sys
 import numpy as np
 
 from . import checks, dynamics, oscillator, states
-from .linalg import ConstraintError, Tolerance, as_real_matrix, is_symmetric, sym_eig
-from .realify import ComplexMatrixRep, standard_complex_structure
+from .linalg import ConstraintError, Tolerance, _symmetric, as_real_matrix, sym_eig
+from .realify import ComplexMatrixRep, embed_matrix, standard_complex_structure
 
 __all__ = ["main", "run"]
 
@@ -289,14 +289,16 @@ def _matrix_from_spec(doc) -> np.ndarray:
     return as_real_matrix(entries.reshape(dim, dim))
 
 
-def _state_from_spec(text: str, tol: Tolerance, need_physical: bool) -> states.DensityMatrix:
+def _state_from_spec(text: str, tol: Tolerance, need_physical: bool) -> states.StateStack:
+    """The one-row `state_stack` of a state spec: every kind is validated
+    once, by the rule and with the messages of any state."""
     key, doc = _load_spec(text)
     if key == "physical_density":
         values = _floats(doc, "physical_density")
         if values.shape != (4,):
             raise UsageError("physical_density expects [alpha, beta, gamma, delta]")
-        return states.physical_density_4d(*values.tolist())
-    if key == "complex_density":
+        m = states.physical_density_4d(*values.tolist()).matrix
+    elif key == "complex_density":
         if not isinstance(doc, dict) or "re" not in doc or "im" not in doc:
             raise UsageError("complex_density expects 're' and 'im' arrays")
         re = _floats(doc["re"], "complex_density 're'")
@@ -304,17 +306,17 @@ def _state_from_spec(text: str, tol: Tolerance, need_physical: bool) -> states.D
         if re.ndim != 2 or re.shape[0] != re.shape[1] or im.shape != re.shape:
             raise UsageError("complex_density 're' and 'im' must be square arrays "
                              f"of one shape, got {re.shape} and {im.shape}")
-        return states.physical_from_complex(ComplexMatrixRep(re=re, im=im), tol)
-    if key == "matrix":
+        m = embed_matrix(ComplexMatrixRep(re=re, im=im)) / 2.0  # as in physical_from_complex
+    elif key == "matrix":
         m = _matrix_from_spec(doc)
-        j = standard_complex_structure(m.shape[0] // 2)
-        rho = states.density_matrix(m, j=j, tol=tol)
-        if need_physical and not rho.physical:
-            raise ConstraintError(
-                "state does not commute with the complex structure; "
-                "pass --diagnostics to evolve it anyway")
-        return rho
-    raise UsageError(f"unknown state spec key {key!r}")
+    else:
+        raise UsageError(f"unknown state spec key {key!r}")
+    stack = states.state_stack(m[np.newaxis], standard_complex_structure(m.shape[0] // 2), tol)
+    if need_physical and not stack.physical[0]:
+        raise ConstraintError(
+            "state does not commute with the complex structure; "
+            "pass --diagnostics to evolve it anyway")
+    return stack
 
 
 def _hamiltonian_from_spec(text: str, params: oscillator.OscillatorParams,
@@ -415,7 +417,8 @@ def _cmd_uncertainty(args) -> int:
 def _cmd_evolve(args) -> int:
     params = _params(args)
     tol = _tolerance(args)
-    rho = _state_from_spec(args.state, tol, need_physical=not args.diagnostics)
+    start = _state_from_spec(args.state, tol, need_physical=not args.diagnostics)
+    rho = states.DensityMatrix(matrix=start.matrices[0], physical=bool(start.physical[0]))
     h = _hamiltonian_from_spec(args.hamiltonian, params, tol)
     if rho.dim != h.dim:
         raise UsageError(
@@ -450,7 +453,7 @@ def _cmd_evolve(args) -> int:
         if matrix.shape != h.matrix.shape:
             raise UsageError(f"observable {name!r} has dimension {matrix.shape[0]}, "
                              f"expected {h.dim}")
-        if not is_symmetric(matrix, tol):
+        if not _symmetric(matrix, tol):
             raise ConstraintError(f"observable {name!r} must be symmetric")
         names.append(name)
         observables.append(matrix)
@@ -459,7 +462,6 @@ def _cmd_evolve(args) -> int:
                          *(np.einsum("tij,ji->t", stack.matrices, obs) for obs in observables)])
                 for block, stack in dynamics.liouville_grid(rho.matrix, h.matrix, times, j, w, tol))
     else:  # trace, spectrum and physicality are invariants of the motion
-        start = states.state_stack(rho.matrix[np.newaxis], j, tol)
         fixed = [start.trace, start.min_eigenvalue, start.physicality_residual]
         grid = ((block, [c.repeat(block.size) for c in fixed] + columns)
                 for block, columns in dynamics.expectation_grid(

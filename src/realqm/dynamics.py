@@ -35,7 +35,6 @@ from .linalg import (
     commutes,
     expm,
     frobenius,
-    is_symmetric,
     negligible,
 )
 from .realify import ComplexStructure
@@ -160,13 +159,12 @@ def liouville_rhs(h: Hamiltonian, rho: DensityMatrix, w: SymplecticForm) -> np.n
 def _spectrum(h: Hamiltonian, j: ComplexStructure, hbar: float,
               tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     """Each level e of a complex-linear H once, with complex eigenvectors
-    X = F W in the frame F of J: the setup a time grid's propagators share."""
+    X = F W in the frame F of J: the setup a time grid's propagators share.
+    H is judged by `hamiltonian`, the one rule for generators."""
     if hbar <= 0.0:
         raise ValueError("hbar must be positive")
-    if not h.complex_linear or not commutes(h.matrix, j.matrix, tol):
+    if not (h.complex_linear and hamiltonian(h.matrix, j, tol).complex_linear):
         raise ConstraintError("propagator requires a Hamiltonian that commutes with J")
-    if not is_symmetric(h.matrix, tol):
-        raise ValueError("propagator requires a symmetric Hamiltonian")
     f = j.frame
     e, w = np.linalg.eigh(f.conj().T @ h.matrix @ f)
     return e, f @ w

@@ -169,17 +169,17 @@ def lengths_from_energy(energy: float, params: OscillatorParams,
         raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
     bound = params.ground_energy
     if not np.isfinite(energy):
-        raise ConstraintError(f"target energy {energy!r} is not finite")
+        raise ConstraintError(f"target energy {float(energy)!r} is not finite")
     if energy < bound - _BOUND_SLACK:
-        raise ConstraintError(
-            f"target energy {energy!r} is below the spectral bound hbar*omega/2 = {bound!r}")
-    two_e, hbar_w = 2.0 * energy, params.hbar * params.omega
+        raise ConstraintError(f"target energy {float(energy)!r} is below the spectral bound "
+                              f"hbar*omega/2 = {float(bound)!r}")
     with np.errstate(all="ignore"):
+        two_e, hbar_w = 2.0 * energy, params.hbar * params.omega
         s = two_e + np.sqrt(max(two_e - hbar_w, 0.0)) * np.sqrt(two_e + hbar_w)
         xi_sq = (s / (2.0 * params.mass * (params.omega * params.omega)) if branch == "plus"
                  else params.hbar / (2.0 * params.mass * s) * params.hbar)
     if not (np.isfinite(xi_sq) and xi_sq > 0.0):
-        raise ConstraintError(f"target energy {energy!r} gives a length squared of "
+        raise ConstraintError(f"target energy {float(energy)!r} gives a length squared of "
                               f"{float(xi_sq)!r}, outside the positive float range")
     return float(np.sqrt(xi_sq))
 

@@ -213,7 +213,7 @@ def classify(a, j: ComplexStructure, tol: Tolerance = DEFAULT_TOL) -> OperatorFl
     a = as_real_matrix(a)
     if a.shape[0] != j.dim:
         raise ValueError("matrix dimension does not match the complex structure")
-    jm = as_real_matrix(j.matrix)
+    jm = j.matrix
     fro = frobenius(a)
     return OperatorFlags(
         symmetric=negligible(frobenius(a - a.T), fro, tol),

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from realqm import dynamics
+from realqm import dynamics, states
 from realqm.cli import MAX_STEPS, _build_parser, main
 from realqm.realify import ComplexMatrixRep, embed_matrix
 
@@ -289,6 +289,25 @@ class TestEvolve:
             capsys, "evolve", "--state", "{not json", "--hamiltonian", FERMIONIC_H)
         assert code == 1
         assert "JSON" in err
+
+    @pytest.mark.parametrize("state", [
+        '{"matrix": {"dim": 4, "entries": [0.25,0,0,0, 0,0.25,0,0, 0,0,0.25,0, 0,0,0,0.25]}}',
+        STATE_QUARTER,
+        '{"complex_density": {"re": [[0.6, 0.1], [0.1, 0.4]], "im": [[0, 0.2], [-0.2, 0]]}}',
+    ], ids=["matrix", "physical_density", "complex_density"])
+    def test_state_is_validated_once(self, capsys, monkeypatch, state):
+        calls = []
+        original = states.state_stack
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(states, "state_stack", counted)
+        code, _, _ = run_cli(capsys, "evolve", "--state", state,
+                             "--hamiltonian", FERMIONIC_H, "--steps", "3")
+        assert code == 0
+        assert len(calls) == 1
 
 
 class TestEvolveGrid:

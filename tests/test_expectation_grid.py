@@ -55,3 +55,21 @@ def test_columns_match_evolve(d, seed, antilinear):
     for t, value in zip(times, column):
         expected = np.trace(evolve(rho0, h, float(t), j).matrix @ a)
         assert abs(value - expected) <= 1e-13 * np.linalg.norm(a, 2)
+
+
+@SETTINGS
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0))
+def test_first_point_is_the_initial_expectation_up_to_rounding(d, seed, log_scale):
+    # The grid is not exact at t = 0: R, S and the M terms are eigenbasis
+    # transforms, so the value carries their rounding, a few eps ||A||_F.
+    rng = np.random.default_rng(seed)
+    j = standard_complex_structure(d)
+    h_c = rand_complex(rng, d)
+    h = hamiltonian(embed_c(h_c + h_c.conj().T) * 10.0**log_scale, j)
+    g = rand_complex(rng, d)
+    rho0 = density_matrix(embed_c(g @ g.conj().T) / (2.0 * np.trace(g @ g.conj().T).real), j)
+    a = rng.standard_normal((2 * d, 2 * d))
+    a = (a + a.T) * 10.0**-log_scale
+    [(_, (column,))] = expectation_grid(rho0, h, [a], [0.0, 1.0], j)
+    bound = 8 * d * np.finfo(float).eps * np.linalg.norm(a)
+    assert abs(column[0] - np.trace(rho0.matrix @ a)) <= bound

@@ -187,6 +187,12 @@ class TestLengthsFromEnergy:
         with pytest.raises(ConstraintError, match=re.escape(f"target energy {energy!r} gives a length")):
             lengths_from_energy(energy, params, "plus")
 
+    @pytest.mark.parametrize("energy", [0.4, np.inf, 1e308])
+    def test_numpy_scalar_energy_prints_as_float(self, energy):
+        # and warns nothing: a RuntimeWarning fails this suite
+        with pytest.raises(ConstraintError, match="^" + re.escape(f"target energy {energy!r} ")):
+            lengths_from_energy(np.float64(energy), OscillatorParams(), "plus")
+
     def test_minus_root_needs_no_finite_plus_root(self):
         # The plus length squared overflows; the minus one is hbar^2 / (8 m E) here.
         xi = lengths_from_energy(1.0, OscillatorParams(omega=1e-308), "minus")

@@ -174,18 +174,24 @@ class TestPhysicalFromComplex:
         j = standard_complex_structure(3).matrix
         assert np.linalg.norm(rho.matrix @ j - j @ rho.matrix) <= 1e-12
 
+    # The messages are those of any state, about the real image rho/2.
     def test_rejects_non_hermitean(self):
         bad = np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex)
-        with pytest.raises(ConstraintError):
+        with pytest.raises(ConstraintError, match="^density matrix must be symmetric$"):
             physical_from_complex(ComplexMatrixRep.from_complex(bad))
 
     def test_rejects_wrong_trace(self):
-        with pytest.raises(ConstraintError):
+        with pytest.raises(ConstraintError, match="must have unit trace, got 2.0$"):
             physical_from_complex(ComplexMatrixRep.from_complex(np.eye(2, dtype=complex)))
+
+    def test_wrong_trace_message_is_the_complex_trace(self):
+        bad = np.diag([0.6 + 0j, 0.5])
+        with pytest.raises(ConstraintError, match="must have unit trace, got 1.1$"):
+            physical_from_complex(ComplexMatrixRep.from_complex(bad))
 
     def test_rejects_negative_eigenvalue(self):
         bad = np.diag([1.5 + 0j, -0.5])
-        with pytest.raises(ConstraintError):
+        with pytest.raises(ConstraintError, match="minimum eigenvalue -0.25$"):
             physical_from_complex(ComplexMatrixRep.from_complex(bad))
 
 
@@ -218,6 +224,17 @@ class TestPhysicalDensity4d:
     def test_positivity_violation(self):
         with pytest.raises(ConstraintError, match="gamma"):
             physical_density_4d(0.25, 0.25, 0.3, 0.0)
+
+    @pytest.mark.parametrize("args,tail", [
+        ((0.6, 0.0, 0.0, 0.0), "2*(alpha+beta) = 1.2 != 1"),
+        ((-0.1, 0.6, 0.0, 0.0), "alpha = -0.1 < 0"),
+        ((0.6, -0.1, 0.0, 0.0), "beta = -0.1 < 0"),
+        ((0.25, 0.25, 0.5, 0.0), "gamma^2 - delta^2 = -0.1875 < 0"),
+    ])
+    def test_numpy_scalars_print_as_floats(self, args, tail):
+        with pytest.raises(ConstraintError) as info:
+            physical_density_4d(*map(np.float64, args))
+        assert str(info.value).endswith(tail)
 
     def test_commutes_with_j_for_random_parameters(self):
         rng = np.random.default_rng(SEED)

@@ -13,8 +13,11 @@ so a diff of two runs names every operation whose output changed:
     diff old.txt new.txt
 
 The operations are those of the `evolve_physical`, `check_sweep` and
-`tensor_products` workloads in `perfbench/workloads.py` at seeds 1-6; each
-CLI operation runs once with `--format json` and once with `--format csv`.
+`tensor_products` workloads in `perfbench/workloads.py` at seeds 1-6, then
+the `FIXED` commands (workload `fixed`): the state kinds and `evolve` paths
+that those workloads, whose states are all physical `matrix` documents,
+never reach.  Each CLI operation runs once with `--format json` and once
+with `--format csv`.
 ROOT (default: the checkout holding this script) supplies both `src/` and
 `perfbench/`.  Nothing is written to disk.
 """
@@ -32,6 +35,34 @@ WORKLOADS = ("evolve_physical", "check_sweep", "tensor_products")
 SEEDS = range(1, 7)
 FORMATS = ("json", "csv")
 
+_H = '{"fermionic": {"length": 1.0}}'
+_POSITION = '{"matrix": {"dim": 4, "entries": [1,0,0,0, 0,-1,0,0, 0,0,2,0, 0,0,0,-2]}}'
+
+
+def _complex(re, im) -> str:
+    return json.dumps({"complex_density": {"re": re, "im": im}})
+
+
+# (label, argv) of each fixed `evolve` command.
+FIXED = [
+    (label, ["evolve", "--state", state, "--hamiltonian", h, "--t1", "2", "--steps", "4", *flags])
+    for label, state, h, flags in [
+        ("physical_density", '{"physical_density": [0.3, 0.2, 0.1, 0.05]}', _H, []),
+        ("complex_density valid",
+         _complex([[0.6, 0.1], [0.1, 0.4]], [[0, 0.2], [-0.2, 0]]), _H, []),
+        ("complex_density non-Hermitean", _complex([[0.5, 0.1], [0, 0.5]], [[0, 0], [0, 0]]),
+         _H, []),
+        ("complex_density off-trace", _complex([[0.6, 0], [0, 0.5]], [[0, 0], [0, 0]]), _H, []),
+        ("complex_density negative eigenvalue",
+         _complex([[1.5, 0], [0, -0.5]], [[0, 0], [0, 0]]), _H, []),
+        ("matrix --diagnostics",
+         '{"matrix": {"dim": 4, "entries": [0.4,0.1,0,0, 0.1,0.3,0,0, 0,0,0.2,0, 0,0,0,0.1]}}',
+         _POSITION, ["--diagnostics"]),
+        ("matrix non-physical",
+         '{"matrix": {"dim": 4, "entries": [1,0,0,0, 0,0,0,0, 0,0,0,0, 0,0,0,0]}}', _H, []),
+    ]
+]
+
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
@@ -45,6 +76,15 @@ def main(argv=None) -> int:
     import realqm.tensor
     import workloads
 
+    def cli_blobs(argv):
+        results = [(fmt, workloads.run_cli(realqm.cli, [*argv, "--format", fmt]))
+                   for fmt in FORMATS]
+        return [(fmt, json.dumps([r.rc, r.out, r.err]).encode()) for fmt, r in results]
+
+    def report(where, blobs, label):
+        for fmt, blob in blobs:
+            print(f"{where} {fmt} {hashlib.sha256(blob).hexdigest()}  {label}")
+
     for name in WORKLOADS:
         workload = workloads.WORKLOADS[name]
         for seed in SEEDS:
@@ -53,12 +93,10 @@ def main(argv=None) -> int:
                 if op.argv is None:
                     blobs = [("lib", workload.fingerprint(workload.execute(op, realqm)))]
                 else:
-                    results = [(fmt, workloads.run_cli(realqm.cli, [*op.argv, "--format", fmt]))
-                               for fmt in FORMATS]
-                    blobs = [(fmt, json.dumps([r.rc, r.out, r.err]).encode()) for fmt, r in results]
-                for fmt, blob in blobs:
-                    print(f"{name} seed={seed} op={index:02d} {fmt} "
-                          f"{hashlib.sha256(blob).hexdigest()}  {op.label}")
+                    blobs = cli_blobs(op.argv)
+                report(f"{name} seed={seed} op={index:02d}", blobs, op.label)
+    for index, (label, argv) in enumerate(FIXED):
+        report(f"fixed op={index:02d}", cli_blobs(argv), label)
     return 0
 
 

@@ -103,29 +103,37 @@ def hamiltonian(matrix, j: ComplexStructure, tol: Tolerance = DEFAULT_TOL) -> Ha
     return Hamiltonian(matrix=m, complex_linear=commutes(m, j.matrix, tol))
 
 
-def _check_symmetric_pair(a, b, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
-    a = as_real_matrix(a)
-    b = as_real_matrix(b)
-    if a.shape != b.shape:
+def _check_bracket_args(*args, w: SymplecticForm, tol: Tolerance) -> list[np.ndarray]:
+    """The bracket arguments, validated: finite, symmetric, one shape, that of w."""
+    ms = [as_real_matrix(m) for m in args]
+    if any(m.shape != ms[0].shape for m in ms):
         raise ValueError("dimension mismatch between bracket arguments")
-    if not (_symmetric(a, tol) and _symmetric(b, tol)):
+    if not all(_symmetric(m, tol) for m in ms):
         raise ValueError("bracket arguments must be symmetric")
-    return a, b
+    if ms[0].shape[0] != w.omega.shape[0]:
+        raise ValueError("arguments do not match the symplectic form dimension")
+    return ms
+
+
+def _bracket(a: np.ndarray, b: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """A Omega B - B Omega A, trusting its arguments."""
+    return a @ omega @ b - b @ omega @ a
 
 
 def poisson_bracket(a, b, w: SymplecticForm, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """{A, B} = A Omega B - B Omega A; symmetric and antisymmetric in (A, B)."""
-    a, b = _check_symmetric_pair(a, b, tol)
-    if a.shape[0] != w.omega.shape[0]:
-        raise ValueError("arguments do not match the symplectic form dimension")
-    return a @ w.omega @ b - b @ w.omega @ a
+    a, b = _check_bracket_args(a, b, w=w, tol=tol)
+    return _bracket(a, b, w.omega)
 
 
 def jacobi_residual(a, b, c, w: SymplecticForm, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Frobenius norm of {A,{B,C}} + {B,{C,A}} + {C,{A,B}} (zero in exact arithmetic)."""
-    total = poisson_bracket(a, poisson_bracket(b, c, w, tol), w, tol)
-    total = total + poisson_bracket(b, poisson_bracket(c, a, w, tol), w, tol)
-    total = total + poisson_bracket(c, poisson_bracket(a, b, w, tol), w, tol)
+    """Frobenius norm of {A,{B,C}} + {B,{C,A}} + {C,{A,B}} (zero in exact arithmetic).
+    The inner brackets are not rechecked: a small one is symmetric only to rounding."""
+    a, b, c = _check_bracket_args(a, b, c, w=w, tol=tol)
+    o = w.omega
+    total = _bracket(a, _bracket(b, c, o), o)
+    total = total + _bracket(b, _bracket(c, a, o), o)
+    total = total + _bracket(c, _bracket(a, b, o), o)
     return frobenius(total)
 
 
@@ -136,9 +144,9 @@ def symplectic_lie_form_check(a, b, c, j: ComplexStructure, hbar: float = 1.0,
     Written with the antisymmetric generators -JA, -JB it reads
     [-JA, -JB] = -hbar J C.
     """
-    a = as_real_matrix(a)
-    b = as_real_matrix(b)
-    c = as_real_matrix(c)
+    a, b, c = (as_real_matrix(m) for m in (a, b, c))
+    if not a.shape[0] == b.shape[0] == c.shape[0] == j.dim:
+        raise ValueError("matrix dimension does not match the complex structure")
     jm = j.matrix
     lhs = (jm @ a) @ (jm @ b) - (jm @ b) @ (jm @ a)
     rhs = -hbar * (jm @ c)
@@ -153,7 +161,9 @@ def liouville_rhs(h: Hamiltonian, rho: DensityMatrix, w: SymplecticForm) -> np.n
     """
     if h.dim != rho.dim:
         raise ValueError("Hamiltonian and state dimensions differ")
-    return h.matrix @ w.omega @ rho.matrix - rho.matrix @ w.omega @ h.matrix
+    if h.dim != w.omega.shape[0]:
+        raise ValueError("arguments do not match the symplectic form dimension")
+    return _bracket(h.matrix, rho.matrix, w.omega)
 
 
 def _spectrum(h: Hamiltonian, j: ComplexStructure, hbar: float,
@@ -190,15 +200,6 @@ def _scaled_times(times: np.ndarray, e: np.ndarray, hbar: float) -> np.ndarray:
     return scaled
 
 
-def _propagators(scaled: np.ndarray, e: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The (T, n, n) stack I - 2 Re(X diag(2 sin^2(theta/2) + i sin theta) X^H),
-    theta = (t/hbar) e, for each scaled time t/hbar."""
-    theta = scaled[:, np.newaxis] * e
-    half = np.sin(theta / 2.0)
-    g = 2.0 * half * half + 1j * np.sin(theta)
-    return np.eye(x.shape[0]) - 2.0 * ((x * g[:, np.newaxis, :]) @ x.conj().T).real
-
-
 def propagator(h: Hamiltonian, t: float, j: ComplexStructure,
                hbar: float = 1.0, tol: Tolerance = DEFAULT_TOL) -> Propagator:
     """U(t) = exp(-(t/hbar) J H) for a complex-linear Hamiltonian.
@@ -213,8 +214,10 @@ def propagator(h: Hamiltonian, t: float, j: ComplexStructure,
     deliberately unguarded variant).
     """
     e, x = _spectrum(h, j, hbar, tol)
-    scaled = _scaled_times(np.array([t], dtype=float), e, hbar)
-    return Propagator(u=_propagators(scaled, e, x)[0], t=float(t))
+    theta = _scaled_times(np.array([t], dtype=float), e, hbar) * e
+    half = np.sin(theta / 2.0)
+    g = 2.0 * half * half + 1j * np.sin(theta)
+    return Propagator(u=np.eye(x.shape[0]) - 2.0 * ((x * g) @ x.conj().T).real, t=float(t))
 
 
 def expectation_grid(rho0: DensityMatrix, h: Hamiltonian, observables, times,

@@ -84,11 +84,13 @@ class ProductSpace:
 
     @cached_property
     def units(self) -> tuple[np.ndarray, ...]:  # dense fields are built on first read
-        return tuple(lift_operator(f.j.matrix, k, self) for k, f in enumerate(self.factors))
+        dims = [f.dim for f in self.factors]
+        return tuple(_apply_lifted(f.j.matrix, k, dims, np.eye(self.dim))
+                     for k, f in enumerate(self.factors))
 
     @cached_property
     def physical_projector(self) -> np.ndarray:
-        return subspace_projector(self, [1] * (len(self.factors) - 1))
+        return _apply_projector(self.factors, [1] * (len(self.factors) - 1), np.eye(self.dim))
 
     @property
     def physical_rank(self) -> int:

@@ -27,9 +27,7 @@ from realqm.oscillator import (
     uncertainty_product,
 )
 from realqm.realify import (
-    ComplexMatrixRep,
     classify,
-    embed_matrix,
     generator_space_ranks,
     matrix_set_rank,
     split_linear_antilinear,
@@ -38,7 +36,6 @@ from realqm.realify import (
 from realqm.states import (
     expectation,
     measurement_statistics,
-    physical_from_complex,
     spectral_decompose,
     variance,
 )
@@ -49,6 +46,15 @@ from realqm.tensor import (
     subspace_projector,
 )
 
+from helpers import (
+    embed_c,
+    rand_complex,
+    rand_hermitean,
+    rand_physical,
+    rand_state_params,
+    rand_unitary,
+)
+
 SEED = 271828
 
 
@@ -56,38 +62,6 @@ def report(number, ok, detail):
     status = "PASS" if ok else "FAIL"
     print(f"criterion {number:2d}: {status} — {detail}")
     assert ok, f"criterion {number} failed: {detail}"
-
-
-def rand_complex(rng, d):
-    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-
-
-def rand_hermitean(rng, d):
-    g = rand_complex(rng, d)
-    return (g + g.conj().T) / 2.0
-
-
-def rand_unitary(rng, d):
-    q, r = np.linalg.qr(rand_complex(rng, d))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def rand_physical(rng, d):
-    g = rand_complex(rng, d)
-    rho = g @ g.conj().T
-    return physical_from_complex(ComplexMatrixRep.from_complex(rho / np.trace(rho).real))
-
-
-def rand_state_params(rng, n):
-    alpha = 0.5 * rng.random(n)
-    beta = 0.5 - alpha
-    radius = np.sqrt(rng.random(n) * alpha * beta)
-    angle = 2.0 * np.pi * rng.random(n)
-    return alpha, beta, radius * np.cos(angle), radius * np.sin(angle)
-
-
-def embed_c(a):
-    return embed_matrix(ComplexMatrixRep.from_complex(a))
 
 
 def test_criterion_01_realification_homomorphism():

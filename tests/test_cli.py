@@ -10,14 +10,10 @@ from realqm import dynamics, states
 from realqm.cli import MAX_STEPS, _build_parser, main
 from realqm.realify import ComplexMatrixRep, embed_matrix
 
+from helpers import run_cli
+
 STATE_QUARTER = '{"physical_density": [0.25, 0.25, 0, 0.25]}'
 FERMIONIC_H = '{"fermionic": {"length": 1.0}}'
-
-
-def run_cli(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 def generic_evolve_specs(d, seed=11):
@@ -535,14 +531,14 @@ class TestCheck:
     def test_propagator_that_breaks_physicality_is_a_failed_row(self, capsys, monkeypatch):
         # An orthogonal factor that does not commute with J: evolved states
         # lose physicality, which `evolve` would refuse with exit 2.
-        propagators = dynamics._propagators
+        propagator = dynamics.propagator
 
-        def broken(scaled, e, x):
-            n = x.shape[0]
+        def broken(h, t, *args, **kwargs):
+            n = h.dim
             q = np.linalg.qr(np.random.default_rng(0).standard_normal((n, n)))[0]
-            return propagators(scaled, e, x) @ q
+            return dynamics.Propagator(u=propagator(h, t, *args, **kwargs).u @ q, t=float(t))
 
-        monkeypatch.setattr(dynamics, "_propagators", broken)
+        monkeypatch.setattr(dynamics, "propagator", broken)
         code, out, _ = run_cli(capsys, "check", "--suite", "dynamics")
         assert code == 3
         rows = {r["check"]: r for r in json.loads(out)["rows"]}

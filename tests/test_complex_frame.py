@@ -11,10 +11,11 @@ from realqm.dynamics import Hamiltonian, evolve, expectation_grid, hamiltonian, 
 from realqm.realify import (
     ComplexMatrixRep,
     ComplexStructure,
-    embed_matrix,
     standard_complex_structure,
 )
 from realqm.states import density_matrix, physical_from_complex
+
+from helpers import embed_c, rand_complex
 
 SEED = 6021
 
@@ -22,14 +23,6 @@ SEED = 6021
 def rotated(rng, d):
     q, _ = np.linalg.qr(rng.standard_normal((2 * d, 2 * d)))
     return q, ComplexStructure(d=d, matrix=q @ standard_complex_structure(d).matrix @ q.T)
-
-
-def embed_c(a):
-    return embed_matrix(ComplexMatrixRep.from_complex(a))
-
-
-def rand_complex(rng, d):
-    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
 
 
 @pytest.mark.parametrize("d", [1, 2, 5])

@@ -24,33 +24,14 @@ from realqm.oscillator import (
 )
 from realqm.realify import (
     ComplexMatrixRep,
-    embed_matrix,
     extract_matrix,
     standard_complex_structure,
 )
 from realqm.states import DensityMatrix, physical_from_complex
 
+from helpers import embed_c, rand_hermitean, rand_physical, rand_symmetric
+
 SEED = 3177
-
-
-def rand_symmetric(rng, n):
-    g = rng.standard_normal((n, n))
-    return (g + g.T) / 2.0
-
-
-def rand_hermitean(rng, d):
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return (g + g.conj().T) / 2.0
-
-
-def rand_physical(rng, d):
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    rho = g @ g.conj().T
-    return physical_from_complex(ComplexMatrixRep.from_complex(rho / np.trace(rho).real))
-
-
-def embed_c(a):
-    return embed_matrix(ComplexMatrixRep.from_complex(a))
 
 
 class TestPoissonBracket:

@@ -12,22 +12,16 @@ import pytest
 
 from realqm.dynamics import evolve, expectation_grid, hamiltonian
 from realqm.linalg import DEFAULT_TOL
-from realqm.realify import ComplexMatrixRep, embed_matrix, standard_complex_structure
+from realqm.realify import standard_complex_structure
 from realqm.states import density_matrix
+
+from helpers import embed_c, rand_complex
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
-
-
-def rand_complex(rng, d):
-    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-
-
-def embed_c(a):
-    return embed_matrix(ComplexMatrixRep.from_complex(a))
 
 
 @SETTINGS

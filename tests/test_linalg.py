@@ -13,6 +13,8 @@ from realqm.linalg import (
     sym_eig,
 )
 
+from helpers import rand_symmetric
+
 SEED = 20240811
 
 J4 = np.array([
@@ -21,11 +23,6 @@ J4 = np.array([
     [0.0, 0.0, 0.0, -1.0],
     [0.0, 0.0, 1.0, 0.0],
 ])
-
-
-def rand_symmetric(rng, n):
-    g = rng.standard_normal((n, n))
-    return (g + g.T) / 2.0
 
 
 def matmul_oracle(a, b):

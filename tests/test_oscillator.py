@@ -22,15 +22,9 @@ from realqm.oscillator import (
 from realqm.realify import classify, standard_complex_structure
 from realqm.states import physical_density_4d, variance
 
+from helpers import rand_state_params
+
 SEED = 61424
-
-
-def rand_state_params(rng):
-    alpha = 0.5 * rng.random()
-    beta = 0.5 - alpha
-    r = np.sqrt(rng.random() * alpha * beta)
-    ang = 2 * np.pi * rng.random()
-    return alpha, beta, r * np.cos(ang), r * np.sin(ang)
 
 
 class TestCanonicalPair:

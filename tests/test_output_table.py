@@ -20,6 +20,8 @@ import pytest
 from realqm import cli
 from realqm.linalg import ConstraintError
 
+from helpers import run_cli
+
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
@@ -167,12 +169,6 @@ class TestWriterMatchesReference:
 
 # ---------------------------------------------------------------------------
 # Commands
-
-
-def run_cli(capsys, *argv):
-    code = cli.main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 def observable(name=None, matrix=DIAGONAL):

@@ -15,20 +15,9 @@ from realqm.realify import (
     standard_complex_structure,
 )
 
+from helpers import embed_c, rand_complex, rand_unitary
+
 SEED = 7041
-
-
-def rand_complex(rng, d):
-    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-
-
-def rand_unitary(rng, d):
-    q, r = np.linalg.qr(rand_complex(rng, d))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def embed_c(a):
-    return embed_matrix(ComplexMatrixRep.from_complex(a))
 
 
 class TestStandardComplexStructure:

@@ -29,7 +29,6 @@ from realqm.linalg import (
 )
 from realqm.realify import (
     ComplexMatrixRep,
-    ComplexStructure,
     classify,
     embed_matrix,
     standard_complex_structure,
@@ -53,6 +52,8 @@ from realqm.tensor import (
     subspace_unit_relation,
     validate_product_density,
 )
+
+from helpers import random_structure
 
 SEED = 5150
 # Relative offset of the placed tolerances from each threshold.
@@ -79,11 +80,6 @@ def assert_flips(reference, pairs):
         critical = residual / scale
         assert not reference(tol_of(critical * (1.0 - NEAR)))
         assert reference(tol_of(critical * (1.0 + NEAR)))
-
-
-def random_structure(rng, d):
-    q, _ = np.linalg.qr(rng.standard_normal((2 * d, 2 * d)))
-    return ComplexStructure(d=d, matrix=q @ standard_complex_structure(d).matrix @ q.T)
 
 
 def sym(rng, n):

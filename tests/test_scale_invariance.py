@@ -11,7 +11,6 @@ import json
 import numpy as np
 import pytest
 
-from realqm.cli import main
 from realqm.dynamics import hamiltonian
 from realqm.linalg import (
     ConstraintError,
@@ -22,11 +21,12 @@ from realqm.linalg import (
 )
 from realqm.realify import (
     ComplexMatrixRep,
-    ComplexStructure,
     embed_matrix,
     standard_complex_structure,
 )
 from realqm.states import state_stack
+
+from helpers import random_structure, run_cli
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -36,11 +36,6 @@ SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples
 
 # Relative size of the off-structure part: its decades straddle abs_tol.
 EPS_DECADES = (-14.0, -6.0)
-
-
-def random_structure(rng, d):
-    q, _ = np.linalg.qr(rng.standard_normal((2 * d, 2 * d)))
-    return ComplexStructure(d=d, matrix=q @ standard_complex_structure(d).matrix @ q.T)
 
 
 def near_structure(seed, decade):
@@ -106,12 +101,6 @@ STATE = '{"physical_density": [0.25, 0.25, 0, 0.25]}'
 
 def matrix_spec(m):
     return json.dumps({"matrix": {"dim": m.shape[0], "entries": m.ravel().tolist()}})
-
-
-def run_cli(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 def test_small_generic_hamiltonian_is_rejected_at_long_times(capsys):

@@ -16,26 +16,15 @@ from realqm.states import (
     variance,
 )
 
+from helpers import rand_complex, rand_physical, rand_symmetric
+
 SEED = 90125
-
-
-def rand_complex(rng, d):
-    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
 
 
 def rand_complex_density(rng, d):
     g = rand_complex(rng, d)
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
-
-
-def rand_physical(rng, d):
-    return physical_from_complex(ComplexMatrixRep.from_complex(rand_complex_density(rng, d)))
-
-
-def rand_symmetric(rng, n):
-    g = rng.standard_normal((n, n))
-    return (g + g.T) / 2.0
 
 
 def position_matrix(xi1, xi2):

@@ -6,12 +6,7 @@ import pytest
 
 from realqm.linalg import DEFAULT_TOL, sym_eig
 from realqm.oscillator import OscillatorParams, build_canonical_pair
-from realqm.realify import (
-    ComplexMatrixRep,
-    ComplexStructure,
-    embed_matrix,
-    standard_complex_structure,
-)
+from realqm.realify import ComplexMatrixRep, standard_complex_structure
 from realqm.states import physical_from_complex
 from realqm.tensor import (
     FactorSpace,
@@ -27,20 +22,9 @@ from realqm.tensor import (
     validate_product_density,
 )
 
+from helpers import embed_c, rand_complex, rand_hermitean, random_structure
+
 SEED = 8293
-
-
-def rand_complex(rng, d):
-    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-
-
-def rand_hermitean(rng, d):
-    g = rand_complex(rng, d)
-    return (g + g.conj().T) / 2.0
-
-
-def embed_c(a):
-    return embed_matrix(ComplexMatrixRep.from_complex(a))
 
 
 def two_factor_space(da, db):
@@ -355,12 +339,6 @@ def _dense_validate(rho, space, tol=DEFAULT_TOL):
         if np.linalg.norm(rho @ unit - unit @ rho) > tol.abs_tol * scale:
             return False
     return True
-
-
-def random_structure(rng, d):
-    """Q J_std Q^T for a random orthogonal Q: a non-standard complex structure."""
-    q, _ = np.linalg.qr(rng.standard_normal((2 * d, 2 * d)))
-    return ComplexStructure(d=d, matrix=q @ standard_complex_structure(d).matrix @ q.T)
 
 
 def rotated_space(rng, ds):

@@ -16,7 +16,8 @@ The operations are those of the `evolve_physical`, `check_sweep` and
 `tensor_products` workloads in `perfbench/workloads.py` at seeds 1-6, then
 the `FIXED` commands (workload `fixed`): the state kinds and `evolve` paths
 that those workloads, whose states are all physical `matrix` documents,
-never reach.  Each CLI operation runs once with `--format json` and once
+never reach, and `spectrum` past their sizes (at most 32 levels there),
+with repeated targets and at a physical hbar.  Each CLI operation runs once with `--format json` and once
 with `--format csv`.
 ROOT (default: the checkout holding this script) supplies both `src/` and
 `perfbench/`.  Nothing is written to disk.
@@ -43,7 +44,7 @@ def _complex(re, im) -> str:
     return json.dumps({"complex_density": {"re": re, "im": im}})
 
 
-# (label, argv) of each fixed `evolve` command.
+# (label, argv) of each fixed `evolve` and `spectrum` command.
 FIXED = [
     (label, ["evolve", "--state", state, "--hamiltonian", h, "--t1", "2", "--steps", "4", *flags])
     for label, state, h, flags in [
@@ -60,6 +61,18 @@ FIXED = [
          _POSITION, ["--diagnostics"]),
         ("matrix non-physical",
          '{"matrix": {"dim": 4, "entries": [1,0,0,0, 0,0,0,0, 0,0,0,0, 0,0,0,0]}}', _H, []),
+    ]
+] + [
+    (label, ["spectrum", targets, "--branch", branches, *flags])
+    for label, targets, branches, flags in [
+        ("spectrum 40 levels", ",".join(f"{0.5 + 0.25 * k:g}" for k in range(40)),
+         ",".join("plus" if k % 3 else "minus" for k in range(40)), []),
+        ("spectrum 64 levels unsorted",
+         ",".join(f"{0.75 + 0.5 * (k % 32) + 0.1 * (k // 32):g}" for k in range(64)),
+         ",".join("minus" if k % 2 else "plus" for k in range(64)), []),
+        ("spectrum repeated targets", "1,1,1", "plus,minus,plus", []),
+        ("spectrum physical hbar", "1e-34,2e-34,5e-34", "minus,plus,minus",
+         ["--hbar", "1.054571817e-34"]),
     ]
 ]
 

@@ -455,10 +455,7 @@ def _check_tensor(rng) -> list[tuple[str, float, float]]:
         psi = psi / np.linalg.norm(psi)
         vecs = [np.kron(phi, psi), np.kron(j2 @ phi, psi),
                 np.kron(phi, j2 @ psi), np.kron(j2 @ phi, j2 @ psi)]
-        gram = np.array([[float(u @ v) for v in vecs] for u in vecs])
-        gvals, _ = linalg.sym_eig(gram)
-        rank = int(np.sum(gvals > 1e-8 * max(1.0, gvals[-1])))
-        if rank != 4:
+        if realify.matrix_set_rank(vecs) != 4:
             bad_rank += 1
     out.append(("four_vector_independence", float(bad_rank), 0.0))
 

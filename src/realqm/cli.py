@@ -242,13 +242,15 @@ def _parse_floats(text: str) -> list[float]:
 
 def _load_spec(text: str) -> tuple[str, object]:
     """The one (key, document) pair of a JSON spec given inline or as @file."""
-    if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            text = fh.read()
     try:
+        if text.startswith("@"):
+            with open(text[1:], "r", encoding="utf-8") as fh:
+                text = fh.read()
         spec = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise UsageError(f"invalid JSON document: {exc}") from exc
+    except RecursionError as exc:
+        raise UsageError("invalid JSON document: nested too deeply") from exc
     if not isinstance(spec, dict) or len(spec) != 1:
         raise UsageError("spec must be a JSON object with exactly one key")
     return next(iter(spec.items()))

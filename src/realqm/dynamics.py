@@ -30,10 +30,10 @@ from .linalg import (
     DEFAULT_TOL,
     ConstraintError,
     Tolerance,
+    _expm,
     _symmetric,
     as_real_matrix,
     commutes,
-    expm,
     frobenius,
     negligible,
 )
@@ -282,29 +282,49 @@ def liouville_flow(rho_matrix, h_matrix, t: float, w: SymplecticForm) -> np.ndar
     norm is not finite raises ConstraintError; a finite one that overflows
     the exponential gives non-finite entries, without a warning.
     """
+    rho_matrix, h_omega = _flow_args(rho_matrix, h_matrix, w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _flow(rho_matrix, h_omega, t)
+
+
+def _flow_args(rho_matrix, h_matrix, w: SymplecticForm) -> tuple[np.ndarray, np.ndarray]:
+    """The validated state and H Omega, shared by every time point."""
     rho_matrix = as_real_matrix(rho_matrix)
     h_matrix = as_real_matrix(h_matrix)
     if rho_matrix.shape != h_matrix.shape:
         raise ValueError("Hamiltonian and state dimensions differ")
     with np.errstate(over="ignore", invalid="ignore"):
-        generator = t * (h_matrix @ w.omega)
-        # expm needs a finite sum of squares; frobenius would rescale past it.
-        norm = float(np.sqrt(np.vdot(generator, generator)))
-        if not np.isfinite(norm):
-            raise ConstraintError(
-                f"flow generator norm ||t H Omega|| = {norm:.3g} at t = {float(t):.3g} "
-                "is not finite")
-        v = expm(generator)
-        return v @ rho_matrix @ v.T
+        return rho_matrix, h_matrix @ w.omega
+
+
+def _flow(rho: np.ndarray, h_omega: np.ndarray, t: float) -> np.ndarray:
+    """exp(t H Omega) rho exp(t H Omega)^T, trusting its arguments; the caller
+    holds the errstate that lets an overflow through to the guards."""
+    generator = t * h_omega
+    # expm needs a finite sum of squares; frobenius would rescale past it.
+    norm = float(np.sqrt(np.vdot(generator, generator)))
+    if not np.isfinite(norm):
+        raise ConstraintError(
+            f"flow generator norm ||t H Omega|| = {norm:.3g} at t = {float(t):.3g} "
+            "is not finite")
+    v = _expm(generator)
+    return v @ rho @ v.T
 
 
 def liouville_grid(rho_matrix, h_matrix, times, j: ComplexStructure, w: SymplecticForm,
                    tol: Tolerance = DEFAULT_TOL) -> Iterator[tuple[np.ndarray, StateStack]]:
     """`liouville_flow` at each time point, measured in blocks of at most
     _GRID_BLOCK points: the stacks are checked to be finite and symmetric, but
-    not to be states.  Diagnostics only."""
+    not to be states.  The arguments are validated and H Omega formed once,
+    up front.  Diagnostics only."""
+    rho_matrix, h_omega = _flow_args(rho_matrix, h_matrix, w)
     times = np.asarray(times, dtype=float).reshape(-1)
-    for start in range(0, times.size, _GRID_BLOCK):
-        block = times[start:start + _GRID_BLOCK]
-        flowed = np.stack([liouville_flow(rho_matrix, h_matrix, float(t), w) for t in block])
-        yield block, state_stack(flowed, j, tol, block, density=False)
+
+    def blocks():
+        for start in range(0, times.size, _GRID_BLOCK):
+            block = times[start:start + _GRID_BLOCK]
+            with np.errstate(over="ignore", invalid="ignore"):
+                flowed = np.stack([_flow(rho_matrix, h_omega, float(t)) for t in block])
+            yield block, state_stack(flowed, j, tol, block, density=False)
+
+    return blocks()

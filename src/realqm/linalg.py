@@ -173,7 +173,11 @@ def expm(a) -> np.ndarray:
     The input is halved until its Frobenius norm is at most 0.5; at that
     scale the [6/6] approximant is accurate to below double roundoff.
     """
-    a = as_real_matrix(a)
+    return _expm(as_real_matrix(a))
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """`expm` of a matrix already validated by `as_real_matrix`."""
     n = a.shape[0]
     nrm = frobenius(a)
     squarings = 0

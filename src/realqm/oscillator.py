@@ -48,6 +48,7 @@ __all__ = [
     "dual_picture",
 ]
 
+# Slack of the spectral-bound test, in units of hbar*omega.
 _BOUND_SLACK = 1e-12
 
 
@@ -161,16 +162,17 @@ def lengths_from_energy(energy: float, params: OscillatorParams,
     """Invert the level formula: xi = sqrt((2E +- sqrt(4E^2 - hbar^2 w^2)) / (2 m w^2)).
 
     Both branches reproduce the same energy; "plus" is the larger length.
-    Energies below the bound hbar*w/2, or whose xi^2 is not a positive float,
-    are rejected.  With S = 2E + sqrt(2E - hbar w) sqrt(2E + hbar w) the roots
-    are S/(2 m w^2) and hbar^2/(2 m S), forming neither 4E^2 nor a difference.
+    Energies below the bound hbar*w/2 by more than 1e-12 hbar*w, or whose
+    xi^2 is not a positive float, are rejected.  With
+    S = 2E + sqrt(2E - hbar w) sqrt(2E + hbar w) the roots are S/(2 m w^2)
+    and hbar^2/(2 m S), forming neither 4E^2 nor a difference.
     """
     if branch not in ("plus", "minus"):
         raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
     bound = params.ground_energy
     if not np.isfinite(energy):
         raise ConstraintError(f"target energy {float(energy)!r} is not finite")
-    if energy < bound - _BOUND_SLACK:
+    if energy < bound - _BOUND_SLACK * (params.hbar * params.omega):
         raise ConstraintError(f"target energy {float(energy)!r} is below the spectral bound "
                               f"hbar*omega/2 = {float(bound)!r}")
     with np.errstate(all="ignore"):

@@ -87,6 +87,17 @@ class ComplexStructure:
     d: int
     matrix: np.ndarray
 
+    def __post_init__(self) -> None:
+        m = as_real_matrix(self.matrix)
+        if m.shape[0] != 2 * self.d:
+            raise ValueError(f"complex structure of dimension {self.d} needs a "
+                             f"{2 * self.d} x {2 * self.d} matrix, got shape {m.shape}")
+        fro = frobenius(m)
+        if not (negligible(frobenius(m + m.T), fro)
+                and negligible(frobenius(m.T @ m - np.eye(m.shape[0])), fro * fro)):
+            raise ValueError("a complex structure must be antisymmetric and orthogonal")
+        object.__setattr__(self, "matrix", m)
+
     @property
     def dim(self) -> int:
         return 2 * self.d
@@ -229,13 +240,14 @@ def matrix_set_rank(mats) -> int:
     """Rank of the span of a set of equally-sized matrices.
 
     Each matrix is flattened to a row and the rank is read off the singular
-    values, thresholded at 1e-8 relative to the largest.
+    values, thresholded at 1e-8 relative to the largest with no floor, so
+    scaling every matrix by 2^k keeps the rank.
     """
     stack = np.array([np.asarray(m, dtype=float).ravel() for m in mats])
     if stack.size == 0:
         return 0
     svals = np.linalg.svd(stack, compute_uv=False)
-    return int(np.sum(svals > _RANK_SV_THRESHOLD * max(1.0, svals[0])))
+    return int(np.sum(svals > _RANK_SV_THRESHOLD * svals[0]))
 
 
 @dataclass(frozen=True)

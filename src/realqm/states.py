@@ -134,10 +134,12 @@ def state_stack(matrices, j: ComplexStructure | None = None, tol: Tolerance = DE
     Every matrix must be finite and symmetric and, when `density` is set,
     have unit trace within 1e-10 and be PSD within 1e-10; density=False
     only measures, for the trace-nonpreserving diagnostics flow.  The
-    symmetry and physicality tests use the scale rules of `is_symmetric`
-    and `commutes`.  One eigvalsh of the symmetrized stack gives both the
-    PSD test and `min_eigenvalue`.  The earliest failing matrix raises
-    ConstraintError, naming its entry of `times` when given.
+    products, traces and eigenvalues are batched; the norms of m, m - m^T
+    and mJ - Jm are each matrix's `frobenius`, so the symmetry and
+    physicality verdicts are those of `is_symmetric` and `commutes` over
+    the whole float range.  One eigvalsh of the symmetrized stack gives
+    both the PSD test and `min_eigenvalue`.  The earliest failing matrix
+    raises ConstraintError, naming its entry of `times` when given.
     """
     m = np.asarray(matrices, dtype=float)
     if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[1] < 1:
@@ -147,8 +149,8 @@ def state_stack(matrices, j: ComplexStructure | None = None, tol: Tolerance = DE
     finite = np.isfinite(m).all(axis=(1, 2))
     mt = m.transpose(0, 2, 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = _stack_norms(m)
-        symmetric = negligible(_stack_norms(m - mt), norms, tol)
+        norms = np.array([frobenius(x) for x in m])
+        symmetric = negligible(np.array([frobenius(x) for x in m - mt]), norms, tol)
         trace = np.trace(m, axis1=1, axis2=2)
         min_eigenvalue = np.linalg.eigvalsh(
             np.where(finite[:, np.newaxis, np.newaxis], (m + mt) / 2.0, 0.0))[:, 0]
@@ -156,7 +158,7 @@ def state_stack(matrices, j: ComplexStructure | None = None, tol: Tolerance = DE
             residual = np.full(len(m), np.nan)
             physical = np.zeros(len(m), dtype=bool)
         else:
-            residual = _stack_norms(m @ j.matrix - j.matrix @ m)
+            residual = np.array([frobenius(x) for x in m @ j.matrix - j.matrix @ m])
             physical = negligible(residual, norms * frobenius(j.matrix), tol)
     checks = [(~finite, lambda k: f"{what} is not finite"),
               (~symmetric, lambda k: f"{what} must be symmetric")]
@@ -175,11 +177,6 @@ def state_stack(matrices, j: ComplexStructure | None = None, tol: Tolerance = DE
         raise ConstraintError(message + where(k))
     return StateStack(matrices=m, trace=trace, min_eigenvalue=min_eigenvalue,
                       physicality_residual=residual, physical=physical)
-
-
-def _stack_norms(x: np.ndarray) -> np.ndarray:
-    """numpy's norm(x, axis=(1, 2)) of a real (T, n, n) stack, undispatched."""
-    return np.sqrt(np.add.reduce(x * x, axis=(1, 2)))
 
 
 def spectral_decompose(a, tol: Tolerance = DEFAULT_TOL) -> SpectralDecomposition:

@@ -63,6 +63,11 @@ class FactorSpace:
     d: int
     j: ComplexStructure
 
+    def __post_init__(self) -> None:
+        if self.j.d != self.d:
+            raise ValueError(f"factor of complex dimension {self.d} has a complex "
+                             f"structure of dimension {self.j.d}")
+
     @classmethod
     def standard(cls, d: int) -> "FactorSpace":
         return cls(d=d, j=standard_complex_structure(d))

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from realqm import dynamics, states
+from realqm import dynamics, linalg, states
 from realqm.cli import MAX_STEPS, _build_parser, main
 from realqm.realify import ComplexMatrixRep, embed_matrix
 
@@ -56,6 +56,14 @@ class TestSpectrum:
         assert code == 2
         assert out == ""
         assert "hbar*omega/2" in err
+
+    def test_below_bound_at_physical_hbar_is_domain_error(self, capsys):
+        # The bound slack is relative to hbar*omega: at hbar = 1.05e-34 a
+        # target far below the bound 5.27e-35 is rejected, not designed.
+        code, out, err = run_cli(capsys, "spectrum", "1e-40", "--hbar", "1.054571817e-34")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "below the spectral bound" in err
 
     def test_three_targets_six_eigenvalues(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "0.5,0.625,2.0")
@@ -286,6 +294,24 @@ class TestEvolve:
         assert code == 1
         assert "JSON" in err
 
+    def test_state_file_not_utf8_is_usage_error(self, capsys, tmp_path):
+        state_file = tmp_path / "state.json"
+        state_file.write_bytes(b"\xff\xfe" + STATE_QUARTER.encode())
+        code, out, err = run_cli(
+            capsys, "evolve", "--state", f"@{state_file}", "--hamiltonian", FERMIONIC_H)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("realqm: error:") and err.count("\n") == 1
+        assert "JSON" in err
+
+    def test_over_deep_spec_is_usage_error(self, capsys):
+        deep = '{"matrix": ' + "[" * 100_000 + "]" * 100_000 + "}"
+        code, out, err = run_cli(
+            capsys, "evolve", "--state", deep, "--hamiltonian", FERMIONIC_H)
+        assert code == 1
+        assert out == ""
+        assert err == "realqm: error: invalid JSON document: nested too deeply\n"
+
     @pytest.mark.parametrize("state", [
         '{"matrix": {"dim": 4, "entries": [0.25,0,0,0, 0,0.25,0,0, 0,0,0.25,0, 0,0,0,0.25]}}',
         STATE_QUARTER,
@@ -364,6 +390,41 @@ class TestEvolveGrid:
         assert out == ""
         assert err.count("\n") == 1 and "Traceback" not in err
         assert "not finite" in err
+
+    def test_diagnostics_past_the_squares_range_prints_rows(self, capsys):
+        # At t = 184 the flowed state's sum of squares overflows, while every
+        # figure of the state is finite (trace 3.3e159).
+        code, out, err = run_cli(
+            capsys, "evolve", "--diagnostics",
+            "--state", '{"matrix": {"dim": 2, "entries": [0.5,0,0,0.5]}}',
+            "--hamiltonian", '{"matrix": {"dim": 2, "entries": [1,0,0,-1]}}',
+            "--t1", "184", "--steps", "1")
+        assert code == 0, err
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 2
+        assert all(np.isfinite(v) for row in rows for v in row.values())
+        assert rows[1]["trace"] == pytest.approx(3.3062778280375296e159, rel=1e-12)
+
+    def test_diagnostics_validates_its_inputs_once(self, capsys, monkeypatch):
+        calls = []
+        original = linalg.as_real_matrix
+
+        def counted(a):
+            calls.append(1)
+            return original(a)
+
+        for module in (linalg, dynamics):
+            monkeypatch.setattr(module, "as_real_matrix", counted)
+        counts = []
+        for steps in ("10", "1000"):
+            calls.clear()
+            code, _, _ = run_cli(
+                capsys, "evolve", "--diagnostics", "--state", STATE_QUARTER,
+                "--hamiltonian", '{"matrix": {"dim": 4, "entries": '
+                '[1,0,0,0, 0,-1,0,0, 0,0,2,0, 0,0,0,-2]}}', "--steps", steps)
+            assert code == 0
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     def test_steps_above_cap_is_usage_error(self, capsys):
         code, out, err = run_cli(

@@ -1,10 +1,9 @@
 """The fast kernels against numpy's general ones, bit for bit.
 
-`frobenius` is one dot of the raveled entries and `states._stack_norms` one
-reduction over a stack; both must give exactly the bits numpy's `norm`
-gives wherever that is finite and normal.  `as_real_matrix` must raise
-exactly what it raised when its finiteness test was `np.all(np.isfinite(m))`,
-shape first and finiteness second.
+`frobenius` is one dot of the raveled entries; it must give exactly the
+bits numpy's `norm` gives wherever that is finite and normal.
+`as_real_matrix` must raise exactly what it raised when its finiteness test
+was `np.all(np.isfinite(m))`, shape first and finiteness second.
 """
 
 import math
@@ -13,7 +12,6 @@ import numpy as np
 import pytest
 
 from realqm.linalg import as_real_matrix, frobenius
-from realqm.states import _stack_norms
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
@@ -77,20 +75,6 @@ def test_frobenius_of_zero_and_non_finite_entries():
     assert frobenius(np.array([[5e-324]])) == 5e-324
     assert frobenius(np.array([[np.inf, 1.0], [0.0, 0.0]])) == np.inf
     assert np.isnan(frobenius(np.array([[np.nan, 1.0], [0.0, 0.0]])))
-
-
-stacks = st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 16),
-                   st.integers(-400, 400), st.booleans())
-
-
-@SETTINGS
-@given(stacks)
-def test_stack_norms_are_numpy_norm_bit_for_bit(case):
-    seed, depth, n, k, transposed = case
-    x = np.random.default_rng(seed).standard_normal((depth, n, n)) * 2.0 ** k
-    if transposed:
-        x = x.transpose(0, 2, 1)
-    np.testing.assert_array_equal(_stack_norms(x), np.linalg.norm(x, axis=(1, 2)))
 
 
 def reference_as_real_matrix(a):

@@ -162,18 +162,22 @@ class TestSplit:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_subspace_dimensions(self, d):
-        # projecting the full matrix basis must give 2d^2 directions each way
+        # projecting the full matrix basis must give 2d^2 directions each way;
+        # the rank rule is relative, so a basis scaled by 2^k gives the same
         j = standard_complex_structure(d)
-        basis = []
-        for r in range(2 * d):
-            for c in range(2 * d):
-                e = np.zeros((2 * d, 2 * d))
-                e[r, c] = 1.0
-                basis.append(e)
-        plus = [split_linear_antilinear(e, j).plus for e in basis]
-        minus = [split_linear_antilinear(e, j).minus for e in basis]
-        assert matrix_set_rank(plus) == 2 * d * d
-        assert matrix_set_rank(minus) == 2 * d * d
+        sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        for k in (-500, -30, 0, 500):
+            basis = []
+            for r in range(2 * d):
+                for c in range(2 * d):
+                    e = np.zeros((2 * d, 2 * d))
+                    e[r, c] = 2.0 ** k
+                    basis.append(e)
+            plus = [split_linear_antilinear(e, j).plus for e in basis]
+            minus = [split_linear_antilinear(e, j).minus for e in basis]
+            assert matrix_set_rank(plus) == 2 * d * d
+            assert matrix_set_rank(minus) == 2 * d * d
+            assert matrix_set_rank([2.0 ** k * np.eye(2), 2.0 ** k * sigma_x]) == 2
 
 
 class TestConjugation:

@@ -53,6 +53,12 @@ def near_structure(seed, decade):
 
 cases = st.tuples(st.integers(0, 2**32 - 1), st.floats(*EPS_DECADES), st.integers(-100, 100))
 
+# Scaling only the matrix under test keeps each residual and each scale
+# linear in 2^k, so no product leaves the float range over k in [-900, 900];
+# the sums of squares inside the norms do, from about |k| = 510 on.
+wide_cases = st.tuples(st.integers(0, 2**32 - 1), st.floats(*EPS_DECADES),
+                       st.integers(-900, 900))
+
 
 @SETTINGS
 @given(cases)
@@ -69,7 +75,7 @@ def test_predicate_verdicts_are_scale_invariant(case):
 
 
 @SETTINGS
-@given(cases)
+@given(wide_cases)
 def test_state_stack_verdicts_are_scale_invariant(case):
     seed, decade, k = case
     rng, j, _, _, plus, minus, eps = near_structure(seed, decade)
@@ -84,7 +90,15 @@ def test_state_stack_verdicts_are_scale_invariant(case):
             assert "must be symmetric" in str(exc)
             return "asymmetric"
 
-    assert verdicts(2.0 ** k * stack) == verdicts(stack)
+    def predicates(m):
+        if not all(is_symmetric(x) for x in m):
+            return "asymmetric"
+        return [commutes(x, j.matrix) for x in m]
+
+    scaled = 2.0 ** k * stack
+    assert verdicts(scaled) == verdicts(stack) == predicates(scaled) == predicates(stack)
+    for x in scaled:
+        assert verdicts(x[np.newaxis]) == predicates(x[np.newaxis])
 
 
 def test_small_generic_hamiltonian_is_not_complex_linear():
@@ -128,13 +142,6 @@ def test_si_units_evolve_physically(capsys):
     for row in rows:
         assert abs(row["trace"] - 1.0) <= 1e-12
         assert row["physicality_residual"] <= 1e-12
-
-
-# Scaling only the matrix under test keeps each residual and each scale
-# linear in 2^k, so no product leaves the float range over k in [-900, 900];
-# the sums of squares inside the norms do, from about |k| = 510 on.
-wide_cases = st.tuples(st.integers(0, 2**32 - 1), st.floats(*EPS_DECADES),
-                       st.integers(-900, 900))
 
 
 @SETTINGS

@@ -17,7 +17,10 @@ The operations are those of the `evolve_physical`, `check_sweep` and
 the `FIXED` commands (workload `fixed`): the state kinds and `evolve` paths
 that those workloads, whose states are all physical `matrix` documents,
 never reach, and `spectrum` past their sizes (at most 32 levels there),
-with repeated targets and at a physical hbar.  Each CLI operation runs once with `--format json` and once
+with repeated targets and at a physical hbar; then a dim-16 `--diagnostics`
+flow over three grid blocks, one whose flowed state's sum of squares
+leaves the float range, and a target below the spectral bound at a
+physical hbar.  Each CLI operation runs once with `--format json` and once
 with `--format csv`.
 ROOT (default: the checkout holding this script) supplies both `src/` and
 `perfbench/`.  Nothing is written to disk.
@@ -42,6 +45,18 @@ _POSITION = '{"matrix": {"dim": 4, "entries": [1,0,0,0, 0,-1,0,0, 0,0,2,0, 0,0,0
 
 def _complex(re, im) -> str:
     return json.dumps({"complex_density": {"re": re, "im": im}})
+
+
+def _matrix(m) -> str:
+    return json.dumps({"matrix": {"dim": len(m), "entries": np.ravel(m).tolist()}})
+
+
+# A generic dim-16 state and a symmetric H that does not commute with J.
+_rng = np.random.default_rng(16)
+_g, _h = _rng.standard_normal((2, 16, 16))
+_s = _g @ _g.T
+_RHO16 = (_s + _s.T) / (2.0 * np.trace(_s))
+_H16 = (_h + _h.T) / 2.0
 
 
 # (label, argv) of each fixed `evolve` and `spectrum` command.
@@ -74,6 +89,16 @@ FIXED = [
         ("spectrum physical hbar", "1e-34,2e-34,5e-34", "minus,plus,minus",
          ["--hbar", "1.054571817e-34"]),
     ]
+] + [
+    ("matrix --diagnostics dim 16 300 steps",
+     ["evolve", "--state", _matrix(_RHO16), "--hamiltonian", _matrix(_H16),
+      "--t1", "2", "--steps", "300", "--diagnostics"]),
+    ("matrix --diagnostics squares past the float range",
+     ["evolve", "--state", _matrix([[0.5, 0], [0, 0.5]]),
+      "--hamiltonian", _matrix([[1, 0], [0, -1]]), "--t1", "184", "--steps", "1",
+      "--diagnostics"]),
+    ("spectrum below the bound at physical hbar",
+     ["spectrum", "1e-40", "--hbar", "1.054571817e-34"]),
 ]
 
 

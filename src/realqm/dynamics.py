@@ -260,14 +260,20 @@ def evolve(rho0: DensityMatrix, h: Hamiltonian, t: float, j: ComplexStructure,
     """rho(t) = U(t) rho(0) U(t)^T, revalidated as a density matrix: the
     real-space reference at one time point.  U is orthogonal and symplectic,
     so trace, spectrum and physicality are preserved; a physical rho0 whose
-    evolved state is not physical raises ConstraintError naming t.
+    evolved state is not physical raises ConstraintError naming t, and
+    naming rho0 too when rho0 itself is not physical, though flagged so.
     """
     if rho0.dim != h.dim:
         raise ValueError("Hamiltonian and state dimensions differ")
     u = propagator(h, t, j, hbar, tol).u
     stack = state_stack((u @ rho0.matrix @ u.T)[np.newaxis], j, tol, [t])
     if rho0.physical and not stack.physical[0]:
-        raise ConstraintError(f"evolved state is not physical at t = {float(t)!r}: "
+        message = f"evolved state is not physical at t = {float(t)!r}: "
+        initial = state_stack(rho0.matrix[np.newaxis], j, tol)
+        if not initial.physical[0]:
+            raise ConstraintError(message + "the initial state is flagged physical but is not, "
+                                  f"||[rho0, J]|| = {float(initial.physicality_residual[0]):.3g}")
+        raise ConstraintError(message +
                               f"||[rho, J]|| = {float(stack.physicality_residual[0]):.3g}")
     return DensityMatrix(matrix=stack.matrices[0], physical=bool(stack.physical[0]))
 

@@ -24,6 +24,9 @@ def test_runs_against_its_own_checkout():
         assert re.search(rf"^  {side} +[0-9.]+ ops/s   ru_minflt/cycle \d+ / [0-9.]+ / \d+ ",
                          proc.stdout, re.M), proc.stdout
     assert re.search(r"^  ratio this/other [0-9.]+$", proc.stdout, re.M)
+    for label in ("2x2", "2x2x2", "4x4", "2x4x4", "8x8"):
+        assert re.search(rf"^  class tensor {label} +fastest sum this +[0-9.]+ ms  "
+                         rf"other +[0-9.]+ ms  other/this [0-9.]+$", proc.stdout, re.M), label
 
 
 def test_stops_when_the_sides_give_different_output(tmp_path):

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -466,6 +468,33 @@ class TestEvolveGrid:
             rho_t = evolve(DensityMatrix(matrix=m, physical=False), h, float(times[k]), j)
             assert not rho_t.physical
             assert abs(column[k] - np.trace(rho_t.matrix @ a)) <= 1e-13 * np.linalg.norm(a, 2)
+
+    def test_unphysical_input_is_named_not_only_the_evolved_state(self):
+        j = standard_complex_structure(2)
+        h = hamiltonian(embed_c(np.diag([1.0, -0.5]).astype(complex)), j)
+        rho0 = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]), physical=True)
+        with pytest.raises(ConstraintError,
+                           match=r"not physical at t = 0\.5: the initial state is flagged "
+                                 r"physical but is not, \|\|\[rho0, J\]\|\| = 1\.41$"):
+            evolve(rho0, h, 0.5, j)
+
+    def test_physical_input_judged_once_and_drift_names_the_evolved_state(self, monkeypatch):
+        rng = np.random.default_rng(SEED)
+        j = standard_complex_structure(2)
+        h = hamiltonian(embed_c(rand_hermitean(rng, 2)), j)
+        rho0 = rand_physical(rng, 2)
+        calls = []
+        stack = dynamics.state_stack
+        monkeypatch.setattr(dynamics, "state_stack",
+                            lambda *a, **k: calls.append(1) or stack(*a, **k))
+        assert evolve(rho0, h, 0.5, j).physical
+        assert len(calls) == 1
+        # An orthogonal U that does not commute with J: the input is physical, its image not.
+        q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        monkeypatch.setattr(dynamics, "propagator", lambda *a: SimpleNamespace(u=q))
+        with pytest.raises(ConstraintError, match=r"not physical at t = 0\.5: \|\|\[rho, J\]\|\|"):
+            evolve(rho0, h, 0.5, j)
+        assert len(calls) == 3
 
 
 class TestLiouvilleGrid:

@@ -17,12 +17,20 @@ pass (at least two rounds).
 Printed per side: ops/s over the fastest repeat of each operation (as
 `perfbench/run.py` computes it) and the minor page faults (`ru_minflt`) of
 each timed cycle, as min / median / max; then the ratio of this side's
-ops/s to the other's.  BLAS runs on one thread, as in the benchmark.
+ops/s to the other's.  Then one line per operation class (`Op.label`):
+the sum of its operations' fastest repeats on each side and the ratio
+other/this, which reads like the ops/s ratio (above 1: this side is
+faster), so a gain can be traced to the class that moved.  BLAS runs on
+one thread, as in the benchmark.
 
 Both sides share one interpreter and one heap, so one side's allocations
-can change the other's page faults and cache state.  The script ranks two
-checkouts within seconds on one state of the host; a claim rests on paired
-`perfbench/run.py` runs, each in its own process, which confirm it.
+can change the other's page faults and cache state, and the script can
+over-read a change that comes from allocation.  Cutting the (10000, 4, 4)
+stacks of the oscillator check's uncertainty sweep into 1000-row blocks,
+with no other change, read 1.11x on `check_sweep` here, but -2% to +1% in
+three pairs of separate `perfbench/run.py` processes.  The script ranks
+two checkouts within seconds on one state of the host; a claim rests on
+paired `perfbench/run.py` runs, each in its own process, which confirm it.
 """
 
 from __future__ import annotations
@@ -57,6 +65,17 @@ def load_realqm(root: Path, name: str):
 
 def minflt() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def class_fastest(attempts, ops) -> dict[str, float]:
+    """Per operation class: the sum of its operations' fastest repeats."""
+    best: dict[int, float] = {}
+    for a in attempts:
+        best[a.index] = min(a.latency, best.get(a.index, a.latency))
+    sums: dict[str, float] = {}
+    for index, latency in best.items():
+        sums[ops[index].label] = sums.get(ops[index].label, 0.0) + latency
+    return sums
 
 
 def main(argv=None) -> int:
@@ -111,6 +130,12 @@ def main(argv=None) -> int:
         print(f"  {side:<5} {rate[side]:10.2f} ops/s   ru_minflt/cycle "
               f"{min(f)} / {statistics.median(f):g} / {max(f)}   {root}")
     print(f"  ratio this/other {rate['this'] / rate['other']:.4f}")
+    fastest = {side: class_fastest(attempts[side], ops) for side in sides}
+    width = max(len(label) for label in fastest["this"])
+    for label in sorted(fastest["this"]):
+        this, other = fastest["this"][label], fastest["other"][label]
+        print(f"  class {label:<{width}}  fastest sum this {1e3 * this:9.3f} ms  "
+              f"other {1e3 * other:9.3f} ms  other/this {other / this:.4f}")
     return 0
 
 

@@ -88,7 +88,7 @@ class Propagator:
 
 
 def symplectic_form(j: ComplexStructure, hbar: float = 1.0) -> SymplecticForm:
-    if hbar <= 0.0:
+    if not 0.0 < hbar < np.inf:
         raise ValueError("hbar must be positive")
     return SymplecticForm(omega=-j.matrix / hbar, hbar=hbar)
 
@@ -144,6 +144,8 @@ def symplectic_lie_form_check(a, b, c, j: ComplexStructure, hbar: float = 1.0,
     Written with the antisymmetric generators -JA, -JB it reads
     [-JA, -JB] = -hbar J C.
     """
+    if not 0.0 < hbar < np.inf:
+        raise ValueError("hbar must be positive")
     a, b, c = (as_real_matrix(m) for m in (a, b, c))
     if not a.shape[0] == b.shape[0] == c.shape[0] == j.dim:
         raise ValueError("matrix dimension does not match the complex structure")
@@ -171,7 +173,7 @@ def _spectrum(h: Hamiltonian, j: ComplexStructure, hbar: float,
     """Each level e of a complex-linear H once, with complex eigenvectors
     X = F W in the frame F of J: the setup a time grid's propagators share.
     H is judged by `hamiltonian`, the one rule for generators."""
-    if hbar <= 0.0:
+    if not 0.0 < hbar < np.inf:
         raise ValueError("hbar must be positive")
     if not (h.complex_linear and hamiltonian(h.matrix, j, tol).complex_linear):
         raise ConstraintError("propagator requires a Hamiltonian that commutes with J")

@@ -52,7 +52,7 @@ class Tolerance:
     spectral_gap_tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.abs_tol < 0.0 or self.spectral_gap_tol < 0.0:
+        if not (self.abs_tol >= 0.0 and self.spectral_gap_tol >= 0.0):  # NaN fails too
             raise ValueError("tolerances must be nonnegative")
         if self.spectral_gap_tol < self.abs_tol:
             raise ValueError("spectral_gap_tol must be >= abs_tol")

@@ -59,7 +59,7 @@ class OscillatorParams:
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.mass <= 0.0 or self.omega <= 0.0 or self.hbar <= 0.0:
+        if not all(0.0 < v < np.inf for v in (self.mass, self.omega, self.hbar)):
             raise ValueError("mass, omega and hbar must be positive")
 
     @property
@@ -228,7 +228,7 @@ def translation_operator(pair: CanonicalPair, distance: float,
                          j: ComplexStructure, hbar: float = 1.0) -> np.ndarray:
     """exp(-(d/hbar) J p) = I + V diag(expm1(-(d/hbar) k)) V^T for J p = V diag(k) V^T,
     a translation that is symplectic but, J p being symmetric, not orthogonal for d != 0."""
-    if hbar <= 0.0:
+    if not 0.0 < hbar < np.inf:
         raise ValueError("hbar must be positive")
     if pair.dim != j.dim:
         raise ValueError("pair dimension does not match the complex structure")
@@ -249,7 +249,7 @@ def build_fermionic(xi: float, params: OscillatorParams) -> FermionicStructure:
     (hbar w / 2) J K.
     """
     xi = float(xi)
-    if xi <= 0.0:
+    if not 0.0 < xi < np.inf:
         raise ConstraintError("length must be positive")
     pair = build_canonical_pair([xi, xi], params)
     k = np.array([

@@ -245,15 +245,16 @@ def physical_density_4d(alpha: float, beta: float, gamma: float,
     alpha*beta - gamma^2 - delta^2 >= 0 (positivity); violations are
     reported with the inequality that failed.
     """
-    if abs(2.0 * (alpha + beta) - 1.0) > _PARAM_SLACK:
+    # Each test is written to fail on NaN, and so on every non-finite input.
+    if not abs(2.0 * (alpha + beta) - 1.0) <= _PARAM_SLACK:
         raise ConstraintError("trace constraint violated: "
                               f"2*(alpha+beta) = {float(2.0 * (alpha + beta))!r} != 1")
-    if alpha < -_PARAM_SLACK:
+    if not alpha >= -_PARAM_SLACK:
         raise ConstraintError(f"positivity constraint violated: alpha = {float(alpha)!r} < 0")
-    if beta < -_PARAM_SLACK:
+    if not beta >= -_PARAM_SLACK:
         raise ConstraintError(f"positivity constraint violated: beta = {float(beta)!r} < 0")
     det = alpha * beta - gamma * gamma - delta * delta
-    if det < -_PARAM_SLACK:
+    if not det >= -_PARAM_SLACK:
         raise ConstraintError("positivity constraint violated: "
                               f"alpha*beta - gamma^2 - delta^2 = {float(det)!r} < 0")
     m = np.array([

@@ -405,49 +405,40 @@ def unit_relation_residuals(space, signs):
 
 
 def ref_escape(lifted, space, tol):
-    signs = [1] * (len(space.factors) - 1)
+    units = [f.j.matrix for f in space.factors]
     limit = tol.abs_tol * frobenius(lifted)
-    l_p = _apply_projector(space.factors, signs, lifted, right=True)
-    within = frobenius(l_p - _apply_projector(space.factors, signs, lifted)) <= limit
-    across = frobenius(_apply_projector(space.factors, signs, l_p)) <= limit
+    l_p = _apply_projector(units, lifted, right=True)
+    within = frobenius(l_p - _apply_projector(units, lifted)) <= limit
+    across = frobenius(_apply_projector(units, l_p)) <= limit
     return within, across
 
 
 def escape_residuals(lifted, space):
-    signs = [1] * (len(space.factors) - 1)
-    l_p = _apply_projector(space.factors, signs, lifted, right=True)
-    return [(frobenius(l_p - _apply_projector(space.factors, signs, lifted)), frobenius(lifted)),
-            (frobenius(_apply_projector(space.factors, signs, l_p)), frobenius(lifted))]
+    units = [f.j.matrix for f in space.factors]
+    l_p = _apply_projector(units, lifted, right=True)
+    return [(frobenius(l_p - _apply_projector(units, lifted)), frobenius(lifted)),
+            (frobenius(_apply_projector(units, l_p)), frobenius(lifted))]
 
 
 def density_residuals(rho, space):
-    signs = [1] * (len(space.factors) - 1)
+    units = [f.j.matrix for f in space.factors]
     dims = [f.dim for f in space.factors]
-    rho_p = _apply_projector(space.factors, signs, rho, right=True)
-    residuals = [frobenius(rho - _apply_projector(space.factors, signs, rho)),
-                 frobenius(rho - rho_p),
-                 frobenius(rho - _apply_projector(space.factors, signs, rho_p))]
-    residuals += [frobenius(_apply_lifted(f.j.matrix, k, dims, rho, right=True)
-                            - _apply_lifted(f.j.matrix, k, dims, rho))
-                  for k, f in enumerate(space.factors)]
+    compressed = _apply_projector(units, _apply_projector(units, rho, right=True))
+    residuals = [frobenius(rho - compressed)]
+    residuals += [frobenius(_apply_lifted(j, k, dims, rho, right=True)
+                            - _apply_lifted(j, k, dims, rho))
+                  for k, j in enumerate(units)]
     return residuals
 
 
 def ref_validate(rho, space, tol):
-    signs = [1] * (len(space.factors) - 1)
+    units = [f.j.matrix for f in space.factors]
     limit = tol.abs_tol * frobenius(rho)
-
-    def unchanged(compressed):
-        return frobenius(rho - compressed) <= limit
-
-    if not unchanged(_apply_projector(space.factors, signs, rho)):
-        return False
-    rho_p = _apply_projector(space.factors, signs, rho, right=True)
-    if not (unchanged(rho_p) and unchanged(_apply_projector(space.factors, signs, rho_p))):
+    compressed = _apply_projector(units, _apply_projector(units, rho, right=True))
+    if frobenius(rho - compressed) > limit:
         return False
     dims = [f.dim for f in space.factors]
-    for k, factor in enumerate(space.factors):
-        j = factor.j.matrix
+    for k, j in enumerate(units):
         commutator = (_apply_lifted(j, k, dims, rho, right=True)
                       - _apply_lifted(j, k, dims, rho))
         if frobenius(commutator) > limit:

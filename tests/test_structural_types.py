@@ -2,16 +2,17 @@
 
 A `ComplexStructure` is a (2d, 2d), finite, antisymmetric and orthogonal
 matrix; a `FactorSpace` carries a `J` of its own complex dimension; a
-`ProductSpace` has the product of its factors' dimensions.  Each invariant
-needs no outside `J`, so a build with inconsistent fields raises ValueError
-before any verdict can be read from it.
+`ProductSpace` has two or more factors and the product of their dimensions,
+at most `MAX_PRODUCT_DIM`.  Each invariant needs no outside `J`, so a build
+with inconsistent fields raises ValueError before any verdict can be read
+from it.
 """
 
 import numpy as np
 import pytest
 
 from realqm.realify import ComplexStructure, standard_complex_structure
-from realqm.tensor import FactorSpace, ProductSpace
+from realqm.tensor import MAX_PRODUCT_DIM, FactorSpace, ProductSpace
 
 from helpers import random_structure
 
@@ -58,6 +59,15 @@ def test_inconsistent_fields_raise(seed, d, kind):
     good()
     with pytest.raises(ValueError):
         bad()
+
+
+def test_product_space_needs_two_factors_within_the_cap():
+    # Accepted, one factor made every operator "map within", and a dim-1024
+    # product allocated its dense fields past the cap.
+    with pytest.raises(ValueError, match="at least two factors"):
+        ProductSpace(factors=(FactorSpace.standard(2),), dim=4)
+    with pytest.raises(ValueError, match=f"1024 exceeds the cap {MAX_PRODUCT_DIM}"):
+        ProductSpace(factors=(FactorSpace.standard(16),) * 2, dim=1024)
 
 
 def test_identity_is_not_a_complex_structure():

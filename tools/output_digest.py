@@ -12,6 +12,14 @@ so a diff of two runs names every operation whose output changed:
     python tools/output_digest.py /path/to/other/checkout > old.txt
     diff old.txt new.txt
 
+The first lines, each starting with `#`, name what LAPACK rounding can
+depend on: the numpy version, the BLAS numpy was built with, and the CPU
+model.  `tools/output_digest.txt` is this output for the checkout it is
+committed in; `tests/test_output_digest.py` reruns the tool and compares,
+where the provenance matches.  Regenerate it after an intended change with
+
+    OPENBLAS_NUM_THREADS=1 python tools/output_digest.py > tools/output_digest.txt
+
 The operations are those of the `evolve_physical`, `check_sweep` and
 `tensor_products` workloads in `perfbench/workloads.py` at seeds 1-6, then
 the `FIXED` commands (workload `fixed`): the state kinds and `evolve` paths
@@ -102,6 +110,23 @@ FIXED = [
 ]
 
 
+def provenance() -> list[str]:
+    """The header lines: numpy, its BLAS (name and version) and the CPU model."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy before 1.26 prints its config only
+        blas = "unknown"
+    cpu = "unknown"
+    try:
+        with open("/proc/cpuinfo") as f:
+            cpu = next((line.split(":", 1)[1].strip() for line in f
+                        if line.startswith("model name")), cpu)
+    except OSError:
+        pass
+    return [f"# numpy {np.__version__}", f"# blas {blas}", f"# cpu {cpu}"]
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) > 1:
@@ -123,6 +148,7 @@ def main(argv=None) -> int:
         for fmt, blob in blobs:
             print(f"{where} {fmt} {hashlib.sha256(blob).hexdigest()}  {label}")
 
+    print("\n".join(provenance()))
     for name in WORKLOADS:
         workload = workloads.WORKLOADS[name]
         for seed in SEEDS:

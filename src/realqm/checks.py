@@ -362,8 +362,7 @@ def _check_dynamics(rng) -> list[tuple[str, float, float]]:
     d = 3
     j = realify.standard_complex_structure(d)
     # A real complex form embeds as its Kronecker product with I_2.
-    h = dynamics.Hamiltonian(matrix=np.kron(_rand_symmetric(rng, d), np.eye(2)),
-                             complex_linear=True)
+    h = dynamics.hamiltonian(np.kron(_rand_symmetric(rng, d), np.eye(2)), j)
     conj = realify.conjugation_operator(d)
     t = float(rng.uniform(-5.0, 5.0))
     worst_h = linalg.frobenius(conj @ h.matrix @ conj - h.matrix)

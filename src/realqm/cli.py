@@ -35,7 +35,7 @@ import numpy as np
 
 from . import checks, dynamics, oscillator, states
 # sym_eig is unused; perfbench's test_tracer_patches_every_binding_and_restores_them needs it.
-from .linalg import ConstraintError, Tolerance, _symmetric, sym_eig
+from .linalg import ConstraintError, Tolerance, _symmetric, _trusted, sym_eig
 from .realify import ComplexMatrixRep, embed_matrix, standard_complex_structure
 
 __all__ = ["main", "run"]
@@ -282,9 +282,10 @@ def _matrix_from_spec(doc) -> np.ndarray:
     return entries.reshape(dim, dim)
 
 
-def _state_from_spec(text: str, tol: Tolerance, need_physical: bool) -> states.StateStack:
-    """The one-row `state_stack` of a state spec: every kind is validated
-    once, by the rule and with the messages of any state."""
+def _state_from_spec(text: str, tol: Tolerance, need_physical: bool
+                     ) -> tuple[states.StateStack, states.DensityMatrix]:
+    """The one-row `state_stack` of a state spec and its state: every kind is
+    validated once, by the rule and with the messages of any state."""
     key, doc = _load_spec(text)
     if key == "physical_density":
         values = _floats(doc, "physical_density")
@@ -309,7 +310,7 @@ def _state_from_spec(text: str, tol: Tolerance, need_physical: bool) -> states.S
         raise ConstraintError(
             "state does not commute with the complex structure; "
             "pass --diagnostics to evolve it anyway")
-    return stack
+    return stack, _trusted(states.DensityMatrix, matrix=m, physical=bool(stack.physical[0]))
 
 
 def _hamiltonian_from_spec(text: str, params: oscillator.OscillatorParams,
@@ -322,9 +323,7 @@ def _hamiltonian_from_spec(text: str, params: oscillator.OscillatorParams,
         if lengths.ndim != 1 or lengths.size == 0:
             raise UsageError("oscillator spec needs a nonempty 'lengths' list")
         pair = oscillator.build_canonical_pair(lengths.tolist(), params)
-        h = oscillator.oscillator_hamiltonian(pair, params)
-        _require_finite("the oscillator Hamiltonian", h.matrix)
-        return h
+        return oscillator.oscillator_hamiltonian(pair, params)
     if key == "fermionic":
         if not isinstance(doc, dict) or "length" not in doc:
             raise UsageError("fermionic spec needs a 'length' value")
@@ -333,11 +332,10 @@ def _hamiltonian_from_spec(text: str, params: oscillator.OscillatorParams,
             raise UsageError("fermionic spec needs a single 'length' value")
         fs = oscillator.build_fermionic(float(length), params)
         _require_finite("the fermionic Hamiltonian", fs.hamiltonian)
-        return dynamics.Hamiltonian(matrix=fs.hamiltonian, complex_linear=True)
+        return dynamics.hamiltonian(fs.hamiltonian, standard_complex_structure(2), tol)
     if key == "matrix":
         m = _matrix_from_spec(doc)
-        j = standard_complex_structure(m.shape[0] // 2)
-        return dynamics.hamiltonian(m, j, tol)
+        return dynamics.hamiltonian(m, standard_complex_structure(m.shape[0] // 2), tol)
     raise UsageError(f"unknown hamiltonian spec key {key!r}")
 
 
@@ -361,9 +359,7 @@ def _cmd_spectrum(args) -> int:
             raise UsageError(f"--branch entries must be 'plus' or 'minus', got {bad[0]!r}")
     xis = oscillator.design_spectrum(targets, params, branches)
     levels = oscillator.energy_levels(xis, params)
-    pair = oscillator.build_canonical_pair(xis, params)
-    h = oscillator.oscillator_hamiltonian(pair, params)
-    _require_finite("the oscillator Hamiltonian", h.matrix)
+    h = oscillator.oscillator_hamiltonian(oscillator.build_canonical_pair(xis, params), params)
     # One row per real-side eigenvalue.  H is diagonal with level i twice on
     # block i, so its eigenvalues are its sorted diagonal, the k-th smallest
     # being the level of the k-th smallest entry; repeated targets keep their rows.
@@ -411,8 +407,7 @@ def _cmd_uncertainty(args) -> int:
 def _cmd_evolve(args) -> int:
     params = _params(args)
     tol = _tolerance(args)
-    start = _state_from_spec(args.state, tol, need_physical=not args.diagnostics)
-    rho = states.DensityMatrix(matrix=start.matrices[0], physical=bool(start.physical[0]))
+    start, rho = _state_from_spec(args.state, tol, need_physical=not args.diagnostics)
     h = _hamiltonian_from_spec(args.hamiltonian, params, tol)
     if rho.dim != h.dim:
         raise UsageError(

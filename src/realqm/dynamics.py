@@ -10,6 +10,7 @@ only complex-linear Hamiltonians are accepted as generators.  For those,
 the flow integrates exactly to rho(t) = U(t) rho(0) U(t)^T with the
 orthogonal, symplectic propagator U(t) = exp(-(t/hbar) J H), which J^2 = -I
 and [H, J] = 0 reduce to the closed form cos(tH/hbar) - J sin(tH/hbar).
+A `Hamiltonian` checks itself; only the validators set `complex_linear`.
 
 Such an H is an embedded complex Hermitean d x d matrix, diagonalised once
 in the complex frame of J, where each level appears once.  In that energy
@@ -30,10 +31,11 @@ from .linalg import (
     DEFAULT_TOL,
     ConstraintError,
     Tolerance,
+    _commutes,
     _expm,
     _symmetric,
+    _trusted,
     as_real_matrix,
-    commutes,
     frobenius,
     negligible,
 )
@@ -73,8 +75,15 @@ class SymplecticForm:
 
 @dataclass(frozen=True)
 class Hamiltonian:
+    """A finite, symmetric generator; only validators set `complex_linear`."""
+
     matrix: np.ndarray
     complex_linear: bool
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "matrix", _generator(self.matrix, DEFAULT_TOL))
+        if self.complex_linear:
+            raise ValueError("complex_linear=True is set only by hamiltonian, against a J")
 
     @property
     def dim(self) -> int:
@@ -93,14 +102,19 @@ def symplectic_form(j: ComplexStructure, hbar: float = 1.0) -> SymplecticForm:
     return SymplecticForm(omega=-j.matrix / hbar, hbar=hbar)
 
 
-def hamiltonian(matrix, j: ComplexStructure, tol: Tolerance = DEFAULT_TOL) -> Hamiltonian:
-    """Validate a symmetric generator and record whether it commutes with J."""
+def _generator(matrix, tol: Tolerance) -> np.ndarray:  # the J-free rule for generators
     m = as_real_matrix(matrix)
     if not _symmetric(m, tol):
         raise ConstraintError("Hamiltonian must be symmetric")
+    return m
+
+
+def hamiltonian(matrix, j: ComplexStructure, tol: Tolerance = DEFAULT_TOL) -> Hamiltonian:
+    """Validate a symmetric generator and record whether it commutes with J."""
+    m = _generator(matrix, tol)
     if m.shape[0] != j.dim:
         raise ValueError("matrix dimension does not match the complex structure")
-    return Hamiltonian(matrix=m, complex_linear=commutes(m, j.matrix, tol))
+    return _trusted(Hamiltonian, matrix=m, complex_linear=_commutes(m, j.matrix, tol))
 
 
 def _check_bracket_args(*args, w: SymplecticForm, tol: Tolerance) -> list[np.ndarray]:
@@ -172,10 +186,12 @@ def _spectrum(h: Hamiltonian, j: ComplexStructure, hbar: float,
               tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     """Each level e of a complex-linear H once, with complex eigenvectors
     X = F W in the frame F of J: the setup a time grid's propagators share.
-    H is judged by `hamiltonian`, the one rule for generators."""
+    H's flag is trusted only with [H, J] negligible at this J and tol."""
     if not 0.0 < hbar < np.inf:
         raise ValueError("hbar must be positive")
-    if not (h.complex_linear and hamiltonian(h.matrix, j, tol).complex_linear):
+    if h.dim != j.dim:
+        raise ValueError("matrix dimension does not match the complex structure")
+    if not (h.complex_linear and _commutes(h.matrix, j.matrix, tol)):
         raise ConstraintError("propagator requires a Hamiltonian that commutes with J")
     f = j.frame
     e, w = np.linalg.eigh(f.conj().T @ h.matrix @ f)
@@ -262,22 +278,15 @@ def evolve(rho0: DensityMatrix, h: Hamiltonian, t: float, j: ComplexStructure,
     """rho(t) = U(t) rho(0) U(t)^T, revalidated as a density matrix: the
     real-space reference at one time point.  U is orthogonal and symplectic,
     so trace, spectrum and physicality are preserved; a physical rho0 whose
-    evolved state is not physical raises ConstraintError naming t, and
-    naming rho0 too when rho0 itself is not physical, though flagged so.
-    """
+    evolved state is not physical raises ConstraintError naming t."""
     if rho0.dim != h.dim:
         raise ValueError("Hamiltonian and state dimensions differ")
     u = propagator(h, t, j, hbar, tol).u
     stack = state_stack((u @ rho0.matrix @ u.T)[np.newaxis], j, tol, [t])
     if rho0.physical and not stack.physical[0]:
-        message = f"evolved state is not physical at t = {float(t)!r}: "
-        initial = state_stack(rho0.matrix[np.newaxis], j, tol)
-        if not initial.physical[0]:
-            raise ConstraintError(message + "the initial state is flagged physical but is not, "
-                                  f"||[rho0, J]|| = {float(initial.physicality_residual[0]):.3g}")
-        raise ConstraintError(message +
+        raise ConstraintError(f"evolved state is not physical at t = {float(t)!r}: "
                               f"||[rho, J]|| = {float(stack.physicality_residual[0]):.3g}")
-    return DensityMatrix(matrix=stack.matrices[0], physical=bool(stack.physical[0]))
+    return _trusted(DensityMatrix, matrix=stack.matrices[0], physical=bool(stack.physical[0]))
 
 
 def liouville_flow(rho_matrix, h_matrix, t: float, w: SymplecticForm) -> np.ndarray:
@@ -297,10 +306,11 @@ def liouville_flow(rho_matrix, h_matrix, t: float, w: SymplecticForm) -> np.ndar
 
 def _flow_args(rho_matrix, h_matrix, w: SymplecticForm) -> tuple[np.ndarray, np.ndarray]:
     """The validated state and H Omega, shared by every time point."""
-    rho_matrix = as_real_matrix(rho_matrix)
-    h_matrix = as_real_matrix(h_matrix)
+    rho_matrix, h_matrix = as_real_matrix(rho_matrix), as_real_matrix(h_matrix)
     if rho_matrix.shape != h_matrix.shape:
         raise ValueError("Hamiltonian and state dimensions differ")
+    if h_matrix.shape[0] != w.omega.shape[0]:
+        raise ValueError("arguments do not match the symplectic form dimension")
     with np.errstate(over="ignore", invalid="ignore"):
         return rho_matrix, h_matrix @ w.omega
 
@@ -326,6 +336,8 @@ def liouville_grid(rho_matrix, h_matrix, times, j: ComplexStructure, w: Symplect
     not to be states.  The arguments are validated and H Omega formed once,
     up front.  Diagnostics only."""
     rho_matrix, h_omega = _flow_args(rho_matrix, h_matrix, w)
+    if rho_matrix.shape[0] != j.dim:
+        raise ValueError("matrix dimension does not match the complex structure")
     times = np.asarray(times, dtype=float).reshape(-1)
 
     def blocks():

@@ -90,16 +90,21 @@ def frobenius(a: np.ndarray) -> float:
     return float(big * math.sqrt(r.dot(r)))
 
 
-def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
+def _trusted(cls, **fields):  # cls(**fields) without __post_init__: a validator's result
+    value = object.__new__(cls)
+    value.__dict__.update(fields)
+    return value
+
+
+def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:  # both validated, of one shape
+    a, b = as_real_matrix(a), as_real_matrix(b)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    return a, b
 
 
 def matmul(a, b) -> np.ndarray:
-    a = as_real_matrix(a)
-    b = as_real_matrix(b)
-    _check_same_dim(a, b)
-    return a @ b
+    return np.matmul(*_pair(a, b))
 
 
 def negligible(residual, scale, tol: Tolerance = DEFAULT_TOL):
@@ -124,16 +129,15 @@ def is_antisymmetric(a, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 
 def commutes(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
-    a = as_real_matrix(a)
-    b = as_real_matrix(b)
-    _check_same_dim(a, b)
+    return _commutes(*_pair(a, b), tol)
+
+
+def _commutes(a: np.ndarray, b: np.ndarray, tol: Tolerance) -> bool:  # validated, one shape
     return negligible(frobenius(a @ b - b @ a), frobenius(a) * frobenius(b), tol)
 
 
 def anticommutes(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
-    a = as_real_matrix(a)
-    b = as_real_matrix(b)
-    _check_same_dim(a, b)
+    a, b = _pair(a, b)
     return negligible(frobenius(a @ b + b @ a), frobenius(a) * frobenius(b), tol)
 
 

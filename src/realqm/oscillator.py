@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Hamiltonian
-from .linalg import ConstraintError, sym_eig
+from .linalg import ConstraintError, _trusted, sym_eig
 from .realify import ComplexStructure, standard_complex_structure
 from .states import physical_density_4d
 
@@ -139,10 +139,13 @@ def build_canonical_pair(xis, params: OscillatorParams) -> CanonicalPair:
 
 def oscillator_hamiltonian(pair: CanonicalPair, params: OscillatorParams) -> Hamiltonian:
     """p^2/(2m) + m w^2 x^2 / 2: diagonal, and commutes with J even though
-    x and p individually anticommute with it."""
-    m = pair.p @ pair.p / (2.0 * params.mass)
-    m = m + 0.5 * params.mass * (params.omega * params.omega) * (pair.x @ pair.x)
-    return Hamiltonian(matrix=m, complex_linear=True)
+    x and p individually anticommute with it.  Overflow raises ConstraintError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = pair.p @ pair.p / (2.0 * params.mass)
+        m = m + 0.5 * params.mass * (params.omega * params.omega) * (pair.x @ pair.x)
+    if not np.isfinite(m).all():
+        raise ConstraintError("the oscillator Hamiltonian is not finite at these parameters")
+    return _trusted(Hamiltonian, matrix=m, complex_linear=True)
 
 
 def energy_levels(xis, params: OscillatorParams) -> np.ndarray:

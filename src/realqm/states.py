@@ -5,7 +5,8 @@ positive-semidefinite, unit-trace matrices; the *physical* ones are those
 that additionally commute with the complex structure J.  Physical states
 are the images of complex-theory density matrices under embedding followed
 by division by two (the real trace doubles), so they never have an
-eigenvalue above 1/2 and there are no pure states among them.
+eigenvalue above 1/2 and there are no pure states among them.  A
+`DensityMatrix` checks itself; only the validators set its `physical` flag.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .linalg import (
     Tolerance,
     _eigh,
     _symmetric,
+    _trusted,
     as_real_matrix,
     commutes,
     frobenius,
@@ -53,15 +55,20 @@ _PARAM_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Validated state: symmetric, PSD within 1e-10, unit trace within 1e-10.
+    """A state: finite, symmetric, PSD within 1e-10, unit trace within 1e-10.
 
-    `physical` records whether the state commutes with the complex structure
-    it was validated against; only physical states correspond to states of
-    the complex theory.
+    `physical` records whether it commutes with the J it was validated against
+    (only physical states correspond to states of the complex theory), so only
+    validators set it, through `linalg._trusted`; a direct build has no J.
     """
 
     matrix: np.ndarray
     physical: bool
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "matrix", density_matrix(self.matrix).matrix)
+        if self.physical:
+            raise ValueError("physical=True is set only by density_matrix, against a J")
 
     @property
     def dim(self) -> int:
@@ -106,10 +113,8 @@ def density_matrix(matrix, j: ComplexStructure | None = None,
     `state_stack`, on a stack of one.
     """
     m = as_real_matrix(matrix)
-    if j is not None and m.shape[0] != j.dim:
-        raise ValueError("matrix dimension does not match the complex structure")
     stack = state_stack(m[np.newaxis], j, tol)
-    return DensityMatrix(matrix=m, physical=bool(stack.physical[0]))
+    return _trusted(DensityMatrix, matrix=m, physical=bool(stack.physical[0]))
 
 
 @dataclass(frozen=True)
@@ -144,6 +149,8 @@ def state_stack(matrices, j: ComplexStructure | None = None, tol: Tolerance = DE
     m = np.asarray(matrices, dtype=float)
     if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[1] < 1:
         raise ValueError(f"expected a (T, n, n) stack of matrices, got shape {m.shape}")
+    if j is not None and m.shape[1] != j.dim:
+        raise ValueError("matrix dimension does not match the complex structure")
     what = "density matrix" if density else "flowed matrix"
     where = (lambda k: "") if times is None else (lambda k: f" at t = {float(times[k])!r}")
     finite = np.isfinite(m).all(axis=(1, 2))
@@ -263,7 +270,7 @@ def physical_density_4d(alpha: float, beta: float, gamma: float,
         [gamma, -delta, beta, 0.0],
         [delta, gamma, 0.0, beta],
     ])
-    return DensityMatrix(matrix=m, physical=True)
+    return _trusted(DensityMatrix, matrix=m, physical=True)
 
 
 def are_orthogonal_states(rho1: DensityMatrix, rho2: DensityMatrix,

@@ -21,7 +21,10 @@ import realqm.linalg
 from realqm import cli
 from realqm.dynamics import (
     Hamiltonian,
+    hamiltonian,
     jacobi_residual,
+    liouville_flow,
+    liouville_grid,
     liouville_rhs,
     poisson_bracket,
     symplectic_form,
@@ -35,7 +38,7 @@ from realqm.oscillator import (
     oscillator_hamiltonian,
 )
 from realqm.realify import standard_complex_structure
-from realqm.states import DensityMatrix
+from realqm.states import density_matrix, state_stack
 
 from helpers import rand_physical, rand_symmetric
 
@@ -114,8 +117,8 @@ class TestLiouvilleRhs:
             assert np.array_equal(liouville_rhs(h, rho, w), expected)
 
     def test_symplectic_form_of_another_dimension(self):
-        h = Hamiltonian(matrix=np.eye(4), complex_linear=True)
-        rho = DensityMatrix(matrix=np.eye(4) / 4.0, physical=True)
+        h = hamiltonian(np.eye(4), standard_complex_structure(2))
+        rho = density_matrix(np.eye(4) / 4.0, standard_complex_structure(2))
         with pytest.raises(ValueError,
                            match="arguments do not match the symplectic form dimension"):
             liouville_rhs(h, rho, form(3))
@@ -128,6 +131,25 @@ def test_lie_form_check_dimension_mismatch():
         with pytest.raises(ValueError,
                            match="matrix dimension does not match the complex structure"):
             symplectic_lie_form_check(*args, j)
+
+
+RHO4, H4 = np.eye(4) / 4.0, np.diag([1.0, 1.0, 2.0, 2.0])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: liouville_flow(RHO4, H4, 0.5, form(3)),
+     "arguments do not match the symplectic form dimension"),
+    (lambda: liouville_grid(RHO4, H4, [0.0, 0.5], standard_complex_structure(2), form(3)),
+     "arguments do not match the symplectic form dimension"),
+    (lambda: liouville_grid(RHO4, H4, [0.0, 0.5], standard_complex_structure(3), form(2)),
+     "matrix dimension does not match the complex structure"),
+    (lambda: state_stack(RHO4[np.newaxis], standard_complex_structure(3)),
+     "matrix dimension does not match the complex structure"),
+], ids=["flow_form", "grid_form", "grid_structure", "stack_structure"])
+def test_flow_and_stack_dimension_mismatch(call, message):
+    # Each raised numpy's matmul error; the grid raises before its first block.
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 @SETTINGS

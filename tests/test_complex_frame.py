@@ -81,8 +81,8 @@ def test_evolution_is_covariant_under_a_rotated_structure(phase):
 def test_asymmetric_complex_linear_hamiltonian_is_rejected():
     rng = np.random.default_rng(SEED + 2)
     j = standard_complex_structure(2)
-    h = Hamiltonian(matrix=embed_c(rand_complex(rng, 2)), complex_linear=True)
     with pytest.raises(ValueError, match="symmetric"):
+        h = Hamiltonian(matrix=embed_c(rand_complex(rng, 2)), complex_linear=True)
         propagator(h, 1.0, j)
 
 

@@ -26,7 +26,7 @@ from realqm.oscillator import (
     uncertainty_product,
 )
 from realqm.realify import standard_complex_structure
-from realqm.states import DensityMatrix, physical_density_4d
+from realqm.states import density_matrix, physical_density_4d
 
 NAN, INF = float("nan"), float("inf")
 NON_FINITE = [NAN, INF, -INF]
@@ -98,7 +98,7 @@ def test_propagator(hbar):
     with pytest.raises(ValueError, match="hbar must be positive"):
         propagator(h, 0.5, J2, hbar=hbar)
     # The time grid shares the propagator's setup, and its guard.
-    rho = DensityMatrix(matrix=np.eye(4) / 4.0, physical=True)
+    rho = density_matrix(np.eye(4) / 4.0, J2)
     with pytest.raises(ValueError, match="hbar must be positive"):
         next(expectation_grid(rho, h, [np.eye(4)], np.array([0.0, 1.0]), J2, hbar=hbar))
 

@@ -75,6 +75,15 @@ class TestHamiltonianAndLevels:
         assert np.linalg.norm(pair.x @ j - j @ pair.x) > 1.0
         assert h.complex_linear
 
+    @pytest.mark.parametrize("xi, omega", [(1e200, 1.0), (1e-200, 1.0), (1.0, 1e160)])
+    def test_hamiltonian_that_overflows_is_a_domain_error(self, xi, omega):
+        # Its flag is trusted, so the build itself refuses an H that is not finite.
+        params = OscillatorParams(omega=omega)
+        pair = build_canonical_pair([xi, 1.0], params)
+        with pytest.raises(ConstraintError, match="^the oscillator Hamiltonian is not "
+                                                  "finite at these parameters$"):
+            oscillator_hamiltonian(pair, params)
+
     def test_levels_formula(self):
         params = OscillatorParams()
         assert energy_levels([1.0], params)[0] == pytest.approx(0.625, abs=1e-15)

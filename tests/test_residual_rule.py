@@ -316,9 +316,10 @@ class TestStates:
     def test_orthogonal_states(self, size):
         rng = np.random.default_rng(SEED + 7)
         q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-        r1 = size * q[:, :2] @ np.diag([0.7, 0.3]) @ q[:, :2].T
+        # A state has unit trace, so `size` scales the overlap of the supports.
+        r1 = q[:, :2] @ np.diag([0.7, 0.3]) @ q[:, :2].T
         r2 = q[:, 2:5] @ np.diag([0.5, 0.3, 0.2]) @ q[:, 2:5].T
-        r2 = r2 + 1e-8 * (q[:, :1] @ q[:, 2:3].T + q[:, 2:3] @ q[:, :1].T)
+        r2 = r2 + size * 1e-8 * (q[:, :1] @ q[:, 2:3].T + q[:, 2:3] @ q[:, :1].T)
         s1, s2 = DensityMatrix(r1, physical=False), DensityMatrix(r2, physical=False)
         scale = frobenius(r1) * frobenius(r2)
         pairs = [(frobenius(r1 @ r2), scale), (frobenius(r2 @ r1), scale)]

@@ -3,18 +3,28 @@
 A `ComplexStructure` is a (2d, 2d), finite, antisymmetric and orthogonal
 matrix; a `FactorSpace` carries a `J` of its own complex dimension; a
 `ProductSpace` has two or more factors and the product of their dimensions,
-at most `MAX_PRODUCT_DIM`.  Each invariant needs no outside `J`, so a build
-with inconsistent fields raises ValueError before any verdict can be read
-from it.
+at most `MAX_PRODUCT_DIM`.  A `DensityMatrix` is a finite, symmetric, PSD,
+unit-trace matrix and a `Hamiltonian` a finite, symmetric one; their flags
+(`physical`, `complex_linear`) are verdicts against a `J`, so only the
+validators set them, through `linalg._trusted`.  Each invariant needs no
+outside `J`, so a build with inconsistent fields raises ValueError before
+any verdict can be read from it.
 """
+
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import realqm
+from realqm import dynamics, linalg, states
+from realqm.dynamics import Hamiltonian
 from realqm.realify import ComplexStructure, standard_complex_structure
+from realqm.states import DensityMatrix
 from realqm.tensor import MAX_PRODUCT_DIM, FactorSpace, ProductSpace
 
-from helpers import random_structure
+from helpers import random_structure, run_cli
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -22,11 +32,41 @@ from hypothesis import strategies as st  # noqa: E402
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=120)
 
-KINDS = ("size", "scaled", "perturbed", "symmetric", "non_finite", "factor", "product")
+VALUE_KINDS = ("non_finite", "non_square", "asymmetric", "flag")
+KINDS = ("size", "scaled", "perturbed", "symmetric", "non_finite", "factor", "product",
+         *(f"state_{k}" for k in (*VALUE_KINDS, "off_trace", "negative")),
+         *(f"generator_{k}" for k in VALUE_KINDS))
+
+
+def value_builds(rng, n, kind):
+    """A consistent direct build of a state or generator and an inconsistent one."""
+    cls, kind = kind.split("_", 1)
+    cls = DensityMatrix if cls == "state" else Hamiltonian
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    # A state's spectrum is a probability vector; any symmetric matrix generates.
+    weights = rng.standard_normal(n) if cls is Hamiltonian else rng.dirichlet(np.ones(n))
+    good = (q * weights) @ q.T
+    bad = good.copy()
+    if kind == "non_finite":
+        bad[tuple(rng.integers(0, n, size=2))] = rng.choice([np.nan, np.inf, -np.inf])
+    elif kind == "non_square":
+        bad = bad[:, :-1]
+    elif kind == "asymmetric":
+        g = rng.standard_normal((n, n))
+        bad += 1e-6 * (g - g.T)
+    elif kind == "off_trace":
+        bad *= rng.choice([rng.uniform(0.1, 0.9), rng.uniform(1.1, 3.0)])
+    elif kind == "negative":  # unit trace, one eigenvalue well below -1e-10
+        low = rng.uniform(1e-6, 0.5)
+        weights = np.concatenate([[-low], weights[1:] * (1.0 + low) / weights[1:].sum()])
+        bad = (q * weights) @ q.T
+    return lambda: cls(good, False), lambda: cls(bad, kind == "flag")
 
 
 def builds(rng, d, kind):
     """A consistent build of the `kind`'s type and an inconsistent one."""
+    if kind.startswith(("state_", "generator_")):
+        return value_builds(rng, 2 * d, kind)
     j = random_structure(rng, d)
     other = d + int(rng.integers(1, 3))
     if kind == "factor":
@@ -85,3 +125,37 @@ def test_list_matrix_is_stored_as_an_array():
     j = ComplexStructure(d=1, matrix=[[0, -1], [1, 0]])
     assert isinstance(j.matrix, np.ndarray) and j.matrix.dtype == float
     np.testing.assert_array_equal(j.matrix, standard_complex_structure(1).matrix)
+
+
+def test_flagged_values_are_built_by_validators_and_judged_once(monkeypatch, capsys):
+    src = Path(realqm.__file__).parent
+    hits = [(path.name, line) for path in sorted(src.glob("*.py"))
+            for line in path.read_text().splitlines()
+            if re.search(r"\b(DensityMatrix|Hamiltonian)\(", line)]
+    assert hits == []
+    seen = []
+
+    def spy(module, name, before="", after=""):
+        original = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            seen.append(before or name)
+            try:
+                return original(*args, **kwargs)
+            finally:
+                if after:
+                    seen.append(after)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    spy(dynamics, "hamiltonian")
+    for module in (linalg, dynamics, states):
+        spy(module, "as_real_matrix")
+    spy(dynamics, "_spectrum", before="enter", after="leave")
+    code, _, err = run_cli(
+        capsys, "evolve", "--state", '{"physical_density": [0.25, 0.25, 0.1, 0.05]}',
+        "--hamiltonian", '{"matrix": {"dim": 4, "entries": '
+        '[1,0,0,0, 0,1,0,0, 0,0,2,0, 0,0,0,2]}}')
+    assert code == 0, err
+    assert seen.count("hamiltonian") == 1
+    assert seen[seen.index("enter"):seen.index("leave")] == ["enter"]

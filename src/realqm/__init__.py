@@ -54,7 +54,6 @@ from .oscillator import (
     uncertainty_product,
 )
 from .realify import (
-    ComplexMatrixRep,
     ComplexStructure,
     GeneratorSpaceRanks,
     LinearAntilinearSplit,

@@ -62,7 +62,7 @@ def _rand_physical_density(rng, d: int) -> states.DensityMatrix:
     g = _rand_complex(rng, d)
     rho_c = g @ g.conj().T
     rho_c = rho_c / np.trace(rho_c).real
-    return states.physical_from_complex(realify.ComplexMatrixRep.from_complex(rho_c))
+    return states.physical_from_complex(rho_c)
 
 
 def _rand_state_params_4d(rng, n: int) -> tuple[np.ndarray, ...]:
@@ -179,10 +179,9 @@ def _check_realify(rng) -> list[tuple[str, float, float]]:
                 e = np.zeros((2 * d, 2 * d))
                 e[r, c] = 1.0
                 basis.append(e)
-        plus_rank = realify.matrix_set_rank(
-            [realify.split_linear_antilinear(e, j).plus for e in basis])
-        minus_rank = realify.matrix_set_rank(
-            [realify.split_linear_antilinear(e, j).minus for e in basis])
+        splits = [realify.split_linear_antilinear(e, j) for e in basis]
+        plus_rank = realify.matrix_set_rank([s.plus for s in splits])
+        minus_rank = realify.matrix_set_rank([s.minus for s in splits])
         residual = abs(plus_rank - 2 * d * d) + abs(minus_rank - 2 * d * d)
         out.append((f"split_subspace_ranks_d{d}", float(residual), 0.0))
         ranks = realify.generator_space_ranks(j)
@@ -196,11 +195,11 @@ def _check_realify(rng) -> list[tuple[str, float, float]]:
         for _ in range(4):
             a = _rand_complex(rng, d)
             b = _rand_complex(rng, d)
-            ea = realify.embed_matrix(realify.ComplexMatrixRep.from_complex(a))
-            eb = realify.embed_matrix(realify.ComplexMatrixRep.from_complex(b))
-            eab = realify.embed_matrix(realify.ComplexMatrixRep.from_complex(a @ b))
+            ea = realify.embed_matrix(a)
+            eb = realify.embed_matrix(b)
+            eab = realify.embed_matrix(a @ b)
             worst_hom = max(worst_hom, linalg.frobenius(eab - ea @ eb))
-            ead = realify.embed_matrix(realify.ComplexMatrixRep.from_complex(a.conj().T))
+            ead = realify.embed_matrix(a.conj().T)
             worst_adj = max(worst_adj, linalg.frobenius(ead - ea.T))
     out.append(("embed_homomorphism", worst_hom, 1e-10))
     out.append(("embed_adjoint", worst_adj, 1e-12))
@@ -209,8 +208,7 @@ def _check_realify(rng) -> list[tuple[str, float, float]]:
     for d in (1, 2, 3):
         j = realify.standard_complex_structure(d)
         for _ in range(4):
-            u = realify.embed_matrix(
-                realify.ComplexMatrixRep.from_complex(_rand_unitary(rng, d)))
+            u = realify.embed_matrix(_rand_unitary(rng, d))
             flags = realify.classify(u, j)
             if not (flags.orthogonal and flags.symplectic and flags.complex_linear):
                 misclassified += 1
@@ -268,16 +266,15 @@ def _check_states(rng) -> list[tuple[str, float, float]]:
         rho_c = g @ g.conj().T
         rho_c = rho_c / np.trace(rho_c).real
         a_c = _rand_hermitean(rng, d)
-        rho_r = states.physical_from_complex(realify.ComplexMatrixRep.from_complex(rho_c))
-        a_r = realify.embed_matrix(realify.ComplexMatrixRep.from_complex(a_c))
+        rho_r = states.physical_from_complex(rho_c)
+        a_r = realify.embed_matrix(a_c)
         worst = max(worst, abs(
             states.expectation(rho_r, a_r) - float(np.trace(rho_c @ a_c).real)))
     out.append(("trace_correspondence", worst, 1e-10))
 
     odd_clusters = 0
     for d in (2, 3, 4):
-        a_r = realify.embed_matrix(
-            realify.ComplexMatrixRep.from_complex(_rand_hermitean(rng, d)))
+        a_r = realify.embed_matrix(_rand_hermitean(rng, d))
         decomp = states.spectral_decompose(a_r)
         for proj in decomp.projectors:
             if round(float(np.trace(proj))) % 2 != 0:
@@ -298,8 +295,7 @@ def _check_states(rng) -> list[tuple[str, float, float]]:
     for _ in range(3):
         d = 3
         j = realify.standard_complex_structure(d)
-        a_r = realify.embed_matrix(
-            realify.ComplexMatrixRep.from_complex(_rand_hermitean(rng, d)))
+        a_r = realify.embed_matrix(_rand_hermitean(rng, d))
         decomp = states.spectral_decompose(a_r)
         _, vecs = linalg.sym_eig(a_r)
         v = vecs[:, 0]
@@ -341,8 +337,7 @@ def _check_dynamics(rng) -> list[tuple[str, float, float]]:
         d = int(rng.integers(2, 5))
         j = realify.standard_complex_structure(d)
         h_c = _rand_hermitean(rng, d)
-        h = dynamics.hamiltonian(
-            realify.embed_matrix(realify.ComplexMatrixRep.from_complex(h_c)), j)
+        h = dynamics.hamiltonian(realify.embed_matrix(h_c), j)
         t = 50.0 / max(1.0, linalg.frobenius(h.matrix))
         u = dynamics.propagator(h, t, j).u
         eye = np.eye(2 * d)
@@ -471,8 +466,7 @@ def _check_tensor(rng) -> list[tuple[str, float, float]]:
     p_plus = space.physical_projector
     worst_escape = linalg.frobenius(p_plus @ lifted_x @ p_plus)
     h_c = _rand_hermitean(rng, 2)
-    lifted_h = tensor.lift_operator(
-        realify.embed_matrix(realify.ComplexMatrixRep.from_complex(h_c)), 1, space)
+    lifted_h = tensor.lift_operator(realify.embed_matrix(h_c), 1, space)
     worst_within = linalg.frobenius(lifted_h @ p_plus - p_plus @ lifted_h)
     out.append(("antilinear_lift_escapes", worst_escape, 1e-10))
     out.append(("linear_lift_stays", worst_within, 1e-10))

@@ -36,7 +36,7 @@ import numpy as np
 from . import checks, dynamics, oscillator, states
 # sym_eig is unused; perfbench's test_tracer_patches_every_binding_and_restores_them needs it.
 from .linalg import ConstraintError, Tolerance, _symmetric, _trusted, sym_eig
-from .realify import ComplexMatrixRep, embed_matrix, standard_complex_structure
+from .realify import embed_matrix, standard_complex_structure
 
 __all__ = ["main", "run"]
 
@@ -300,7 +300,9 @@ def _state_from_spec(text: str, tol: Tolerance, need_physical: bool
         if re.ndim != 2 or re.shape[0] != re.shape[1] or im.shape != re.shape:
             raise UsageError("complex_density 're' and 'im' must be square arrays "
                              f"of one shape, got {re.shape} and {im.shape}")
-        m = embed_matrix(ComplexMatrixRep(re=re, im=im)) / 2.0  # as in physical_from_complex
+        rho_c = re.astype(complex)  # not re + 1j * im, which turns a -0.0 in re into 0.0
+        rho_c.imag = im
+        m = embed_matrix(rho_c) / 2.0  # as in physical_from_complex
     elif key == "matrix":
         m = _matrix_from_spec(doc)
     else:

@@ -278,12 +278,17 @@ def evolve(rho0: DensityMatrix, h: Hamiltonian, t: float, j: ComplexStructure,
     """rho(t) = U(t) rho(0) U(t)^T, revalidated as a density matrix: the
     real-space reference at one time point.  U is orthogonal and symplectic,
     so trace, spectrum and physicality are preserved; a physical rho0 whose
-    evolved state is not physical raises ConstraintError naming t."""
+    evolved state is not physical raises ConstraintError naming rho0 when it
+    does not commute with this J (its flag was judged against another), else
+    naming t."""
     if rho0.dim != h.dim:
         raise ValueError("Hamiltonian and state dimensions differ")
     u = propagator(h, t, j, hbar, tol).u
     stack = state_stack((u @ rho0.matrix @ u.T)[np.newaxis], j, tol, [t])
     if rho0.physical and not stack.physical[0]:
+        if not _commutes(rho0.matrix, j.matrix, tol):
+            raise ConstraintError("the initial state does not commute with this complex "
+                                  "structure (it was judged physical against another)")
         raise ConstraintError(f"evolved state is not physical at t = {float(t)!r}: "
                               f"||[rho, J]|| = {float(stack.physicality_residual[0]):.3g}")
     return _trusted(DensityMatrix, matrix=stack.matrices[0], physical=bool(stack.physical[0]))

@@ -65,7 +65,10 @@ _TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)
 
 def as_real_matrix(a) -> np.ndarray:
     """Validate and return `a` as a square float64 matrix with finite entries."""
-    m = np.asarray(a, dtype=float)
+    return _square_finite(np.asarray(a, dtype=float))
+
+
+def _square_finite(m: np.ndarray) -> np.ndarray:  # as_real_matrix's checks, of any dtype
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] < 1:

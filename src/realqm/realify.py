@@ -5,6 +5,7 @@ with interleaved coordinates (re_1, im_1, re_2, im_2, ...).  In that layout
 multiplication by i becomes the block-diagonal complex structure J built
 from 2x2 blocks [[0, -1], [1, 0]], and every complex d x d matrix embeds as
 the real 2d x 2d matrix whose (j, k) block is [[re, -im], [im, re]].
+Complex vectors and matrices are plain numpy complex arrays on both sides.
 
 Real matrices that commute with J are exactly the embedded (complex-linear)
 ones; matrices that anticommute with J are antilinear, i.e. conjugation
@@ -25,6 +26,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _square_finite,
     as_real_matrix,
     commutes,
     frobenius,
@@ -32,7 +34,6 @@ from .linalg import (
 )
 
 __all__ = [
-    "ComplexMatrixRep",
     "ComplexStructure",
     "LinearAntilinearSplit",
     "OperatorFlags",
@@ -50,34 +51,6 @@ __all__ = [
 ]
 
 _RANK_SV_THRESHOLD = 1e-8
-
-
-@dataclass(frozen=True)
-class ComplexMatrixRep:
-    """A complex d x d matrix held as separate real and imaginary parts."""
-
-    re: np.ndarray
-    im: np.ndarray
-
-    def __post_init__(self) -> None:
-        re = as_real_matrix(self.re)
-        im = as_real_matrix(self.im)
-        if re.shape != im.shape:
-            raise ValueError("re and im must have the same shape")
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
-
-    @property
-    def d(self) -> int:
-        return self.re.shape[0]
-
-    @classmethod
-    def from_complex(cls, a) -> "ComplexMatrixRep":
-        a = np.asarray(a, dtype=complex)
-        return cls(re=a.real.copy(), im=a.imag.copy())
-
-    def to_complex(self) -> np.ndarray:
-        return self.re + 1j * self.im
 
 
 @dataclass(frozen=True)
@@ -152,31 +125,35 @@ def embed_vector(psi) -> np.ndarray:
     return out
 
 
-def embed_matrix(a: ComplexMatrixRep) -> np.ndarray:
+def embed_matrix(a) -> np.ndarray:
     """Embed a complex matrix entrywise as 2x2 blocks [[re, -im], [im, re]].
 
-    The embedding is an algebra homomorphism (products map to products) and
+    `a` is validated as `as_real_matrix` validates a real one, with its
+    messages; a real array is a complex one with zero imaginary part.  The
+    embedding is an algebra homomorphism (products map to products) and
     sends the Hermitean conjugate to the transpose; its image is exactly the
     set of real matrices commuting with the standard complex structure.
     """
-    out = np.zeros((2 * a.d, 2 * a.d))
-    out[0::2, 0::2] = a.re
-    out[1::2, 1::2] = a.re
-    out[0::2, 1::2] = -a.im
-    out[1::2, 0::2] = a.im
+    a = _square_finite(np.asarray(a, dtype=complex))
+    out = np.empty((2 * a.shape[0], 2 * a.shape[0]))
+    out[0::2, 0::2] = out[1::2, 1::2] = a.real
+    out[0::2, 1::2] = -a.imag
+    out[1::2, 0::2] = a.imag
     return out
 
 
-def extract_matrix(a, j: ComplexStructure, tol: Tolerance = DEFAULT_TOL) -> ComplexMatrixRep:
-    """Invert `embed_matrix`; rejects input that does not commute with J."""
+def extract_matrix(a, j: ComplexStructure, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Invert `embed_matrix` to a complex d x d array; rejects input that
+    does not commute with J."""
     a = as_real_matrix(a)
     if a.shape[0] != j.dim:
         raise ValueError("matrix dimension does not match the complex structure")
     if not commutes(a, j.matrix, tol):
         raise ValueError("matrix is not complex linear (does not commute with J)")
-    re = (a[0::2, 0::2] + a[1::2, 1::2]) / 2.0
-    im = (a[1::2, 0::2] - a[0::2, 1::2]) / 2.0
-    return ComplexMatrixRep(re=re, im=im)
+    out = np.empty((j.d, j.d), dtype=complex)
+    out.real = (a[0::2, 0::2] + a[1::2, 1::2]) / 2.0
+    out.imag = (a[1::2, 0::2] - a[0::2, 1::2]) / 2.0
+    return out
 
 
 def split_linear_antilinear(a, j: ComplexStructure) -> LinearAntilinearSplit:

@@ -28,7 +28,7 @@ from .linalg import (
     negligible,
     sym_eig,  # unused; perfbench's test_tracer_patches_every_binding_and_restores_them needs it
 )
-from .realify import ComplexMatrixRep, ComplexStructure, embed_matrix, standard_complex_structure
+from .realify import ComplexStructure, embed_matrix, standard_complex_structure
 
 __all__ = [
     "DensityMatrix",
@@ -230,9 +230,8 @@ def measurement_statistics(rho: DensityMatrix, a,
     return MeasurementStatistics(outcomes=outcomes, mean=mean, variance=var)
 
 
-def physical_from_complex(rho_c: ComplexMatrixRep,
-                          tol: Tolerance = DEFAULT_TOL) -> DensityMatrix:
-    """Embed a complex density matrix and halve it.
+def physical_from_complex(rho_c, tol: Tolerance = DEFAULT_TOL) -> DensityMatrix:
+    """Embed a complex density matrix (a complex array-like) and halve it.
 
     The real trace of an embedded matrix is twice the complex one, so the
     complex state rho corresponds to the real state rho/2.  That image is
@@ -241,7 +240,8 @@ def physical_from_complex(rho_c: ComplexMatrixRep,
     eigenvalue reported is half that of rho.  The image commutes with J by
     construction and has no eigenvalue above 1/2.
     """
-    return density_matrix(embed_matrix(rho_c) / 2.0, standard_complex_structure(rho_c.d), tol)
+    m = embed_matrix(rho_c) / 2.0
+    return density_matrix(m, standard_complex_structure(m.shape[0] // 2), tol)
 
 
 def physical_density_4d(alpha: float, beta: float, gamma: float,

@@ -7,12 +7,7 @@ test that seeds its generator sees the same values wherever it draws them.
 import numpy as np
 
 from realqm.cli import main
-from realqm.realify import (
-    ComplexMatrixRep,
-    ComplexStructure,
-    embed_matrix,
-    standard_complex_structure,
-)
+from realqm.realify import ComplexStructure, standard_complex_structure
 from realqm.states import physical_from_complex
 
 
@@ -33,7 +28,7 @@ def rand_unitary(rng, d):
 def rand_physical(rng, d):
     g = rand_complex(rng, d)
     rho = g @ g.conj().T
-    return physical_from_complex(ComplexMatrixRep.from_complex(rho / np.trace(rho).real))
+    return physical_from_complex(rho / np.trace(rho).real)
 
 
 def rand_symmetric(rng, n):
@@ -49,10 +44,6 @@ def rand_state_params(rng, n=None):
     radius = np.sqrt(rng.random(n) * alpha * beta)
     angle = 2.0 * np.pi * rng.random(n)
     return alpha, beta, radius * np.cos(angle), radius * np.sin(angle)
-
-
-def embed_c(a):
-    return embed_matrix(ComplexMatrixRep.from_complex(a))
 
 
 def random_structure(rng, d):

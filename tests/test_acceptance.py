@@ -28,6 +28,7 @@ from realqm.oscillator import (
 )
 from realqm.realify import (
     classify,
+    embed_matrix,
     generator_space_ranks,
     matrix_set_rank,
     split_linear_antilinear,
@@ -47,7 +48,6 @@ from realqm.tensor import (
 )
 
 from helpers import (
-    embed_c,
     rand_complex,
     rand_hermitean,
     rand_physical,
@@ -72,9 +72,9 @@ def test_criterion_01_realification_homomorphism():
         for _ in range(25):
             a = rand_complex(rng, d)
             b = rand_complex(rng, d)
-            ea, eb = embed_c(a), embed_c(b)
-            worst = max(worst, np.linalg.norm(embed_c(a @ b) - ea @ eb))
-            worst = max(worst, np.linalg.norm(embed_c(a.conj().T) - ea.T))
+            ea, eb = embed_matrix(a), embed_matrix(b)
+            worst = max(worst, np.linalg.norm(embed_matrix(a @ b) - ea @ eb))
+            worst = max(worst, np.linalg.norm(embed_matrix(a.conj().T) - ea.T))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-10 and elapsed < 1.0
     report(1, ok, f"100 pairs, worst residual {worst:.2e}, {elapsed:.3f}s")
@@ -114,7 +114,7 @@ def test_criterion_03_group_characterization():
     for d in (1, 2, 3, 4):
         j = standard_complex_structure(d)
         for _ in range(10):
-            flags = classify(embed_c(rand_unitary(rng, d)), j)
+            flags = classify(embed_matrix(rand_unitary(rng, d)), j)
             classified = classified and flags.orthogonal and flags.symplectic \
                 and flags.complex_linear
     ranks_ok = True
@@ -143,7 +143,7 @@ def test_criterion_04_spectral_statistics():
                                - float(probs @ (vals - stats.mean) ** 2)))
     even_ok = True
     for d in (2, 3, 4):
-        a = embed_c(rand_hermitean(rng, d))
+        a = embed_matrix(rand_hermitean(rng, d))
         for proj in spectral_decompose(a).projectors:
             even_ok = even_ok and round(float(np.trace(proj))) % 2 == 0
     ok = worst <= 1e-10 and even_ok
@@ -190,7 +190,7 @@ def test_criterion_07_propagator_invariants():
     for _ in range(10):
         d = int(rng.integers(2, 5))
         j = standard_complex_structure(d)
-        h = hamiltonian(embed_c(rand_hermitean(rng, d)), j)
+        h = hamiltonian(embed_matrix(rand_hermitean(rng, d)), j)
         t = rng.uniform(-50.0, 50.0) / max(1.0, np.linalg.norm(h.matrix))
         u = propagator(h, t, j).u
         worst_u = max(worst_u,

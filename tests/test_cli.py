@@ -8,7 +8,7 @@ import pytest
 
 from realqm import dynamics, linalg, states
 from realqm.cli import MAX_STEPS, _build_parser, main
-from realqm.realify import ComplexMatrixRep, embed_matrix
+from realqm.realify import embed_matrix
 
 from helpers import run_cli
 
@@ -25,7 +25,7 @@ def generic_evolve_specs(d, seed=11):
         return (g + g.conj().T) / 2.0
 
     def matrix(c):
-        m = embed_matrix(ComplexMatrixRep.from_complex(c))
+        m = embed_matrix(c)
         return {"dim": 2 * d, "entries": m.ravel().tolist()}
 
     h_c, o_c = hermitean(), hermitean()
@@ -221,7 +221,7 @@ class TestEvolve:
     def test_long_time_keeps_trace_and_physicality(self, capsys):
         rng = np.random.default_rng(11)
         g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        h = embed_matrix(ComplexMatrixRep.from_complex((g + g.conj().T) / 2.0))
+        h = embed_matrix((g + g.conj().T) / 2.0)
         g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
         state = json.dumps({"complex_density": {"re": rho.real.tolist(),

@@ -9,13 +9,13 @@ import pytest
 import realqm
 from realqm.dynamics import Hamiltonian, evolve, expectation_grid, hamiltonian, propagator
 from realqm.realify import (
-    ComplexMatrixRep,
     ComplexStructure,
+    embed_matrix,
     standard_complex_structure,
 )
 from realqm.states import density_matrix, physical_from_complex
 
-from helpers import embed_c, rand_complex
+from helpers import rand_complex
 
 SEED = 6021
 
@@ -40,11 +40,11 @@ def test_frame_compresses_embedded_matrices_to_their_complex_form():
     j = standard_complex_structure(3)
     a = rand_complex(rng, 3)
     f = j.frame
-    compressed = f.conj().T @ embed_c(a) @ f
+    compressed = f.conj().T @ embed_matrix(a) @ f
     # The frame is unique up to a unitary change of basis, so compare invariants.
     np.testing.assert_allclose(np.sort_complex(np.linalg.eigvals(compressed)),
                                np.sort_complex(np.linalg.eigvals(a)), atol=1e-12)
-    np.testing.assert_allclose(2.0 * (f @ compressed @ f.conj().T).real, embed_c(a),
+    np.testing.assert_allclose(2.0 * (f @ compressed @ f.conj().T).real, embed_matrix(a),
                                atol=1e-13)
 
 
@@ -58,8 +58,8 @@ def test_evolution_is_covariant_under_a_rotated_structure(phase):
     h_c = (h_c + h_c.conj().T) / 2.0
     g = rand_complex(rng, d)
     rho_c = g @ g.conj().T
-    rho0 = physical_from_complex(ComplexMatrixRep.from_complex(rho_c / np.trace(rho_c).real))
-    h = embed_c(h_c)
+    rho0 = physical_from_complex(rho_c / np.trace(rho_c).real)
+    h = embed_matrix(h_c)
     a = rng.standard_normal((2 * d, 2 * d))
     a = a + a.T  # generic: antilinear part included
     t = phase / np.linalg.norm(h_c, 2)
@@ -82,7 +82,7 @@ def test_asymmetric_complex_linear_hamiltonian_is_rejected():
     rng = np.random.default_rng(SEED + 2)
     j = standard_complex_structure(2)
     with pytest.raises(ValueError, match="symmetric"):
-        h = Hamiltonian(matrix=embed_c(rand_complex(rng, 2)), complex_linear=True)
+        h = Hamiltonian(matrix=embed_matrix(rand_complex(rng, 2)), complex_linear=True)
         propagator(h, 1.0, j)
 
 

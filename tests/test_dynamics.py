@@ -25,13 +25,19 @@ from realqm.oscillator import (
     oscillator_hamiltonian,
 )
 from realqm.realify import (
-    ComplexMatrixRep,
+    ComplexStructure,
+    embed_matrix,
     extract_matrix,
     standard_complex_structure,
 )
-from realqm.states import DensityMatrix, density_matrix, physical_from_complex
+from realqm.states import (
+    DensityMatrix,
+    density_matrix,
+    physical_density_4d,
+    physical_from_complex,
+)
 
-from helpers import embed_c, rand_hermitean, rand_physical, rand_symmetric
+from helpers import rand_hermitean, rand_physical, rand_symmetric
 
 SEED = 3177
 
@@ -58,8 +64,8 @@ class TestPoissonBracket:
         w = symplectic_form(standard_complex_structure(d), hbar=hbar)
         a_c = rand_hermitean(rng, d)
         b_c = rand_hermitean(rng, d)
-        bracket = poisson_bracket(embed_c(a_c), embed_c(b_c), w)
-        oracle = embed_c(-1j / hbar * (a_c @ b_c - b_c @ a_c))
+        bracket = poisson_bracket(embed_matrix(a_c), embed_matrix(b_c), w)
+        oracle = embed_matrix(-1j / hbar * (a_c @ b_c - b_c @ a_c))
         np.testing.assert_allclose(bracket, oracle, atol=1e-12)
 
     def test_symmetric_output_and_antisymmetry(self):
@@ -136,9 +142,8 @@ class TestLiouvilleRhs:
         d = 3
         j = standard_complex_structure(d)
         w = symplectic_form(j)
-        h = hamiltonian(embed_c(rand_hermitean(rng, d)), j)
-        rho = physical_from_complex(
-            ComplexMatrixRep.from_complex(np.eye(d, dtype=complex) / d))
+        h = hamiltonian(embed_matrix(rand_hermitean(rng, d)), j)
+        rho = physical_from_complex(np.eye(d, dtype=complex) / d)
         np.testing.assert_allclose(liouville_rhs(h, rho, w), np.zeros((2 * d, 2 * d)),
                                    atol=1e-14)
 
@@ -147,7 +152,7 @@ class TestLiouvilleRhs:
         d = 4
         j = standard_complex_structure(d)
         w = symplectic_form(j)
-        h = hamiltonian(embed_c(rand_hermitean(rng, d)), j)
+        h = hamiltonian(embed_matrix(rand_hermitean(rng, d)), j)
         rho = rand_physical(rng, d)
         assert abs(np.trace(liouville_rhs(h, rho, w))) <= 1e-12
 
@@ -156,7 +161,7 @@ class TestLiouvilleRhs:
         d = 2
         j = standard_complex_structure(d)
         w = symplectic_form(j)
-        h = hamiltonian(embed_c(rand_hermitean(rng, d)), j)
+        h = hamiltonian(embed_matrix(rand_hermitean(rng, d)), j)
         rho = rand_physical(rng, d)
         dt = 1e-4
         fwd = evolve(rho, h, dt, j).matrix
@@ -170,7 +175,7 @@ class TestPropagator:
     def test_time_zero(self):
         rng = np.random.default_rng(SEED)
         j = standard_complex_structure(2)
-        h = hamiltonian(embed_c(rand_hermitean(rng, 2)), j)
+        h = hamiltonian(embed_matrix(rand_hermitean(rng, 2)), j)
         np.testing.assert_array_equal(propagator(h, 0.0, j).u, np.eye(4))
 
     def test_oscillator_blocks_rotate(self):
@@ -193,7 +198,7 @@ class TestPropagator:
     def test_one_parameter_group(self):
         rng = np.random.default_rng(SEED)
         j = standard_complex_structure(3)
-        h = hamiltonian(embed_c(rand_hermitean(rng, 3)), j)
+        h = hamiltonian(embed_matrix(rand_hermitean(rng, 3)), j)
         for s, t in rng.uniform(-3.0, 3.0, size=(5, 2)):
             lhs = propagator(h, s, j).u @ propagator(h, t, j).u
             np.testing.assert_allclose(lhs, propagator(h, s + t, j).u, atol=1e-10)
@@ -201,7 +206,7 @@ class TestPropagator:
     def test_orthogonal_and_symplectic_over_long_times(self):
         rng = np.random.default_rng(SEED)
         j = standard_complex_structure(3)
-        h = hamiltonian(embed_c(rand_hermitean(rng, 3)), j)
+        h = hamiltonian(embed_matrix(rand_hermitean(rng, 3)), j)
         t = 50.0 / np.linalg.norm(h.matrix)
         u = propagator(h, t, j).u
         assert np.linalg.norm(u.T @ u - np.eye(6)) <= 1e-8
@@ -239,7 +244,7 @@ class TestPropagator:
     def test_rejects_phase_beyond_float_precision(self, t):
         rng = np.random.default_rng(SEED)
         j = standard_complex_structure(2)
-        h = hamiltonian(embed_c(rand_hermitean(rng, 2)), j)
+        h = hamiltonian(embed_matrix(rand_hermitean(rng, 2)), j)
         with pytest.raises(ConstraintError, match="phase"):
             propagator(h, t, j)
 
@@ -254,9 +259,8 @@ class TestEvolve:
         d = 3
         j = standard_complex_structure(d)
         h_c = np.diag([1.0 + 0j, 2.0, 3.0])
-        h = hamiltonian(embed_c(h_c), j)
-        rho0 = physical_from_complex(
-            ComplexMatrixRep.from_complex(np.diag([0.5 + 0j, 0.3, 0.2])))
+        h = hamiltonian(embed_matrix(h_c), j)
+        rho0 = physical_from_complex(np.diag([0.5 + 0j, 0.3, 0.2]))
         rho_t = evolve(rho0, h, 2.7, j)
         np.testing.assert_allclose(rho_t.matrix, rho0.matrix, atol=1e-12)
 
@@ -264,7 +268,7 @@ class TestEvolve:
         rng = np.random.default_rng(SEED)
         d = 3
         j = standard_complex_structure(d)
-        h = hamiltonian(embed_c(rand_hermitean(rng, d)), j)
+        h = hamiltonian(embed_matrix(rand_hermitean(rng, d)), j)
         rho0 = rand_physical(rng, d)
         for t in rng.uniform(-10.0, 10.0, size=8):
             rho_t = evolve(rho0, h, float(t), j)
@@ -277,7 +281,7 @@ class TestEvolve:
         rng = np.random.default_rng(SEED)
         d = 2
         j = standard_complex_structure(d)
-        h = hamiltonian(embed_c(rand_hermitean(rng, d)), j)
+        h = hamiltonian(embed_matrix(rand_hermitean(rng, d)), j)
         rho0 = rand_physical(rng, d)
         before, _ = sym_eig(rho0.matrix)
         after, _ = sym_eig(evolve(rho0, h, 3.3, j).matrix)
@@ -289,8 +293,8 @@ class TestEvolve:
         d = 3
         j = standard_complex_structure(d)
         h_c = rand_hermitean(rng, d)
-        h = hamiltonian(embed_c(h_c), j)
-        a = embed_c(h_c @ h_c)  # a polynomial in H commutes with it
+        h = hamiltonian(embed_matrix(h_c), j)
+        a = embed_matrix(h_c @ h_c)  # a polynomial in H commutes with it
         rho0 = rand_physical(rng, d)
         reference = float(np.trace(rho0.matrix @ a))
         for t in (0.5, 2.0, 7.5):
@@ -300,7 +304,7 @@ class TestEvolve:
 
 def generic_hamiltonian(j):
     rng = np.random.default_rng(SEED + 1)
-    return hamiltonian(embed_c(rand_hermitean(rng, j.d)), j)
+    return hamiltonian(embed_matrix(rand_hermitean(rng, j.d)), j)
 
 
 def oscillator_1_2(j):
@@ -314,9 +318,9 @@ class TestLongTimeEvolve:
     @staticmethod
     def reference(rho_c, h, t, j):
         # complex e^{-iHt} rho e^{iHt}, embedded with the halved trace
-        w, v = np.linalg.eigh(extract_matrix(h.matrix, j).to_complex())
+        w, v = np.linalg.eigh(extract_matrix(h.matrix, j))
         u_c = (v * np.exp(-1j * w * t)) @ v.conj().T
-        return embed_c(u_c @ rho_c @ u_c.conj().T) / 2.0
+        return embed_matrix(u_c @ rho_c @ u_c.conj().T) / 2.0
 
     @pytest.mark.parametrize("build,d", [(generic_hamiltonian, 4), (oscillator_1_2, 2)])
     @pytest.mark.parametrize("phase", [3.7, 1e6, 1e12])
@@ -326,7 +330,7 @@ class TestLongTimeEvolve:
         h = build(j)
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         rho_c = g @ g.conj().T / np.trace(g @ g.conj().T).real
-        rho0 = physical_from_complex(ComplexMatrixRep.from_complex(rho_c))
+        rho0 = physical_from_complex(rho_c)
         t = -phase / np.linalg.norm(h.matrix, 2)
         rho_t = evolve(rho0, h, t, j).matrix
         assert abs(np.trace(rho_t) - 1.0) <= 1e-12
@@ -343,7 +347,7 @@ class TestLiouvilleFlow:
         d = 2
         j = standard_complex_structure(d)
         w = symplectic_form(j)
-        h = hamiltonian(embed_c(rand_hermitean(rng, d)), j)
+        h = hamiltonian(embed_matrix(rand_hermitean(rng, d)), j)
         rho0 = rand_physical(rng, d)
         flowed = liouville_flow(rho0.matrix, h.matrix, 1.7, w)
         np.testing.assert_allclose(flowed, evolve(rho0, h, 1.7, j).matrix, atol=1e-12)
@@ -373,10 +377,11 @@ class TestEvolveGrid:
     @staticmethod
     def check_against_reference(h_c, rho_c, times, j, hbar=1.0):
         rng = np.random.default_rng(SEED)
-        h = hamiltonian(embed_c(h_c), j)
-        rho0 = physical_from_complex(ComplexMatrixRep.from_complex(rho_c))
+        h = hamiltonian(embed_matrix(h_c), j)
+        rho0 = physical_from_complex(rho_c)
         # H, an embedded observable and a generic symmetric one (antilinear part included)
-        observables = [h.matrix, embed_c(rand_hermitean(rng, j.d)), rand_symmetric(rng, j.dim)]
+        observables = [h.matrix, embed_matrix(rand_hermitean(rng, j.d)),
+                       rand_symmetric(rng, j.dim)]
         blocks, columns = TestEvolveGrid.grid(rho0, h, observables, times, j, hbar)
         np.testing.assert_array_equal(np.concatenate([t for t, _ in blocks]), times)
         w, v = np.linalg.eigh(h_c)
@@ -384,7 +389,7 @@ class TestEvolveGrid:
         phases = np.abs(times) * np.linalg.norm(h_c, 2) / hbar
         for k, (t, phase) in enumerate(zip(times, phases)):
             u_c = (v * np.exp(-1j * w * t / hbar)) @ v.conj().T
-            reference = embed_c(u_c @ rho_c @ u_c.conj().T) / 2.0
+            reference = embed_matrix(u_c @ rho_c @ u_c.conj().T) / 2.0
             # phase roundoff grows like phase * eps
             bound = max(1e-12, 1e-14 * phase)
             for a, column in zip(observables, columns):
@@ -421,7 +426,7 @@ class TestEvolveGrid:
         rng = np.random.default_rng(SEED)
         d = 4
         j = standard_complex_structure(d)
-        h = hamiltonian(embed_c(rand_hermitean(rng, d)), j)
+        h = hamiltonian(embed_matrix(rand_hermitean(rng, d)), j)
         rho0 = rand_physical(rng, d)
         observables = [h.matrix, rand_symmetric(rng, 2 * d)]
         times = np.linspace(-4.0, 9.0, 2 * dynamics._GRID_BLOCK + 3)
@@ -439,7 +444,7 @@ class TestEvolveGrid:
     def test_phase_guard_names_first_offending_time(self):
         rng = np.random.default_rng(SEED)
         j = standard_complex_structure(2)
-        h = hamiltonian(embed_c(rand_hermitean(rng, 2)), j)
+        h = hamiltonian(embed_matrix(rand_hermitean(rng, 2)), j)
         with pytest.raises(ConstraintError, match=r"at t = 1e\+300"):
             expectation_grid(rand_physical(rng, 2), h, [h.matrix], [0.0, 1.0, 1e300, np.inf], j)
 
@@ -455,7 +460,7 @@ class TestEvolveGrid:
     def test_state_flagged_physical_that_is_not_is_rejected(self):
         rng = np.random.default_rng(SEED)
         j = standard_complex_structure(2)
-        h = hamiltonian(embed_c(np.diag([1.0, -0.5]).astype(complex)), j)
+        h = hamiltonian(embed_matrix(np.diag([1.0, -0.5]).astype(complex)), j)
         m = np.diag([0.4, 0.1, 0.3, 0.2])  # each J pair has unequal diagonal entries
         assert np.linalg.norm(m @ j.matrix - j.matrix @ m) > 0.1
         with pytest.raises(ValueError, match="set only by density_matrix"):
@@ -471,7 +476,7 @@ class TestEvolveGrid:
 
     def test_unphysical_input_is_named_not_only_the_evolved_state(self):
         j = standard_complex_structure(2)
-        h = hamiltonian(embed_c(np.diag([1.0, -0.5]).astype(complex)), j)
+        h = hamiltonian(embed_matrix(np.diag([1.0, -0.5]).astype(complex)), j)
         m = np.diag([1.0, 0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="set only by density_matrix"):
             DensityMatrix(m, physical=True)
@@ -482,7 +487,7 @@ class TestEvolveGrid:
     def test_physical_input_judged_once_and_drift_names_the_evolved_state(self, monkeypatch):
         rng = np.random.default_rng(SEED)
         j = standard_complex_structure(2)
-        h = hamiltonian(embed_c(rand_hermitean(rng, 2)), j)
+        h = hamiltonian(embed_matrix(rand_hermitean(rng, 2)), j)
         rho0 = rand_physical(rng, 2)
         calls = []
         stack = dynamics.state_stack
@@ -496,6 +501,26 @@ class TestEvolveGrid:
         with pytest.raises(ConstraintError, match=r"not physical at t = 0\.5: \|\|\[rho, J\]\|\|"):
             evolve(rho0, h, 0.5, j)
         assert len(calls) == 2
+
+    def test_state_judged_against_another_j_is_named(self, monkeypatch):
+        rng = np.random.default_rng(SEED)
+        q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        j_rot = ComplexStructure(d=2, matrix=q @ standard_complex_structure(2).matrix @ q.T)
+        h = hamiltonian(q @ np.diag([1.0, 1.0, 2.0, 2.0]) @ q.T, j_rot)
+        rho0 = physical_density_4d(0.25, 0.25, 0.1, 0.05)  # physical under the standard J
+        assert rho0.physical and h.complex_linear
+        calls = []
+        stack = dynamics.state_stack
+        monkeypatch.setattr(dynamics, "state_stack",
+                            lambda *a, **k: calls.append(1) or stack(*a, **k))
+        for t in (0.0, 0.5):
+            with pytest.raises(ConstraintError, match=r"^the initial state does not commute "
+                                                      r"with this complex structure"):
+                evolve(rho0, h, t, j_rot)
+        assert len(calls) == 2
+        # The same state judged against the rotated J evolves under it.
+        rotated = density_matrix(q @ rho0.matrix @ q.T, j_rot)
+        assert rotated.physical and evolve(rotated, h, 0.5, j_rot).physical
 
 
 class TestLiouvilleGrid:
@@ -519,4 +544,5 @@ class TestLiouvilleGrid:
         j = standard_complex_structure(2)
         rho0 = rand_physical(rng, 2)
         with pytest.raises(ConstraintError, match="not finite"):
-            liouville_flow(rho0.matrix, embed_c(rand_hermitean(rng, 2)), t, symplectic_form(j))
+            liouville_flow(rho0.matrix, embed_matrix(rand_hermitean(rng, 2)), t,
+                           symplectic_form(j))

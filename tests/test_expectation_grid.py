@@ -12,10 +12,10 @@ import pytest
 
 from realqm.dynamics import evolve, expectation_grid, hamiltonian
 from realqm.linalg import DEFAULT_TOL
-from realqm.realify import standard_complex_structure
+from realqm.realify import embed_matrix, standard_complex_structure
 from realqm.states import density_matrix
 
-from helpers import embed_c, rand_complex
+from helpers import rand_complex
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -30,9 +30,9 @@ def test_columns_match_evolve(d, seed, antilinear):
     rng = np.random.default_rng(seed)
     j = standard_complex_structure(d)
     h_c = rand_complex(rng, d)
-    h = hamiltonian(embed_c(h_c + h_c.conj().T), j)
+    h = hamiltonian(embed_matrix(h_c + h_c.conj().T), j)
     g = rand_complex(rng, d)
-    rho = embed_c(g @ g.conj().T) / (2.0 * np.trace(g @ g.conj().T).real)
+    rho = embed_matrix(g @ g.conj().T) / (2.0 * np.trace(g @ g.conj().T).real)
     # A traceless symmetric antilinear part delta: ||[delta, J]|| = 2 ||delta||,
     # so this scale keeps the state physical within at most half the tolerance.
     delta = rng.standard_normal((2 * d, 2 * d))
@@ -59,9 +59,9 @@ def test_first_point_is_the_initial_expectation_up_to_rounding(d, seed, log_scal
     rng = np.random.default_rng(seed)
     j = standard_complex_structure(d)
     h_c = rand_complex(rng, d)
-    h = hamiltonian(embed_c(h_c + h_c.conj().T) * 10.0**log_scale, j)
+    h = hamiltonian(embed_matrix(h_c + h_c.conj().T) * 10.0**log_scale, j)
     g = rand_complex(rng, d)
-    rho0 = density_matrix(embed_c(g @ g.conj().T) / (2.0 * np.trace(g @ g.conj().T).real), j)
+    rho0 = density_matrix(embed_matrix(g @ g.conj().T) / (2.0 * np.trace(g @ g.conj().T).real), j)
     a = rng.standard_normal((2 * d, 2 * d))
     a = (a + a.T) * 10.0**-log_scale
     [(_, (column,))] = expectation_grid(rho0, h, [a], [0.0, 1.0], j)

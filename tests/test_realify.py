@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from realqm.realify import (
-    ComplexMatrixRep,
     classify,
     conjugation_operator,
     embed_matrix,
@@ -15,7 +14,7 @@ from realqm.realify import (
     standard_complex_structure,
 )
 
-from helpers import embed_c, rand_complex, rand_unitary
+from helpers import rand_complex, rand_unitary
 
 SEED = 7041
 
@@ -68,22 +67,21 @@ class TestEmbedVector:
 
 class TestEmbedMatrix:
     def test_identity(self):
-        np.testing.assert_array_equal(embed_c(np.eye(2)), np.eye(4))
+        np.testing.assert_array_equal(embed_matrix(np.eye(2)), np.eye(4))
 
     def test_generic_2x2_block_layout(self):
-        rep = ComplexMatrixRep(re=np.array([[1.0, 3.0], [5.0, 7.0]]),
-                               im=np.array([[2.0, 4.0], [6.0, 8.0]]))
+        a = np.array([[1.0, 3.0], [5.0, 7.0]]) + 1j * np.array([[2.0, 4.0], [6.0, 8.0]])
         expected = np.array([
             [1.0, -2.0, 3.0, -4.0],
             [2.0, 1.0, 4.0, 3.0],
             [5.0, -6.0, 7.0, -8.0],
             [6.0, 5.0, 8.0, 7.0],
         ])
-        np.testing.assert_array_equal(embed_matrix(rep), expected)
+        np.testing.assert_array_equal(embed_matrix(a), expected)
 
     def test_pauli_y(self):
         pauli_y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-        embedded = embed_c(pauli_y)
+        embedded = embed_matrix(pauli_y)
         expected = np.array([
             [0.0, 0.0, 0.0, 1.0],
             [0.0, 0.0, -1.0, 0.0],
@@ -99,18 +97,18 @@ class TestEmbedMatrix:
         for d in (1, 2, 3, 4):
             a = rand_complex(rng, d)
             b = rand_complex(rng, d)
-            assert np.linalg.norm(embed_c(a @ b) - embed_c(a) @ embed_c(b)) <= 1e-10
+            assert np.linalg.norm(embed_matrix(a @ b) - embed_matrix(a) @ embed_matrix(b)) <= 1e-10
 
     def test_adjoint_becomes_transpose(self):
         rng = np.random.default_rng(SEED)
         a = rand_complex(rng, 3)
-        np.testing.assert_array_equal(embed_c(a.conj().T), embed_c(a).T)
+        np.testing.assert_array_equal(embed_matrix(a.conj().T), embed_matrix(a).T)
 
     def test_action_matches_complex_product(self):
         rng = np.random.default_rng(SEED)
         a = rand_complex(rng, 3)
         psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        np.testing.assert_allclose(embed_c(a) @ embed_vector(psi),
+        np.testing.assert_allclose(embed_matrix(a) @ embed_vector(psi),
                                    embed_vector(a @ psi))
 
 
@@ -119,14 +117,14 @@ class TestExtractMatrix:
         rng = np.random.default_rng(SEED)
         j = standard_complex_structure(4)
         a = rand_complex(rng, 4)
-        back = extract_matrix(embed_c(a), j)
-        assert np.abs(back.to_complex() - a).max() <= 1e-12
+        back = extract_matrix(embed_matrix(a), j)
+        assert np.abs(back - a).max() <= 1e-12
 
     def test_extract_j_is_i_times_identity(self):
         j = standard_complex_structure(3)
-        rep = extract_matrix(j.matrix, j)
-        np.testing.assert_array_equal(rep.re, np.zeros((3, 3)))
-        np.testing.assert_array_equal(rep.im, np.eye(3))
+        back = extract_matrix(j.matrix, j)
+        np.testing.assert_array_equal(back.real, np.zeros((3, 3)))
+        np.testing.assert_array_equal(back.imag, np.eye(3))
 
     def test_rejects_antilinear_input(self):
         j = standard_complex_structure(2)
@@ -239,7 +237,7 @@ class TestClassify:
     def test_embedded_unitary(self):
         rng = np.random.default_rng(SEED)
         j = standard_complex_structure(3)
-        flags = classify(embed_c(rand_unitary(rng, 3)), j)
+        flags = classify(embed_matrix(rand_unitary(rng, 3)), j)
         assert flags.orthogonal and flags.symplectic and flags.complex_linear
         assert not flags.complex_antilinear
 
@@ -264,7 +262,7 @@ class TestClassify:
             assert flags.orthogonal
             assert flags.symplectic == flags.complex_linear
         for _ in range(5):
-            flags = classify(embed_c(rand_unitary(rng, 3)), j)
+            flags = classify(embed_matrix(rand_unitary(rng, 3)), j)
             assert flags.symplectic == flags.complex_linear == True  # noqa: E712
 
 

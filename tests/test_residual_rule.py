@@ -28,7 +28,6 @@ from realqm.linalg import (
     negligible,
 )
 from realqm.realify import (
-    ComplexMatrixRep,
     classify,
     embed_matrix,
     standard_complex_structure,
@@ -238,7 +237,7 @@ def near_physical_density(rng, d, eps):
     a symmetric, traceless, J-anticommuting matrix."""
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho_c = g @ g.conj().T + 0.5 * np.eye(d)
-    rho = physical_from_complex(ComplexMatrixRep.from_complex(rho_c / np.trace(rho_c).real))
+    rho = physical_from_complex(rho_c / np.trace(rho_c).real)
     _, minus = split(sym(rng, 2 * d), standard_complex_structure(d).matrix)
     return rho.matrix + eps * minus
 
@@ -368,7 +367,7 @@ class TestDynamicsAndRealify:
         j = standard_complex_structure(d)
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         u, _ = np.linalg.qr(g)
-        a = embed_matrix(ComplexMatrixRep.from_complex(u)) + 1e-9 * rng.standard_normal(
+        a = embed_matrix(u) + 1e-9 * rng.standard_normal(
             (2 * d, 2 * d))
         fro = frobenius(a)
         pairs = [(frobenius(a.T @ a - np.eye(2 * d)), fro * fro),
@@ -487,7 +486,7 @@ class TestTensor:
         basis = physical_basis(space)
         r = basis.shape[1] // 2
         g = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
-        inner = embed_matrix(ComplexMatrixRep.from_complex(g @ g.conj().T))
+        inner = embed_matrix(g @ g.conj().T)
         rho = basis @ inner @ basis.T
         # The trace is not checked, so size > 1 puts the scale above 1.
         rho = size * (rho / np.trace(rho) + 1e-9 * sym(rng, space.dim))

@@ -20,7 +20,6 @@ from realqm.linalg import (
     is_symmetric,
 )
 from realqm.realify import (
-    ComplexMatrixRep,
     embed_matrix,
     standard_complex_structure,
 )
@@ -132,7 +131,7 @@ def test_small_generic_hamiltonian_is_rejected_at_long_times(capsys):
 def test_si_units_evolve_physically(capsys):
     rng = np.random.default_rng(8)
     g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    h = 1e-31 * embed_matrix(ComplexMatrixRep.from_complex((g + g.conj().T) / 2.0))
+    h = 1e-31 * embed_matrix((g + g.conj().T) / 2.0)
     code, out, err = run_cli(capsys, "evolve", "--state", STATE, "--hamiltonian",
                              matrix_spec(h), "--hbar", "1.054571817e-34", "--t1", "1e-3",
                              "--steps", "4")

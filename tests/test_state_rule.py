@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from realqm.linalg import ConstraintError
-from realqm.realify import ComplexMatrixRep, embed_matrix, standard_complex_structure
+from realqm.realify import embed_matrix, standard_complex_structure
 from realqm.states import density_matrix, physical_from_complex
 
 pytest.importorskip("hypothesis")
@@ -52,10 +52,10 @@ def near_boundary(d, seed, lam_min, trace_off, skew):
 @example(2, 0, -1.5e-10, 0.0, 0.0)
 @example(2, 0, -2.5e-10, 0.0, 0.0)
 def test_complex_density_follows_the_real_state_rule(d, seed, lam_min, trace_off, skew):
-    rep = ComplexMatrixRep.from_complex(near_boundary(d, seed, lam_min, trace_off, skew))
+    rho_c = near_boundary(d, seed, lam_min, trace_off, skew)
     j = standard_complex_structure(d)
-    got = verdict(lambda: physical_from_complex(rep))
-    want = verdict(lambda: density_matrix(embed_matrix(rep) / 2.0, j))
+    got = verdict(lambda: physical_from_complex(rho_c))
+    want = verdict(lambda: density_matrix(embed_matrix(rho_c) / 2.0, j))
     if isinstance(want, str):
         assert got == want
     else:
@@ -65,10 +65,10 @@ def test_complex_density_follows_the_real_state_rule(d, seed, lam_min, trace_off
 @pytest.mark.parametrize("lam_min,accepted", [(-1.5e-10, True), (-2.5e-10, False)])
 def test_psd_slack_applies_to_the_real_image(lam_min, accepted):
     # The real image has half the eigenvalues of rho_c, and its own 1e-10 slack.
-    rep = ComplexMatrixRep.from_complex(np.diag([1.0 - lam_min, lam_min]).astype(complex))
+    rho_c = np.diag([1.0 - lam_min, lam_min]).astype(complex)
     if accepted:
-        assert physical_from_complex(rep).physical
+        assert physical_from_complex(rho_c).physical
     else:
         with pytest.raises(ConstraintError,
                            match=r"positive semidefinite, minimum eigenvalue -1\.25e-10$"):
-            physical_from_complex(rep)
+            physical_from_complex(rho_c)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from realqm.linalg import ConstraintError, sym_eig
-from realqm.realify import ComplexMatrixRep, embed_matrix, standard_complex_structure
+from realqm.realify import embed_matrix, standard_complex_structure
 from realqm.states import (
     are_orthogonal_states,
     density_matrix,
@@ -136,21 +136,19 @@ class TestMeasurementStatistics:
 
 class TestPhysicalFromComplex:
     def test_pure_state(self):
-        rho = physical_from_complex(
-            ComplexMatrixRep.from_complex(np.diag([1.0 + 0j, 0.0])))
+        rho = physical_from_complex(np.diag([1.0 + 0j, 0.0]))
         np.testing.assert_allclose(rho.matrix, np.diag([0.5, 0.5, 0.0, 0.0]))
         assert rho.physical
 
     def test_maximally_mixed(self):
         d = 3
-        rho = physical_from_complex(
-            ComplexMatrixRep.from_complex(np.eye(d, dtype=complex) / d))
+        rho = physical_from_complex(np.eye(d, dtype=complex) / d)
         np.testing.assert_allclose(rho.matrix, np.eye(2 * d) / (2 * d))
 
     def test_eigenvalues_halved_and_doubled(self):
         rng = np.random.default_rng(SEED)
         rho_c = rand_complex_density(rng, 3)
-        rho = physical_from_complex(ComplexMatrixRep.from_complex(rho_c))
+        rho = physical_from_complex(rho_c)
         complex_vals = np.sort(np.linalg.eigvalsh(rho_c))
         real_vals, _ = sym_eig(rho.matrix)
         np.testing.assert_allclose(real_vals, np.repeat(complex_vals, 2) / 2.0,
@@ -167,21 +165,21 @@ class TestPhysicalFromComplex:
     def test_rejects_non_hermitean(self):
         bad = np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex)
         with pytest.raises(ConstraintError, match="^density matrix must be symmetric$"):
-            physical_from_complex(ComplexMatrixRep.from_complex(bad))
+            physical_from_complex(bad)
 
     def test_rejects_wrong_trace(self):
         with pytest.raises(ConstraintError, match="must have unit trace, got 2.0$"):
-            physical_from_complex(ComplexMatrixRep.from_complex(np.eye(2, dtype=complex)))
+            physical_from_complex(np.eye(2, dtype=complex))
 
     def test_wrong_trace_message_is_the_complex_trace(self):
         bad = np.diag([0.6 + 0j, 0.5])
         with pytest.raises(ConstraintError, match="must have unit trace, got 1.1$"):
-            physical_from_complex(ComplexMatrixRep.from_complex(bad))
+            physical_from_complex(bad)
 
     def test_rejects_negative_eigenvalue(self):
         bad = np.diag([1.5 + 0j, -0.5])
         with pytest.raises(ConstraintError, match="minimum eigenvalue -0.25$"):
-            physical_from_complex(ComplexMatrixRep.from_complex(bad))
+            physical_from_complex(bad)
 
 
 class TestPhysicalDensity4d:
@@ -239,10 +237,8 @@ class TestPhysicalDensity4d:
 
 class TestOrthogonalStates:
     def test_disjoint_pure_states(self):
-        rho0 = physical_from_complex(
-            ComplexMatrixRep.from_complex(np.diag([1.0 + 0j, 0.0])))
-        rho1 = physical_from_complex(
-            ComplexMatrixRep.from_complex(np.diag([0.0j, 1.0])))
+        rho0 = physical_from_complex(np.diag([1.0 + 0j, 0.0]))
+        rho1 = physical_from_complex(np.diag([0.0j, 1.0]))
         assert are_orthogonal_states(rho0, rho1)
 
     def test_state_not_orthogonal_to_itself(self):
@@ -259,8 +255,7 @@ class TestOrthogonalStates:
         for k in range(d):
             basis_state = np.zeros((d, d), dtype=complex)
             basis_state[k, k] = 1.0
-            family.append(physical_from_complex(
-                ComplexMatrixRep.from_complex(basis_state)))
+            family.append(physical_from_complex(basis_state))
         for i in range(d):
             for k in range(i):
                 assert are_orthogonal_states(family[i], family[k])
@@ -281,7 +276,7 @@ class TestSharpRealizability:
         rng = np.random.default_rng(SEED)
         j = standard_complex_structure(3)
         g = rand_complex(rng, 3)
-        a = embed_matrix(ComplexMatrixRep.from_complex((g + g.conj().T) / 2.0))
+        a = embed_matrix((g + g.conj().T) / 2.0)
         assert all(flag for _, flag in sharp_realizability(a, j))
 
     def test_distinct_lengths_nothing_sharp(self):
@@ -303,7 +298,7 @@ class TestSharpRealizability:
         d = 3
         j = standard_complex_structure(d)
         g = rand_complex(rng, d)
-        a = embed_matrix(ComplexMatrixRep.from_complex((g + g.conj().T) / 2.0))
+        a = embed_matrix((g + g.conj().T) / 2.0)
         _, vecs = sym_eig(a)
         v = vecs[:, 0]
         jv = j.matrix @ v
@@ -322,8 +317,8 @@ class TestStructuralInvariants:
             rho_c = rand_complex_density(rng, d)
             g = rand_complex(rng, d)
             a_c = (g + g.conj().T) / 2.0
-            rho_r = physical_from_complex(ComplexMatrixRep.from_complex(rho_c))
-            a_r = embed_matrix(ComplexMatrixRep.from_complex(a_c))
+            rho_r = physical_from_complex(rho_c)
+            a_r = embed_matrix(a_c)
             assert expectation(rho_r, a_r) == pytest.approx(
                 float(np.trace(rho_c @ a_c).real), abs=1e-10)
 
@@ -331,7 +326,7 @@ class TestStructuralInvariants:
         rng = np.random.default_rng(SEED)
         for d in (2, 3, 4):
             g = rand_complex(rng, d)
-            a = embed_matrix(ComplexMatrixRep.from_complex((g + g.conj().T) / 2.0))
+            a = embed_matrix((g + g.conj().T) / 2.0)
             for proj in spectral_decompose(a).projectors:
                 mult = round(float(np.trace(proj)))
                 assert mult % 2 == 0

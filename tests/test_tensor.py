@@ -6,7 +6,7 @@ import pytest
 
 from realqm.linalg import DEFAULT_TOL, sym_eig
 from realqm.oscillator import OscillatorParams, build_canonical_pair
-from realqm.realify import ComplexMatrixRep, standard_complex_structure
+from realqm.realify import embed_matrix, standard_complex_structure
 from realqm.states import physical_from_complex
 from realqm.tensor import (
     FactorSpace,
@@ -22,7 +22,7 @@ from realqm.tensor import (
     validate_product_density,
 )
 
-from helpers import embed_c, rand_complex, rand_hermitean, random_structure
+from helpers import rand_complex, rand_hermitean, random_structure
 
 SEED = 8293
 
@@ -176,7 +176,7 @@ class TestEscapeCheck:
     def test_embedded_observable_stays_inside(self):
         rng = np.random.default_rng(SEED)
         space = two_factor_space(2, 2)
-        lifted = lift_operator(embed_c(rand_hermitean(rng, 2)), 0, space)
+        lifted = lift_operator(embed_matrix(rand_hermitean(rng, 2)), 0, space)
         check = physical_escape_check(lifted, space)
         assert check.maps_within
         assert not check.maps_across
@@ -233,12 +233,12 @@ class TestPhysicalBasis:
         space = two_factor_space(da, db)
         a_c = rand_hermitean(rng, da)
         b_c = rand_hermitean(rng, db)
-        lifted = lift_operator(embed_c(a_c), 0, space) @ lift_operator(
-            embed_c(b_c), 1, space)
+        lifted = lift_operator(embed_matrix(a_c), 0, space) @ lift_operator(
+            embed_matrix(b_c), 1, space)
         basis = physical_basis(space)
         restricted = basis.T @ lifted @ basis
         vals_real, _ = sym_eig(restricted)
-        vals_complex, _ = sym_eig(embed_c(np.kron(a_c, b_c)))
+        vals_complex, _ = sym_eig(embed_matrix(np.kron(a_c, b_c)))
         np.testing.assert_allclose(vals_real, vals_complex, atol=1e-9)
 
 
@@ -258,7 +258,7 @@ class TestProductDensity:
             rho_c = g @ g.conj().T
             rho_c = rho_c / np.trace(rho_c).real
             factor_states.append(
-                physical_from_complex(ComplexMatrixRep.from_complex(rho_c)).matrix)
+                physical_from_complex(rho_c).matrix)
         p_plus = space.physical_projector
         compressed = p_plus @ kron(factor_states[0], factor_states[1]) @ p_plus
         rho = compressed / np.trace(compressed)

@@ -27,8 +27,9 @@ that those workloads, whose states are all physical `matrix` documents,
 never reach, and `spectrum` past their sizes (at most 32 levels there),
 with repeated targets and at a physical hbar; then a dim-16 `--diagnostics`
 flow over three grid blocks, one whose flowed state's sum of squares
-leaves the float range, and a target below the spectral bound at a
-physical hbar.  Each CLI operation runs once with `--format json` and once
+leaves the float range, a target below the spectral bound at a
+physical hbar, and a valid `complex_density` with `-0.0` entries in `re`
+and `im`, whose signs the echoed state keeps.  Each CLI operation runs once with `--format json` and once
 with `--format csv`.
 ROOT (default: the checkout holding this script) supplies both `src/` and
 `perfbench/`.  Nothing is written to disk.
@@ -107,6 +108,9 @@ FIXED = [
       "--diagnostics"]),
     ("spectrum below the bound at physical hbar",
      ["spectrum", "1e-40", "--hbar", "1.054571817e-34"]),
+    ("complex_density valid signed zeros",
+     ["evolve", "--state", _complex([[0.6, -0.0], [-0.0, 0.4]], [[-0.0, 0.2], [-0.2, 0.0]]),
+      "--hamiltonian", _H, "--t1", "2", "--steps", "4"]),
 ]
 
 

@@ -17,7 +17,6 @@ from .dynamics import (
     expectation_grid,
     hamiltonian,
     jacobi_residual,
-    liouville_flow,
     liouville_grid,
     liouville_rhs,
     poisson_bracket,

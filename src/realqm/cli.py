@@ -451,7 +451,7 @@ def _cmd_evolve(args) -> int:
     if args.diagnostics:
         grid = ((block, [stack.trace, stack.min_eigenvalue, stack.physicality_residual,
                          *(np.einsum("tij,ji->t", stack.matrices, obs) for obs in observables)])
-                for block, stack in dynamics.liouville_grid(rho.matrix, h.matrix, times, j, w, tol))
+                for block, stack in dynamics.liouville_grid(rho.matrix, h.matrix, times, w, tol))
     else:  # trace, spectrum and physicality are invariants of the motion
         fixed = [start.trace, start.min_eigenvalue, start.physicality_residual]
         grid = ((block, [c.repeat(block.size) for c in fixed] + columns)

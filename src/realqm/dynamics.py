@@ -10,20 +10,23 @@ only complex-linear Hamiltonians are accepted as generators.  For those,
 the flow integrates exactly to rho(t) = U(t) rho(0) U(t)^T with the
 orthogonal, symplectic propagator U(t) = exp(-(t/hbar) J H), which J^2 = -I
 and [H, J] = 0 reduce to the closed form cos(tH/hbar) - J sin(tH/hbar).
-A `Hamiltonian` checks itself; only the validators set `complex_linear`.
+A `SymplecticForm` is built from J and hbar and derives Omega itself; a
+`Hamiltonian` checks itself, and only the validators set `complex_linear`.
 
 Such an H is an embedded complex Hermitean d x d matrix, diagonalised once
 in the complex frame of J, where each level appears once.  In that energy
 eigenbasis `expectation_grid` evaluates Tr(rho(t) A) over a time grid with
 O(d^2) work per point and no state rebuilt or revalidated: trace, spectrum
 and physicality are invariants of the motion.  `propagator` and `evolve`
-are the one-point real-space references.
+are the one-point real-space references.  `liouville_grid` is the one
+diagnostics flow: it integrates any symmetric H, J-commuting or not, with
+no physicality guard.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,7 +58,6 @@ __all__ = [
     "propagator",
     "expectation_grid",
     "evolve",
-    "liouville_flow",
     "liouville_grid",
 ]
 
@@ -69,8 +71,16 @@ _GRID_BLOCK = 128
 
 @dataclass(frozen=True)
 class SymplecticForm:
-    omega: np.ndarray  # -J/hbar, antisymmetric
-    hbar: float
+    """Omega = -J/hbar, derived from the J and the positive hbar it is built from."""
+
+    j: ComplexStructure
+    hbar: float = 1.0
+    omega: np.ndarray = field(init=False, repr=False)  # antisymmetric
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.hbar < np.inf:
+            raise ValueError("hbar must be positive")
+        object.__setattr__(self, "omega", -self.j.matrix / self.hbar)
 
 
 @dataclass(frozen=True)
@@ -97,9 +107,7 @@ class Propagator:
 
 
 def symplectic_form(j: ComplexStructure, hbar: float = 1.0) -> SymplecticForm:
-    if not 0.0 < hbar < np.inf:
-        raise ValueError("hbar must be positive")
-    return SymplecticForm(omega=-j.matrix / hbar, hbar=hbar)
+    return SymplecticForm(j, hbar)
 
 
 def _generator(matrix, tol: Tolerance) -> np.ndarray:  # the J-free rule for generators
@@ -151,21 +159,19 @@ def jacobi_residual(a, b, c, w: SymplecticForm, tol: Tolerance = DEFAULT_TOL) ->
     return frobenius(total)
 
 
-def symplectic_lie_form_check(a, b, c, j: ComplexStructure, hbar: float = 1.0,
+def symplectic_lie_form_check(a, b, c, w: SymplecticForm,
                               tol: Tolerance = DEFAULT_TOL) -> bool:
     """Check the bracket relation {A,B} = C in symplectic Lie-algebra form.
 
     Written with the antisymmetric generators -JA, -JB it reads
-    [-JA, -JB] = -hbar J C.
+    [-JA, -JB] = -hbar J C, with J and hbar those of the form.
     """
-    if not 0.0 < hbar < np.inf:
-        raise ValueError("hbar must be positive")
     a, b, c = (as_real_matrix(m) for m in (a, b, c))
-    if not a.shape[0] == b.shape[0] == c.shape[0] == j.dim:
+    if not a.shape[0] == b.shape[0] == c.shape[0] == w.j.dim:
         raise ValueError("matrix dimension does not match the complex structure")
-    jm = j.matrix
+    jm = w.j.matrix
     lhs = (jm @ a) @ (jm @ b) - (jm @ b) @ (jm @ a)
-    rhs = -hbar * (jm @ c)
+    rhs = -w.hbar * (jm @ c)
     return negligible(frobenius(lhs - rhs), frobenius(a) * frobenius(b), tol)
 
 
@@ -228,8 +234,8 @@ def propagator(h: Hamiltonian, t: float, j: ComplexStructure,
     t = 0.  Phases |t E / hbar| above 1e15, or not finite, raise ConstraintError.
 
     Non-J-commuting generators are rejected: their flow would not preserve
-    the trace or the physicality of states (see `liouville_flow` for the
-    deliberately unguarded variant).
+    the trace or the physicality of states (see `liouville_grid` for the
+    deliberately unguarded flow).
     """
     e, x = _spectrum(h, j, hbar, tol)
     theta = _scaled_times(np.array([t], dtype=float), e, hbar) * e
@@ -294,32 +300,6 @@ def evolve(rho0: DensityMatrix, h: Hamiltonian, t: float, j: ComplexStructure,
     return _trusted(DensityMatrix, matrix=stack.matrices[0], physical=bool(stack.physical[0]))
 
 
-def liouville_flow(rho_matrix, h_matrix, t: float, w: SymplecticForm) -> np.ndarray:
-    """Integrate d(rho)/dt = H Omega rho - rho Omega H for an arbitrary
-    symmetric generator, with no physicality guard.
-
-    Diagnostics only: when H does not commute with J the flow does not
-    preserve the trace, so the result is generally not a density matrix and
-    is returned as a raw symmetric matrix.  A generator t H Omega whose
-    norm is not finite raises ConstraintError; a finite one that overflows
-    the exponential gives non-finite entries, without a warning.
-    """
-    rho_matrix, h_omega = _flow_args(rho_matrix, h_matrix, w)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _flow(rho_matrix, h_omega, t)
-
-
-def _flow_args(rho_matrix, h_matrix, w: SymplecticForm) -> tuple[np.ndarray, np.ndarray]:
-    """The validated state and H Omega, shared by every time point."""
-    rho_matrix, h_matrix = as_real_matrix(rho_matrix), as_real_matrix(h_matrix)
-    if rho_matrix.shape != h_matrix.shape:
-        raise ValueError("Hamiltonian and state dimensions differ")
-    if h_matrix.shape[0] != w.omega.shape[0]:
-        raise ValueError("arguments do not match the symplectic form dimension")
-    with np.errstate(over="ignore", invalid="ignore"):
-        return rho_matrix, h_matrix @ w.omega
-
-
 def _flow(rho: np.ndarray, h_omega: np.ndarray, t: float) -> np.ndarray:
     """exp(t H Omega) rho exp(t H Omega)^T, trusting its arguments; the caller
     holds the errstate that lets an overflow through to the guards."""
@@ -334,15 +314,25 @@ def _flow(rho: np.ndarray, h_omega: np.ndarray, t: float) -> np.ndarray:
     return v @ rho @ v.T
 
 
-def liouville_grid(rho_matrix, h_matrix, times, j: ComplexStructure, w: SymplecticForm,
+def liouville_grid(rho_matrix, h_matrix, times, w: SymplecticForm,
                    tol: Tolerance = DEFAULT_TOL) -> Iterator[tuple[np.ndarray, StateStack]]:
-    """`liouville_flow` at each time point, measured in blocks of at most
-    _GRID_BLOCK points: the stacks are checked to be finite and symmetric, but
-    not to be states.  The arguments are validated and H Omega formed once,
-    up front.  Diagnostics only."""
-    rho_matrix, h_omega = _flow_args(rho_matrix, h_matrix, w)
-    if rho_matrix.shape[0] != j.dim:
-        raise ValueError("matrix dimension does not match the complex structure")
+    """rho(t) = V rho V^T, V = exp(t H Omega), the flow d(rho)/dt = {H, rho} of
+    any symmetric H, at each time point, in blocks of at most _GRID_BLOCK.
+
+    Diagnostics only, with no physicality guard: when H does not commute with
+    J the flow does not preserve the trace, so each stack, measured at the
+    form's J, is checked to be finite and symmetric but not to be states.
+    rho and H are validated and H Omega formed once, up front.  A generator
+    t H Omega whose norm is not finite, or whose exponential overflows,
+    raises ConstraintError naming t.
+    """
+    rho_matrix, h_matrix = as_real_matrix(rho_matrix), as_real_matrix(h_matrix)
+    if rho_matrix.shape != h_matrix.shape:
+        raise ValueError("Hamiltonian and state dimensions differ")
+    if h_matrix.shape[0] != w.omega.shape[0]:
+        raise ValueError("arguments do not match the symplectic form dimension")
+    with np.errstate(over="ignore", invalid="ignore"):
+        h_omega = h_matrix @ w.omega
     times = np.asarray(times, dtype=float).reshape(-1)
 
     def blocks():
@@ -350,6 +340,6 @@ def liouville_grid(rho_matrix, h_matrix, times, j: ComplexStructure, w: Symplect
             block = times[start:start + _GRID_BLOCK]
             with np.errstate(over="ignore", invalid="ignore"):
                 flowed = np.stack([_flow(rho_matrix, h_omega, float(t)) for t in block])
-            yield block, state_stack(flowed, j, tol, block, density=False)
+            yield block, state_stack(flowed, w.j, tol, block, density=False)
 
     return blocks()

@@ -144,10 +144,14 @@ def embed_matrix(a) -> np.ndarray:
 
 def extract_matrix(a, j: ComplexStructure, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Invert `embed_matrix` to a complex d x d array; rejects input that
-    does not commute with J."""
+    does not commute with J, and any J but the standard one, whose
+    interleaved layout this reads."""
     a = as_real_matrix(a)
     if a.shape[0] != j.dim:
         raise ValueError("matrix dimension does not match the complex structure")
+    if not np.array_equal(j.matrix, standard_complex_structure(j.d).matrix):
+        raise ValueError("extract_matrix reads the interleaved layout of the standard "
+                         "complex structure; got another J")
     if not commutes(a, j.matrix, tol):
         raise ValueError("matrix is not complex linear (does not commute with J)")
     out = np.empty((j.d, j.d), dtype=complex)

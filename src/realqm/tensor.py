@@ -33,7 +33,7 @@ orthonormal real basis for any orthogonal antisymmetric J.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
 import numpy as np
@@ -82,14 +82,12 @@ class FactorSpace:
 @dataclass(frozen=True)
 class ProductSpace:
     factors: tuple[FactorSpace, ...]
-    dim: int
+    dim: int = field(init=False)  # the product of the factor dimensions
 
     def __post_init__(self) -> None:
         if len(self.factors) < 2:
             raise ValueError("a product space needs at least two factors")
-        if self.dim != math.prod(f.dim for f in self.factors):
-            raise ValueError(f"product dimension {self.dim} is not the product of the "
-                             "factor dimensions")
+        object.__setattr__(self, "dim", math.prod(f.dim for f in self.factors))
         if self.dim > MAX_PRODUCT_DIM:
             raise ValueError(f"dense product dimension {self.dim} exceeds the cap "
                              f"{MAX_PRODUCT_DIM}")
@@ -145,8 +143,7 @@ def _apply_projector(units, x: np.ndarray, right: bool = False) -> np.ndarray:
 
 def build_product_space(factors) -> ProductSpace:
     """The product of >= 2 factors; its dense units and projector are built on first read."""
-    factors = tuple(factors)
-    return ProductSpace(factors=factors, dim=math.prod(f.dim for f in factors))
+    return ProductSpace(factors=tuple(factors))
 
 
 def _conjugated_units(space: ProductSpace, signs) -> list[np.ndarray]:

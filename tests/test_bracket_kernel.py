@@ -23,7 +23,6 @@ from realqm.dynamics import (
     Hamiltonian,
     hamiltonian,
     jacobi_residual,
-    liouville_flow,
     liouville_grid,
     liouville_rhs,
     poisson_bracket,
@@ -125,29 +124,25 @@ class TestLiouvilleRhs:
 
 
 def test_lie_form_check_dimension_mismatch():
-    j = standard_complex_structure(2)
     small, eye = np.eye(2), np.eye(4)
     for args in [(small, eye, eye), (eye, small, eye), (eye, eye, small)]:
         with pytest.raises(ValueError,
                            match="matrix dimension does not match the complex structure"):
-            symplectic_lie_form_check(*args, j)
+            symplectic_lie_form_check(*args, form(2))
 
 
 RHO4, H4 = np.eye(4) / 4.0, np.diag([1.0, 1.0, 2.0, 2.0])
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: liouville_flow(RHO4, H4, 0.5, form(3)),
+    (lambda: liouville_grid(RHO4, H4, [0.0, 0.5], form(3)),
      "arguments do not match the symplectic form dimension"),
-    (lambda: liouville_grid(RHO4, H4, [0.0, 0.5], standard_complex_structure(2), form(3)),
-     "arguments do not match the symplectic form dimension"),
-    (lambda: liouville_grid(RHO4, H4, [0.0, 0.5], standard_complex_structure(3), form(2)),
-     "matrix dimension does not match the complex structure"),
     (lambda: state_stack(RHO4[np.newaxis], standard_complex_structure(3)),
      "matrix dimension does not match the complex structure"),
-], ids=["flow_form", "grid_form", "grid_structure", "stack_structure"])
+], ids=["grid_form", "stack_structure"])
 def test_flow_and_stack_dimension_mismatch(call, message):
     # Each raised numpy's matmul error; the grid raises before its first block.
+    # The grid measures at the form's own J, so no second J can disagree.
     with pytest.raises(ValueError, match=message):
         call()
 

@@ -9,7 +9,6 @@ from realqm.dynamics import (
     expectation_grid,
     hamiltonian,
     jacobi_residual,
-    liouville_flow,
     liouville_grid,
     liouville_rhs,
     poisson_bracket,
@@ -17,7 +16,7 @@ from realqm.dynamics import (
     symplectic_form,
     symplectic_lie_form_check,
 )
-from realqm.linalg import ConstraintError, sym_eig
+from realqm.linalg import ConstraintError, expm, sym_eig
 from realqm.oscillator import (
     OscillatorParams,
     build_canonical_pair,
@@ -114,15 +113,15 @@ class TestJacobiIdentity:
 class TestSymplecticLieForm:
     def test_equal_arguments(self):
         rng = np.random.default_rng(SEED)
-        j = standard_complex_structure(2)
+        w = symplectic_form(standard_complex_structure(2))
         a = rand_symmetric(rng, 4)
-        assert symplectic_lie_form_check(a, a, np.zeros((4, 4)), j)
+        assert symplectic_lie_form_check(a, a, np.zeros((4, 4)), w)
 
     def test_canonical_pair_with_identity(self):
         params = OscillatorParams()
         pair = build_canonical_pair([1.0, 0.5], params)
-        j = standard_complex_structure(2)
-        assert symplectic_lie_form_check(pair.x, pair.p, np.eye(4), j, hbar=params.hbar)
+        w = symplectic_form(standard_complex_structure(2), hbar=params.hbar)
+        assert symplectic_lie_form_check(pair.x, pair.p, np.eye(4), w)
 
     def test_random_brackets(self):
         rng = np.random.default_rng(SEED)
@@ -133,7 +132,7 @@ class TestSymplecticLieForm:
             a = rand_symmetric(rng, 6)
             b = rand_symmetric(rng, 6)
             c = poisson_bracket(a, b, w)
-            assert symplectic_lie_form_check(a, b, c, j, hbar=hbar)
+            assert symplectic_lie_form_check(a, b, c, w)
 
 
 class TestLiouvilleRhs:
@@ -341,6 +340,12 @@ class TestLongTimeEvolve:
         assert err <= max(1e-12, 1e-14 * phase)
 
 
+def flow_at(rho_matrix, h_matrix, t, w):
+    """The one flowed matrix of a one-point `liouville_grid`."""
+    (_, stack), = liouville_grid(rho_matrix, h_matrix, [t], w)
+    return stack.matrices[0]
+
+
 class TestLiouvilleFlow:
     def test_matches_evolve_for_complex_linear_hamiltonian(self):
         rng = np.random.default_rng(SEED)
@@ -349,16 +354,15 @@ class TestLiouvilleFlow:
         w = symplectic_form(j)
         h = hamiltonian(embed_matrix(rand_hermitean(rng, d)), j)
         rho0 = rand_physical(rng, d)
-        flowed = liouville_flow(rho0.matrix, h.matrix, 1.7, w)
+        flowed = flow_at(rho0.matrix, h.matrix, 1.7, w)
         np.testing.assert_allclose(flowed, evolve(rho0, h, 1.7, j).matrix, atol=1e-12)
 
     def test_non_commuting_generator_drifts_trace(self):
         rng = np.random.default_rng(SEED)
-        j = standard_complex_structure(2)
-        w = symplectic_form(j)
+        w = symplectic_form(standard_complex_structure(2))
         x = np.diag([1.0, -1.0, 2.0, -2.0])
         rho0 = rand_physical(rng, 2)
-        flowed = liouville_flow(rho0.matrix, x, 1.0, w)
+        flowed = flow_at(rho0.matrix, x, 1.0, w)
         assert abs(np.trace(flowed) - 1.0) > 1e-3
         # still symmetric even though unphysical
         assert np.linalg.norm(flowed - flowed.T) <= 1e-12
@@ -524,18 +528,21 @@ class TestEvolveGrid:
 
 
 class TestLiouvilleGrid:
-    def test_rows_match_liouville_flow(self):
+    def test_rows_match_the_public_exponential(self):
+        # Each row is exp(t H Omega) rho exp(t H Omega)^T bit for bit, through
+        # the public expm, measured at the form's J.
         rng = np.random.default_rng(SEED)
-        j = standard_complex_structure(2)
-        w = symplectic_form(j)
+        w = symplectic_form(standard_complex_structure(2))
         x = np.diag([1.0, -1.0, 2.0, -2.0])
         rho0 = rand_physical(rng, 2)
         times = np.linspace(0.0, 1.0, 5)
-        (block, stack), = liouville_grid(rho0.matrix, x, times, j, w)
+        (block, stack), = liouville_grid(rho0.matrix, x, times, w)
         np.testing.assert_array_equal(block, times)
         for t, m, tr in zip(times, stack.matrices, stack.trace):
-            np.testing.assert_array_equal(m, liouville_flow(rho0.matrix, x, float(t), w))
+            v = expm(float(t) * (x @ w.omega))
+            assert m.tobytes() == (v @ rho0.matrix @ v.T).tobytes()
             assert tr == pytest.approx(np.trace(m), abs=1e-15)
+        assert stack.physical[0] and np.isfinite(stack.physicality_residual).all()
         assert abs(stack.trace[-1] - 1.0) > 1e-3
 
     @pytest.mark.parametrize("t", [1e300, np.inf, np.nan])
@@ -544,5 +551,10 @@ class TestLiouvilleGrid:
         j = standard_complex_structure(2)
         rho0 = rand_physical(rng, 2)
         with pytest.raises(ConstraintError, match="not finite"):
-            liouville_flow(rho0.matrix, embed_matrix(rand_hermitean(rng, 2)), t,
-                           symplectic_form(j))
+            flow_at(rho0.matrix, embed_matrix(rand_hermitean(rng, 2)), t, symplectic_form(j))
+
+    def test_overflowing_exponential_is_a_constraint_error(self):
+        # ||t H Omega|| = 800 sqrt(2) is finite, but exp(t H Omega) overflows.
+        w = symplectic_form(standard_complex_structure(1))
+        with pytest.raises(ConstraintError, match=r"^flowed matrix is not finite at t = 800\.0$"):
+            flow_at(np.eye(2) / 2.0, np.diag([1.0, -1.0]), 800.0, w)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from realqm.dynamics import (
+    SymplecticForm,
     expectation_grid,
     hamiltonian,
     propagator,
@@ -79,10 +80,12 @@ def test_symplectic_form(hbar):
 
 @pytest.mark.parametrize("hbar", [*NON_FINITE, 0.0, -1.0])
 def test_symplectic_lie_form_check(hbar):
-    # Unguarded, it returned a verdict (False) for each of these.
+    # Unguarded, the check returned a verdict (False) for each of these.  It
+    # reads hbar from its form, and no form holds one of them.
     a = np.diag([1.0, 0.0, 1.0, 0.0])
     with pytest.raises(ValueError, match="hbar must be positive"):
-        symplectic_lie_form_check(a, a, np.zeros((4, 4)), J2, hbar=hbar)
+        symplectic_lie_form_check(a, a, np.zeros((4, 4)), SymplecticForm(J2, hbar))
+    assert symplectic_lie_form_check(a, a, np.zeros((4, 4)), SymplecticForm(J2))
 
 
 @pytest.mark.parametrize("hbar", NON_FINITE)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from realqm.linalg import commutes
 from realqm.realify import (
+    ComplexStructure,
     classify,
     conjugation_operator,
     embed_matrix,
@@ -130,6 +132,19 @@ class TestExtractMatrix:
         j = standard_complex_structure(2)
         with pytest.raises(ValueError):
             extract_matrix(conjugation_operator(2), j)
+
+    def test_rejects_a_non_standard_structure(self):
+        # a = Q embed(c) Q^T commutes with J' = Q J Q^T, but its complex form
+        # in J's frame is not in the interleaved layout: the extraction it
+        # returned missed a by 1.41 in Frobenius norm after embedding back.
+        rng = np.random.default_rng(0)
+        q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        c = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        a = q @ embed_matrix(c) @ q.T
+        j = ComplexStructure(d=2, matrix=q @ standard_complex_structure(2).matrix @ q.T)
+        assert commutes(a, j.matrix)
+        with pytest.raises(ValueError, match="standard complex structure; got another J"):
+            extract_matrix(a, j)
 
 
 class TestSplit:

@@ -2,13 +2,15 @@
 
 A `ComplexStructure` is a (2d, 2d), finite, antisymmetric and orthogonal
 matrix; a `FactorSpace` carries a `J` of its own complex dimension; a
-`ProductSpace` has two or more factors and the product of their dimensions,
-at most `MAX_PRODUCT_DIM`.  A `DensityMatrix` is a finite, symmetric, PSD,
-unit-trace matrix and a `Hamiltonian` a finite, symmetric one; their flags
-(`physical`, `complex_linear`) are verdicts against a `J`, so only the
-validators set them, through `linalg._trusted`.  Each invariant needs no
-outside `J`, so a build with inconsistent fields raises ValueError before
-any verdict can be read from it.
+`ProductSpace` has two or more factors and derives its dimension, their
+product, at most `MAX_PRODUCT_DIM`; a `SymplecticForm` holds a `J` and a
+positive, finite hbar and derives Omega = -J/hbar.  A `DensityMatrix` is a
+finite, symmetric, PSD, unit-trace matrix and a `Hamiltonian` a finite,
+symmetric one; their flags (`physical`, `complex_linear`) are verdicts
+against a `J`, so only the validators set them, through `linalg._trusted`.
+Each invariant needs no outside `J`, so a build with inconsistent fields
+raises ValueError before any verdict can be read from it; a derived field
+(`ProductSpace.dim`, `SymplecticForm.omega`) is no argument at all.
 """
 
 import re
@@ -19,7 +21,7 @@ import pytest
 
 import realqm
 from realqm import dynamics, linalg, states
-from realqm.dynamics import Hamiltonian
+from realqm.dynamics import Hamiltonian, SymplecticForm
 from realqm.realify import ComplexStructure, standard_complex_structure
 from realqm.states import DensityMatrix
 from realqm.tensor import MAX_PRODUCT_DIM, FactorSpace, ProductSpace
@@ -33,9 +35,14 @@ from hypothesis import strategies as st  # noqa: E402
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=120)
 
 VALUE_KINDS = ("non_finite", "non_square", "asymmetric", "flag")
-KINDS = ("size", "scaled", "perturbed", "symmetric", "non_finite", "factor", "product",
+BAD_HBAR = ("zero", "negative", "nan", "inf")
+KINDS = ("size", "scaled", "perturbed", "symmetric", "non_finite", "factor",
+         *(f"form_{k}" for k in (*BAD_HBAR, "omega")),
          *(f"state_{k}" for k in (*VALUE_KINDS, "off_trace", "negative")),
          *(f"generator_{k}" for k in VALUE_KINDS))
+# The error and message of a kind's bad build, where any ValueError is not enough.
+RAISES = {"form_omega": (TypeError, "omega"),
+          **{f"form_{k}": (ValueError, "hbar must be positive") for k in BAD_HBAR}}
 
 
 def value_builds(rng, n, kind):
@@ -71,12 +78,18 @@ def builds(rng, d, kind):
     other = d + int(rng.integers(1, 3))
     if kind == "factor":
         return lambda: FactorSpace(d=d, j=j), lambda: FactorSpace(d=other, j=j)
-    if kind == "product":
-        factors = (FactorSpace(d=d, j=j), FactorSpace.standard(other))
-        dim = 4 * d * other
-        wrong = dim + 2 * int(rng.integers(1, 4))
-        return (lambda: ProductSpace(factors=factors, dim=dim),
-                lambda: ProductSpace(factors=factors, dim=wrong))
+    if kind.startswith("form_"):
+        hbar = float(10.0 ** rng.uniform(-3.0, 3.0))
+
+        def good():  # Omega is derived bit for bit, on a rotated J too
+            w = SymplecticForm(j, hbar)
+            assert w.omega.tobytes() == (-j.matrix / hbar).tobytes()
+
+        if kind == "form_omega":  # Omega is no argument: it cannot disagree with J
+            return good, lambda: SymplecticForm(j, hbar, omega=-j.matrix / hbar)
+        bad = {"zero": 0.0, "negative": -hbar, "nan": np.nan,
+               "inf": float(rng.choice([np.inf, -np.inf]))}[kind[len("form_"):]]
+        return good, lambda: SymplecticForm(j, bad)
     bad, size = j.matrix.copy(), d
     if kind == "size":
         size = other
@@ -97,7 +110,8 @@ def builds(rng, d, kind):
 def test_inconsistent_fields_raise(seed, d, kind):
     good, bad = builds(np.random.default_rng(seed), d, kind)
     good()
-    with pytest.raises(ValueError):
+    error, message = RAISES.get(kind, (ValueError, None))
+    with pytest.raises(error, match=message):
         bad()
 
 
@@ -105,9 +119,9 @@ def test_product_space_needs_two_factors_within_the_cap():
     # Accepted, one factor made every operator "map within", and a dim-1024
     # product allocated its dense fields past the cap.
     with pytest.raises(ValueError, match="at least two factors"):
-        ProductSpace(factors=(FactorSpace.standard(2),), dim=4)
+        ProductSpace(factors=(FactorSpace.standard(2),))
     with pytest.raises(ValueError, match=f"1024 exceeds the cap {MAX_PRODUCT_DIM}"):
-        ProductSpace(factors=(FactorSpace.standard(16),) * 2, dim=1024)
+        ProductSpace(factors=(FactorSpace.standard(16),) * 2)
 
 
 def test_identity_is_not_a_complex_structure():

@@ -99,12 +99,12 @@ class TestProductSpace:
             build_product_space([FactorSpace.standard(2)])
 
     def test_rejects_inconsistent_dimension(self):
-        # Built directly, the dataclass checks its dimension: no verdict on
-        # an operator of the stated size can come from a wrong space.
-        with pytest.raises(ValueError, match="product dimension 8"):
-            physical_escape_check(np.eye(8), ProductSpace(
-                factors=(FactorSpace.standard(1),) * 2, dim=8))
-        assert ProductSpace(factors=(FactorSpace.standard(1),) * 2, dim=4).dim == 4
+        # The dimension is derived from the factors, so no space can state a
+        # wrong one: a stated dimension is not an argument at all.
+        factors = (FactorSpace.standard(1),) * 2
+        with pytest.raises(TypeError):
+            ProductSpace(factors=factors, dim=8)
+        assert ProductSpace(factors=factors).dim == 4
 
     def test_rejects_oversided_product(self):
         with pytest.raises(ValueError, match="cap"):

@@ -28,8 +28,10 @@ never reach, and `spectrum` past their sizes (at most 32 levels there),
 with repeated targets and at a physical hbar; then a dim-16 `--diagnostics`
 flow over three grid blocks, one whose flowed state's sum of squares
 leaves the float range, a target below the spectral bound at a
-physical hbar, and a valid `complex_density` with `-0.0` entries in `re`
-and `im`, whose signs the echoed state keeps.  Each CLI operation runs once with `--format json` and once
+physical hbar, a valid `complex_density` with `-0.0` entries in `re`
+and `im`, whose signs the echoed state keeps, and the dim-16 flow again
+at hbar = 0.37, which pins Omega = -J/hbar at an hbar that is not a power
+of two.  Each CLI operation runs once with `--format json` and once
 with `--format csv`.
 ROOT (default: the checkout holding this script) supplies both `src/` and
 `perfbench/`.  Nothing is written to disk.
@@ -111,6 +113,9 @@ FIXED = [
     ("complex_density valid signed zeros",
      ["evolve", "--state", _complex([[0.6, -0.0], [-0.0, 0.4]], [[-0.0, 0.2], [-0.2, 0.0]]),
       "--hamiltonian", _H, "--t1", "2", "--steps", "4"]),
+    ("matrix --diagnostics dim 16 300 steps hbar 0.37",
+     ["evolve", "--state", _matrix(_RHO16), "--hamiltonian", _matrix(_H16),
+      "--t1", "2", "--steps", "300", "--hbar", "0.37", "--diagnostics"]),
 ]
 
 

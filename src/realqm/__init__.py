@@ -21,7 +21,6 @@ from .dynamics import (
     liouville_rhs,
     poisson_bracket,
     propagator,
-    symplectic_form,
     symplectic_lie_form_check,
 )
 from .linalg import (

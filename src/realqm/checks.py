@@ -314,7 +314,7 @@ def _check_dynamics(rng) -> list[tuple[str, float, float]]:
     for n in (4, 8, 16):
         d = n // 2
         j = realify.standard_complex_structure(d)
-        w = dynamics.symplectic_form(j)
+        w = dynamics.SymplecticForm(j)
         for _ in range(4):
             a = _rand_symmetric(rng, n)
             b = _rand_symmetric(rng, n)
@@ -339,7 +339,7 @@ def _check_dynamics(rng) -> list[tuple[str, float, float]]:
         h_c = _rand_hermitean(rng, d)
         h = dynamics.hamiltonian(realify.embed_matrix(h_c), j)
         t = 50.0 / max(1.0, linalg.frobenius(h.matrix))
-        u = dynamics.propagator(h, t, j).u
+        u = dynamics.propagator(h, t, dynamics.SymplecticForm(j)).u
         eye = np.eye(2 * d)
         worst_orth = max(worst_orth, linalg.frobenius(u.T @ u - eye))
         worst_symp = max(worst_symp, linalg.frobenius(u.T @ j.matrix @ u - j.matrix))
@@ -355,14 +355,14 @@ def _check_dynamics(rng) -> list[tuple[str, float, float]]:
     # Time reversal: conjugation T commutes with an H whose complex form is
     # real and turns U(t) into U(-t).  One sample: propagators dominate.
     d = 3
-    j = realify.standard_complex_structure(d)
+    w = dynamics.SymplecticForm(realify.standard_complex_structure(d))
     # A real complex form embeds as its Kronecker product with I_2.
-    h = dynamics.hamiltonian(np.kron(_rand_symmetric(rng, d), np.eye(2)), j)
+    h = dynamics.hamiltonian(np.kron(_rand_symmetric(rng, d), np.eye(2)), w.j)
     conj = realify.conjugation_operator(d)
     t = float(rng.uniform(-5.0, 5.0))
     worst_h = linalg.frobenius(conj @ h.matrix @ conj - h.matrix)
     worst_u = linalg.frobenius(
-        conj @ dynamics.propagator(h, t, j).u @ conj - dynamics.propagator(h, -t, j).u)
+        conj @ dynamics.propagator(h, t, w).u @ conj - dynamics.propagator(h, -t, w).u)
     out.append(("time_reversal_hamiltonian", worst_h, 0.0))
     out.append(("time_reversal_propagator", worst_u, 1e-10))
     return out
@@ -376,7 +376,7 @@ def _check_oscillator(rng) -> list[tuple[str, float, float]]:
         xis = rng.uniform(0.2, 3.0, size=d)
         pair = oscillator.build_canonical_pair(xis, params)
         j = realify.standard_complex_structure(d)
-        w = dynamics.symplectic_form(j, params.hbar)
+        w = dynamics.SymplecticForm(j, params.hbar)
         bracket = dynamics.poisson_bracket(pair.x, pair.p, w)
         worst = max(worst, linalg.frobenius(bracket - np.eye(2 * d)))
     out.append(("canonical_bracket", worst, 1e-12))

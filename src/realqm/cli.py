@@ -414,8 +414,7 @@ def _cmd_evolve(args) -> int:
     if rho.dim != h.dim:
         raise UsageError(
             f"state dimension {rho.dim} does not match Hamiltonian dimension {h.dim}")
-    j = standard_complex_structure(rho.dim // 2)
-    w = dynamics.symplectic_form(j, params.hbar)
+    w = dynamics.SymplecticForm(standard_complex_structure(rho.dim // 2), params.hbar)
     if not h.complex_linear and not args.diagnostics:
         raise ConstraintError(
             "Hamiltonian does not commute with the complex structure; "
@@ -456,7 +455,7 @@ def _cmd_evolve(args) -> int:
         fixed = [start.trace, start.min_eigenvalue, start.physicality_residual]
         grid = ((block, [c.repeat(block.size) for c in fixed] + columns)
                 for block, columns in dynamics.expectation_grid(
-                    rho, h, observables, times, j, params.hbar, tol))
+                    rho, h, observables, times, w, tol))
     payload = {
         "command": "evolve",
         "config": _config(args),

@@ -10,7 +10,8 @@ only complex-linear Hamiltonians are accepted as generators.  For those,
 the flow integrates exactly to rho(t) = U(t) rho(0) U(t)^T with the
 orthogonal, symplectic propagator U(t) = exp(-(t/hbar) J H), which J^2 = -I
 and [H, J] = 0 reduce to the closed form cos(tH/hbar) - J sin(tH/hbar).
-A `SymplecticForm` is built from J and hbar and derives Omega itself; a
+A `SymplecticForm` is built from J and hbar, holds the one hbar guard and
+derives Omega itself; every function that needs J and hbar takes a form.  A
 `Hamiltonian` checks itself, and only the validators set `complex_linear`.
 
 Such an H is an embedded complex Hermitean d x d matrix, diagonalised once
@@ -49,7 +50,6 @@ __all__ = [
     "SymplecticForm",
     "Hamiltonian",
     "Propagator",
-    "symplectic_form",
     "hamiltonian",
     "poisson_bracket",
     "jacobi_residual",
@@ -69,7 +69,7 @@ _MAX_PHASE = 1e15
 _GRID_BLOCK = 128
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymplecticForm:
     """Omega = -J/hbar, derived from the J and the positive hbar it is built from."""
 
@@ -83,7 +83,7 @@ class SymplecticForm:
         object.__setattr__(self, "omega", -self.j.matrix / self.hbar)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hamiltonian:
     """A finite, symmetric generator; only validators set `complex_linear`."""
 
@@ -100,14 +100,10 @@ class Hamiltonian:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Propagator:
     u: np.ndarray
     t: float
-
-
-def symplectic_form(j: ComplexStructure, hbar: float = 1.0) -> SymplecticForm:
-    return SymplecticForm(j, hbar)
 
 
 def _generator(matrix, tol: Tolerance) -> np.ndarray:  # the J-free rule for generators
@@ -188,18 +184,16 @@ def liouville_rhs(h: Hamiltonian, rho: DensityMatrix, w: SymplecticForm) -> np.n
     return _bracket(h.matrix, rho.matrix, w.omega)
 
 
-def _spectrum(h: Hamiltonian, j: ComplexStructure, hbar: float,
+def _spectrum(h: Hamiltonian, w: SymplecticForm,
               tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     """Each level e of a complex-linear H once, with complex eigenvectors
     X = F W in the frame F of J: the setup a time grid's propagators share.
     H's flag is trusted only with [H, J] negligible at this J and tol."""
-    if not 0.0 < hbar < np.inf:
-        raise ValueError("hbar must be positive")
-    if h.dim != j.dim:
+    if h.dim != w.j.dim:
         raise ValueError("matrix dimension does not match the complex structure")
-    if not (h.complex_linear and _commutes(h.matrix, j.matrix, tol)):
+    if not (h.complex_linear and _commutes(h.matrix, w.j.matrix, tol)):
         raise ConstraintError("propagator requires a Hamiltonian that commutes with J")
-    f = j.frame
+    f = w.j.frame
     e, w = np.linalg.eigh(f.conj().T @ h.matrix @ f)
     return e, f @ w
 
@@ -224,8 +218,8 @@ def _scaled_times(times: np.ndarray, e: np.ndarray, hbar: float) -> np.ndarray:
     return scaled
 
 
-def propagator(h: Hamiltonian, t: float, j: ComplexStructure,
-               hbar: float = 1.0, tol: Tolerance = DEFAULT_TOL) -> Propagator:
+def propagator(h: Hamiltonian, t: float, w: SymplecticForm,
+               tol: Tolerance = DEFAULT_TOL) -> Propagator:
     """U(t) = exp(-(t/hbar) J H) for a complex-linear Hamiltonian.
 
     With F the frame of J (`ComplexStructure.frame`) and F^H H F = W diag(e) W^H,
@@ -237,15 +231,15 @@ def propagator(h: Hamiltonian, t: float, j: ComplexStructure,
     the trace or the physicality of states (see `liouville_grid` for the
     deliberately unguarded flow).
     """
-    e, x = _spectrum(h, j, hbar, tol)
-    theta = _scaled_times(np.array([t], dtype=float), e, hbar) * e
+    e, x = _spectrum(h, w, tol)
+    theta = _scaled_times(np.array([t], dtype=float), e, w.hbar) * e
     half = np.sin(theta / 2.0)
     g = 2.0 * half * half + 1j * np.sin(theta)
     return Propagator(u=np.eye(x.shape[0]) - 2.0 * ((x * g) @ x.conj().T).real, t=float(t))
 
 
 def expectation_grid(rho0: DensityMatrix, h: Hamiltonian, observables, times,
-                     j: ComplexStructure, hbar: float = 1.0, tol: Tolerance = DEFAULT_TOL
+                     w: SymplecticForm, tol: Tolerance = DEFAULT_TOL
                      ) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
     """Tr(rho(t) A) of each observable A, rho(t) = U(t) rho0 U(t)^T, over a
     time grid: yields (block times, one column per observable) in blocks of
@@ -262,8 +256,8 @@ def expectation_grid(rho0: DensityMatrix, h: Hamiltonian, observables, times,
     observables = [as_real_matrix(a) for a in observables]
     if rho0.dim != h.dim or any(a.shape != h.matrix.shape for a in observables):
         raise ValueError("Hamiltonian, state and observable dimensions differ")
-    e, x = _spectrum(h, j, hbar, tol)
-    scaled = _scaled_times(times, e, hbar)
+    e, x = _spectrum(h, w, tol)
+    scaled = _scaled_times(times, e, w.hbar)
     x_h = x.conj().T
     r, s = x_h @ rho0.matrix @ x, x_h @ rho0.matrix @ x.conj()
     # [M1 | M2] of each observable, read against [conj z | z] of each point.
@@ -279,8 +273,8 @@ def expectation_grid(rho0: DensityMatrix, h: Hamiltonian, observables, times,
     return blocks()
 
 
-def evolve(rho0: DensityMatrix, h: Hamiltonian, t: float, j: ComplexStructure,
-           hbar: float = 1.0, tol: Tolerance = DEFAULT_TOL) -> DensityMatrix:
+def evolve(rho0: DensityMatrix, h: Hamiltonian, t: float, w: SymplecticForm,
+           tol: Tolerance = DEFAULT_TOL) -> DensityMatrix:
     """rho(t) = U(t) rho(0) U(t)^T, revalidated as a density matrix: the
     real-space reference at one time point.  U is orthogonal and symplectic,
     so trace, spectrum and physicality are preserved; a physical rho0 whose
@@ -289,10 +283,10 @@ def evolve(rho0: DensityMatrix, h: Hamiltonian, t: float, j: ComplexStructure,
     naming t."""
     if rho0.dim != h.dim:
         raise ValueError("Hamiltonian and state dimensions differ")
-    u = propagator(h, t, j, hbar, tol).u
-    stack = state_stack((u @ rho0.matrix @ u.T)[np.newaxis], j, tol, [t])
+    u = propagator(h, t, w, tol).u
+    stack = state_stack((u @ rho0.matrix @ u.T)[np.newaxis], w.j, tol, [t])
     if rho0.physical and not stack.physical[0]:
-        if not _commutes(rho0.matrix, j.matrix, tol):
+        if not _commutes(rho0.matrix, w.j.matrix, tol):
             raise ConstraintError("the initial state does not commute with this complex "
                                   "structure (it was judged physical against another)")
         raise ConstraintError(f"evolved state is not physical at t = {float(t)!r}: "

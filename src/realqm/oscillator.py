@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Hamiltonian
+from .dynamics import Hamiltonian, SymplecticForm
 from .linalg import ConstraintError, _trusted, sym_eig
-from .realify import ComplexStructure, standard_complex_structure
+from .realify import standard_complex_structure
 from .states import physical_density_4d
 
 __all__ = [
@@ -67,7 +67,7 @@ class OscillatorParams:
         return self.hbar * self.omega / 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CanonicalPair:
     """Position/momentum pair with {x, p} = I; both anticommute with J."""
 
@@ -79,7 +79,7 @@ class CanonicalPair:
         return self.x.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FermionicStructure:
     """Equal-length four-dimensional pair reread as a fermionic oscillator.
 
@@ -101,7 +101,7 @@ class FermionicStructure:
     basis_swap: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualPictureReport:
     """Side-by-side expectations in the J picture and the swapped K picture."""
 
@@ -227,16 +227,14 @@ def uncertainty_product(alpha: float, beta: float, gamma: float, delta: float,
     return params.hbar * float(np.sqrt((alpha + beta) ** 2 + alpha * beta * ratio**2))
 
 
-def translation_operator(pair: CanonicalPair, distance: float,
-                         j: ComplexStructure, hbar: float = 1.0) -> np.ndarray:
+def translation_operator(pair: CanonicalPair, distance: float, w: SymplecticForm) -> np.ndarray:
     """exp(-(d/hbar) J p) = I + V diag(expm1(-(d/hbar) k)) V^T for J p = V diag(k) V^T,
-    a translation that is symplectic but, J p being symmetric, not orthogonal for d != 0."""
-    if not 0.0 < hbar < np.inf:
-        raise ValueError("hbar must be positive")
-    if pair.dim != j.dim:
+    with J and hbar those of the form: a translation that is symplectic but,
+    J p being symmetric, not orthogonal for d != 0."""
+    if pair.dim != w.j.dim:
         raise ValueError("pair dimension does not match the complex structure")
-    k, v = sym_eig(j.matrix @ pair.p)
-    return np.eye(j.dim) + (v * np.expm1(-(distance / hbar) * k)) @ v.T
+    k, v = sym_eig(w.j.matrix @ pair.p)
+    return np.eye(pair.dim) + (v * np.expm1(-(distance / w.hbar) * k)) @ v.T
 
 
 def build_fermionic(xi: float, params: OscillatorParams) -> FermionicStructure:

@@ -53,7 +53,7 @@ __all__ = [
 _RANK_SV_THRESHOLD = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComplexStructure:
     """The embedded imaginary unit: antisymmetric, orthogonal, squares to -I."""
 
@@ -83,7 +83,7 @@ class ComplexStructure:
         return f
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearAntilinearSplit:
     plus: np.ndarray  # complex-linear part, commutes with J
     minus: np.ndarray  # antilinear part, anticommutes with J

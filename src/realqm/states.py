@@ -53,7 +53,7 @@ _TRACE_TOL = 1e-10
 _PARAM_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A state: finite, symmetric, PSD within 1e-10, unit trace within 1e-10.
 
@@ -75,7 +75,7 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Distinct eigenvalues with orthogonal projectors resolving the identity."""
 
@@ -117,7 +117,7 @@ def density_matrix(matrix, j: ComplexStructure | None = None,
     return _trusted(DensityMatrix, matrix=m, physical=bool(stack.physical[0]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateStack:
     """A (T, n, n) stack of validated matrices with per-matrix statistics.
 

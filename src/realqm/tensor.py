@@ -60,7 +60,7 @@ __all__ = [
 MAX_PRODUCT_DIM = 256
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FactorSpace:
     d: int
     j: ComplexStructure
@@ -79,7 +79,7 @@ class FactorSpace:
         return 2 * self.d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProductSpace:
     factors: tuple[FactorSpace, ...]
     dim: int = field(init=False)  # the product of the factor dimensions

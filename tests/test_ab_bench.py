@@ -23,7 +23,8 @@ def test_runs_against_its_own_checkout():
     for side in ("this", "other"):
         assert re.search(rf"^  {side} +[0-9.]+ ops/s   ru_minflt/cycle \d+ / [0-9.]+ / \d+ ",
                          proc.stdout, re.M), proc.stdout
-    assert re.search(r"^  ratio this/other [0-9.]+$", proc.stdout, re.M)
+    assert re.search(r"^  ratio this/other [0-9.]+   per round q1 / median / q3 "
+                     r"[0-9.]+ / [0-9.]+ / [0-9.]+$", proc.stdout, re.M), proc.stdout
     for label in ("2x2", "2x2x2", "4x4", "2x4x4", "8x8"):
         assert re.search(rf"^  class tensor {label} +fastest sum this +[0-9.]+ ms  "
                          rf"other +[0-9.]+ ms  other/this [0-9.]+$", proc.stdout, re.M), label

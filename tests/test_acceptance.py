@@ -7,11 +7,11 @@ import numpy as np
 
 from realqm import cli
 from realqm.dynamics import (
+    SymplecticForm,
     evolve,
     hamiltonian,
     jacobi_residual,
     propagator,
-    symplectic_form,
 )
 from realqm.linalg import ConstraintError, expm, sym_eig
 from realqm.oscillator import (
@@ -158,7 +158,7 @@ def test_criterion_05_canonical_bracket():
     for d in range(1, 9):
         xis = rng.uniform(0.1, 4.0, size=d)
         pair = build_canonical_pair(xis, params)
-        w = symplectic_form(standard_complex_structure(d), params.hbar)
+        w = SymplecticForm(standard_complex_structure(d), params.hbar)
         bracket = pair.x @ w.omega @ pair.p - pair.p @ w.omega @ pair.x
         worst = max(worst, np.linalg.norm(bracket - np.eye(2 * d)))
     ok = worst <= 1e-12
@@ -170,7 +170,7 @@ def test_criterion_06_jacobi_identity():
     worst = 0.0
     for _ in range(100):
         d = int(rng.integers(2, 9))  # dims 4..16
-        w = symplectic_form(standard_complex_structure(d))
+        w = SymplecticForm(standard_complex_structure(d))
         mats = []
         for _ in range(3):
             g = rng.standard_normal((2 * d, 2 * d))
@@ -190,13 +190,14 @@ def test_criterion_07_propagator_invariants():
     for _ in range(10):
         d = int(rng.integers(2, 5))
         j = standard_complex_structure(d)
+        w = SymplecticForm(j)
         h = hamiltonian(embed_matrix(rand_hermitean(rng, d)), j)
         t = rng.uniform(-50.0, 50.0) / max(1.0, np.linalg.norm(h.matrix))
-        u = propagator(h, t, j).u
+        u = propagator(h, t, w).u
         worst_u = max(worst_u,
                       np.linalg.norm(u.T @ u - np.eye(2 * d)),
                       np.linalg.norm(u.T @ j.matrix @ u - j.matrix))
-        rho_t = evolve(rand_physical(rng, d), h, t, j)
+        rho_t = evolve(rand_physical(rng, d), h, t, w)
         worst_state = max(worst_state,
                           abs(float(np.trace(rho_t.matrix)) - 1.0),
                           np.linalg.norm(rho_t.matrix @ j.matrix
@@ -271,7 +272,7 @@ def test_criterion_10_translation_operator():
     params = OscillatorParams()
     pair = build_canonical_pair([1.0, 1.0], params)
     j = standard_complex_structure(2)
-    u = translation_operator(pair, 1.0, j, hbar=1.0)
+    u = translation_operator(pair, 1.0, SymplecticForm(j))
     symplectic_residual = np.linalg.norm(u.T @ j.matrix @ u - j.matrix)
     orthogonality_gap = np.linalg.norm(u.T @ u - np.eye(4))
     ok = symplectic_residual <= 1e-9 and orthogonality_gap > 0.01

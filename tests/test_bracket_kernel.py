@@ -21,12 +21,12 @@ import realqm.linalg
 from realqm import cli
 from realqm.dynamics import (
     Hamiltonian,
+    SymplecticForm,
     hamiltonian,
     jacobi_residual,
     liouville_grid,
     liouville_rhs,
     poisson_bracket,
-    symplectic_form,
     symplectic_lie_form_check,
 )
 from realqm.linalg import frobenius, sym_eig
@@ -49,7 +49,7 @@ SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples
 
 
 def form(d, hbar=1.0):
-    return symplectic_form(standard_complex_structure(d), hbar)
+    return SymplecticForm(standard_complex_structure(d), hbar)
 
 
 class TestJacobiResidual:

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 import realqm
-from realqm.dynamics import Hamiltonian, evolve, expectation_grid, hamiltonian, propagator
+from realqm.dynamics import (
+    Hamiltonian,
+    SymplecticForm,
+    evolve,
+    expectation_grid,
+    hamiltonian,
+    propagator,
+)
 from realqm.realify import (
     ComplexStructure,
     embed_matrix,
@@ -54,6 +61,7 @@ def test_evolution_is_covariant_under_a_rotated_structure(phase):
     d = 3
     j = standard_complex_structure(d)
     q, jq = rotated(rng, d)
+    w, wq = SymplecticForm(j), SymplecticForm(jq)
     h_c = rand_complex(rng, d)
     h_c = (h_c + h_c.conj().T) / 2.0
     g = rand_complex(rng, d)
@@ -67,13 +75,13 @@ def test_evolution_is_covariant_under_a_rotated_structure(phase):
     plain_h = hamiltonian(h, j)
     turned_rho0 = density_matrix(q @ rho0.matrix @ q.T, jq)
     turned_h = hamiltonian(q @ h @ q.T, jq)
-    _, (plain,) = next(expectation_grid(rho0, plain_h, [a], times, j))
-    _, (turned,) = next(expectation_grid(turned_rho0, turned_h, [q @ a @ q.T], times, jq))
+    _, (plain,) = next(expectation_grid(rho0, plain_h, [a], times, w))
+    _, (turned,) = next(expectation_grid(turned_rho0, turned_h, [q @ a @ q.T], times, wq))
     bound = max(1e-12, 1e-14 * phase)
     assert np.max(np.abs(turned - plain)) <= bound * np.linalg.norm(a)
     for time in times:
-        plain_t = evolve(rho0, plain_h, float(time), j).matrix
-        turned_t = evolve(turned_rho0, turned_h, float(time), jq)
+        plain_t = evolve(rho0, plain_h, float(time), w).matrix
+        turned_t = evolve(turned_rho0, turned_h, float(time), wq)
         assert np.linalg.norm(turned_t.matrix - q @ plain_t @ q.T) <= bound
         assert turned_t.physical
 
@@ -83,7 +91,7 @@ def test_asymmetric_complex_linear_hamiltonian_is_rejected():
     j = standard_complex_structure(2)
     with pytest.raises(ValueError, match="symmetric"):
         h = Hamiltonian(matrix=embed_matrix(rand_complex(rng, 2)), complex_linear=True)
-        propagator(h, 1.0, j)
+        propagator(h, 1.0, SymplecticForm(j))
 
 
 def test_frame_is_computed_in_one_place():

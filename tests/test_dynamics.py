@@ -5,6 +5,7 @@ import pytest
 
 from realqm import dynamics
 from realqm.dynamics import (
+    SymplecticForm,
     evolve,
     expectation_grid,
     hamiltonian,
@@ -13,7 +14,6 @@ from realqm.dynamics import (
     liouville_rhs,
     poisson_bracket,
     propagator,
-    symplectic_form,
     symplectic_lie_form_check,
 )
 from realqm.linalg import ConstraintError, expm, sym_eig
@@ -44,14 +44,14 @@ SEED = 3177
 class TestPoissonBracket:
     def test_self_bracket_vanishes(self):
         rng = np.random.default_rng(SEED)
-        w = symplectic_form(standard_complex_structure(3))
+        w = SymplecticForm(standard_complex_structure(3))
         a = rand_symmetric(rng, 6)
         np.testing.assert_allclose(poisson_bracket(a, a, w), np.zeros((6, 6)), atol=0)
 
     def test_canonical_pair(self):
         params = OscillatorParams(hbar=0.7)
         pair = build_canonical_pair([1.0, 2.0, 0.5], params)
-        w = symplectic_form(standard_complex_structure(3), hbar=0.7)
+        w = SymplecticForm(standard_complex_structure(3), hbar=0.7)
         np.testing.assert_allclose(poisson_bracket(pair.x, pair.p, w), np.eye(6),
                                    atol=1e-15)
 
@@ -60,7 +60,7 @@ class TestPoissonBracket:
         rng = np.random.default_rng(SEED)
         hbar = 2.0
         d = 3
-        w = symplectic_form(standard_complex_structure(d), hbar=hbar)
+        w = SymplecticForm(standard_complex_structure(d), hbar=hbar)
         a_c = rand_hermitean(rng, d)
         b_c = rand_hermitean(rng, d)
         bracket = poisson_bracket(embed_matrix(a_c), embed_matrix(b_c), w)
@@ -69,7 +69,7 @@ class TestPoissonBracket:
 
     def test_symmetric_output_and_antisymmetry(self):
         rng = np.random.default_rng(SEED)
-        w = symplectic_form(standard_complex_structure(4))
+        w = SymplecticForm(standard_complex_structure(4))
         a = rand_symmetric(rng, 8)
         b = rand_symmetric(rng, 8)
         br = poisson_bracket(a, b, w)
@@ -78,7 +78,7 @@ class TestPoissonBracket:
         np.testing.assert_array_equal(br, -poisson_bracket(b, a, w))
 
     def test_rejects_nonsymmetric(self):
-        w = symplectic_form(standard_complex_structure(1))
+        w = SymplecticForm(standard_complex_structure(1))
         with pytest.raises(ValueError):
             poisson_bracket(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2), w)
 
@@ -86,7 +86,7 @@ class TestPoissonBracket:
 class TestJacobiIdentity:
     def test_repeated_argument(self):
         rng = np.random.default_rng(SEED)
-        w = symplectic_form(standard_complex_structure(2))
+        w = SymplecticForm(standard_complex_structure(2))
         a = rand_symmetric(rng, 4)
         b = rand_symmetric(rng, 4)
         assert jacobi_residual(a, a, b, w) <= 1e-12
@@ -94,7 +94,7 @@ class TestJacobiIdentity:
     @pytest.mark.parametrize("n", [4, 8, 16])
     def test_random_triples(self, n):
         rng = np.random.default_rng(SEED + n)
-        w = symplectic_form(standard_complex_structure(n // 2))
+        w = SymplecticForm(standard_complex_structure(n // 2))
         for _ in range(10):
             a = rand_symmetric(rng, n)
             b = rand_symmetric(rng, n)
@@ -106,28 +106,28 @@ class TestJacobiIdentity:
         params = OscillatorParams()
         pair = build_canonical_pair([1.0, 2.0], params)
         h = oscillator_hamiltonian(pair, params)
-        w = symplectic_form(standard_complex_structure(2))
+        w = SymplecticForm(standard_complex_structure(2))
         assert jacobi_residual(pair.x, pair.p, h.matrix, w) <= 1e-9
 
 
 class TestSymplecticLieForm:
     def test_equal_arguments(self):
         rng = np.random.default_rng(SEED)
-        w = symplectic_form(standard_complex_structure(2))
+        w = SymplecticForm(standard_complex_structure(2))
         a = rand_symmetric(rng, 4)
         assert symplectic_lie_form_check(a, a, np.zeros((4, 4)), w)
 
     def test_canonical_pair_with_identity(self):
         params = OscillatorParams()
         pair = build_canonical_pair([1.0, 0.5], params)
-        w = symplectic_form(standard_complex_structure(2), hbar=params.hbar)
+        w = SymplecticForm(standard_complex_structure(2), hbar=params.hbar)
         assert symplectic_lie_form_check(pair.x, pair.p, np.eye(4), w)
 
     def test_random_brackets(self):
         rng = np.random.default_rng(SEED)
         j = standard_complex_structure(3)
         hbar = 1.3
-        w = symplectic_form(j, hbar=hbar)
+        w = SymplecticForm(j, hbar=hbar)
         for _ in range(5):
             a = rand_symmetric(rng, 6)
             b = rand_symmetric(rng, 6)
@@ -140,7 +140,7 @@ class TestLiouvilleRhs:
         rng = np.random.default_rng(SEED)
         d = 3
         j = standard_complex_structure(d)
-        w = symplectic_form(j)
+        w = SymplecticForm(j)
         h = hamiltonian(embed_matrix(rand_hermitean(rng, d)), j)
         rho = physical_from_complex(np.eye(d, dtype=complex) / d)
         np.testing.assert_allclose(liouville_rhs(h, rho, w), np.zeros((2 * d, 2 * d)),
@@ -150,7 +150,7 @@ class TestLiouvilleRhs:
         rng = np.random.default_rng(SEED)
         d = 4
         j = standard_complex_structure(d)
-        w = symplectic_form(j)
+        w = SymplecticForm(j)
         h = hamiltonian(embed_matrix(rand_hermitean(rng, d)), j)
         rho = rand_physical(rng, d)
         assert abs(np.trace(liouville_rhs(h, rho, w))) <= 1e-12
@@ -159,12 +159,12 @@ class TestLiouvilleRhs:
         rng = np.random.default_rng(SEED)
         d = 2
         j = standard_complex_structure(d)
-        w = symplectic_form(j)
+        w = SymplecticForm(j)
         h = hamiltonian(embed_matrix(rand_hermitean(rng, d)), j)
         rho = rand_physical(rng, d)
         dt = 1e-4
-        fwd = evolve(rho, h, dt, j).matrix
-        bwd = evolve(rho, h, -dt, j).matrix
+        fwd = evolve(rho, h, dt, w).matrix
+        bwd = evolve(rho, h, -dt, w).matrix
         centered = (fwd - bwd) / (2.0 * dt)
         # centered difference is exact to O(dt^2)
         assert np.linalg.norm(liouville_rhs(h, rho, w) - centered) <= 1e-6
@@ -175,7 +175,7 @@ class TestPropagator:
         rng = np.random.default_rng(SEED)
         j = standard_complex_structure(2)
         h = hamiltonian(embed_matrix(rand_hermitean(rng, 2)), j)
-        np.testing.assert_array_equal(propagator(h, 0.0, j).u, np.eye(4))
+        np.testing.assert_array_equal(propagator(h, 0.0, SymplecticForm(j)).u, np.eye(4))
 
     def test_oscillator_blocks_rotate(self):
         params = OscillatorParams(hbar=0.5)
@@ -183,7 +183,7 @@ class TestPropagator:
         h = oscillator_hamiltonian(pair, params)
         j = standard_complex_structure(2)
         t = 0.8
-        u = propagator(h, t, j, hbar=params.hbar).u
+        u = propagator(h, t, SymplecticForm(j, params.hbar)).u
         levels = np.diag(h.matrix)[::2]
         expected = np.zeros((4, 4))
         for i, e in enumerate(levels):
@@ -197,20 +197,22 @@ class TestPropagator:
     def test_one_parameter_group(self):
         rng = np.random.default_rng(SEED)
         j = standard_complex_structure(3)
+        w = SymplecticForm(j)
         h = hamiltonian(embed_matrix(rand_hermitean(rng, 3)), j)
         for s, t in rng.uniform(-3.0, 3.0, size=(5, 2)):
-            lhs = propagator(h, s, j).u @ propagator(h, t, j).u
-            np.testing.assert_allclose(lhs, propagator(h, s + t, j).u, atol=1e-10)
+            lhs = propagator(h, s, w).u @ propagator(h, t, w).u
+            np.testing.assert_allclose(lhs, propagator(h, s + t, w).u, atol=1e-10)
 
     def test_orthogonal_and_symplectic_over_long_times(self):
         rng = np.random.default_rng(SEED)
         j = standard_complex_structure(3)
+        w = SymplecticForm(j)
         h = hamiltonian(embed_matrix(rand_hermitean(rng, 3)), j)
         t = 50.0 / np.linalg.norm(h.matrix)
-        u = propagator(h, t, j).u
+        u = propagator(h, t, w).u
         assert np.linalg.norm(u.T @ u - np.eye(6)) <= 1e-8
         assert np.linalg.norm(u.T @ j.matrix @ u - j.matrix) <= 1e-8
-        np.testing.assert_allclose(u @ propagator(h, -t, j).u, np.eye(6), atol=1e-10)
+        np.testing.assert_allclose(u @ propagator(h, -t, w).u, np.eye(6), atol=1e-10)
 
     def test_rejects_non_commuting_hamiltonian(self):
         j = standard_complex_structure(2)
@@ -218,7 +220,7 @@ class TestPropagator:
         h = hamiltonian(x, j)
         assert not h.complex_linear
         with pytest.raises(ConstraintError):
-            propagator(h, 1.0, j)
+            propagator(h, 1.0, SymplecticForm(j))
 
     def test_degenerate_oscillator_spectrum(self):
         # duplicate targets give fourfold-degenerate levels on the real side
@@ -228,7 +230,7 @@ class TestPropagator:
             build_canonical_pair(design_spectrum(targets, params), params), params)
         j = standard_complex_structure(3)
         t = 2.3
-        u = propagator(h, t, j, hbar=params.hbar).u
+        u = propagator(h, t, SymplecticForm(j, params.hbar)).u
         expected = np.zeros((6, 6))
         for i, e in enumerate(targets):
             angle = e * t / params.hbar
@@ -245,12 +247,12 @@ class TestPropagator:
         j = standard_complex_structure(2)
         h = hamiltonian(embed_matrix(rand_hermitean(rng, 2)), j)
         with pytest.raises(ConstraintError, match="phase"):
-            propagator(h, t, j)
+            propagator(h, t, SymplecticForm(j))
 
     def test_zero_hamiltonian_accepts_huge_time(self):
         j = standard_complex_structure(2)
         h = hamiltonian(np.zeros((4, 4)), j)
-        np.testing.assert_array_equal(propagator(h, 1e300, j).u, np.eye(4))
+        np.testing.assert_array_equal(propagator(h, 1e300, SymplecticForm(j)).u, np.eye(4))
 
 
 class TestEvolve:
@@ -260,7 +262,7 @@ class TestEvolve:
         h_c = np.diag([1.0 + 0j, 2.0, 3.0])
         h = hamiltonian(embed_matrix(h_c), j)
         rho0 = physical_from_complex(np.diag([0.5 + 0j, 0.3, 0.2]))
-        rho_t = evolve(rho0, h, 2.7, j)
+        rho_t = evolve(rho0, h, 2.7, SymplecticForm(j))
         np.testing.assert_allclose(rho_t.matrix, rho0.matrix, atol=1e-12)
 
     def test_trace_and_physicality_preserved(self):
@@ -270,7 +272,7 @@ class TestEvolve:
         h = hamiltonian(embed_matrix(rand_hermitean(rng, d)), j)
         rho0 = rand_physical(rng, d)
         for t in rng.uniform(-10.0, 10.0, size=8):
-            rho_t = evolve(rho0, h, float(t), j)
+            rho_t = evolve(rho0, h, float(t), SymplecticForm(j))
             assert np.trace(rho_t.matrix) == pytest.approx(1.0, abs=1e-10)
             assert rho_t.physical
             assert np.linalg.norm(rho_t.matrix @ j.matrix
@@ -283,7 +285,7 @@ class TestEvolve:
         h = hamiltonian(embed_matrix(rand_hermitean(rng, d)), j)
         rho0 = rand_physical(rng, d)
         before, _ = sym_eig(rho0.matrix)
-        after, _ = sym_eig(evolve(rho0, h, 3.3, j).matrix)
+        after, _ = sym_eig(evolve(rho0, h, 3.3, SymplecticForm(j)).matrix)
         np.testing.assert_allclose(after, before, atol=1e-10)
 
     def test_conserved_observable(self):
@@ -297,7 +299,7 @@ class TestEvolve:
         rho0 = rand_physical(rng, d)
         reference = float(np.trace(rho0.matrix @ a))
         for t in (0.5, 2.0, 7.5):
-            value = float(np.trace(evolve(rho0, h, t, j).matrix @ a))
+            value = float(np.trace(evolve(rho0, h, t, SymplecticForm(j)).matrix @ a))
             assert value == pytest.approx(reference, abs=1e-9)
 
 
@@ -331,7 +333,7 @@ class TestLongTimeEvolve:
         rho_c = g @ g.conj().T / np.trace(g @ g.conj().T).real
         rho0 = physical_from_complex(rho_c)
         t = -phase / np.linalg.norm(h.matrix, 2)
-        rho_t = evolve(rho0, h, t, j).matrix
+        rho_t = evolve(rho0, h, t, SymplecticForm(j)).matrix
         assert abs(np.trace(rho_t) - 1.0) <= 1e-12
         assert np.linalg.norm(rho_t @ j.matrix - j.matrix @ rho_t) <= 1e-12
         # phase roundoff grows like phase * eps, so the comparison with the
@@ -351,15 +353,15 @@ class TestLiouvilleFlow:
         rng = np.random.default_rng(SEED)
         d = 2
         j = standard_complex_structure(d)
-        w = symplectic_form(j)
+        w = SymplecticForm(j)
         h = hamiltonian(embed_matrix(rand_hermitean(rng, d)), j)
         rho0 = rand_physical(rng, d)
         flowed = flow_at(rho0.matrix, h.matrix, 1.7, w)
-        np.testing.assert_allclose(flowed, evolve(rho0, h, 1.7, j).matrix, atol=1e-12)
+        np.testing.assert_allclose(flowed, evolve(rho0, h, 1.7, w).matrix, atol=1e-12)
 
     def test_non_commuting_generator_drifts_trace(self):
         rng = np.random.default_rng(SEED)
-        w = symplectic_form(standard_complex_structure(2))
+        w = SymplecticForm(standard_complex_structure(2))
         x = np.diag([1.0, -1.0, 2.0, -2.0])
         rho0 = rand_physical(rng, 2)
         flowed = flow_at(rho0.matrix, x, 1.0, w)
@@ -373,32 +375,33 @@ class TestEvolveGrid:
     complex reference and against `evolve`, the one-point reference."""
 
     @staticmethod
-    def grid(rho0, h, observables, times, j, hbar=1.0):
-        blocks = list(expectation_grid(rho0, h, observables, times, j, hbar))
+    def grid(rho0, h, observables, times, w):
+        blocks = list(expectation_grid(rho0, h, observables, times, w))
         columns = [np.concatenate(c) for c in zip(*(cols for _, cols in blocks))]
         return blocks, columns
 
     @staticmethod
-    def check_against_reference(h_c, rho_c, times, j, hbar=1.0):
+    def check_against_reference(h_c, rho_c, times, w):
         rng = np.random.default_rng(SEED)
+        j, hbar = w.j, w.hbar
         h = hamiltonian(embed_matrix(h_c), j)
         rho0 = physical_from_complex(rho_c)
         # H, an embedded observable and a generic symmetric one (antilinear part included)
         observables = [h.matrix, embed_matrix(rand_hermitean(rng, j.d)),
                        rand_symmetric(rng, j.dim)]
-        blocks, columns = TestEvolveGrid.grid(rho0, h, observables, times, j, hbar)
+        blocks, columns = TestEvolveGrid.grid(rho0, h, observables, times, w)
         np.testing.assert_array_equal(np.concatenate([t for t, _ in blocks]), times)
-        w, v = np.linalg.eigh(h_c)
+        e, v = np.linalg.eigh(h_c)
         min_eig = np.linalg.eigvalsh(rho_c)[0] / 2.0
         phases = np.abs(times) * np.linalg.norm(h_c, 2) / hbar
         for k, (t, phase) in enumerate(zip(times, phases)):
-            u_c = (v * np.exp(-1j * w * t / hbar)) @ v.conj().T
+            u_c = (v * np.exp(-1j * e * t / hbar)) @ v.conj().T
             reference = embed_matrix(u_c @ rho_c @ u_c.conj().T) / 2.0
             # phase roundoff grows like phase * eps
             bound = max(1e-12, 1e-14 * phase)
             for a, column in zip(observables, columns):
                 assert abs(column[k] - np.trace(reference @ a)) <= bound * np.linalg.norm(a)
-            m = evolve(rho0, h, float(t), j, hbar).matrix
+            m = evolve(rho0, h, float(t), w).matrix
             assert abs(np.trace(m) - 1.0) <= 1e-12
             assert np.linalg.norm(m @ j.matrix - j.matrix @ m) <= 1e-12
             assert abs(np.linalg.eigvalsh(m)[0] - min_eig) <= 1e-12
@@ -413,7 +416,7 @@ class TestEvolveGrid:
         rho_c = g @ g.conj().T / np.trace(g @ g.conj().T).real
         phases = np.array([0.0, 3.7, -1e6, 1e6, -1e12, 1e12])
         self.check_against_reference(h_c, rho_c, phases / np.linalg.norm(h_c, 2),
-                                     standard_complex_structure(d), hbar=0.8)
+                                     SymplecticForm(standard_complex_structure(d), 0.8))
 
     def test_degenerate_spectrum(self):
         rng = np.random.default_rng(SEED)
@@ -424,22 +427,23 @@ class TestEvolveGrid:
         rho_c = g @ g.conj().T / np.trace(g @ g.conj().T).real
         phases = np.array([0.0, 2.9, 1e6, -1e12])
         self.check_against_reference(h_c, rho_c, phases / np.linalg.norm(h_c, 2),
-                                     standard_complex_structure(d))
+                                     SymplecticForm(standard_complex_structure(d)))
 
     def test_evolve_is_the_matching_slice_of_the_grid(self):
         rng = np.random.default_rng(SEED)
         d = 4
         j = standard_complex_structure(d)
+        w = SymplecticForm(j)
         h = hamiltonian(embed_matrix(rand_hermitean(rng, d)), j)
         rho0 = rand_physical(rng, d)
         observables = [h.matrix, rand_symmetric(rng, 2 * d)]
         times = np.linspace(-4.0, 9.0, 2 * dynamics._GRID_BLOCK + 3)
-        blocks, columns = self.grid(rho0, h, observables, times, j)
+        blocks, columns = self.grid(rho0, h, observables, times, w)
         assert len(blocks) == 3
         for k in (0, 1, dynamics._GRID_BLOCK - 1, dynamics._GRID_BLOCK, len(times) - 1):
-            rho_t = evolve(rho0, h, float(times[k]), j)
+            rho_t = evolve(rho0, h, float(times[k]), w)
             assert rho_t.physical
-            u = propagator(h, float(times[k]), j).u
+            u = propagator(h, float(times[k]), w).u
             np.testing.assert_array_equal(rho_t.matrix, u @ rho0.matrix @ u.T)
             for a, column in zip(observables, columns):
                 expected = np.trace(rho_t.matrix @ a)
@@ -447,23 +451,25 @@ class TestEvolveGrid:
 
     def test_phase_guard_names_first_offending_time(self):
         rng = np.random.default_rng(SEED)
-        j = standard_complex_structure(2)
-        h = hamiltonian(embed_matrix(rand_hermitean(rng, 2)), j)
+        w = SymplecticForm(standard_complex_structure(2))
+        h = hamiltonian(embed_matrix(rand_hermitean(rng, 2)), w.j)
         with pytest.raises(ConstraintError, match=r"at t = 1e\+300"):
-            expectation_grid(rand_physical(rng, 2), h, [h.matrix], [0.0, 1.0, 1e300, np.inf], j)
+            expectation_grid(rand_physical(rng, 2), h, [h.matrix], [0.0, 1.0, 1e300, np.inf], w)
 
     def test_rejects_non_commuting_hamiltonian(self):
         rng = np.random.default_rng(SEED)
         j = standard_complex_structure(2)
+        w = SymplecticForm(j)
         h = hamiltonian(np.diag([1.0, -1.0, 2.0, -2.0]), j)
         with pytest.raises(ConstraintError):
-            expectation_grid(rand_physical(rng, 2), h, [h.matrix], [0.0, 1.0], j)
+            expectation_grid(rand_physical(rng, 2), h, [h.matrix], [0.0, 1.0], w)
         with pytest.raises(ConstraintError):
-            evolve(rand_physical(rng, 2), h, 1.0, j)
+            evolve(rand_physical(rng, 2), h, 1.0, w)
 
     def test_state_flagged_physical_that_is_not_is_rejected(self):
         rng = np.random.default_rng(SEED)
         j = standard_complex_structure(2)
+        w = SymplecticForm(j)
         h = hamiltonian(embed_matrix(np.diag([1.0, -0.5]).astype(complex)), j)
         m = np.diag([0.4, 0.1, 0.3, 0.2])  # each J pair has unequal diagonal entries
         assert np.linalg.norm(m @ j.matrix - j.matrix @ m) > 0.1
@@ -472,9 +478,9 @@ class TestEvolveGrid:
         # Unflagged, it evolves; the grid carries its large antilinear part exactly.
         a = rand_symmetric(rng, 4)
         times = np.linspace(0.5, 3.0, dynamics._GRID_BLOCK + 5)
-        _, (column,) = self.grid(DensityMatrix(matrix=m, physical=False), h, [a], times, j)
+        _, (column,) = self.grid(DensityMatrix(matrix=m, physical=False), h, [a], times, w)
         for k in (0, dynamics._GRID_BLOCK, len(times) - 1):
-            rho_t = evolve(DensityMatrix(matrix=m, physical=False), h, float(times[k]), j)
+            rho_t = evolve(DensityMatrix(matrix=m, physical=False), h, float(times[k]), w)
             assert not rho_t.physical
             assert abs(column[k] - np.trace(rho_t.matrix @ a)) <= 1e-13 * np.linalg.norm(a, 2)
 
@@ -486,30 +492,32 @@ class TestEvolveGrid:
             DensityMatrix(m, physical=True)
         # Its validator names it unphysical, so evolve blames nothing on the motion.
         rho0 = density_matrix(m, j)
-        assert not rho0.physical and not evolve(rho0, h, 0.5, j).physical
+        assert not rho0.physical and not evolve(rho0, h, 0.5, SymplecticForm(j)).physical
 
     def test_physical_input_judged_once_and_drift_names_the_evolved_state(self, monkeypatch):
         rng = np.random.default_rng(SEED)
         j = standard_complex_structure(2)
+        w = SymplecticForm(j)
         h = hamiltonian(embed_matrix(rand_hermitean(rng, 2)), j)
         rho0 = rand_physical(rng, 2)
         calls = []
         stack = dynamics.state_stack
         monkeypatch.setattr(dynamics, "state_stack",
                             lambda *a, **k: calls.append(1) or stack(*a, **k))
-        assert evolve(rho0, h, 0.5, j).physical
+        assert evolve(rho0, h, 0.5, w).physical
         assert len(calls) == 1
         # An orthogonal U that does not commute with J: the input is physical, its image not.
         q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
         monkeypatch.setattr(dynamics, "propagator", lambda *a: SimpleNamespace(u=q))
         with pytest.raises(ConstraintError, match=r"not physical at t = 0\.5: \|\|\[rho, J\]\|\|"):
-            evolve(rho0, h, 0.5, j)
+            evolve(rho0, h, 0.5, w)
         assert len(calls) == 2
 
     def test_state_judged_against_another_j_is_named(self, monkeypatch):
         rng = np.random.default_rng(SEED)
         q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
         j_rot = ComplexStructure(d=2, matrix=q @ standard_complex_structure(2).matrix @ q.T)
+        w = SymplecticForm(j_rot)
         h = hamiltonian(q @ np.diag([1.0, 1.0, 2.0, 2.0]) @ q.T, j_rot)
         rho0 = physical_density_4d(0.25, 0.25, 0.1, 0.05)  # physical under the standard J
         assert rho0.physical and h.complex_linear
@@ -520,11 +528,11 @@ class TestEvolveGrid:
         for t in (0.0, 0.5):
             with pytest.raises(ConstraintError, match=r"^the initial state does not commute "
                                                       r"with this complex structure"):
-                evolve(rho0, h, t, j_rot)
+                evolve(rho0, h, t, w)
         assert len(calls) == 2
         # The same state judged against the rotated J evolves under it.
         rotated = density_matrix(q @ rho0.matrix @ q.T, j_rot)
-        assert rotated.physical and evolve(rotated, h, 0.5, j_rot).physical
+        assert rotated.physical and evolve(rotated, h, 0.5, w).physical
 
 
 class TestLiouvilleGrid:
@@ -532,7 +540,7 @@ class TestLiouvilleGrid:
         # Each row is exp(t H Omega) rho exp(t H Omega)^T bit for bit, through
         # the public expm, measured at the form's J.
         rng = np.random.default_rng(SEED)
-        w = symplectic_form(standard_complex_structure(2))
+        w = SymplecticForm(standard_complex_structure(2))
         x = np.diag([1.0, -1.0, 2.0, -2.0])
         rho0 = rand_physical(rng, 2)
         times = np.linspace(0.0, 1.0, 5)
@@ -551,10 +559,10 @@ class TestLiouvilleGrid:
         j = standard_complex_structure(2)
         rho0 = rand_physical(rng, 2)
         with pytest.raises(ConstraintError, match="not finite"):
-            flow_at(rho0.matrix, embed_matrix(rand_hermitean(rng, 2)), t, symplectic_form(j))
+            flow_at(rho0.matrix, embed_matrix(rand_hermitean(rng, 2)), t, SymplecticForm(j))
 
     def test_overflowing_exponential_is_a_constraint_error(self):
         # ||t H Omega|| = 800 sqrt(2) is finite, but exp(t H Omega) overflows.
-        w = symplectic_form(standard_complex_structure(1))
+        w = SymplecticForm(standard_complex_structure(1))
         with pytest.raises(ConstraintError, match=r"^flowed matrix is not finite at t = 800\.0$"):
             flow_at(np.eye(2) / 2.0, np.diag([1.0, -1.0]), 800.0, w)

@@ -10,7 +10,7 @@ antilinear part included), every column must match the trace of the state
 import numpy as np
 import pytest
 
-from realqm.dynamics import evolve, expectation_grid, hamiltonian
+from realqm.dynamics import SymplecticForm, evolve, expectation_grid, hamiltonian
 from realqm.linalg import DEFAULT_TOL
 from realqm.realify import embed_matrix, standard_complex_structure
 from realqm.states import density_matrix
@@ -29,6 +29,7 @@ SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples
 def test_columns_match_evolve(d, seed, antilinear):
     rng = np.random.default_rng(seed)
     j = standard_complex_structure(d)
+    w = SymplecticForm(j)
     h_c = rand_complex(rng, d)
     h = hamiltonian(embed_matrix(h_c + h_c.conj().T), j)
     g = rand_complex(rng, d)
@@ -44,10 +45,10 @@ def test_columns_match_evolve(d, seed, antilinear):
     a = rng.standard_normal((2 * d, 2 * d))
     a = a + a.T
     times = np.sort(rng.uniform(-10.0, 10.0, size=5))
-    [(block, (column,))] = expectation_grid(rho0, h, [a], times, j)
+    [(block, (column,))] = expectation_grid(rho0, h, [a], times, w)
     np.testing.assert_array_equal(block, times)
     for t, value in zip(times, column):
-        expected = np.trace(evolve(rho0, h, float(t), j).matrix @ a)
+        expected = np.trace(evolve(rho0, h, float(t), w).matrix @ a)
         assert abs(value - expected) <= 1e-13 * np.linalg.norm(a, 2)
 
 
@@ -64,6 +65,6 @@ def test_first_point_is_the_initial_expectation_up_to_rounding(d, seed, log_scal
     rho0 = density_matrix(embed_matrix(g @ g.conj().T) / (2.0 * np.trace(g @ g.conj().T).real), j)
     a = rng.standard_normal((2 * d, 2 * d))
     a = (a + a.T) * 10.0**-log_scale
-    [(_, (column,))] = expectation_grid(rho0, h, [a], [0.0, 1.0], j)
+    [(_, (column,))] = expectation_grid(rho0, h, [a], [0.0, 1.0], SymplecticForm(j))
     bound = 8 * d * np.finfo(float).eps * np.linalg.norm(a)
     assert abs(column[0] - np.trace(rho0.matrix @ a)) <= bound

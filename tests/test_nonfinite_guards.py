@@ -10,24 +10,11 @@ them, so these sites are reached only through the library.
 import numpy as np
 import pytest
 
-from realqm.dynamics import (
-    SymplecticForm,
-    expectation_grid,
-    hamiltonian,
-    propagator,
-    symplectic_form,
-    symplectic_lie_form_check,
-)
+from realqm.dynamics import SymplecticForm, symplectic_lie_form_check
 from realqm.linalg import ConstraintError, Tolerance
-from realqm.oscillator import (
-    OscillatorParams,
-    build_canonical_pair,
-    build_fermionic,
-    translation_operator,
-    uncertainty_product,
-)
+from realqm.oscillator import OscillatorParams, build_fermionic, uncertainty_product
 from realqm.realify import standard_complex_structure
-from realqm.states import density_matrix, physical_density_4d
+from realqm.states import physical_density_4d
 
 NAN, INF = float("nan"), float("inf")
 NON_FINITE = [NAN, INF, -INF]
@@ -72,10 +59,12 @@ def test_tolerance(field):
     assert Tolerance(abs_tol=INF, spectral_gap_tol=INF).abs_tol == INF
 
 
-@pytest.mark.parametrize("hbar", NON_FINITE)
+@pytest.mark.parametrize("hbar", [*NON_FINITE, 0.0, -1.0])
 def test_symplectic_form(hbar):
+    # The one hbar guard: propagator, expectation_grid, evolve and
+    # translation_operator read hbar from a form, and no form holds these.
     with pytest.raises(ValueError, match="hbar must be positive"):
-        symplectic_form(J2, hbar)
+        SymplecticForm(J2, hbar)
 
 
 @pytest.mark.parametrize("hbar", [*NON_FINITE, 0.0, -1.0])
@@ -86,24 +75,6 @@ def test_symplectic_lie_form_check(hbar):
     with pytest.raises(ValueError, match="hbar must be positive"):
         symplectic_lie_form_check(a, a, np.zeros((4, 4)), SymplecticForm(J2, hbar))
     assert symplectic_lie_form_check(a, a, np.zeros((4, 4)), SymplecticForm(J2))
-
-
-@pytest.mark.parametrize("hbar", NON_FINITE)
-def test_translation_operator(hbar):
-    pair = build_canonical_pair([1.0, 2.0], OscillatorParams())
-    with pytest.raises(ValueError, match="hbar must be positive"):
-        translation_operator(pair, 1.0, J2, hbar=hbar)
-
-
-@pytest.mark.parametrize("hbar", NON_FINITE)
-def test_propagator(hbar):
-    h = hamiltonian(np.diag([1.0, 1.0, 2.0, 2.0]), J2)
-    with pytest.raises(ValueError, match="hbar must be positive"):
-        propagator(h, 0.5, J2, hbar=hbar)
-    # The time grid shares the propagator's setup, and its guard.
-    rho = density_matrix(np.eye(4) / 4.0, J2)
-    with pytest.raises(ValueError, match="hbar must be positive"):
-        next(expectation_grid(rho, h, [np.eye(4)], np.array([0.0, 1.0]), J2, hbar=hbar))
 
 
 @pytest.mark.parametrize("xi", NON_FINITE)

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from realqm.dynamics import poisson_bracket, symplectic_form
+from realqm.dynamics import SymplecticForm, poisson_bracket
 from realqm.linalg import ConstraintError, expm, sym_eig
 from realqm.oscillator import (
     OscillatorParams,
@@ -44,7 +44,7 @@ class TestCanonicalPair:
         rng = np.random.default_rng(SEED + d)
         params = OscillatorParams(hbar=1.7)
         pair = build_canonical_pair(rng.uniform(0.1, 5.0, size=d), params)
-        w = symplectic_form(standard_complex_structure(d), hbar=params.hbar)
+        w = SymplecticForm(standard_complex_structure(d), hbar=params.hbar)
         bracket = poisson_bracket(pair.x, pair.p, w)
         assert np.linalg.norm(bracket - np.eye(2 * d)) <= 1e-12
 
@@ -277,14 +277,14 @@ class TestTranslation:
     def test_zero_distance(self):
         params = OscillatorParams()
         pair = build_canonical_pair([1.0, 1.0], params)
-        j = standard_complex_structure(2)
-        np.testing.assert_array_equal(translation_operator(pair, 0.0, j), np.eye(4))
+        w = SymplecticForm(standard_complex_structure(2))
+        np.testing.assert_array_equal(translation_operator(pair, 0.0, w), np.eye(4))
 
     def test_symplectic_but_far_from_orthogonal(self):
         params = OscillatorParams()
         pair = build_canonical_pair([1.0, 1.0], params)
         j = standard_complex_structure(2)
-        u = translation_operator(pair, 1.0, j, hbar=1.0)
+        u = translation_operator(pair, 1.0, SymplecticForm(j))
         flags = classify(u, j)
         assert flags.symplectic
         assert not flags.orthogonal
@@ -297,7 +297,7 @@ class TestTranslation:
         params = OscillatorParams(hbar=0.8)
         pair = build_canonical_pair([0.7, 1.3], params)
         j = standard_complex_structure(2)
-        u = translation_operator(pair, distance, j, hbar=params.hbar)
+        u = translation_operator(pair, distance, SymplecticForm(j, params.hbar))
         want = scipy_linalg.expm(-(distance / params.hbar) * (j.matrix @ pair.p))
         assert np.linalg.norm(u - want) <= 1e-15 * np.linalg.norm(want)
 

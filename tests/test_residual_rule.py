@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import realqm
-from realqm.dynamics import poisson_bracket, symplectic_form, symplectic_lie_form_check
+from realqm.dynamics import SymplecticForm, poisson_bracket, symplectic_lie_form_check
 from realqm.linalg import (
     DEFAULT_TOL,
     ConstraintError,
@@ -353,7 +353,7 @@ class TestDynamicsAndRealify:
         j = random_structure(rng, 2)
         jm = j.matrix
         a, b = size * sym(rng, 4), sym(rng, 4)
-        w = symplectic_form(j, hbar)
+        w = SymplecticForm(j, hbar)
         c = poisson_bracket(a, b, w) + 1e-8 * sym(rng, 4)
         lhs = (jm @ a) @ (jm @ b) - (jm @ b) @ (jm @ a)
         pairs = [(frobenius(lhs + hbar * (jm @ c)), frobenius(a) * frobenius(b))]

@@ -10,8 +10,11 @@ symmetric one; their flags (`physical`, `complex_linear`) are verdicts
 against a `J`, so only the validators set them, through `linalg._trusted`.
 Each invariant needs no outside `J`, so a build with inconsistent fields
 raises ValueError before any verdict can be read from it; a derived field
-(`ProductSpace.dim`, `SymplecticForm.omega`) is no argument at all.
+(`ProductSpace.dim`, `SymplecticForm.omega`) is no argument at all.  A type
+that holds arrays compares and hashes by identity.
 """
+
+import copy
 
 import re
 from pathlib import Path
@@ -20,9 +23,9 @@ import numpy as np
 import pytest
 
 import realqm
-from realqm import dynamics, linalg, states
+from realqm import dynamics, linalg, oscillator, states
 from realqm.dynamics import Hamiltonian, SymplecticForm
-from realqm.realify import ComplexStructure, standard_complex_structure
+from realqm.realify import ComplexStructure, split_linear_antilinear, standard_complex_structure
 from realqm.states import DensityMatrix
 from realqm.tensor import MAX_PRODUCT_DIM, FactorSpace, ProductSpace
 
@@ -113,6 +116,28 @@ def test_inconsistent_fields_raise(seed, d, kind):
     error, message = RAISES.get(kind, (ValueError, None))
     with pytest.raises(error, match=message):
         bad()
+
+
+def array_holders():
+    j = standard_complex_structure(2)
+    h = dynamics.hamiltonian(np.diag([1.0, 1.0, 2.0, 2.0]), j)
+    rho = states.density_matrix(np.eye(4) / 4.0, j)
+    fs = oscillator.build_fermionic(1.3, oscillator.OscillatorParams())
+    return [j, split_linear_antilinear(np.eye(4), j), SymplecticForm(j), h,
+            dynamics.Propagator(u=np.eye(4), t=0.5), rho,
+            states.state_stack(rho.matrix[np.newaxis], j), states.spectral_decompose(h.matrix),
+            oscillator.build_canonical_pair([1.0, 2.0], fs.params), fs,
+            oscillator.dual_picture(0.25, 0.25, 0.1, 0.05, fs, 0.5), FactorSpace.standard(2),
+            ProductSpace(factors=(FactorSpace.standard(1),) * 2)]
+
+
+@pytest.mark.parametrize("value", array_holders(), ids=lambda v: type(v).__name__)
+def test_array_holders_compare_by_identity(value):
+    # With generated equality, == on a distinct copy asked numpy for the truth
+    # value of an array, and hash raised TypeError.
+    twin = copy.deepcopy(value)
+    assert value == value and value != twin
+    assert len({value, twin}) == 2
 
 
 def test_product_space_needs_two_factors_within_the_cap():

@@ -17,7 +17,10 @@ pass (at least two rounds).
 Printed per side: ops/s over the fastest repeat of each operation (as
 `perfbench/run.py` computes it) and the minor page faults (`ru_minflt`) of
 each timed cycle, as min / median / max; then the ratio of this side's
-ops/s to the other's.  Then one line per operation class (`Op.label`):
+ops/s to the other's, and beside it the quartiles over the rounds of the
+same ratio taken per round (the other side's summed operation latency
+over this side's, in that round).  Rounds that disagree widely mark a run
+too noisy to rank the checkouts by.  Then one line per operation class (`Op.label`):
 the sum of its operations' fastest repeats on each side and the ratio
 other/this, which reads like the ops/s ratio (above 1: this side is
 faster), so a gain can be traced to the class that moved.  BLAS runs on
@@ -98,6 +101,7 @@ def main(argv=None) -> int:
     verdicts = {side: {} for side in sides}
     attempts = {side: [] for side in sides}
     faults = {side: [] for side in sides}
+    cycle_s = {side: [] for side in sides}
 
     for side, rq in sides.items():
         run.run_cycles(workload, ops, rq, 0.0, verdicts[side], cycles=1)
@@ -114,9 +118,10 @@ def main(argv=None) -> int:
     while rounds < MIN_ROUNDS or time.perf_counter() - start < args.seconds:
         for side in order:
             before = minflt()
-            attempts[side] += run.run_cycles(workload, ops, sides[side], 0.0, verdicts[side],
-                                             cycles=1)[0]
+            cycle = run.run_cycles(workload, ops, sides[side], 0.0, verdicts[side], cycles=1)[0]
             faults[side].append(minflt() - before)
+            cycle_s[side].append(sum(a.latency for a in cycle))
+            attempts[side] += cycle
         order.reverse()
         rounds += 1
 
@@ -129,7 +134,9 @@ def main(argv=None) -> int:
         f = faults[side]
         print(f"  {side:<5} {rate[side]:10.2f} ops/s   ru_minflt/cycle "
               f"{min(f)} / {statistics.median(f):g} / {max(f)}   {root}")
-    print(f"  ratio this/other {rate['this'] / rate['other']:.4f}")
+    q1, q2, q3 = np.percentile(np.divide(cycle_s["other"], cycle_s["this"]), [25, 50, 75])
+    print(f"  ratio this/other {rate['this'] / rate['other']:.4f}   "
+          f"per round q1 / median / q3 {q1:.4f} / {q2:.4f} / {q3:.4f}")
     fastest = {side: class_fastest(attempts[side], ops) for side in sides}
     width = max(len(label) for label in fastest["this"])
     for label in sorted(fastest["this"]):

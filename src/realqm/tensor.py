@@ -20,9 +20,23 @@ instead of the O(n^2 c) of a dense product.  One unsigned kernel applies
 the physical projector the same way, a factor pair at a time, from either
 side.  A sign pattern's subspace is the physical half with each factor of
 sign -1 conjugated (J_k -> -J_k), so the kernel serves it given negated J
-arrays.  Residuals go into temporaries the function owns, never an input.
-Closed-form subspace bases ran at 0.81-0.85x this route's speed and gave
-rounding noise where it gives exact zeros, so the factor route stays.
+arrays.  Closed-form subspace bases ran at 0.81-0.85x this route's speed
+and gave rounding noise where it gives exact zeros, so the factor route
+stays.
+
+Work sets.  Every n x n kernel allocates its arrays once, at the start of
+the call, and writes every product, projector step and residual into them
+(`out=`); nothing is written into an input, and no array outlives the call
+but the result.  A projection needs its result array and one scratch array
+for two factors, two beyond.  `physical_escape_check` and
+`validate_product_density` hold one projection while taking the next, so
+each allocates 3 arrays for two factors and 4 beyond;
+`subspace_unit_relation` and the projectors allocate 3, the identity they
+start from among them.  `lift_operator` and `ProductSpace.units` place the
+factor matrix by index into one zeroed array, and `physical_basis` is one
+complex array read as real column pairs.  At n = 128-256 a freed n x n
+array can go back to the kernel and fault its pages in again on reuse, so
+each array a call does not allocate is faults it does not take.
 
 The physical basis needs no eigensolve of the n x n projector: Kronecker
 products of the factors' +i eigenvectors span the physical subspace over
@@ -34,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -95,12 +109,11 @@ class ProductSpace:
     @cached_property
     def units(self) -> tuple[np.ndarray, ...]:  # dense fields are built on first read
         dims = [f.dim for f in self.factors]
-        return tuple(_apply_lifted(f.j.matrix, k, dims, np.eye(self.dim))
-                     for k, f in enumerate(self.factors))
+        return tuple(_placed_lift(f.j.matrix, k, dims) for k, f in enumerate(self.factors))
 
     @cached_property
     def physical_projector(self) -> np.ndarray:
-        return _apply_projector([f.j.matrix for f in self.factors], np.eye(self.dim))
+        return _projector([f.j.matrix for f in self.factors], self.dim)[0]
 
     @property
     def physical_rank(self) -> int:
@@ -113,8 +126,9 @@ def kron(a, b) -> np.ndarray:
 
 
 def _apply_lifted(m: np.ndarray, index: int, dims: list[int], x: np.ndarray,
-                  right: bool = False) -> np.ndarray:
-    """(I_L (x) m (x) I_R) @ x, or x @ (I_L (x) m (x) I_R) when `right`.
+                  right: bool = False, out: np.ndarray | None = None) -> np.ndarray:
+    """(I_L (x) m (x) I_R) @ x, or x @ (I_L (x) m (x) I_R) when `right`,
+    into `out` (a C-contiguous array of x's shape, not x) or a fresh array.
 
     The lift acts on factor `index` alone, so reshaping the product index
     of x to (before, d_k, after) turns it into small products with m:
@@ -123,22 +137,63 @@ def _apply_lifted(m: np.ndarray, index: int, dims: list[int], x: np.ndarray,
     d = dims[index]
     if not right:
         before = math.prod(dims[:index])
-        return np.matmul(m, x.reshape(before, d, -1)).reshape(x.shape)
-    after = math.prod(dims[index + 1:])
-    if after == 1:
-        return (x.reshape(-1, d) @ m).reshape(x.shape)
-    return np.matmul(m.T, x.reshape(-1, d, after)).reshape(x.shape)
+        shape, a, b = (before, d, -1), m, x.reshape(before, d, -1)
+    elif (after := math.prod(dims[index + 1:])) == 1:
+        shape, a, b = (-1, d), x.reshape(-1, d), m
+    else:
+        shape, a, b = (-1, d, after), m.T, x.reshape(-1, d, after)
+    if out is None:
+        return np.matmul(a, b).reshape(x.shape)
+    np.matmul(a, b, out=out.reshape(shape))
+    return out
 
 
-def _apply_projector(units, x: np.ndarray, right: bool = False) -> np.ndarray:
+def _placed_lift(m: np.ndarray, index: int, dims: list[int]) -> np.ndarray:
+    """I_L (x) m (x) I_R, with m's entries placed by index into zeros.
+
+    The entry at ((b, i, a), (b, j, a)) is m[i, j] + 0.0, which is m[i, j]
+    with -0 read as +0, as a product with the identity gives it.
+    """
+    d = dims[index]
+    before, after = math.prod(dims[:index]), math.prod(dims[index + 1:])
+    lifted = np.zeros((before, d, after, before, d, after))
+    np.einsum("biabja->baij", lifted)[...] = m + 0.0  # a writeable view of the blocks
+    n = before * d * after
+    return lifted.reshape(n, n)
+
+
+def _apply_projector(units, x: np.ndarray, right: bool = False, work=None) -> np.ndarray:
     """prod_k (I - U_0 U_k)/2 times x for the factors' J matrices `units`, from the left
-    (or the right), as a fresh array; each step is written into the flipped block."""
+    (or the right), written into work[0], which it returns.
+
+    `work` holds arrays of x's shape (fresh ones when it is None): the
+    result, which may be x itself, a scratch array for U_k x and, where
+    the result holds x (from the second step on, or from the start), a
+    second one for U_0 U_k x.
+    """
     dims = [u.shape[0] for u in units]
+    if work is None:
+        work = [np.empty(x.shape) for _ in range(min(len(units), 3))]
+    out, scratch, *flip = work
     for k, u in enumerate(units[1:], start=1):
-        flipped = _apply_lifted(units[0], 0, dims, _apply_lifted(u, k, dims, x, right), right)
-        x = np.subtract(x, flipped, out=flipped)
+        _apply_lifted(u, k, dims, x, right, out=scratch)
+        flipped = _apply_lifted(units[0], 0, dims, scratch, right,
+                                out=flip[0] if x is out else out)
+        x = np.subtract(x, flipped, out=out)
         x *= 0.5
-    return x
+    return out
+
+
+def _projector(units, n: int) -> list[np.ndarray]:
+    """The projector of `units` from the n x n identity, first of its 3 work arrays."""
+    work = [np.eye(n), np.empty((n, n)), np.empty((n, n))]
+    _apply_projector(units, work[0], work=work)
+    return work
+
+
+def _work_set(units, n: int) -> list[np.ndarray]:
+    """Two projection results and their scratch arrays: 3 for two factors, 4 beyond."""
+    return [np.empty((n, n)) for _ in range(3 if len(units) == 2 else 4)]
 
 
 def build_product_space(factors) -> ProductSpace:
@@ -160,19 +215,20 @@ def _conjugated_units(space: ProductSpace, signs) -> list[np.ndarray]:
 def subspace_projector(space: ProductSpace, signs) -> np.ndarray:
     """Projector onto the subspace where J_first = sign_k * J_k for each
     later factor k; signs has one entry of +1 or -1 per non-anchor factor."""
-    return _apply_projector(_conjugated_units(space, signs), np.eye(space.dim))
+    return _projector(_conjugated_units(space, signs), space.dim)[0]
 
 
 def subspace_unit_relation(space: ProductSpace, signs,
                            tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff (J_first - sign_k J_k) vanishes on the selected subspace."""
     units = _conjugated_units(space, signs)
-    projector = _apply_projector(units, np.eye(space.dim))
+    n = space.dim
+    projector, first, other = _projector(units, n)
     dims = [f.dim for f in space.factors]
-    first = _apply_lifted(units[0], 0, dims, projector)
+    _apply_lifted(units[0], 0, dims, projector, out=first)
     for k, u in enumerate(units[1:], start=1):
-        other = _apply_lifted(u, k, dims, projector)
-        if not negligible(frobenius(np.subtract(first, other, out=other)), space.dim, tol):
+        _apply_lifted(u, k, dims, projector, out=other)
+        if not negligible(frobenius(np.subtract(first, other, out=other)), n, tol):
             return False
     return True
 
@@ -184,7 +240,7 @@ def lift_operator(op, factor_index: int, space: ProductSpace) -> np.ndarray:
         raise ValueError(f"factor index {factor_index} out of range")
     if op.shape[0] != space.factors[factor_index].dim:
         raise ValueError("operator dimension does not match the chosen factor")
-    return _apply_lifted(op, factor_index, [f.dim for f in space.factors], np.eye(space.dim))
+    return _placed_lift(op, factor_index, [f.dim for f in space.factors])
 
 
 @dataclass(frozen=True)
@@ -200,11 +256,13 @@ def physical_escape_check(lifted, space: ProductSpace,
         raise ValueError("operator dimension does not match the product space")
     units = [f.j.matrix for f in space.factors]
     scale = frobenius(lifted)
-    l_p = _apply_projector(units, lifted, right=True)
-    p_l = _apply_projector(units, lifted)
+    l_p, p_l, *scratch = _work_set(units, space.dim)
+    _apply_projector(units, lifted, True, [l_p, *scratch])
+    _apply_projector(units, lifted, False, [p_l, *scratch])
     within = negligible(frobenius(np.subtract(l_p, p_l, out=p_l)), scale, tol)
     # (I - P) L P - L P = -P L P, so P L P alone decides "across".
-    across = negligible(frobenius(_apply_projector(units, l_p)), scale, tol)
+    p_l_p = _apply_projector(units, l_p, False, [p_l, *scratch])
+    across = negligible(frobenius(p_l_p), scale, tol)
     return EscapeCheck(maps_within=within, maps_across=across)
 
 
@@ -221,11 +279,13 @@ def physical_basis(space: ProductSpace) -> np.ndarray:
     complex operators reproduces the complex tensor product up to a
     unitary change of basis.
     """
-    eigvecs = [f.j.frame for f in space.factors]
-    z = np.sqrt(2.0) * reduce(np.kron, eigvecs)
-    basis = np.empty((space.dim, 2 * z.shape[1]))
-    basis[:, 0::2] = z.real
-    basis[:, 1::2] = -z.imag
+    z, *frames = (f.j.frame for f in space.factors)
+    for f in frames:  # the Kronecker product, as np.kron forms it
+        z = (z[:, None, :, None] * f[None, :, None, :]).reshape(
+            z.shape[0] * f.shape[0], z.shape[1] * f.shape[1])
+    z *= np.sqrt(2.0)
+    # Re z, -Im z interleaved is conj(z) read as real pairs.
+    basis = np.conjugate(z, out=z).view(np.float64)
     return basis
 
 
@@ -244,13 +304,16 @@ def validate_product_density(rho, space: ProductSpace,
         raise ValueError("state dimension does not match the product space")
     units = [f.j.matrix for f in space.factors]
     scale = frobenius(rho)
-    compressed = _apply_projector(units, _apply_projector(units, rho, right=True))
+    rho_p, compressed, *scratch = _work_set(units, space.dim)
+    _apply_projector(units, rho, True, [rho_p, *scratch])
+    _apply_projector(units, rho_p, False, [compressed, *scratch])
     if not negligible(frobenius(np.subtract(rho, compressed, out=compressed)), scale, tol):
         return False
     dims = [f.dim for f in space.factors]
+    j_rho, rho_j = rho_p, compressed
     for k, j in enumerate(units):
-        j_rho = _apply_lifted(j, k, dims, rho)
-        commutator = np.subtract(_apply_lifted(j, k, dims, rho, right=True), j_rho, out=j_rho)
-        if not negligible(frobenius(commutator), scale, tol):
+        _apply_lifted(j, k, dims, rho, out=j_rho)
+        _apply_lifted(j, k, dims, rho, right=True, out=rho_j)
+        if not negligible(frobenius(np.subtract(rho_j, j_rho, out=j_rho)), scale, tol):
             return False
     return True

@@ -40,3 +40,13 @@ def test_stops_when_the_sides_give_different_output(tmp_path):
     assert proc.returncode == 1
     assert "42 of 42 operations differ between the sides" in proc.stderr
     assert "ops/s" not in proc.stdout
+
+
+def test_prints_median_faults_per_operation_class():
+    proc = _run(*ARGS)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    for label in ("2x2", "2x2x2", "4x4", "2x4x4", "8x8"):
+        at = next(k for k, line in enumerate(lines) if line.startswith(f"  class tensor {label} "))
+        assert re.fullmatch(rf"  faults tensor {label} +ru_minflt/op median this [0-9.]+  "
+                            rf"other [0-9.]+", lines[at + 1]), lines[at + 1]

@@ -23,8 +23,12 @@ over this side's, in that round).  Rounds that disagree widely mark a run
 too noisy to rank the checkouts by.  Then one line per operation class (`Op.label`):
 the sum of its operations' fastest repeats on each side and the ratio
 other/this, which reads like the ops/s ratio (above 1: this side is
-faster), so a gain can be traced to the class that moved.  BLAS runs on
-one thread, as in the benchmark.
+faster), so a gain can be traced to the class that moved.  Under each, a
+`faults` line gives the median minor page faults of one of the class's
+operations on each side, counted around every timed run of it (the two
+`getrusage` calls fall inside the operation's timed span and add about a
+microsecond to it), so a class that stopped re-faulting its arrays shows.
+BLAS runs on one thread, as in the benchmark.
 
 Both sides share one interpreter and one heap, so one side's allocations
 can change the other's page faults and cache state, and the script can
@@ -44,6 +48,7 @@ import resource
 import statistics
 import sys
 import time
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -68,6 +73,34 @@ def load_realqm(root: Path, name: str):
 
 def minflt() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+class FaultCounter:
+    """The workload, with the minor faults of every `execute` recorded per
+    operation index; every other attribute is the workload's own."""
+
+    def __init__(self, workload, ops):
+        self._workload = workload
+        self._index = {id(op): k for k, op in enumerate(ops)}
+        self.faults: dict[int, list[int]] = defaultdict(list)
+
+    def __getattr__(self, name):
+        return getattr(self._workload, name)
+
+    def execute(self, op, rq):
+        before = minflt()
+        try:
+            return self._workload.execute(op, rq)
+        finally:
+            self.faults[self._index[id(op)]].append(minflt() - before)
+
+
+def class_median_faults(faults, ops) -> dict[str, float]:
+    """Per operation class: the median minor faults of one run of one of its operations."""
+    runs: dict[str, list[int]] = defaultdict(list)
+    for index, counts in faults.items():
+        runs[ops[index].label] += counts
+    return {label: statistics.median(counts) for label, counts in runs.items()}
 
 
 def class_fastest(attempts, ops) -> dict[str, float]:
@@ -112,13 +145,15 @@ def main(argv=None) -> int:
               f"first op {differ[0]} ({ops[differ[0]].label})", file=sys.stderr)
         return 1
 
+    counted = {side: FaultCounter(workload, ops) for side in sides}
     order = list(sides)
     rounds = 0
     start = time.perf_counter()
     while rounds < MIN_ROUNDS or time.perf_counter() - start < args.seconds:
         for side in order:
             before = minflt()
-            cycle = run.run_cycles(workload, ops, sides[side], 0.0, verdicts[side], cycles=1)[0]
+            cycle = run.run_cycles(counted[side], ops, sides[side], 0.0, verdicts[side],
+                                   cycles=1)[0]
             faults[side].append(minflt() - before)
             cycle_s[side].append(sum(a.latency for a in cycle))
             attempts[side] += cycle
@@ -138,11 +173,14 @@ def main(argv=None) -> int:
     print(f"  ratio this/other {rate['this'] / rate['other']:.4f}   "
           f"per round q1 / median / q3 {q1:.4f} / {q2:.4f} / {q3:.4f}")
     fastest = {side: class_fastest(attempts[side], ops) for side in sides}
+    op_faults = {side: class_median_faults(counted[side].faults, ops) for side in sides}
     width = max(len(label) for label in fastest["this"])
     for label in sorted(fastest["this"]):
         this, other = fastest["this"][label], fastest["other"][label]
         print(f"  class {label:<{width}}  fastest sum this {1e3 * this:9.3f} ms  "
               f"other {1e3 * other:9.3f} ms  other/this {other / this:.4f}")
+        print(f"  faults {label:<{width}} ru_minflt/op median this {op_faults['this'][label]:g}  "
+              f"other {op_faults['other'][label]:g}")
     return 0
 
 

@@ -32,7 +32,6 @@ from .linalg import (
     expm,
     is_antisymmetric,
     is_symmetric,
-    matmul,
     sym_eig,
 )
 from .oscillator import (

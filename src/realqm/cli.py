@@ -260,8 +260,14 @@ def _floats(value, what: str) -> np.ndarray:
     """A JSON value as a finite float array, else a usage error naming it."""
     try:
         array = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # an int past the float range
         raise UsageError(f"{what} must be numeric: {exc}") from exc
+    # float() also takes a string, a bool (true, false) and None (null).
+    items = value if array.ndim else [value]
+    for _ in range(array.ndim - 1):  # the entries of nested lists
+        items = itertools.chain.from_iterable(items)
+    if not {*map(type, items)} <= {int, float}:
+        raise UsageError(f"{what} must be numeric: a JSON number, not a string, boolean or null")
     if not np.all(np.isfinite(array)):
         raise UsageError(f"{what} must be finite")
     return array
@@ -361,12 +367,12 @@ def _cmd_spectrum(args) -> int:
             raise UsageError(f"--branch entries must be 'plus' or 'minus', got {bad[0]!r}")
     xis = oscillator.design_spectrum(targets, params, branches)
     levels = oscillator.energy_levels(xis, params)
-    h = oscillator.oscillator_hamiltonian(oscillator.build_canonical_pair(xis, params), params)
     # One row per real-side eigenvalue.  H is diagonal with level i twice on
     # block i, so its eigenvalues are its sorted diagonal, the k-th smallest
     # being the level of the k-th smallest entry; repeated targets keep their rows.
-    order = np.argsort(np.diag(h.matrix), kind="stable")
-    eigenvalues = np.diag(h.matrix)[order]
+    diagonal = oscillator._hamiltonian_diagonal(xis, params)
+    order = np.argsort(diagonal, kind="stable")
+    eigenvalues = diagonal[order]
     level = order // 2
     targets = np.asarray(targets)
     residual = np.abs(levels - targets) / np.maximum(1.0, np.abs(targets))
@@ -450,7 +456,7 @@ def _cmd_evolve(args) -> int:
     if args.diagnostics:
         grid = ((block, [stack.trace, stack.min_eigenvalue, stack.physicality_residual,
                          *(np.einsum("tij,ji->t", stack.matrices, obs) for obs in observables)])
-                for block, stack in dynamics.liouville_grid(rho.matrix, h.matrix, times, w, tol))
+                for block, stack in dynamics.liouville_grid(rho, h, times, w, tol))
     else:  # trace, spectrum and physicality are invariants of the motion
         fixed = [start.trace, start.min_eigenvalue, start.physicality_residual]
         grid = ((block, [c.repeat(block.size) for c in fixed] + columns)

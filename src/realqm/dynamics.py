@@ -20,8 +20,8 @@ eigenbasis `expectation_grid` evaluates Tr(rho(t) A) over a time grid with
 O(d^2) work per point and no state rebuilt or revalidated: trace, spectrum
 and physicality are invariants of the motion.  `propagator` and `evolve`
 are the one-point real-space references.  `liouville_grid` is the one
-diagnostics flow: it integrates any symmetric H, J-commuting or not, with
-no physicality guard.
+diagnostics flow: it takes the same validated state and Hamiltonian and
+integrates any symmetric H, J-commuting or not, with no physicality guard.
 """
 
 from __future__ import annotations
@@ -61,8 +61,9 @@ __all__ = [
     "liouville_grid",
 ]
 
-# Largest phase |t E / hbar| the propagator accepts.  Past it, a float64
-# phase keeps no digits below 2*pi, so cos and sin would return noise.
+# Largest phase |t E / hbar| the propagator accepts.  At 1e15 float64 phases
+# are 0.125 rad apart (2*pi only past 2^55 ~ 3.6e16), yet digits are lost well
+# before: at phase 2.2e14 an observable was off by 6.4e-2 (60-digit reference).
 _MAX_PHASE = 1e15
 
 # Time points per block: it bounds a block's (B, d) phase arrays.
@@ -103,7 +104,6 @@ class Hamiltonian:
 @dataclass(frozen=True, eq=False)
 class Propagator:
     u: np.ndarray
-    t: float
 
 
 def _generator(matrix, tol: Tolerance) -> np.ndarray:  # the J-free rule for generators
@@ -235,7 +235,7 @@ def propagator(h: Hamiltonian, t: float, w: SymplecticForm,
     theta = _scaled_times(np.array([t], dtype=float), e, w.hbar) * e
     half = np.sin(theta / 2.0)
     g = 2.0 * half * half + 1j * np.sin(theta)
-    return Propagator(u=np.eye(x.shape[0]) - 2.0 * ((x * g) @ x.conj().T).real, t=float(t))
+    return Propagator(u=np.eye(x.shape[0]) - 2.0 * ((x * g) @ x.conj().T).real)
 
 
 def expectation_grid(rho0: DensityMatrix, h: Hamiltonian, observables, times,
@@ -308,32 +308,30 @@ def _flow(rho: np.ndarray, h_omega: np.ndarray, t: float) -> np.ndarray:
     return v @ rho @ v.T
 
 
-def liouville_grid(rho_matrix, h_matrix, times, w: SymplecticForm,
+def liouville_grid(rho0: DensityMatrix, h: Hamiltonian, times, w: SymplecticForm,
                    tol: Tolerance = DEFAULT_TOL) -> Iterator[tuple[np.ndarray, StateStack]]:
-    """rho(t) = V rho V^T, V = exp(t H Omega), the flow d(rho)/dt = {H, rho} of
+    """rho(t) = V rho0 V^T, V = exp(t H Omega), the flow d(rho)/dt = {H, rho} of
     any symmetric H, at each time point, in blocks of at most _GRID_BLOCK.
 
     Diagnostics only, with no physicality guard: when H does not commute with
     J the flow does not preserve the trace, so each stack, measured at the
     form's J, is checked to be finite and symmetric but not to be states.
-    rho and H are validated and H Omega formed once, up front.  A generator
-    t H Omega whose norm is not finite, or whose exponential overflows,
-    raises ConstraintError naming t.
+    H Omega is formed once, up front.  A generator t H Omega whose norm is
+    not finite, or whose exponential overflows, raises ConstraintError naming t.
     """
-    rho_matrix, h_matrix = as_real_matrix(rho_matrix), as_real_matrix(h_matrix)
-    if rho_matrix.shape != h_matrix.shape:
+    if rho0.dim != h.dim:
         raise ValueError("Hamiltonian and state dimensions differ")
-    if h_matrix.shape[0] != w.omega.shape[0]:
+    if h.dim != w.omega.shape[0]:
         raise ValueError("arguments do not match the symplectic form dimension")
     with np.errstate(over="ignore", invalid="ignore"):
-        h_omega = h_matrix @ w.omega
+        h_omega = h.matrix @ w.omega
     times = np.asarray(times, dtype=float).reshape(-1)
 
     def blocks():
         for start in range(0, times.size, _GRID_BLOCK):
             block = times[start:start + _GRID_BLOCK]
             with np.errstate(over="ignore", invalid="ignore"):
-                flowed = np.stack([_flow(rho_matrix, h_omega, float(t)) for t in block])
+                flowed = np.stack([_flow(rho0.matrix, h_omega, float(t)) for t in block])
             yield block, state_stack(flowed, w.j, tol, block, density=False)
 
     return blocks()

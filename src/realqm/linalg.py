@@ -1,7 +1,7 @@
 """Dense real-matrix substrate.
 
 Everything downstream works on square numpy float64 arrays.  This module
-supplies the product, a validated symmetric eigensolver on LAPACK, a
+supplies their validation, a validated symmetric eigensolver on LAPACK, a
 Pade/scaling-squaring matrix exponential, and the tolerance-scaled
 predicates (symmetric, antisymmetric, commutes, anticommutes) that replace
 raw float comparisons everywhere else; all of them use `negligible`, whose
@@ -26,7 +26,6 @@ __all__ = [
     "DEFAULT_TOL",
     "as_real_matrix",
     "frobenius",
-    "matmul",
     "negligible",
     "sym_eig",
     "expm",
@@ -104,10 +103,6 @@ def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:  # both validated, of one shap
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return a, b
-
-
-def matmul(a, b) -> np.ndarray:
-    return np.matmul(*_pair(a, b))
 
 
 def negligible(residual, scale, tol: Tolerance = DEFAULT_TOL):

@@ -12,14 +12,15 @@ ones; matrices that anticommute with J are antilinear, i.e. conjugation
 followed by a complex-linear map.  `split_linear_antilinear` separates any
 real matrix into those two parts.
 
-`standard_complex_structure(d)` is built once per d and shared, so its
-matrix is read-only; each `ComplexStructure` computes its frame once.
+A `ComplexStructure` derives d from its matrix.  `standard_complex_structure(d)`
+is built once per d and shared, so its matrix is read-only; each
+`ComplexStructure` computes its frame once.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,19 +58,18 @@ _RANK_SV_THRESHOLD = 1e-8
 class ComplexStructure:
     """The embedded imaginary unit: antisymmetric, orthogonal, squares to -I."""
 
-    d: int
     matrix: np.ndarray
+    d: int = field(init=False)  # half the matrix size: the complex dimension
 
     def __post_init__(self) -> None:
+        # d is exact: no real matrix of odd size is antisymmetric and orthogonal.
         m = as_real_matrix(self.matrix)
-        if m.shape[0] != 2 * self.d:
-            raise ValueError(f"complex structure of dimension {self.d} needs a "
-                             f"{2 * self.d} x {2 * self.d} matrix, got shape {m.shape}")
         fro = frobenius(m)
         if not (negligible(frobenius(m + m.T), fro)
                 and negligible(frobenius(m.T @ m - np.eye(m.shape[0])), fro * fro)):
             raise ValueError("a complex structure must be antisymmetric and orthogonal")
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "d", m.shape[0] // 2)
 
     @property
     def dim(self) -> int:
@@ -109,7 +109,7 @@ def standard_complex_structure(d: int) -> ComplexStructure:
     j[2 * idx, 2 * idx + 1] = -1.0
     j[2 * idx + 1, 2 * idx] = 1.0
     j.setflags(write=False)
-    return ComplexStructure(d=d, matrix=j)
+    return ComplexStructure(j)
 
 
 def embed_vector(psi) -> np.ndarray:
@@ -142,19 +142,17 @@ def embed_matrix(a) -> np.ndarray:
     return out
 
 
-def extract_matrix(a, j: ComplexStructure, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Invert `embed_matrix` to a complex d x d array; rejects input that
-    does not commute with J, and any J but the standard one, whose
-    interleaved layout this reads."""
+def extract_matrix(a, *, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Invert `embed_matrix` to a complex d x d array: `a` is read in the
+    interleaved layout of the standard J of its dimension, and rejected
+    unless it commutes with that J."""
     a = as_real_matrix(a)
-    if a.shape[0] != j.dim:
-        raise ValueError("matrix dimension does not match the complex structure")
-    if not np.array_equal(j.matrix, standard_complex_structure(j.d).matrix):
-        raise ValueError("extract_matrix reads the interleaved layout of the standard "
-                         "complex structure; got another J")
-    if not commutes(a, j.matrix, tol):
+    if a.shape[0] % 2:
+        raise ValueError(f"a real {a.shape[0]} x {a.shape[0]} matrix has no complex form")
+    d = a.shape[0] // 2
+    if not commutes(a, standard_complex_structure(d).matrix, tol):
         raise ValueError("matrix is not complex linear (does not commute with J)")
-    out = np.empty((j.d, j.d), dtype=complex)
+    out = np.empty((d, d), dtype=complex)
     out.real = (a[0::2, 0::2] + a[1::2, 1::2]) / 2.0
     out.imag = (a[1::2, 0::2] - a[0::2, 1::2]) / 2.0
     return out

@@ -76,21 +76,19 @@ MAX_PRODUCT_DIM = 256
 
 @dataclass(frozen=True, eq=False)
 class FactorSpace:
-    d: int
-    j: ComplexStructure
-
-    def __post_init__(self) -> None:
-        if self.j.d != self.d:
-            raise ValueError(f"factor of complex dimension {self.d} has a complex "
-                             f"structure of dimension {self.j.d}")
+    j: ComplexStructure  # d and dim are its own
 
     @classmethod
     def standard(cls, d: int) -> "FactorSpace":
-        return cls(d=d, j=standard_complex_structure(d))
+        return cls(standard_complex_structure(d))
+
+    @property
+    def d(self) -> int:
+        return self.j.d
 
     @property
     def dim(self) -> int:
-        return 2 * self.d
+        return self.j.dim
 
 
 @dataclass(frozen=True, eq=False)

@@ -49,7 +49,7 @@ def rand_state_params(rng, n=None):
 def random_structure(rng, d):
     """Q J_std Q^T for a random orthogonal Q: a non-standard complex structure."""
     q, _ = np.linalg.qr(rng.standard_normal((2 * d, 2 * d)))
-    return ComplexStructure(d=d, matrix=q @ standard_complex_structure(d).matrix @ q.T)
+    return ComplexStructure(q @ standard_complex_structure(d).matrix @ q.T)
 
 
 def run_cli(capsys, *argv):

@@ -37,7 +37,7 @@ from realqm.oscillator import (
     oscillator_hamiltonian,
 )
 from realqm.realify import standard_complex_structure
-from realqm.states import density_matrix, state_stack
+from realqm.states import DensityMatrix, density_matrix, state_stack
 
 from helpers import rand_physical, rand_symmetric
 
@@ -135,7 +135,8 @@ RHO4, H4 = np.eye(4) / 4.0, np.diag([1.0, 1.0, 2.0, 2.0])
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: liouville_grid(RHO4, H4, [0.0, 0.5], form(3)),
+    (lambda: liouville_grid(DensityMatrix(RHO4, False), Hamiltonian(H4, False), [0.0, 0.5],
+                             form(3)),
      "arguments do not match the symplectic form dimension"),
     (lambda: state_stack(RHO4[np.newaxis], standard_complex_structure(3)),
      "matrix dimension does not match the complex structure"),

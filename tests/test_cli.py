@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -121,6 +122,20 @@ class TestSpectrum:
         assert out == ""
         assert err.startswith("realqm: error: --branch") and err.count("\n") == 1
         assert repr(branch.split(",")[-1]) in err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_thousand_targets_take_no_dense_hamiltonian(self, capsys, fmt):
+        # The 2000 x 2000 pair and Hamiltonian built to read diag(H) peaked
+        # at ~122 MiB; the rows' text and the level arrays take ~2 MiB.
+        targets = ",".join(f"{0.5 + 0.01 * k:g}" for k in range(1000))
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(capsys, "spectrum", targets, "--format", fmt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and out.count("\n") >= 2000
+        assert peak < 4 * 2**20
 
     def test_csv_output(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "0.5", "--format", "csv")
@@ -465,6 +480,28 @@ class TestInputBoundary:
         assert err.startswith("realqm: error:") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("state, h", [
+        ('{"physical_density": ["0.25", 0.25, false, 0]}', '{"fermionic": {"length": "1e0"}}'),
+        (STATE_QUARTER, '{"fermionic": {"length": "1e0"}}'),
+        ('{"physical_density": [0.25, 0.25, null, 0.25]}', FERMIONIC_H),
+        ('{"complex_density": {"re": [[0.5, 0], [0, "0.5"]], "im": [[0, 0], [0, 0]]}}',
+         FERMIONIC_H),
+        ('{"matrix": {"dim": 2, "entries": [0.5, 0, 0, 0.5]}}',
+         '{"matrix": {"dim": "2", "entries": [1, 0, 0, 1]}}'),
+        ('{"matrix": {"dim": 2, "entries": [0.5, 0, 0, 0.5]}}',
+         '{"matrix": {"dim": 2, "entries": [true, 0, 0, true]}}'),
+        (STATE_QUARTER, '{"fermionic": {"length": 1%s}}' % ("0" * 400)),
+    ], ids=["strings-and-false", "string-length", "null-entry", "nested-string",
+            "string-dim", "true-entry", "integer-past-float-range"])
+    def test_only_json_numbers_are_numeric(self, capsys, state, h):
+        # Each was coerced through float(): "0.25" and "1e0" read as numbers,
+        # false and true as 0 and 1, and null became NaN.  An integer past
+        # the float range raised OverflowError, reported as exit 2.
+        code, out, err = run_cli(capsys, "evolve", "--state", state, "--hamiltonian", h)
+        assert code == 1
+        assert out == ""
+        assert " must be numeric" in err and err.count("\n") == 1
+
 
 class TestOverflow:
     @pytest.mark.parametrize("argv", [
@@ -597,7 +634,7 @@ class TestCheck:
         def broken(h, t, *args, **kwargs):
             n = h.dim
             q = np.linalg.qr(np.random.default_rng(0).standard_normal((n, n)))[0]
-            return dynamics.Propagator(u=propagator(h, t, *args, **kwargs).u @ q, t=float(t))
+            return dynamics.Propagator(u=propagator(h, t, *args, **kwargs).u @ q)
 
         monkeypatch.setattr(dynamics, "propagator", broken)
         code, out, _ = run_cli(capsys, "check", "--suite", "dynamics")

@@ -50,7 +50,7 @@ def test_real_input_is_complex_with_zero_imaginary_part():
     max_magnitude=1e300, allow_nan=False, allow_infinity=False))))  # 2 * 1e300 is finite
 @example(np.array([[complex(-0.0, -0.0), complex(0.0, -0.0)], [complex(-0.0, 0.0), 5e-324j]]))
 def test_extract_inverts_embed_bit_for_bit(a):
-    back = extract_matrix(embed_matrix(a), standard_complex_structure(a.shape[0]))
+    back = extract_matrix(embed_matrix(a))
     assert back.dtype == complex and back.shape == a.shape
     assert back.tobytes() == a.tobytes()
 

@@ -29,7 +29,7 @@ SEED = 6021
 
 def rotated(rng, d):
     q, _ = np.linalg.qr(rng.standard_normal((2 * d, 2 * d)))
-    return q, ComplexStructure(d=d, matrix=q @ standard_complex_structure(d).matrix @ q.T)
+    return q, ComplexStructure(q @ standard_complex_structure(d).matrix @ q.T)
 
 
 @pytest.mark.parametrize("d", [1, 2, 5])
@@ -122,4 +122,4 @@ def test_a_rotated_structure_gets_its_own_frame():
     assert jq.frame is f and f is not standard_complex_structure(2).frame
     np.testing.assert_array_equal(f, np.linalg.eigh(-1j * jq.matrix)[1][:, 2:])
     np.testing.assert_allclose(jq.matrix @ f, 1j * f, atol=1e-14)
-    assert ComplexStructure(d=2, matrix=jq.matrix).frame is not f
+    assert ComplexStructure(jq.matrix).frame is not f

@@ -5,6 +5,7 @@ import pytest
 
 from realqm import dynamics
 from realqm.dynamics import (
+    Hamiltonian,
     SymplecticForm,
     evolve,
     expectation_grid,
@@ -319,7 +320,7 @@ class TestLongTimeEvolve:
     @staticmethod
     def reference(rho_c, h, t, j):
         # complex e^{-iHt} rho e^{iHt}, embedded with the halved trace
-        w, v = np.linalg.eigh(extract_matrix(h.matrix, j))
+        w, v = np.linalg.eigh(extract_matrix(h.matrix))
         u_c = (v * np.exp(-1j * w * t)) @ v.conj().T
         return embed_matrix(u_c @ rho_c @ u_c.conj().T) / 2.0
 
@@ -343,8 +344,10 @@ class TestLongTimeEvolve:
 
 
 def flow_at(rho_matrix, h_matrix, t, w):
-    """The one flowed matrix of a one-point `liouville_grid`."""
-    (_, stack), = liouville_grid(rho_matrix, h_matrix, [t], w)
+    """The one flowed matrix of a one-point `liouville_grid`, from a state
+    and a generator built directly (`physical` and `complex_linear` unset)."""
+    (_, stack), = liouville_grid(DensityMatrix(rho_matrix, False),
+                                 Hamiltonian(h_matrix, False), [t], w)
     return stack.matrices[0]
 
 
@@ -516,7 +519,7 @@ class TestEvolveGrid:
     def test_state_judged_against_another_j_is_named(self, monkeypatch):
         rng = np.random.default_rng(SEED)
         q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
-        j_rot = ComplexStructure(d=2, matrix=q @ standard_complex_structure(2).matrix @ q.T)
+        j_rot = ComplexStructure(q @ standard_complex_structure(2).matrix @ q.T)
         w = SymplecticForm(j_rot)
         h = hamiltonian(q @ np.diag([1.0, 1.0, 2.0, 2.0]) @ q.T, j_rot)
         rho0 = physical_density_4d(0.25, 0.25, 0.1, 0.05)  # physical under the standard J
@@ -544,7 +547,7 @@ class TestLiouvilleGrid:
         x = np.diag([1.0, -1.0, 2.0, -2.0])
         rho0 = rand_physical(rng, 2)
         times = np.linspace(0.0, 1.0, 5)
-        (block, stack), = liouville_grid(rho0.matrix, x, times, w)
+        (block, stack), = liouville_grid(rho0, Hamiltonian(x, False), times, w)
         np.testing.assert_array_equal(block, times)
         for t, m, tr in zip(times, stack.matrices, stack.trace):
             v = expm(float(t) * (x @ w.omega))
@@ -560,6 +563,15 @@ class TestLiouvilleGrid:
         rho0 = rand_physical(rng, 2)
         with pytest.raises(ConstraintError, match="not finite"):
             flow_at(rho0.matrix, embed_matrix(rand_hermitean(rng, 2)), t, SymplecticForm(j))
+
+    def test_asymmetric_generator_is_named_as_the_hamiltonian(self):
+        # A raw asymmetric H was accepted and flowed as if it were a generator.
+        rng = np.random.default_rng(SEED)
+        h = rand_symmetric(rng, 4)
+        h[0, 1] += 1e-3
+        w = SymplecticForm(standard_complex_structure(2))
+        with pytest.raises(ConstraintError, match="^Hamiltonian must be symmetric$"):
+            flow_at(rand_physical(rng, 2).matrix, h, 0.1, w)
 
     def test_overflowing_exponential_is_a_constraint_error(self):
         # ||t H Omega|| = 800 sqrt(2) is finite, but exp(t H Omega) overflows.

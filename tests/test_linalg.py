@@ -9,7 +9,6 @@ from realqm.linalg import (
     frobenius,
     is_antisymmetric,
     is_symmetric,
-    matmul,
     sym_eig,
 )
 
@@ -23,40 +22,6 @@ J4 = np.array([
     [0.0, 0.0, 0.0, -1.0],
     [0.0, 0.0, 1.0, 0.0],
 ])
-
-
-def matmul_oracle(a, b):
-    # brute-force triple loop, independent of numpy's dot
-    n = a.shape[0]
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            acc = 0.0
-            for k in range(n):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        rng = np.random.default_rng(SEED)
-        a = rng.standard_normal((5, 5))
-        np.testing.assert_array_equal(matmul(np.eye(5), a), a)
-
-    def test_j_squares_to_minus_identity(self):
-        np.testing.assert_allclose(matmul(J4, J4), -np.eye(4), atol=0)
-
-    def test_matches_triple_loop_oracle(self):
-        rng = np.random.default_rng(SEED)
-        a = rng.standard_normal((6, 6))
-        b = rng.standard_normal((6, 6))
-        np.testing.assert_allclose(matmul(a, b), matmul_oracle(a, b),
-                                   rtol=0, atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            matmul(np.eye(3), np.eye(4))
 
 
 class TestSymEig:

@@ -7,6 +7,7 @@ import pytest
 from realqm.dynamics import SymplecticForm, poisson_bracket
 from realqm.linalg import ConstraintError, expm, sym_eig
 from realqm.oscillator import (
+    _hamiltonian_diagonal,
     OscillatorParams,
     build_canonical_pair,
     build_fermionic,
@@ -24,7 +25,14 @@ from realqm.states import physical_density_4d, variance
 
 from helpers import rand_state_params
 
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
 SEED = 61424
+
+# A natural log, up to e^+-300, of a length or a parameter.
+log_scale = st.floats(-300.0, 300.0)
 
 
 class TestCanonicalPair:
@@ -83,6 +91,22 @@ class TestHamiltonianAndLevels:
         with pytest.raises(ConstraintError, match="^the oscillator Hamiltonian is not "
                                                   "finite at these parameters$"):
             oscillator_hamiltonian(pair, params)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.lists(log_scale, min_size=1, max_size=6), log_scale, log_scale, log_scale)
+    def test_diagonal_is_the_dense_diagonal_bit_for_bit(self, log_xis, log_m, log_w, log_hbar):
+        # The reference is the dense route `spectrum` took, kept here: its
+        # diagonal, or its ConstraintError where H is not finite.
+        params = OscillatorParams(*np.exp([log_m, log_w, log_hbar]))
+        xis = np.exp(log_xis)
+        try:
+            want = np.diag(oscillator_hamiltonian(build_canonical_pair(xis, params),
+                                                  params).matrix)
+        except ConstraintError as exc:
+            with pytest.raises(ConstraintError, match=f"^{re.escape(str(exc))}$"):
+                _hamiltonian_diagonal(xis, params)
+        else:
+            assert _hamiltonian_diagonal(xis, params).tobytes() == want.tobytes()
 
     def test_levels_formula(self):
         params = OscillatorParams()

@@ -117,33 +117,39 @@ class TestEmbedMatrix:
 class TestExtractMatrix:
     def test_round_trip(self):
         rng = np.random.default_rng(SEED)
-        j = standard_complex_structure(4)
         a = rand_complex(rng, 4)
-        back = extract_matrix(embed_matrix(a), j)
+        back = extract_matrix(embed_matrix(a))
         assert np.abs(back - a).max() <= 1e-12
 
     def test_extract_j_is_i_times_identity(self):
-        j = standard_complex_structure(3)
-        back = extract_matrix(j.matrix, j)
+        back = extract_matrix(standard_complex_structure(3).matrix)
         np.testing.assert_array_equal(back.real, np.zeros((3, 3)))
         np.testing.assert_array_equal(back.imag, np.eye(3))
 
     def test_rejects_antilinear_input(self):
-        j = standard_complex_structure(2)
         with pytest.raises(ValueError):
-            extract_matrix(conjugation_operator(2), j)
+            extract_matrix(conjugation_operator(2))
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_rejects_an_odd_dimension(self, n):
+        with pytest.raises(ValueError, match=f"^a real {n} x {n} matrix has no complex form$"):
+            extract_matrix(np.eye(n))
 
     def test_rejects_a_non_standard_structure(self):
         # a = Q embed(c) Q^T commutes with J' = Q J Q^T, but its complex form
-        # in J's frame is not in the interleaved layout: the extraction it
-        # returned missed a by 1.41 in Frobenius norm after embedding back.
+        # in J's frame is not in the interleaved layout: read as if it were,
+        # it missed a by 1.41 in Frobenius norm after embedding back.  Only
+        # the standard J is read, so a is not complex linear, and a J is no
+        # argument: in the tolerance's place it would be misread.
         rng = np.random.default_rng(0)
         q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
         c = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         a = q @ embed_matrix(c) @ q.T
-        j = ComplexStructure(d=2, matrix=q @ standard_complex_structure(2).matrix @ q.T)
+        j = ComplexStructure(q @ standard_complex_structure(2).matrix @ q.T)
         assert commutes(a, j.matrix)
-        with pytest.raises(ValueError, match="standard complex structure; got another J"):
+        with pytest.raises(ValueError, match="not complex linear"):
+            extract_matrix(a)
+        with pytest.raises(TypeError):
             extract_matrix(a, j)
 
 

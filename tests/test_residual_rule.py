@@ -451,7 +451,7 @@ TENSOR_SHAPES = [[1, 1], [1, 2], [1, 1, 1]]
 
 
 def rotated_space(rng, ds):
-    return build_product_space([FactorSpace(d=d, j=random_structure(rng, d)) for d in ds])
+    return build_product_space([FactorSpace(random_structure(rng, d)) for d in ds])
 
 
 class TestTensor:

@@ -1,17 +1,19 @@
 """The structural dataclasses check their own fields.
 
-A `ComplexStructure` is a (2d, 2d), finite, antisymmetric and orthogonal
-matrix; a `FactorSpace` carries a `J` of its own complex dimension; a
-`ProductSpace` has two or more factors and derives its dimension, their
-product, at most `MAX_PRODUCT_DIM`; a `SymplecticForm` holds a `J` and a
-positive, finite hbar and derives Omega = -J/hbar.  A `DensityMatrix` is a
-finite, symmetric, PSD, unit-trace matrix and a `Hamiltonian` a finite,
-symmetric one; their flags (`physical`, `complex_linear`) are verdicts
+A `ComplexStructure` is a finite, antisymmetric and orthogonal matrix, so
+of even size 2d, and derives d; a `FactorSpace` reads its d and dimension
+off its `J`; a `ProductSpace` has two or more factors and derives its
+dimension, their product, at most `MAX_PRODUCT_DIM`; a `SymplecticForm`
+holds a `J` and a positive, finite hbar and derives Omega = -J/hbar.  A
+`DensityMatrix` is a finite, symmetric, PSD, unit-trace matrix and a
+`Hamiltonian` a finite, symmetric one; their flags (`physical`, `complex_linear`) are verdicts
 against a `J`, so only the validators set them, through `linalg._trusted`.
 Each invariant needs no outside `J`, so a build with inconsistent fields
 raises ValueError before any verdict can be read from it; a derived field
-(`ProductSpace.dim`, `SymplecticForm.omega`) is no argument at all.  A type
-that holds arrays compares and hashes by identity.
+(`ComplexStructure.d`, `FactorSpace.d`, `ProductSpace.dim`,
+`SymplecticForm.omega`) is no argument at all, and neither is the time a
+`Propagator` was built for.  A type that holds arrays compares and hashes
+by identity.
 """
 
 import copy
@@ -39,12 +41,13 @@ SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples
 
 VALUE_KINDS = ("non_finite", "non_square", "asymmetric", "flag")
 BAD_HBAR = ("zero", "negative", "nan", "inf")
-KINDS = ("size", "scaled", "perturbed", "symmetric", "non_finite", "factor",
+KINDS = ("size", "scaled", "perturbed", "symmetric", "non_finite", "propagator",
          *(f"form_{k}" for k in (*BAD_HBAR, "omega")),
          *(f"state_{k}" for k in (*VALUE_KINDS, "off_trace", "negative")),
          *(f"generator_{k}" for k in VALUE_KINDS))
 # The error and message of a kind's bad build, where any ValueError is not enough.
-RAISES = {"form_omega": (TypeError, "omega"),
+RAISES = {"size": (TypeError, "'d'"), "propagator": (TypeError, "'t'"),
+          "form_omega": (TypeError, "omega"),
           **{f"form_{k}": (ValueError, "hbar must be positive") for k in BAD_HBAR}}
 
 
@@ -79,8 +82,14 @@ def builds(rng, d, kind):
         return value_builds(rng, 2 * d, kind)
     j = random_structure(rng, d)
     other = d + int(rng.integers(1, 3))
-    if kind == "factor":
-        return lambda: FactorSpace(d=d, j=j), lambda: FactorSpace(d=other, j=j)
+    if kind == "size":  # d is half the matrix size: it cannot disagree with it
+        def good():
+            assert ComplexStructure(j.matrix).d == d
+
+        return good, lambda: ComplexStructure(j.matrix, d=other)
+    if kind == "propagator":  # U alone: the time is the caller's
+        u = j.matrix  # orthogonal
+        return lambda: dynamics.Propagator(u), lambda: dynamics.Propagator(u, t=1.0)
     if kind.startswith("form_"):
         hbar = float(10.0 ** rng.uniform(-3.0, 3.0))
 
@@ -93,10 +102,8 @@ def builds(rng, d, kind):
         bad = {"zero": 0.0, "negative": -hbar, "nan": np.nan,
                "inf": float(rng.choice([np.inf, -np.inf]))}[kind[len("form_"):]]
         return good, lambda: SymplecticForm(j, bad)
-    bad, size = j.matrix.copy(), d
-    if kind == "size":
-        size = other
-    elif kind == "scaled":
+    bad = j.matrix.copy()
+    if kind == "scaled":
         bad *= rng.choice([rng.uniform(0.1, 0.9), rng.uniform(1.1, 3.0)])
     elif kind == "perturbed":
         bad += 1e-6 * rng.standard_normal(bad.shape)
@@ -104,8 +111,7 @@ def builds(rng, d, kind):
         bad = bad @ bad
     else:
         bad[tuple(rng.integers(0, 2 * d, size=2))] = rng.choice([np.nan, np.inf])
-    return (lambda: ComplexStructure(d=d, matrix=j.matrix),
-            lambda: ComplexStructure(d=size, matrix=bad))
+    return lambda: ComplexStructure(j.matrix), lambda: ComplexStructure(bad)
 
 
 @SETTINGS
@@ -124,7 +130,7 @@ def array_holders():
     rho = states.density_matrix(np.eye(4) / 4.0, j)
     fs = oscillator.build_fermionic(1.3, oscillator.OscillatorParams())
     return [j, split_linear_antilinear(np.eye(4), j), SymplecticForm(j), h,
-            dynamics.Propagator(u=np.eye(4), t=0.5), rho,
+            dynamics.Propagator(u=np.eye(4)), rho,
             states.state_stack(rho.matrix[np.newaxis], j), states.spectral_decompose(h.matrix),
             oscillator.build_canonical_pair([1.0, 2.0], fs.params), fs,
             oscillator.dual_picture(0.25, 0.25, 0.1, 0.05, fs, 0.5), FactorSpace.standard(2),
@@ -152,16 +158,34 @@ def test_product_space_needs_two_factors_within_the_cap():
 def test_identity_is_not_a_complex_structure():
     # Accepted, it made the maximally mixed state "physical".
     with pytest.raises(ValueError, match="antisymmetric and orthogonal"):
-        ComplexStructure(d=2, matrix=np.eye(4))
+        ComplexStructure(np.eye(4))
 
 
 def test_factor_dimension_must_match_its_structure():
-    with pytest.raises(ValueError, match="complex dimension 3"):
-        FactorSpace(d=3, j=standard_complex_structure(1))
+    # It does by construction: d and dim are read off J, and a stated d is no argument.
+    f = FactorSpace(random_structure(np.random.default_rng(0), 3))
+    assert (f.d, f.dim) == (3, 6)
+    with pytest.raises(TypeError, match="'d'"):
+        FactorSpace(standard_complex_structure(1), d=3)
+
+
+@pytest.mark.parametrize("matrix", [
+    [[0.0]],
+    [[1.0]],
+    [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],  # a rotation: orthogonal
+    [[0.0, -0.6, 0.0], [0.6, 0.0, -0.8], [0.0, 0.8, 0.0]],  # n x v: antisymmetric
+    np.pad(standard_complex_structure(2).matrix, ((0, 1), (0, 1))),
+], ids=["zero_1x1", "one_1x1", "rotation_3x3", "cross_product_3x3", "padded_5x5"])
+def test_an_odd_size_is_no_complex_structure(matrix):
+    # d is half the size with no check that 2d is the size: an antisymmetric
+    # M of odd size has det M = det(-M^T) = -det M = 0, so it is not orthogonal.
+    with pytest.raises(ValueError, match="^a complex structure must be antisymmetric "
+                                         "and orthogonal$"):
+        ComplexStructure(matrix)
 
 
 def test_list_matrix_is_stored_as_an_array():
-    j = ComplexStructure(d=1, matrix=[[0, -1], [1, 0]])
+    j = ComplexStructure([[0, -1], [1, 0]])
     assert isinstance(j.matrix, np.ndarray) and j.matrix.dtype == float
     np.testing.assert_array_equal(j.matrix, standard_complex_structure(1).matrix)
 

@@ -342,7 +342,7 @@ def _dense_validate(rho, space, tol=DEFAULT_TOL):
 
 
 def rotated_space(rng, ds):
-    return build_product_space([FactorSpace(d=d, j=random_structure(rng, d)) for d in ds])
+    return build_product_space([FactorSpace(random_structure(rng, d)) for d in ds])
 
 
 def _split(rng, j):

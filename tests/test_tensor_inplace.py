@@ -238,7 +238,7 @@ def _factor_lists(draw):
 def test_every_sign_pattern_is_the_conjugated_physical_projector(ds, rotated, seed):
     """Negating J_k where s_k = -1 reproduces the signed projector bit for bit."""
     rng = np.random.default_rng(seed)
-    space = build_product_space([FactorSpace(d=d, j=random_structure(rng, d)) if rotated
+    space = build_product_space([FactorSpace(random_structure(rng, d)) if rotated
                                  else FactorSpace.standard(d) for d in ds])
     for signs in itertools.product((1, -1), repeat=len(ds) - 1):
         want = _old_apply_projector(space.factors, signs, np.eye(space.dim))

@@ -71,7 +71,7 @@ def _same_bytes(got: np.ndarray, want: np.ndarray) -> None:
 
 
 def _space(ds, rotated: bool, rng) -> ProductSpace:
-    return build_product_space([FactorSpace(d=d, j=random_structure(rng, d)) if rotated
+    return build_product_space([FactorSpace(random_structure(rng, d)) if rotated
                                 else FactorSpace.standard(d) for d in ds])
 
 

@@ -173,9 +173,19 @@ def expm(a) -> np.ndarray:
     """Matrix exponential by scaling and squaring with a degree-6 Pade core.
 
     The input is halved until its Frobenius norm is at most 0.5; at that
-    scale the [6/6] approximant is accurate to below double roundoff.
+    scale the [6/6] approximant is accurate to below double roundoff.  An
+    input too large for the count of halvings to be formed, or a result
+    that is not finite, raises ConstraintError.
     """
-    return _expm(as_real_matrix(a))
+    a = as_real_matrix(a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            result = _expm(a)
+        except OverflowError:  # 2 |a| or 2^squarings past the float range
+            result = None
+    if result is None or not np.isfinite(result).all():
+        raise ConstraintError("matrix exponential is not finite")
+    return result
 
 
 def _expm(a: np.ndarray) -> np.ndarray:

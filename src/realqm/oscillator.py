@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Hamiltonian, SymplecticForm
-from .linalg import ConstraintError, _trusted, sym_eig
+from .dynamics import Hamiltonian, SymplecticForm, hamiltonian
+from .linalg import ConstraintError, sym_eig
 from .realify import standard_complex_structure
 from .states import physical_density_4d
 
@@ -139,13 +139,16 @@ def build_canonical_pair(xis, params: OscillatorParams) -> CanonicalPair:
 
 def oscillator_hamiltonian(pair: CanonicalPair, params: OscillatorParams) -> Hamiltonian:
     """p^2/(2m) + m w^2 x^2 / 2: diagonal, and commutes with J even though
-    x and p individually anticommute with it.  Overflow raises ConstraintError."""
+    x and p individually anticommute with it.  Overflow raises ConstraintError;
+    the matrix is then judged by `hamiltonian` against the standard J, so a
+    pair that is not canonical cannot give a trusted generator."""
     with np.errstate(over="ignore", invalid="ignore"):
         m = pair.p @ pair.p / (2.0 * params.mass)
         m = m + 0.5 * params.mass * (params.omega * params.omega) * (pair.x @ pair.x)
     if not np.isfinite(m).all():
         raise ConstraintError("the oscillator Hamiltonian is not finite at these parameters")
-    return _trusted(Hamiltonian, matrix=m, complex_linear=True)
+    with np.errstate(over="ignore"):  # a norm past the float range reads inf
+        return hamiltonian(m, standard_complex_structure(m.shape[0] // 2))
 
 
 def _hamiltonian_diagonal(xis, params: OscillatorParams) -> np.ndarray:

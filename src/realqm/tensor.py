@@ -30,7 +30,11 @@ the call, and writes every product, projector step and residual into them
 but the result.  A projection needs its result array and one scratch array
 for two factors, two beyond.  `physical_escape_check` and
 `validate_product_density` hold one projection while taking the next, so
-each allocates 3 arrays for two factors and 4 beyond;
+each allocates 3 arrays for two factors and 4 beyond, whichever of their
+early verdicts ends the call: the escape check's L - L^T and a third
+projection PL go into the array that held P L P, and the density check's
+commutator into the two projections' arrays.  A ufunc with a transposed
+operand would buffer it in a temporary, so L^T is copied in first.
 `subspace_unit_relation` and the projectors allocate 3, the identity they
 start from among them.  `lift_operator` and `ProductSpace.units` place the
 factor matrix by index into one zeroed array, and `physical_basis` is one
@@ -194,6 +198,30 @@ def _work_set(units, n: int) -> list[np.ndarray]:
     return [np.empty((n, n)) for _ in range(3 if len(units) == 2 else 4)]
 
 
+# An early verdict stands only where rounding cannot move it.  Every residual
+# here is formed from products with orthogonal or projector factors, so its
+# rounding error is a small multiple of eps * scale; _ROUNDING (2^-40, 4096
+# eps) allows for it, with _BAND of relative room at the threshold.  Below a
+# threshold of _FLOOR (2^53 times the smallest normal) subnormal rounding is
+# no longer small against it, and past a scale of _CEIL a projection could
+# overflow; there every verdict takes the full route.
+_ROUNDING, _BAND = 2.0 ** -40, 2.0 ** -20
+_FLOOR, _CEIL = 2.0 ** -969, 2.0 ** 1000
+
+
+def _settled(bound: float, scale: float, tol: Tolerance) -> bool | None:
+    """negligible(r, scale, tol) for every r within _ROUNDING * scale of
+    `bound`, when that is one verdict; None when it is not, or out of range."""
+    if not (scale <= _CEIL and negligible(_FLOOR, scale, tol)):
+        return None
+    slack = _ROUNDING * scale
+    if negligible(bound + slack, scale * (1.0 - _BAND), tol):
+        return True
+    if not negligible(bound - slack, scale * (1.0 + _BAND), tol):
+        return False
+    return None
+
+
 def build_product_space(factors) -> ProductSpace:
     """The product of >= 2 factors; its dense units and projector are built on first read."""
     return ProductSpace(factors=tuple(factors))
@@ -249,18 +277,38 @@ class EscapeCheck:
 
 def physical_escape_check(lifted, space: ProductSpace,
                           tol: Tolerance = DEFAULT_TOL) -> EscapeCheck:
+    """Whether `lifted` (L) commutes with the physical projector P, and
+    whether it maps the physical half onto its complement (P L P = 0).
+
+    Each verdict is `negligible` of a residual at the scale |L|: |LP - PL|
+    for "within", |PLP| for "across".  With X = LP, LP - PL is
+    (I - P) L P - P L (I - P), a sum of Frobenius-orthogonal terms, so
+    off = |X - PX| is at most the "within" residual, and an off clearly past
+    the threshold decides it is False.  An exactly symmetric L has
+    P L (I - P) = ((I - P) L P)^T, so its residual is sqrt(2) off, which
+    decides "within" either way.  Only a verdict neither rule settles (a
+    residual within rounding of the threshold, or a non-symmetric L with a
+    small off) takes the third projection PL.
+    """
     lifted = as_real_matrix(lifted)
     if lifted.shape[0] != space.dim:
         raise ValueError("operator dimension does not match the product space")
     units = [f.j.matrix for f in space.factors]
     scale = frobenius(lifted)
-    l_p, p_l, *scratch = _work_set(units, space.dim)
+    l_p, p_l_p, *scratch = _work_set(units, space.dim)
     _apply_projector(units, lifted, True, [l_p, *scratch])
-    _apply_projector(units, lifted, False, [p_l, *scratch])
-    within = negligible(frobenius(np.subtract(l_p, p_l, out=p_l)), scale, tol)
+    _apply_projector(units, l_p, False, [p_l_p, *scratch])
     # (I - P) L P - L P = -P L P, so P L P alone decides "across".
-    p_l_p = _apply_projector(units, l_p, False, [p_l, *scratch])
     across = negligible(frobenius(p_l_p), scale, tol)
+    off = frobenius(np.subtract(l_p, p_l_p, out=p_l_p))
+    within = _settled(off, scale, tol)
+    if within is not False:  # L == L^T exactly iff L - L^T has no nonzero entry
+        np.copyto(p_l_p, lifted.T)  # a transposed operand of a ufunc would be buffered
+        symmetric = not np.subtract(lifted, p_l_p, out=p_l_p).any()
+        within = _settled(math.sqrt(2.0) * off, scale, tol) if symmetric else None
+    if within is None:
+        p_l = _apply_projector(units, lifted, False, [p_l_p, *scratch])
+        within = negligible(frobenius(np.subtract(l_p, p_l, out=p_l)), scale, tol)
     return EscapeCheck(maps_within=within, maps_across=across)
 
 
@@ -295,7 +343,13 @@ def validate_product_density(rho, space: ProductSpace,
     lifted unit.  One projector test suffices: rho - P rho P is both
     (I - P) rho + P rho (I - P) and rho (I - P) + (I - P) rho P, sums of
     Frobenius-orthogonal terms, so it bounds |rho - P rho| and |rho - rho P|.
-    Symmetry, positivity and unit trace are assumed of the input.
+    Then [rho, U_0] is tested.  Since U_k P = U_0 P = P U_k, the compressed
+    state has [P rho P, U_k] = [P rho P, U_0], and so
+
+        |[rho, U_k]| <= |[rho, U_0]| + 4 |rho - P rho P|   for every k;
+
+    when that bound is clearly negligible the other commutators are not
+    taken.  Symmetry, positivity and unit trace are assumed of the input.
     """
     rho = as_real_matrix(rho)
     if rho.shape[0] != space.dim:
@@ -305,13 +359,17 @@ def validate_product_density(rho, space: ProductSpace,
     rho_p, compressed, *scratch = _work_set(units, space.dim)
     _apply_projector(units, rho, True, [rho_p, *scratch])
     _apply_projector(units, rho_p, False, [compressed, *scratch])
-    if not negligible(frobenius(np.subtract(rho, compressed, out=compressed)), scale, tol):
+    outside = frobenius(np.subtract(rho, compressed, out=compressed))
+    if not negligible(outside, scale, tol):
         return False
     dims = [f.dim for f in space.factors]
     j_rho, rho_j = rho_p, compressed
     for k, j in enumerate(units):
         _apply_lifted(j, k, dims, rho, out=j_rho)
         _apply_lifted(j, k, dims, rho, right=True, out=rho_j)
-        if not negligible(frobenius(np.subtract(rho_j, j_rho, out=j_rho)), scale, tol):
+        residual = frobenius(np.subtract(rho_j, j_rho, out=j_rho))
+        if not negligible(residual, scale, tol):
             return False
+        if k == 0 and _settled(residual + 4.0 * outside, scale, tol):
+            return True
     return True

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from realqm.linalg import (
+    ConstraintError,
     Tolerance,
     anticommutes,
     commutes,
@@ -109,6 +110,17 @@ class TestExpm:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             expm(np.array([[np.nan, 0.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("a", [np.diag([1e307, 1e307]), np.diag([1e308, 1e308]),
+                                   np.diag([-1e308, 1e308]), np.diag([800.0, 0.0])])
+    def test_an_exponential_past_the_float_range_is_a_domain_error(self, a):
+        # 1e307 overflows in the squarings; 2 |a| overflows before they are counted.
+        with pytest.raises(ConstraintError, match="^matrix exponential is not finite$"):
+            expm(a)
+
+    def test_a_large_finite_exponential_is_returned(self):
+        want = np.diag(np.exp([700.0, -700.0]))
+        np.testing.assert_allclose(expm(np.diag([700.0, -700.0])), want, rtol=1e-10, atol=0.0)
 
 
 class TestPredicates:

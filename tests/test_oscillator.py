@@ -8,6 +8,7 @@ from realqm.dynamics import SymplecticForm, poisson_bracket
 from realqm.linalg import ConstraintError, expm, sym_eig
 from realqm.oscillator import (
     _hamiltonian_diagonal,
+    CanonicalPair,
     OscillatorParams,
     build_canonical_pair,
     build_fermionic,
@@ -85,12 +86,22 @@ class TestHamiltonianAndLevels:
 
     @pytest.mark.parametrize("xi, omega", [(1e200, 1.0), (1e-200, 1.0), (1.0, 1e160)])
     def test_hamiltonian_that_overflows_is_a_domain_error(self, xi, omega):
-        # Its flag is trusted, so the build itself refuses an H that is not finite.
+        # The overflow check comes before the generator rule, with its own message.
         params = OscillatorParams(omega=omega)
         pair = build_canonical_pair([xi, 1.0], params)
         with pytest.raises(ConstraintError, match="^the oscillator Hamiltonian is not "
                                                   "finite at these parameters$"):
             oscillator_hamiltonian(pair, params)
+        asymmetric = CanonicalPair(x=pair.x + np.triu(pair.x, 1) + 1.0, p=pair.p)
+        with pytest.raises(ConstraintError, match="^the oscillator Hamiltonian is not "):
+            oscillator_hamiltonian(asymmetric, params)
+
+    def test_a_pair_that_is_not_canonical_gives_no_trusted_generator(self):
+        # A pair built directly is judged as any generator is, against the standard J.
+        rng = np.random.default_rng(0)
+        pair = CanonicalPair(x=rng.standard_normal((4, 4)), p=rng.standard_normal((4, 4)))
+        with pytest.raises(ConstraintError, match="^Hamiltonian must be symmetric$"):
+            oscillator_hamiltonian(pair, OscillatorParams())
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
     @given(st.lists(log_scale, min_size=1, max_size=6), log_scale, log_scale, log_scale)

@@ -166,6 +166,13 @@ def _scaled(rng, a: np.ndarray, k: int, zeros: float) -> np.ndarray:
     return a
 
 
+def _past_the_early_range(a: np.ndarray) -> np.ndarray:
+    """a scaled so that its largest entry is 2^1010, past the scale of 2^1000
+    up to which the checks take early verdicts; zero stays zero."""
+    big = np.abs(a).max()
+    return _read_only(a / big * 2.0 ** 1010 if big else a.copy())
+
+
 def _signs(data, n: int) -> list[int]:
     """n signs of +-1, mixed or not."""
     return data.draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
@@ -247,37 +254,57 @@ def test_every_sign_pattern_is_the_conjugated_physical_projector(ds, rotated, se
             == subspace_projector(space, [1] * (len(ds) - 1)).tobytes())
 
 
+def _escape_residuals(lifted, space) -> list[bytes]:
+    """The arrays the escape check takes norms of, in its order, from the
+    reference kernel: L, P L P, L P - P L P and L P - P L."""
+    signs = [1] * (len(space.factors) - 1)
+    l_p = _old_apply_projector(space.factors, signs, lifted, right=True)
+    p_l_p = _old_apply_projector(space.factors, signs, l_p)
+    p_l = _old_apply_projector(space.factors, signs, lifted)
+    return [a.tobytes() for a in (lifted, p_l_p, l_p - p_l_p, l_p - p_l)]
+
+
 @SETTINGS
 @given(CASE)
 def test_escape_residuals_and_verdicts_match_the_reference(case):
+    """Each norm the check takes is of an array bit for bit the reference's;
+    PL, the last, is taken unless L is exactly symmetric inside the early
+    range (here: L is not zero and its scale is at most 2^1000)."""
     rng = np.random.default_rng(case["seed"])
     space = _space(rng, case["ds"], case["rotated"])
     lifted = _read_only(_scaled(rng, _operator(rng, space, case["kind"]),
                                 case["k"], case["zeros"]))
     assert physical_escape_check(lifted, space) == _old_physical_escape_check(lifted, space)
-    with _recorded_residuals() as got:
-        physical_escape_check(lifted, space, ACCEPT_ALL)
-    with _recorded_residuals() as want:
-        _old_physical_escape_check(lifted, space, ACCEPT_ALL)
-    assert got == want
+    symmetric = _read_only((lifted + lifted.T) / 2.0)
+    for op, in_range in ((lifted, True), (symmetric, True),
+                         (_past_the_early_range(symmetric), False)):
+        with _recorded_residuals() as got:
+            physical_escape_check(op, space, ACCEPT_ALL)
+        want = _escape_residuals(op, space)
+        early = in_range and op.any() and np.array_equal(op, op.T)
+        assert got == (want[:3] if early else want)
 
 
 @SETTINGS
 @given(CASE)
 def test_density_residuals_and_verdicts_match_the_reference(case):
+    """Each norm the check takes is of an array bit for bit the reference's:
+    rho, rho - P rho P, then [rho, U_0] and, outside the early range (here
+    a scale past 2^1000), every other [rho, U_k]."""
     rng = np.random.default_rng(case["seed"])
     space = _space(rng, case["ds"], case["rotated"])
     kind = "generic" if case["kind"] == "generic" else "physical"
     rho = _read_only(_scaled(rng, _state(rng, space, kind), case["k"], case["zeros"]))
     assert validate_product_density(rho, space) == _old_validate_product_density(rho, space)
-    with _recorded_residuals() as got:
-        validate_product_density(rho, space, ACCEPT_ALL)
-    with _recorded_residuals() as want:
-        _old_validate_product_density(rho, space, ACCEPT_ALL)
-    if not rho.any():  # 0 <= inf * 0 is false, so each stops at its first test
-        assert len(got) == len(want) == 2
-    else:  # the reference's rho - P rho and rho - rho P tests are gone
-        assert got == [want[0], *want[3:]]
+    for state, early in ((rho, True), (_past_the_early_range(rho), False)):
+        with _recorded_residuals() as got:
+            validate_product_density(state, space, ACCEPT_ALL)
+        with _recorded_residuals() as want:
+            _old_validate_product_density(state, space, ACCEPT_ALL)
+        if not state.any():  # 0 <= inf * 0 is false, so each stops at its first test
+            assert len(got) == len(want) == 2
+        else:  # the reference's rho - P rho and rho - rho P tests are gone
+            assert got == [want[0], *want[3:]][:3 if early else None]
 
 
 @SETTINGS

@@ -13,13 +13,13 @@ columns: `spectrum`, `uncertainty` and `check` give one (`_emit`), and
 Each block is formatted by one `%` over a row template of per-column specs
 (`_cells`): "%.17g" for a column of finite floats, else "%s" over `_scalar`
 text.  Column names are unique, so an observable cannot take a fixed
-column's name, an earlier observable's name, or a name with a comma, a
-double quote or a line break.  Every float has 17 significant digits and
-nothing is time- or environment-dependent, so identical arguments produce
-byte-identical output.  Nothing is written unless the whole command
-succeeds: the block texts are held and go to stdout or `--out` at the end.
-Exit codes: 0 success, 1 usage error, 2 domain-constraint violation, 3
-failed invariant check.
+column's name, an earlier observable's name, or a name with a comma, a double
+quote, a line break or a surrogate (which UTF-8 cannot encode).  Every float
+has 17 significant digits and nothing is time- or environment-dependent, so
+identical arguments produce byte-identical output.  Nothing is written unless
+the whole command succeeds: the block texts are held and go to stdout or
+`--out` at the end.  Exit codes: 0 success, 1 usage error, 2 domain-constraint
+violation, 3 failed invariant check.
 """
 
 from __future__ import annotations
@@ -330,8 +330,7 @@ def _hamiltonian_from_spec(text: str, params: oscillator.OscillatorParams,
             lengths = _floats(doc["lengths"], "oscillator 'lengths'")
         if lengths.ndim != 1 or lengths.size == 0:
             raise UsageError("oscillator spec needs a nonempty 'lengths' list")
-        pair = oscillator.build_canonical_pair(lengths.tolist(), params)
-        return oscillator.oscillator_hamiltonian(pair, params)
+        return oscillator.oscillator_hamiltonian(oscillator.CanonicalPair(lengths, params))
     if key == "fermionic":
         if not isinstance(doc, dict) or "length" not in doc:
             raise UsageError("fermionic spec needs a 'length' value")
@@ -442,9 +441,9 @@ def _cmd_evolve(args) -> int:
         name = str(doc.get("name", f"obs{len(observables) - 1}"))
         if name in names:
             raise UsageError(f"observable name {name!r} is already a column")
-        if any(c in name for c in ',"\r\n'):
+        if any(c in ',"\r\n' or "\ud800" <= c <= "\udfff" for c in name):
             raise UsageError(f"observable name {name!r} contains a comma, a double "
-                             "quote or a line break")
+                             "quote, a line break or a surrogate")
         matrix = _matrix_from_spec(doc.get("matrix"))
         if matrix.shape != h.matrix.shape:
             raise UsageError(f"observable {name!r} has dimension {matrix.shape[0]}, "

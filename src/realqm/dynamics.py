@@ -86,15 +86,14 @@ class SymplecticForm:
 
 @dataclass(frozen=True, eq=False)
 class Hamiltonian:
-    """A finite, symmetric generator; only validators set `complex_linear`."""
+    """A finite, symmetric generator; `complex_linear`, no argument, is False
+    unless a validator (`hamiltonian`, `oscillator_hamiltonian`) sets it."""
 
     matrix: np.ndarray
-    complex_linear: bool
+    complex_linear: bool = field(default=False, init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "matrix", _generator(self.matrix, DEFAULT_TOL))
-        if self.complex_linear:
-            raise ValueError("complex_linear=True is set only by hamiltonian, against a J")
 
     @property
     def dim(self) -> int:

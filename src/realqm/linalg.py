@@ -5,7 +5,8 @@ supplies their validation, a validated symmetric eigensolver on LAPACK, a
 Pade/scaling-squaring matrix exponential, and the tolerance-scaled
 predicates (symmetric, antisymmetric, commutes, anticommutes) that replace
 raw float comparisons everywhere else; all of them use `negligible`, whose
-bound is relative to each residual's scale with no floor.  Small matrices
+bound is relative to each residual's scale with no floor (at the end of the
+float range they judge their arguments divided by powers of two).  Small matrices
 are many, so the cost of a call matters: each function validates each
 argument once, and `frobenius` is one BLAS dot unless the sum of squares
 leaves the normal range.
@@ -89,7 +90,7 @@ def frobenius(a: np.ndarray) -> float:
     if not math.isfinite(big):
         return math.sqrt(sq)
     r = r / big
-    return float(big * math.sqrt(r.dot(r)))
+    return float(big) * math.sqrt(r.dot(r))  # past the float range: inf, with no warning
 
 
 def _trusted(cls, **fields):  # cls(**fields) without __post_init__: a validator's result
@@ -112,9 +113,20 @@ def negligible(residual, scale, tol: Tolerance = DEFAULT_TOL):
     return verdict if isinstance(verdict, np.ndarray) else bool(verdict)
 
 
+_TOP = 2.0**1023  # a residual, at most twice its scale, is finite below it
+
+
+def _reduced(a: np.ndarray) -> np.ndarray:
+    """a / 2^e, exact but for subnormals, with its largest entry in [0.5, 1): what
+    the predicates judge where their scale is _TOP or more, or NaN (inf * 0)."""
+    return np.ldexp(a, -math.frexp(np.abs(a).max())[1])
+
+
 def _symmetric(a: np.ndarray, tol: Tolerance) -> bool:
     """`is_symmetric` of a matrix already validated by `as_real_matrix`."""
-    return negligible(frobenius(a - a.T), frobenius(a), tol)
+    if not (scale := frobenius(a)) < _TOP:
+        return _symmetric(_reduced(a), tol)
+    return negligible(frobenius(a - a.T), scale, tol)
 
 
 def is_symmetric(a, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -123,7 +135,9 @@ def is_symmetric(a, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 def is_antisymmetric(a, tol: Tolerance = DEFAULT_TOL) -> bool:
     a = as_real_matrix(a)
-    return negligible(frobenius(a + a.T), frobenius(a), tol)
+    if not (scale := frobenius(a)) < _TOP:
+        return is_antisymmetric(_reduced(a), tol)
+    return negligible(frobenius(a + a.T), scale, tol)
 
 
 def commutes(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -131,12 +145,16 @@ def commutes(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 
 def _commutes(a: np.ndarray, b: np.ndarray, tol: Tolerance) -> bool:  # validated, one shape
-    return negligible(frobenius(a @ b - b @ a), frobenius(a) * frobenius(b), tol)
+    if not (scale := frobenius(a) * frobenius(b)) < _TOP:
+        return _commutes(_reduced(a), _reduced(b), tol)
+    return negligible(frobenius(a @ b - b @ a), scale, tol)
 
 
 def anticommutes(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
     a, b = _pair(a, b)
-    return negligible(frobenius(a @ b + b @ a), frobenius(a) * frobenius(b), tol)
+    if not (scale := frobenius(a) * frobenius(b)) < _TOP:
+        return anticommutes(_reduced(a), _reduced(b), tol)
+    return negligible(frobenius(a @ b + b @ a), scale, tol)
 
 
 def sym_eig(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:

@@ -17,17 +17,19 @@ any target spectrum above hbar*w/2.
 The equal-length case xi_1 = xi_2 = xi in dimension four doubles as a
 fermionic oscillator: a second antisymmetric unit K commuting with x and p
 yields ladder operators with canonical anticommutation relations and the
-number-operator Hamiltonian (hbar w / 2) J K.
+number-operator Hamiltonian (hbar w / 2) J K.  Both types derive every matrix
+from their lengths and params (a pair's x and p read-only, on first use).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .dynamics import Hamiltonian, SymplecticForm, hamiltonian
-from .linalg import ConstraintError, sym_eig
+from .dynamics import Hamiltonian, SymplecticForm
+from .linalg import ConstraintError, _trusted, sym_eig
 from .realify import standard_complex_structure
 from .states import physical_density_4d
 
@@ -71,34 +73,69 @@ class OscillatorParams:
 class CanonicalPair:
     """Position/momentum pair with {x, p} = I; both anticommute with J."""
 
-    x: np.ndarray
-    p: np.ndarray
+    lengths: np.ndarray
+    params: OscillatorParams
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "lengths", _check_lengths(self.lengths))
 
     @property
     def dim(self) -> int:
-        return self.x.shape[0]
+        return 2 * self.lengths.size
+
+    @cached_property
+    def x(self) -> np.ndarray:
+        x = np.diag(np.column_stack([self.lengths, -self.lengths]).ravel())
+        x.setflags(write=False)
+        return x
+
+    @cached_property
+    def p(self) -> np.ndarray:
+        p = np.zeros((self.dim, self.dim))
+        even = np.arange(0, self.dim, 2)
+        p[even, even + 1] = p[even + 1, even] = self.params.hbar / (2.0 * self.lengths)
+        p.setflags(write=False)
+        return p
 
 
 @dataclass(frozen=True, eq=False)
 class FermionicStructure:
-    """Equal-length four-dimensional pair reread as a fermionic oscillator.
+    """Fermionic reading of the equal-length pair on R^4, derived from xi and params.
 
-    commuting_unit is the second imaginary unit K (antisymmetric, squares
-    to -I, commutes with x and p); lowering/raising obey a a^T + a^T a = I
-    and a^2 = 0; hamiltonian is the number-operator form, equal to
-    (hbar w / 2) J K; basis_swap is the self-inverse permutation S with
-    K = S J S.
+    With xi_1 = xi_2 = xi the squares x^2 = xi^2 I and p^2 = hbar^2/(4 xi^2) I
+    are scalars and x p + p x = 0, so with the second imaginary unit K
+    (commuting_unit: antisymmetric, squares to -I, commutes with x and p)
+
+        a = x/(2 xi) - (xi/hbar) K p,      a^T = x/(2 xi) + (xi/hbar) K p
+
+    (lowering, raising) satisfy a a^T + a^T a = I and a^2 = 0.  The
+    number-operator Hamiltonian hbar w (a^T a - 1/2) then equals both
+    -(w/2) K (x p - p x) and (hbar w / 2) J K (hamiltonian); basis_swap is
+    the self-inverse permutation S with K = S J S.
     """
 
     xi: float
     params: OscillatorParams
-    x: np.ndarray
-    p: np.ndarray
-    commuting_unit: np.ndarray
-    lowering: np.ndarray
-    raising: np.ndarray
-    hamiltonian: np.ndarray
-    basis_swap: np.ndarray
+    x: np.ndarray = field(init=False)
+    p: np.ndarray = field(init=False)
+    commuting_unit: np.ndarray = field(init=False)
+    lowering: np.ndarray = field(init=False)
+    raising: np.ndarray = field(init=False)
+    hamiltonian: np.ndarray = field(init=False)
+    basis_swap: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        xi, params = float(self.xi), self.params
+        if not 0.0 < xi < np.inf:
+            raise ConstraintError("length must be positive")
+        pair = CanonicalPair([xi, xi], params)
+        k = np.eye(4, k=-2) - np.eye(4, k=2)  # [[0, -I], [I, 0]], every zero +0.0
+        kp, j4 = k @ pair.p, standard_complex_structure(2).matrix
+        self.__dict__.update(
+            xi=xi, x=pair.x, p=pair.p, commuting_unit=k, basis_swap=np.eye(4)[[0, 2, 1, 3]],
+            lowering=pair.x / (2.0 * xi) - (xi / params.hbar) * kp,
+            raising=pair.x / (2.0 * xi) + (xi / params.hbar) * kp,
+            hamiltonian=0.5 * params.hbar * params.omega * (j4 @ k))
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,35 +162,20 @@ def _check_lengths(xis) -> np.ndarray:
 
 
 def build_canonical_pair(xis, params: OscillatorParams) -> CanonicalPair:
-    xis = _check_lengths(xis)
-    d = xis.size
-    x = np.zeros((2 * d, 2 * d))
-    p = np.zeros((2 * d, 2 * d))
-    for i, xi in enumerate(xis):
-        x[2 * i, 2 * i] = xi
-        x[2 * i + 1, 2 * i + 1] = -xi
-        p[2 * i, 2 * i + 1] = params.hbar / (2.0 * xi)
-        p[2 * i + 1, 2 * i] = params.hbar / (2.0 * xi)
-    return CanonicalPair(x=x, p=p)
+    return CanonicalPair(xis, params)
 
 
-def oscillator_hamiltonian(pair: CanonicalPair, params: OscillatorParams) -> Hamiltonian:
-    """p^2/(2m) + m w^2 x^2 / 2: diagonal, and commutes with J even though
-    x and p individually anticommute with it.  Overflow raises ConstraintError;
-    the matrix is then judged by `hamiltonian` against the standard J, so a
-    pair that is not canonical cannot give a trusted generator."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = pair.p @ pair.p / (2.0 * params.mass)
-        m = m + 0.5 * params.mass * (params.omega * params.omega) * (pair.x @ pair.x)
-    if not np.isfinite(m).all():
-        raise ConstraintError("the oscillator Hamiltonian is not finite at these parameters")
-    with np.errstate(over="ignore"):  # a norm past the float range reads inf
-        return hamiltonian(m, standard_complex_structure(m.shape[0] // 2))
+def oscillator_hamiltonian(pair: CanonicalPair) -> Hamiltonian:
+    """p^2/(2m) + m w^2 x^2 / 2 at the pair's params: diagonal, with level E_i
+    on block i as E_i I_2, so it commutes exactly with the standard J even
+    though x and p anticommute with it.  Overflow raises ConstraintError."""
+    h = np.diag(_hamiltonian_diagonal(pair.lengths, pair.params))
+    return _trusted(Hamiltonian, matrix=h, complex_linear=True)
 
 
 def _hamiltonian_diagonal(xis, params: OscillatorParams) -> np.ndarray:
-    """diag(oscillator_hamiltonian(build_canonical_pair(xis, params), params)), bit
-    for bit, from the entries' own products with no 2D x 2D matrix (xis trusted)."""
+    """The diagonal of p^2/(2m) + m w^2 x^2 / 2, bit for bit that of the dense
+    products, from the entries' own products (xis trusted)."""
     with np.errstate(over="ignore", invalid="ignore"):
         h = params.hbar / (2.0 * xis)  # the entries of p
         diag = h * h / (2.0 * params.mass) + 0.5 * params.mass * (
@@ -253,44 +275,7 @@ def translation_operator(pair: CanonicalPair, distance: float, w: SymplecticForm
 
 
 def build_fermionic(xi: float, params: OscillatorParams) -> FermionicStructure:
-    """Fermionic reading of the equal-length pair on R^4.
-
-    With xi_1 = xi_2 = xi the squares x^2 = xi^2 I and p^2 = hbar^2/(4 xi^2) I
-    are scalars and x p + p x = 0, so
-
-        a = x/(2 xi) - (xi/hbar) K p,      a^T = x/(2 xi) + (xi/hbar) K p
-
-    satisfy a a^T + a^T a = I and a^2 = 0.  The number-operator Hamiltonian
-    hbar w (a^T a - 1/2) then equals both -(w/2) K (x p - p x) and
-    (hbar w / 2) J K.
-    """
-    xi = float(xi)
-    if not 0.0 < xi < np.inf:
-        raise ConstraintError("length must be positive")
-    pair = build_canonical_pair([xi, xi], params)
-    k = np.array([
-        [0.0, 0.0, -1.0, 0.0],
-        [0.0, 0.0, 0.0, -1.0],
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-    ])
-    swap = np.eye(4)[[0, 2, 1, 3]]
-    kp = k @ pair.p
-    lowering = pair.x / (2.0 * xi) - (xi / params.hbar) * kp
-    raising = pair.x / (2.0 * xi) + (xi / params.hbar) * kp
-    j4 = standard_complex_structure(2).matrix
-    h_prime = 0.5 * params.hbar * params.omega * (j4 @ k)
-    return FermionicStructure(
-        xi=xi,
-        params=params,
-        x=pair.x,
-        p=pair.p,
-        commuting_unit=k,
-        lowering=lowering,
-        raising=raising,
-        hamiltonian=h_prime,
-        basis_swap=swap,
-    )
+    return FermionicStructure(xi, params)
 
 
 def _rotation(unit: np.ndarray, theta: float) -> np.ndarray:

@@ -11,7 +11,7 @@ eigenvalue above 1/2 and there are no pure states among them.  A
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,17 +58,15 @@ class DensityMatrix:
     """A state: finite, symmetric, PSD within 1e-10, unit trace within 1e-10.
 
     `physical` records whether it commutes with the J it was validated against
-    (only physical states correspond to states of the complex theory), so only
-    validators set it, through `linalg._trusted`; a direct build has no J.
+    (only physical states correspond to states of the complex theory).  It is no
+    argument: a direct build has no J and leaves it False; validators set it.
     """
 
     matrix: np.ndarray
-    physical: bool
+    physical: bool = field(default=False, init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "matrix", density_matrix(self.matrix).matrix)
-        if self.physical:
-            raise ValueError("physical=True is set only by density_matrix, against a J")
 
     @property
     def dim(self) -> int:
@@ -141,8 +139,8 @@ def state_stack(matrices, j: ComplexStructure | None = None, tol: Tolerance = DE
     only measures, for the trace-nonpreserving diagnostics flow.  The
     products, traces and eigenvalues are batched; the norms of m, m - m^T
     and mJ - Jm are each matrix's `frobenius`, so the symmetry and
-    physicality verdicts are those of `is_symmetric` and `commutes` over
-    the whole float range.  One eigvalsh of the symmetrized stack gives
+    physicality verdicts are those of `is_symmetric` and `commutes` while
+    each scale is below 2^1023.  One eigvalsh of the symmetrized stack gives
     both the PSD test and `min_eigenvalue`.  The earliest failing matrix
     raises ConstraintError, naming its entry of `times` when given.
     """

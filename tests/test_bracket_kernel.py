@@ -110,7 +110,7 @@ class TestLiouvilleRhs:
         rng = np.random.default_rng(3)
         for d, hbar in [(1, 1.0), (3, 0.7), (5, 1.054571817e-34)]:
             w = form(d, hbar)
-            h = Hamiltonian(matrix=rand_symmetric(rng, 2 * d), complex_linear=False)
+            h = Hamiltonian(matrix=rand_symmetric(rng, 2 * d))
             rho = rand_physical(rng, d)
             expected = h.matrix @ w.omega @ rho.matrix - rho.matrix @ w.omega @ h.matrix
             assert np.array_equal(liouville_rhs(h, rho, w), expected)
@@ -135,7 +135,7 @@ RHO4, H4 = np.eye(4) / 4.0, np.diag([1.0, 1.0, 2.0, 2.0])
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: liouville_grid(DensityMatrix(RHO4, False), Hamiltonian(H4, False), [0.0, 0.5],
+    (lambda: liouville_grid(DensityMatrix(RHO4), Hamiltonian(H4), [0.0, 0.5],
                              form(3)),
      "arguments do not match the symplectic form dimension"),
     (lambda: state_stack(RHO4[np.newaxis], standard_complex_structure(3)),
@@ -161,6 +161,6 @@ def test_spectrum_eigenvalues_are_the_sorted_diagonal(levels):
     assert code == 0
     params = OscillatorParams()
     h = oscillator_hamiltonian(
-        build_canonical_pair(design_spectrum(targets, params, branches), params), params)
+        build_canonical_pair(design_spectrum(targets, params, branches), params))
     eigenvalues = [row["eigenvalue"] for row in json.loads(out.getvalue())["rows"]]
     assert eigenvalues == sym_eig(h.matrix)[0].tolist()

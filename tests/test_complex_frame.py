@@ -90,7 +90,7 @@ def test_asymmetric_complex_linear_hamiltonian_is_rejected():
     rng = np.random.default_rng(SEED + 2)
     j = standard_complex_structure(2)
     with pytest.raises(ValueError, match="symmetric"):
-        h = Hamiltonian(matrix=embed_matrix(rand_complex(rng, 2)), complex_linear=True)
+        h = Hamiltonian(matrix=embed_matrix(rand_complex(rng, 2)))
         propagator(h, 1.0, SymplecticForm(j))
 
 

@@ -17,7 +17,7 @@ from realqm.dynamics import (
     propagator,
     symplectic_lie_form_check,
 )
-from realqm.linalg import ConstraintError, expm, sym_eig
+from realqm.linalg import ConstraintError, _trusted, expm, sym_eig
 from realqm.oscillator import (
     OscillatorParams,
     build_canonical_pair,
@@ -106,7 +106,7 @@ class TestJacobiIdentity:
     def test_canonical_triple(self):
         params = OscillatorParams()
         pair = build_canonical_pair([1.0, 2.0], params)
-        h = oscillator_hamiltonian(pair, params)
+        h = oscillator_hamiltonian(pair)
         w = SymplecticForm(standard_complex_structure(2))
         assert jacobi_residual(pair.x, pair.p, h.matrix, w) <= 1e-9
 
@@ -181,7 +181,7 @@ class TestPropagator:
     def test_oscillator_blocks_rotate(self):
         params = OscillatorParams(hbar=0.5)
         pair = build_canonical_pair([1.0, 2.0], params)
-        h = oscillator_hamiltonian(pair, params)
+        h = oscillator_hamiltonian(pair)
         j = standard_complex_structure(2)
         t = 0.8
         u = propagator(h, t, SymplecticForm(j, params.hbar)).u
@@ -228,7 +228,7 @@ class TestPropagator:
         params = OscillatorParams(hbar=0.7)
         targets = [1.5, 1.5, 0.9]
         h = oscillator_hamiltonian(
-            build_canonical_pair(design_spectrum(targets, params), params), params)
+            build_canonical_pair(design_spectrum(targets, params), params))
         j = standard_complex_structure(3)
         t = 2.3
         u = propagator(h, t, SymplecticForm(j, params.hbar)).u
@@ -311,7 +311,7 @@ def generic_hamiltonian(j):
 
 def oscillator_1_2(j):
     params = OscillatorParams()
-    return oscillator_hamiltonian(build_canonical_pair([1.0, 2.0], params), params)
+    return oscillator_hamiltonian(build_canonical_pair([1.0, 2.0], params))
 
 
 class TestLongTimeEvolve:
@@ -345,9 +345,8 @@ class TestLongTimeEvolve:
 
 def flow_at(rho_matrix, h_matrix, t, w):
     """The one flowed matrix of a one-point `liouville_grid`, from a state
-    and a generator built directly (`physical` and `complex_linear` unset)."""
-    (_, stack), = liouville_grid(DensityMatrix(rho_matrix, False),
-                                 Hamiltonian(h_matrix, False), [t], w)
+    and a generator built directly (`physical` and `complex_linear` False)."""
+    (_, stack), = liouville_grid(DensityMatrix(rho_matrix), Hamiltonian(h_matrix), [t], w)
     return stack.matrices[0]
 
 
@@ -476,14 +475,17 @@ class TestEvolveGrid:
         h = hamiltonian(embed_matrix(np.diag([1.0, -0.5]).astype(complex)), j)
         m = np.diag([0.4, 0.1, 0.3, 0.2])  # each J pair has unequal diagonal entries
         assert np.linalg.norm(m @ j.matrix - j.matrix @ m) > 0.1
-        with pytest.raises(ValueError, match="set only by density_matrix"):
-            DensityMatrix(matrix=m, physical=True)
+        # A direct build cannot flag it; flagged as if judged against another J,
+        # evolve names the state, not the motion.
+        flagged = _trusted(DensityMatrix, matrix=m, physical=True)
+        with pytest.raises(ConstraintError, match="initial state does not commute"):
+            evolve(flagged, h, 0.5, w)
         # Unflagged, it evolves; the grid carries its large antilinear part exactly.
         a = rand_symmetric(rng, 4)
         times = np.linspace(0.5, 3.0, dynamics._GRID_BLOCK + 5)
-        _, (column,) = self.grid(DensityMatrix(matrix=m, physical=False), h, [a], times, w)
+        _, (column,) = self.grid(DensityMatrix(matrix=m), h, [a], times, w)
         for k in (0, dynamics._GRID_BLOCK, len(times) - 1):
-            rho_t = evolve(DensityMatrix(matrix=m, physical=False), h, float(times[k]), w)
+            rho_t = evolve(DensityMatrix(matrix=m), h, float(times[k]), w)
             assert not rho_t.physical
             assert abs(column[k] - np.trace(rho_t.matrix @ a)) <= 1e-13 * np.linalg.norm(a, 2)
 
@@ -491,8 +493,6 @@ class TestEvolveGrid:
         j = standard_complex_structure(2)
         h = hamiltonian(embed_matrix(np.diag([1.0, -0.5]).astype(complex)), j)
         m = np.diag([1.0, 0.0, 0.0, 0.0])
-        with pytest.raises(ValueError, match="set only by density_matrix"):
-            DensityMatrix(m, physical=True)
         # Its validator names it unphysical, so evolve blames nothing on the motion.
         rho0 = density_matrix(m, j)
         assert not rho0.physical and not evolve(rho0, h, 0.5, SymplecticForm(j)).physical
@@ -547,7 +547,7 @@ class TestLiouvilleGrid:
         x = np.diag([1.0, -1.0, 2.0, -2.0])
         rho0 = rand_physical(rng, 2)
         times = np.linspace(0.0, 1.0, 5)
-        (block, stack), = liouville_grid(rho0, Hamiltonian(x, False), times, w)
+        (block, stack), = liouville_grid(rho0, Hamiltonian(x), times, w)
         np.testing.assert_array_equal(block, times)
         for t, m, tr in zip(times, stack.matrices, stack.trace):
             v = expm(float(t) * (x @ w.omega))

@@ -1,14 +1,17 @@
 import decimal
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from realqm.dynamics import SymplecticForm, poisson_bracket
+from realqm.dynamics import SymplecticForm, hamiltonian, poisson_bracket
 from realqm.linalg import ConstraintError, expm, sym_eig
 from realqm.oscillator import (
+    _check_lengths,
     _hamiltonian_diagonal,
     CanonicalPair,
+    FermionicStructure,
     OscillatorParams,
     build_canonical_pair,
     build_fermionic,
@@ -32,8 +35,81 @@ from hypothesis import strategies as st  # noqa: E402
 
 SEED = 61424
 
+# The fields a FermionicStructure derives from its length and params.
+FERMIONIC_MATRICES = ("x", "p", "commuting_unit", "lowering", "raising", "hamiltonian",
+                      "basis_swap")
+
 # A natural log, up to e^+-300, of a length or a parameter.
 log_scale = st.floats(-300.0, 300.0)
+
+
+# The stated-matrix routes the derived types replaced, kept verbatim as the
+# references of the bit-for-bit tests; each returns its fields by name
+# where it built a `CanonicalPair` or `FermionicStructure`.
+def ref_build_canonical_pair(xis, params: OscillatorParams):
+    xis = _check_lengths(xis)
+    d = xis.size
+    x = np.zeros((2 * d, 2 * d))
+    p = np.zeros((2 * d, 2 * d))
+    for i, xi in enumerate(xis):
+        x[2 * i, 2 * i] = xi
+        x[2 * i + 1, 2 * i + 1] = -xi
+        p[2 * i, 2 * i + 1] = params.hbar / (2.0 * xi)
+        p[2 * i + 1, 2 * i] = params.hbar / (2.0 * xi)
+    return SimpleNamespace(x=x, p=p)
+
+
+def ref_oscillator_hamiltonian(pair, params: OscillatorParams):
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = pair.p @ pair.p / (2.0 * params.mass)
+        m = m + 0.5 * params.mass * (params.omega * params.omega) * (pair.x @ pair.x)
+    if not np.isfinite(m).all():
+        raise ConstraintError("the oscillator Hamiltonian is not finite at these parameters")
+    with np.errstate(over="ignore"):  # a norm past the float range reads inf
+        return hamiltonian(m, standard_complex_structure(m.shape[0] // 2))
+
+
+def ref_build_fermionic(xi: float, params: OscillatorParams):
+    xi = float(xi)
+    if not 0.0 < xi < np.inf:
+        raise ConstraintError("length must be positive")
+    pair = ref_build_canonical_pair([xi, xi], params)
+    k = np.array([
+        [0.0, 0.0, -1.0, 0.0],
+        [0.0, 0.0, 0.0, -1.0],
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, 1.0, 0.0, 0.0],
+    ])
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    kp = k @ pair.p
+    lowering = pair.x / (2.0 * xi) - (xi / params.hbar) * kp
+    raising = pair.x / (2.0 * xi) + (xi / params.hbar) * kp
+    j4 = standard_complex_structure(2).matrix
+    h_prime = 0.5 * params.hbar * params.omega * (j4 @ k)
+    return SimpleNamespace(
+        xi=xi,
+        params=params,
+        x=pair.x,
+        p=pair.p,
+        commuting_unit=k,
+        lowering=lowering,
+        raising=raising,
+        hamiltonian=h_prime,
+        basis_swap=swap,
+    )
+
+
+def raises_alike(reference, *calls):
+    """The reference's value, after checking that it raises exactly when each
+    call does, with the same ConstraintError message."""
+    try:
+        want = reference()
+    except ConstraintError as exc:
+        for call in calls:
+            with pytest.raises(ConstraintError, match=f"^{re.escape(str(exc))}$"):
+                call()
+        return None
+    return want
 
 
 class TestCanonicalPair:
@@ -72,13 +148,13 @@ class TestHamiltonianAndLevels:
     def test_ground_level_at_matched_length(self):
         params = OscillatorParams()
         pair = build_canonical_pair([1.0 / np.sqrt(2.0)], params)
-        h = oscillator_hamiltonian(pair, params)
+        h = oscillator_hamiltonian(pair)
         np.testing.assert_allclose(np.diag(h.matrix), [0.5, 0.5], atol=1e-15)
 
     def test_commutes_with_j_though_x_p_do_not(self):
         params = OscillatorParams()
         pair = build_canonical_pair([1.0, 2.0], params)
-        h = oscillator_hamiltonian(pair, params)
+        h = oscillator_hamiltonian(pair)
         j = standard_complex_structure(2).matrix
         assert np.linalg.norm(h.matrix @ j - j @ h.matrix) == 0.0
         assert np.linalg.norm(pair.x @ j - j @ pair.x) > 1.0
@@ -86,38 +162,49 @@ class TestHamiltonianAndLevels:
 
     @pytest.mark.parametrize("xi, omega", [(1e200, 1.0), (1e-200, 1.0), (1.0, 1e160)])
     def test_hamiltonian_that_overflows_is_a_domain_error(self, xi, omega):
-        # The overflow check comes before the generator rule, with its own message.
         params = OscillatorParams(omega=omega)
         pair = build_canonical_pair([xi, 1.0], params)
         with pytest.raises(ConstraintError, match="^the oscillator Hamiltonian is not "
                                                   "finite at these parameters$"):
-            oscillator_hamiltonian(pair, params)
-        asymmetric = CanonicalPair(x=pair.x + np.triu(pair.x, 1) + 1.0, p=pair.p)
-        with pytest.raises(ConstraintError, match="^the oscillator Hamiltonian is not "):
-            oscillator_hamiltonian(asymmetric, params)
+            oscillator_hamiltonian(pair)
 
-    def test_a_pair_that_is_not_canonical_gives_no_trusted_generator(self):
-        # A pair built directly is judged as any generator is, against the standard J.
-        rng = np.random.default_rng(0)
-        pair = CanonicalPair(x=rng.standard_normal((4, 4)), p=rng.standard_normal((4, 4)))
-        with pytest.raises(ConstraintError, match="^Hamiltonian must be symmetric$"):
-            oscillator_hamiltonian(pair, OscillatorParams())
+    @pytest.mark.parametrize("name", ["x", "p"])
+    def test_a_pair_takes_lengths_not_matrices(self, name):
+        # x and p are derived from the lengths, so no build can state them inconsistently.
+        with pytest.raises(TypeError, match=f"'{name}'"):
+            CanonicalPair([1.0, 2.0], OscillatorParams(), **{name: np.eye(4)})
+        pair = CanonicalPair([1.0, 2.0], OscillatorParams())
+        with pytest.raises(AttributeError):
+            setattr(pair, name, np.eye(4))
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(pair, name)[0, 0] = 5.0
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
     @given(st.lists(log_scale, min_size=1, max_size=6), log_scale, log_scale, log_scale)
     def test_diagonal_is_the_dense_diagonal_bit_for_bit(self, log_xis, log_m, log_w, log_hbar):
-        # The reference is the dense route `spectrum` took, kept here: its
-        # diagonal, or its ConstraintError where H is not finite.
+        # The reference is the dense route `spectrum` and `oscillator_hamiltonian`
+        # took, from the pair the loop built, kept above: its x, p and H, or its
+        # ConstraintError where H is not finite.
         params = OscillatorParams(*np.exp([log_m, log_w, log_hbar]))
         xis = np.exp(log_xis)
-        try:
-            want = np.diag(oscillator_hamiltonian(build_canonical_pair(xis, params),
-                                                  params).matrix)
-        except ConstraintError as exc:
-            with pytest.raises(ConstraintError, match=f"^{re.escape(str(exc))}$"):
-                _hamiltonian_diagonal(xis, params)
-        else:
-            assert _hamiltonian_diagonal(xis, params).tobytes() == want.tobytes()
+        ref, pair = ref_build_canonical_pair(xis, params), build_canonical_pair(xis, params)
+        assert pair.x.tobytes() == ref.x.tobytes() and pair.p.tobytes() == ref.p.tobytes()
+        assert pair.dim == ref.x.shape[0]
+        want = raises_alike(lambda: ref_oscillator_hamiltonian(ref, params),
+                            lambda: _hamiltonian_diagonal(xis, params),
+                            lambda: oscillator_hamiltonian(pair))
+        if want is not None:
+            h = oscillator_hamiltonian(pair)
+            assert h.matrix.tobytes() == want.matrix.tobytes()
+            assert h.complex_linear is want.complex_linear is True
+            assert _hamiltonian_diagonal(xis, params).tobytes() == np.diag(want.matrix).tobytes()
+
+    @pytest.mark.parametrize("xis", [[1.0, 0.0], [-1.0], [1.0, np.nan], [np.inf], [-0.0]])
+    def test_bad_lengths_raise_as_the_loop_did(self, xis):
+        with pytest.raises(ConstraintError, match="^all lengths must be positive$"):
+            ref_build_canonical_pair(xis, OscillatorParams())
+        with pytest.raises(ConstraintError, match="^all lengths must be positive$"):
+            CanonicalPair(xis, OscillatorParams())
 
     def test_levels_formula(self):
         params = OscillatorParams()
@@ -128,7 +215,7 @@ class TestHamiltonianAndLevels:
         params = OscillatorParams(mass=1.5, omega=0.8, hbar=1.2)
         xis = rng.uniform(0.3, 3.0, size=4)
         pair = build_canonical_pair(xis, params)
-        h = oscillator_hamiltonian(pair, params)
+        h = oscillator_hamiltonian(pair)
         vals, _ = sym_eig(h.matrix)
         expected = np.sort(np.repeat(energy_levels(xis, params), 2))
         np.testing.assert_allclose(vals, expected, atol=1e-12)
@@ -247,7 +334,7 @@ class TestDesignSpectrum:
         xis = design_spectrum([0.625, 2.0], params)
         assert xis[0] == pytest.approx(1.0, rel=1e-12)  # plus branch of 0.625
         pair = build_canonical_pair(xis, params)
-        h = oscillator_hamiltonian(pair, params)
+        h = oscillator_hamiltonian(pair)
         vals, _ = sym_eig(h.matrix)
         np.testing.assert_allclose(vals, [0.625, 0.625, 2.0, 2.0], rtol=1e-12)
 
@@ -411,6 +498,24 @@ class TestFermionicStructure:
     def test_rejects_nonpositive_length(self):
         with pytest.raises(ConstraintError):
             build_fermionic(0.0, OscillatorParams())
+
+    @pytest.mark.parametrize("name", FERMIONIC_MATRICES)
+    def test_matrices_are_derived_not_arguments(self, name):
+        with pytest.raises(TypeError, match=f"'{name}'"):
+            FermionicStructure(1.0, OscillatorParams(), **{name: np.eye(4)})
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.one_of(log_scale.map(np.exp), st.sampled_from([0.0, -1.0, np.inf, np.nan])),
+           log_scale, log_scale, log_scale)
+    def test_fields_are_the_stated_route_bit_for_bit(self, xi, log_m, log_w, log_hbar):
+        params = OscillatorParams(*np.exp([log_m, log_w, log_hbar]))
+        want = raises_alike(lambda: ref_build_fermionic(xi, params),
+                            lambda: build_fermionic(xi, params))
+        if want is not None:
+            fs = build_fermionic(xi, params)
+            assert type(fs.xi) is float and fs.xi == want.xi and fs.params is params
+            for name in FERMIONIC_MATRICES:
+                assert getattr(fs, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 class TestFermionicPropagator:

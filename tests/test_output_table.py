@@ -13,6 +13,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -269,6 +273,33 @@ class TestEvolveColumns:
     @pytest.mark.parametrize("name", ["a,b", 'a"b', "a\rb", "a\nb"])
     def test_name_that_breaks_csv_is_usage_error(self, capsys, name):
         assert_rejected(evolve(capsys, observable(name)), 1)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("name", ["\ud800", "x\udfff", "\u00e9\udc80y"])
+    def test_name_utf8_cannot_encode_is_usage_error(self, capsys, tmp_path, fmt, name):
+        # A lone surrogate is valid JSON text.  In CSV it ended in a
+        # UnicodeEncodeError traceback, after --out had emptied its target.
+        assert_rejected(evolve(capsys, observable(name), fmt=fmt), 1)
+        target = tmp_path / "rows.out"
+        target.write_bytes(b"earlier output\n")
+        result = run_cli(capsys, "evolve", "--state", STATE_QUARTER, "--hamiltonian",
+                         FERMIONIC_H, "--format", fmt, "--observable", observable(name),
+                         "--out", str(target))
+        assert_rejected(result, 1)
+        assert "surrogate" in result[2]
+        assert target.read_bytes() == b"earlier output\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_name_utf8_cannot_encode_leaves_process_stdout_empty(self, fmt):
+        src = Path(cli.__file__).resolve().parents[1]
+        run = subprocess.run(
+            [sys.executable, "-m", "realqm", "evolve", "--state", STATE_QUARTER,
+             "--hamiltonian", FERMIONIC_H, "--format", fmt,
+             "--observable", observable("\ud800")],
+            capture_output=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+        assert (run.returncode, run.stdout) == (1, b"")
+        assert run.stderr.decode().startswith("realqm: error: observable name '\\ud800'")
+        assert run.stderr.count(b"\n") == 1
 
     def test_asymmetric_observable_is_domain_error(self, capsys):
         skew = {"dim": 4, "entries": [0, 1] + [0] * 14}

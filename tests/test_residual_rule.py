@@ -319,7 +319,7 @@ class TestStates:
         r1 = q[:, :2] @ np.diag([0.7, 0.3]) @ q[:, :2].T
         r2 = q[:, 2:5] @ np.diag([0.5, 0.3, 0.2]) @ q[:, 2:5].T
         r2 = r2 + size * 1e-8 * (q[:, :1] @ q[:, 2:3].T + q[:, 2:3] @ q[:, :1].T)
-        s1, s2 = DensityMatrix(r1, physical=False), DensityMatrix(r2, physical=False)
+        s1, s2 = DensityMatrix(r1), DensityMatrix(r2)
         scale = frobenius(r1) * frobenius(r2)
         pairs = [(frobenius(r1 @ r2), scale), (frobenius(r2 @ r1), scale)]
         for tol in placed(pairs):

@@ -183,3 +183,45 @@ def test_tiny_antilinear_hamiltonian_is_rejected(capsys, c):
     assert out == ""
     assert err.startswith("realqm: constraint violated:") and err.count("\n") == 1
     assert "does not commute with the complex structure" in err
+
+
+def to_the_top(m):
+    """m times the power of two that puts its largest entry in [2^1023, 2^1024)."""
+    return np.ldexp(m, 1024 - np.frexp(np.abs(m).max())[1])
+
+
+@SETTINGS
+@given(st.tuples(st.integers(0, 2**32 - 1), st.floats(*EPS_DECADES), st.integers(520, 1000)))
+def test_verdicts_hold_where_a_scale_passes_the_float_range(case):
+    # An infinite scale admitted every residual, inf included, and inf * 0
+    # or inf - inf gave NaN, which admits none.
+    seed, decade, k = case
+    _, j, s, a, plus, minus, eps = near_structure(seed, decade)
+    c = 2.0 ** k
+    for m in (s + eps * a, a + eps * s):
+        assert is_symmetric(to_the_top(m)) is is_symmetric(m)
+        assert is_antisymmetric(to_the_top(m)) is is_antisymmetric(m)
+    for m in (plus + eps * minus, minus + eps * plus):
+        assert commutes(c * m, c * j.matrix) is commutes(m, j.matrix)
+        assert anticommutes(c * m, c * j.matrix) is anticommutes(m, j.matrix)
+        assert commutes(to_the_top(m), j.matrix) is commutes(m, j.matrix)
+        assert hamiltonian(to_the_top(m), j).complex_linear is hamiltonian(m, j).complex_linear
+
+
+def test_a_scale_past_the_float_range_admits_no_residual(capsys):
+    big = [[1e308, 1.7e308], [0.0, 1e308]]
+    assert not is_symmetric(big) and not is_antisymmetric(big)
+    e, f = np.diag([1.0, 0.0]), np.array([[0.0, 1.0], [0.0, 0.0]])
+    z, x = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+    for c in (2.0 ** 600, 2.0 ** 1000):
+        assert not commutes(c * e, c * f) and commutes(c * e, c * e)
+        assert anticommutes(c * z, c * x) and not anticommutes(c * z, c * z)
+    assert commutes(np.array(big), np.zeros((2, 2)))  # inf * 0 is no scale
+    with pytest.raises(ConstraintError, match="^Hamiltonian must be symmetric$"):
+        hamiltonian(big, standard_complex_structure(1))
+    code, out, err = run_cli(capsys, "evolve",
+                             "--state", '{"matrix": {"dim": 2, "entries": [0.5, 0, 0, 0.5]}}',
+                             "--hamiltonian", matrix_spec(np.array(big)),
+                             "--steps", "1", "--t1", "1e-300")
+    assert (code, out) == (2, "")
+    assert err == "realqm: constraint violated: Hamiltonian must be symmetric\n"

@@ -7,11 +7,12 @@ dimension, their product, at most `MAX_PRODUCT_DIM`; a `SymplecticForm`
 holds a `J` and a positive, finite hbar and derives Omega = -J/hbar.  A
 `DensityMatrix` is a finite, symmetric, PSD, unit-trace matrix and a
 `Hamiltonian` a finite, symmetric one; their flags (`physical`, `complex_linear`) are verdicts
-against a `J`, so only the validators set them, through `linalg._trusted`.
-Each invariant needs no outside `J`, so a build with inconsistent fields
-raises ValueError before any verdict can be read from it; a derived field
-(`ComplexStructure.d`, `FactorSpace.d`, `ProductSpace.dim`,
-`SymplecticForm.omega`) is no argument at all, and neither is the time a
+against a `J`, so they are no arguments: only the validators set them, through
+`linalg._trusted`.  Each invariant needs no outside `J`, so a build with
+inconsistent fields raises ValueError before any verdict can be read from it;
+a derived field (`ComplexStructure.d`, `FactorSpace.d`, `ProductSpace.dim`,
+`SymplecticForm.omega`, the matrices of a `CanonicalPair` and of a
+`FermionicStructure`) is no argument at all, and neither is the time a
 `Propagator` was built for.  A type that holds arrays compares and hashes
 by identity.
 """
@@ -47,7 +48,8 @@ KINDS = ("size", "scaled", "perturbed", "symmetric", "non_finite", "propagator",
          *(f"generator_{k}" for k in VALUE_KINDS))
 # The error and message of a kind's bad build, where any ValueError is not enough.
 RAISES = {"size": (TypeError, "'d'"), "propagator": (TypeError, "'t'"),
-          "form_omega": (TypeError, "omega"),
+          "form_omega": (TypeError, "omega"), "state_flag": (TypeError, "'physical'"),
+          "generator_flag": (TypeError, "'complex_linear'"),
           **{f"form_{k}": (ValueError, "hbar must be positive") for k in BAD_HBAR}}
 
 
@@ -73,7 +75,10 @@ def value_builds(rng, n, kind):
         low = rng.uniform(1e-6, 0.5)
         weights = np.concatenate([[-low], weights[1:] * (1.0 + low) / weights[1:].sum()])
         bad = (q * weights) @ q.T
-    return lambda: cls(good, False), lambda: cls(bad, kind == "flag")
+    if kind == "flag":  # a verdict against a J: no argument of a direct build
+        flag = "physical" if cls is DensityMatrix else "complex_linear"
+        return lambda: cls(good), lambda: cls(good, **{flag: True})
+    return lambda: cls(good), lambda: cls(bad)
 
 
 def builds(rng, d, kind):
@@ -122,6 +127,22 @@ def test_inconsistent_fields_raise(seed, d, kind):
     error, message = RAISES.get(kind, (ValueError, None))
     with pytest.raises(error, match=message):
         bad()
+
+
+DERIVED = [(DensityMatrix, "physical"), (Hamiltonian, "complex_linear"),
+           *((oscillator.CanonicalPair, name) for name in ("x", "p")),
+           *((oscillator.FermionicStructure, name) for name in (
+               "x", "p", "commuting_unit", "lowering", "raising", "hamiltonian",
+               "basis_swap"))]
+
+
+@pytest.mark.parametrize("cls, name", DERIVED, ids=lambda v: getattr(v, "__name__", v))
+def test_derived_fields_are_no_arguments(cls, name):
+    args = {DensityMatrix: (np.eye(4) / 4.0,), Hamiltonian: (np.eye(4),)}.get(
+        cls, (1.0, oscillator.OscillatorParams()))
+    value = cls(*args)
+    with pytest.raises(TypeError, match=f"'{name}'"):
+        cls(*args, **{name: getattr(value, name)})
 
 
 def array_holders():

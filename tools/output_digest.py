@@ -31,7 +31,9 @@ leaves the float range, a target below the spectral bound at a
 physical hbar, a valid `complex_density` with `-0.0` entries in `re`
 and `im`, whose signs the echoed state keeps, and the dim-16 flow again
 at hbar = 0.37, which pins Omega = -J/hbar at an hbar that is not a power
-of two.  Each CLI operation runs once with `--format json` and once
+of two; last, `evolve` under an `oscillator` Hamiltonian, which no workload
+runs, at lengths 0.7, 1.3, 2.0 and at lengths near sqrt(hbar / (2 m w)) at a
+physical hbar.  Each CLI operation runs once with `--format json` and once
 with `--format csv`.
 ROOT (default: the checkout holding this script) supplies both `src/` and
 `perfbench/`.  Nothing is written to disk.
@@ -68,6 +70,9 @@ _g, _h = _rng.standard_normal((2, 16, 16))
 _s = _g @ _g.T
 _RHO16 = (_s + _s.T) / (2.0 * np.trace(_s))
 _H16 = (_h + _h.T) / 2.0
+# A full-rank physical state of complex dimension 3, for the oscillator commands.
+_RHO6 = _complex([[0.5, 0.1, 0.0], [0.1, 0.3, 0.05], [0.0, 0.05, 0.2]],
+                 [[0.0, 0.05, 0.0], [-0.05, 0.0, 0.02], [0.0, -0.02, 0.0]])
 
 
 # (label, argv) of each fixed `evolve` and `spectrum` command.
@@ -116,6 +121,13 @@ FIXED = [
     ("matrix --diagnostics dim 16 300 steps hbar 0.37",
      ["evolve", "--state", _matrix(_RHO16), "--hamiltonian", _matrix(_H16),
       "--t1", "2", "--steps", "300", "--hbar", "0.37", "--diagnostics"]),
+    ("oscillator lengths 0.7 1.3 2.0",
+     ["evolve", "--state", _RHO6, "--hamiltonian", '{"oscillator": {"lengths": [0.7, 1.3, 2.0]}}',
+      "--t1", "2", "--steps", "4"]),
+    ("oscillator at physical hbar",
+     ["evolve", "--state", _RHO6,
+      "--hamiltonian", '{"oscillator": {"lengths": [5e-18, 7.26e-18, 1.5e-17]}}',
+      "--t1", "2", "--steps", "4", "--hbar", "1.054571817e-34"]),
 ]
 
 

@@ -369,7 +369,7 @@ def _cmd_spectrum(args) -> int:
     # One row per real-side eigenvalue.  H is diagonal with level i twice on
     # block i, so its eigenvalues are its sorted diagonal, the k-th smallest
     # being the level of the k-th smallest entry; repeated targets keep their rows.
-    diagonal = oscillator._hamiltonian_diagonal(xis, params)
+    diagonal = levels.repeat(2)
     order = np.argsort(diagonal, kind="stable")
     eigenvalues = diagonal[order]
     level = order // 2

@@ -12,7 +12,10 @@ p^2/(2m) + m w^2 x^2 / 2 is then diagonal with the doubled level
     E_i = hbar^2/(8 m xi_i^2) + m w^2 xi_i^2 / 2  >=  hbar w / 2
 
 on block i, and inverting that relation lets one design an oscillator with
-any target spectrum above hbar*w/2.
+any target spectrum above hbar*w/2.  Every matrix here is a closed form in
+the lengths: H is the diagonal of the one level formula `energy_levels`,
+and the translation exp(-(d/hbar) J p) is the diagonal exp(+-d/(2 xi_i)),
+so no eigensolver or general matrix exponential is called.
 
 The equal-length case xi_1 = xi_2 = xi in dimension four doubles as a
 fermionic oscillator: a second antisymmetric unit K commuting with x and p
@@ -28,8 +31,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import Hamiltonian, SymplecticForm
-from .linalg import ConstraintError, _trusted, sym_eig
+from .dynamics import Hamiltonian
+from .linalg import ConstraintError, _trusted
 from .realify import standard_complex_structure
 from .states import physical_density_4d
 
@@ -169,32 +172,27 @@ def oscillator_hamiltonian(pair: CanonicalPair) -> Hamiltonian:
     """p^2/(2m) + m w^2 x^2 / 2 at the pair's params: diagonal, with level E_i
     on block i as E_i I_2, so it commutes exactly with the standard J even
     though x and p anticommute with it.  Overflow raises ConstraintError."""
-    h = np.diag(_hamiltonian_diagonal(pair.lengths, pair.params))
+    h = np.diag(energy_levels(pair.lengths, pair.params).repeat(2))
     return _trusted(Hamiltonian, matrix=h, complex_linear=True)
-
-
-def _hamiltonian_diagonal(xis, params: OscillatorParams) -> np.ndarray:
-    """The diagonal of p^2/(2m) + m w^2 x^2 / 2, bit for bit that of the dense
-    products, from the entries' own products (xis trusted)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        h = params.hbar / (2.0 * xis)  # the entries of p
-        diag = h * h / (2.0 * params.mass) + 0.5 * params.mass * (
-            params.omega * params.omega) * (xis * xis)
-    if not np.isfinite(diag).all():
-        raise ConstraintError("the oscillator Hamiltonian is not finite at these parameters")
-    return diag.repeat(2)
 
 
 def energy_levels(xis, params: OscillatorParams) -> np.ndarray:
     """E_i = hbar^2/(8 m xi_i^2) + m w^2 xi_i^2 / 2, one per block.
 
+    Computed as h h/(2m) + (m/2)(w w)(xi xi) from the entry h = hbar/(2 xi)
+    of p, so each level is bit for bit the diagonal of the dense
+    p^2/(2m) + m w^2 x^2 / 2; a level that overflows raises ConstraintError.
     By the arithmetic-geometric mean inequality every level is at least
     hbar*w/2, with equality exactly at xi^2 = hbar/(2 m w).
     """
     xis = _check_lengths(xis)
-    kinetic = params.hbar * params.hbar / (8.0 * params.mass * xis**2)
-    potential = 0.5 * params.mass * (params.omega * params.omega) * xis**2
-    return kinetic + potential
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = params.hbar / (2.0 * xis)
+        levels = h * h / (2.0 * params.mass) + 0.5 * params.mass * (
+            params.omega * params.omega) * (xis * xis)
+    if not np.isfinite(levels).all():
+        raise ConstraintError("the oscillator Hamiltonian is not finite at these parameters")
+    return levels
 
 
 def lengths_from_energy(energy: float, params: OscillatorParams,
@@ -264,14 +262,12 @@ def uncertainty_product(alpha: float, beta: float, gamma: float, delta: float,
     return params.hbar * float(np.sqrt((alpha + beta) ** 2 + alpha * beta * ratio**2))
 
 
-def translation_operator(pair: CanonicalPair, distance: float, w: SymplecticForm) -> np.ndarray:
-    """exp(-(d/hbar) J p) = I + V diag(expm1(-(d/hbar) k)) V^T for J p = V diag(k) V^T,
-    with J and hbar those of the form: a translation that is symplectic but,
-    J p being symmetric, not orthogonal for d != 0."""
-    if pair.dim != w.j.dim:
-        raise ValueError("pair dimension does not match the complex structure")
-    k, v = sym_eig(w.j.matrix @ pair.p)
-    return np.eye(pair.dim) + (v * np.expm1(-(distance / w.hbar) * k)) @ v.T
+def translation_operator(pair: CanonicalPair, distance: float) -> np.ndarray:
+    """exp(-(d/hbar) J p) for the standard J, the diagonal exp(+-d/(2 xi_i)),
+    interleaved: J p is diag(-+hbar/(2 xi_i)), so hbar cancels.  Symplectic
+    (each block's two entries are reciprocal) but not orthogonal for d != 0."""
+    k = distance / (2.0 * pair.lengths)
+    return np.diag(np.exp(np.column_stack([k, -k]).ravel()))
 
 
 def build_fermionic(xi: float, params: OscillatorParams) -> FermionicStructure:

@@ -11,6 +11,7 @@ eigenvalue above 1/2 and there are no pure states among them.  A
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,8 @@ from .linalg import (
     DEFAULT_TOL,
     ConstraintError,
     Tolerance,
+    _TOP,
+    _commutes,
     _eigh,
     _symmetric,
     _trusted,
@@ -139,10 +142,12 @@ def state_stack(matrices, j: ComplexStructure | None = None, tol: Tolerance = DE
     only measures, for the trace-nonpreserving diagnostics flow.  The
     products, traces and eigenvalues are batched; the norms of m, m - m^T
     and mJ - Jm are each matrix's `frobenius`, so the symmetry and
-    physicality verdicts are those of `is_symmetric` and `commutes` while
-    each scale is below 2^1023.  One eigvalsh of the symmetrized stack gives
-    both the PSD test and `min_eigenvalue`.  The earliest failing matrix
-    raises ConstraintError, naming its entry of `times` when given.
+    physicality verdicts are those of `is_symmetric` and `commutes`.  One
+    eigvalsh of the symmetrized stack gives both the PSD test and
+    `min_eigenvalue`.  A matrix whose scale is 2^1023 or more, where a
+    residual or m + m^T can overflow, is judged by those predicates and
+    measured at their reduced scale.  The earliest failing matrix raises
+    ConstraintError, naming its entry of `times` when given.
     """
     m = np.asarray(matrices, dtype=float)
     if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[1] < 1:
@@ -155,16 +160,25 @@ def state_stack(matrices, j: ComplexStructure | None = None, tol: Tolerance = DE
     mt = m.transpose(0, 2, 1)
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.array([frobenius(x) for x in m])
+        scale = norms if j is None else norms * frobenius(j.matrix)
+        inside = scale < _TOP  # finite, and no residual or m + m^T overflows
         symmetric = negligible(np.array([frobenius(x) for x in m - mt]), norms, tol)
         trace = np.trace(m, axis1=1, axis2=2)
         min_eigenvalue = np.linalg.eigvalsh(
-            np.where(finite[:, np.newaxis, np.newaxis], (m + mt) / 2.0, 0.0))[:, 0]
+            np.where(inside[:, np.newaxis, np.newaxis], (m + mt) / 2.0, 0.0))[:, 0]
         if j is None:
             residual = np.full(len(m), np.nan)
             physical = np.zeros(len(m), dtype=bool)
         else:
             residual = np.array([frobenius(x) for x in m @ j.matrix - j.matrix @ m])
-            physical = negligible(residual, norms * frobenius(j.matrix), tol)
+            physical = negligible(residual, scale, tol)
+        if not inside.all():
+            for k in np.flatnonzero(finite & ~inside):  # judged at linalg._reduced's scale
+                symmetric[k] = _symmetric(m[k], tol)
+                physical[k] = j is not None and _commutes(m[k], j.matrix, tol)
+                e = math.frexp(np.abs(m[k]).max())[1]
+                r = np.ldexp(m[k], -e)
+                min_eigenvalue[k] = np.ldexp(np.linalg.eigvalsh((r + r.T) / 2.0)[0], e)
     checks = [(~finite, lambda k: f"{what} is not finite"),
               (~symmetric, lambda k: f"{what} must be symmetric")]
     if density:

@@ -269,15 +269,17 @@ def test_criterion_09_uncertainty_floor_and_closed_form():
 
 
 def test_criterion_10_translation_operator():
-    params = OscillatorParams()
-    pair = build_canonical_pair([1.0, 1.0], params)
+    # At distance 40 the translation's entries span exp(+-28.6).
     j = standard_complex_structure(2)
-    u = translation_operator(pair, 1.0, SymplecticForm(j))
-    symplectic_residual = np.linalg.norm(u.T @ j.matrix @ u - j.matrix)
-    orthogonality_gap = np.linalg.norm(u.T @ u - np.eye(4))
-    ok = symplectic_residual <= 1e-9 and orthogonality_gap > 0.01
-    report(10, ok, f"symplectic residual {symplectic_residual:.2e}, "
-                   f"orthogonality gap {orthogonality_gap:.2e}")
+    worst_residual, least_gap = 0.0, np.inf
+    for lengths, hbar, distance in (([1.0, 1.0], 1.0, 1.0), ([0.7, 1.3], 0.8, 40.0)):
+        pair = build_canonical_pair(lengths, OscillatorParams(hbar=hbar))
+        u = translation_operator(pair, distance)
+        worst_residual = max(worst_residual, np.linalg.norm(u.T @ j.matrix @ u - j.matrix))
+        least_gap = min(least_gap, np.linalg.norm(u.T @ u - np.eye(4)))
+    ok = worst_residual <= 1e-9 and least_gap > 0.01
+    report(10, ok, f"symplectic residual {worst_residual:.2e}, "
+                   f"orthogonality gap {least_gap:.2e}")
 
 
 def test_criterion_11_fermionic_block():

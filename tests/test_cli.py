@@ -76,6 +76,18 @@ class TestSpectrum:
                                    rtol=1e-10)
         assert {r["level"] for r in rows} == {0, 1, 2}
 
+    def test_residual_is_that_of_the_printed_eigenvalue(self, capsys):
+        # Each of these levels took one rounding in `eigenvalue` and another
+        # in `roundtrip_residual` while the two came from two formulas.
+        code, out, _ = run_cli(capsys, "spectrum", "0.6,0.8,1.1", "--branch", "plus,minus,minus")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 6
+        for row in rows:
+            target = row["target_energy"]
+            assert row["roundtrip_residual"] == abs(row["eigenvalue"] - target) / max(1.0, abs(target))
+        assert any(row["roundtrip_residual"] > 0.0 for row in rows)
+
     def test_minus_branch(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "2.0", "--branch", "minus")
         assert code == 0

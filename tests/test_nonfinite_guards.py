@@ -61,8 +61,8 @@ def test_tolerance(field):
 
 @pytest.mark.parametrize("hbar", [*NON_FINITE, 0.0, -1.0])
 def test_symplectic_form(hbar):
-    # The one hbar guard: propagator, expectation_grid, evolve and
-    # translation_operator read hbar from a form, and no form holds these.
+    # The one hbar guard: propagator, expectation_grid and evolve read hbar
+    # from a form, and no form holds these (hbar cancels from a translation).
     with pytest.raises(ValueError, match="hbar must be positive"):
         SymplecticForm(J2, hbar)
 

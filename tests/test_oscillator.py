@@ -1,4 +1,5 @@
 import decimal
+import math
 import re
 from types import SimpleNamespace
 
@@ -9,7 +10,6 @@ from realqm.dynamics import SymplecticForm, hamiltonian, poisson_bracket
 from realqm.linalg import ConstraintError, expm, sym_eig
 from realqm.oscillator import (
     _check_lengths,
-    _hamiltonian_diagonal,
     CanonicalPair,
     FermionicStructure,
     OscillatorParams,
@@ -30,10 +30,12 @@ from realqm.states import physical_density_4d, variance
 from helpers import rand_state_params
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+mpmath = pytest.importorskip("mpmath")
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 SEED = 61424
+EPS = float(np.finfo(float).eps)
 
 # The fields a FermionicStructure derives from its length and params.
 FERMIONIC_MATRICES = ("x", "p", "commuting_unit", "lowering", "raising", "hamiltonian",
@@ -97,6 +99,39 @@ def ref_build_fermionic(xi: float, params: OscillatorParams):
         hamiltonian=h_prime,
         basis_swap=swap,
     )
+
+
+def ref_translation_operator(pair, distance, w: SymplecticForm):
+    # The eigensolver route, with J and hbar from the form: the norm-wise
+    # reference of the closed form.
+    k, v = sym_eig(w.j.matrix @ pair.p)
+    return np.eye(pair.dim) + (v * np.expm1(-(distance / w.hbar) * k)) @ v.T
+
+
+def mp_translation(pair, distance):
+    """The diagonal of exp(-(d/hbar) J p) in 50-digit arithmetic, from the
+    exact generator of the pair's float lengths, its hbar and the standard J;
+    that generator is checked to be diagonal first."""
+    n, hbar = pair.dim, pair.params.hbar
+    j = standard_complex_structure(n // 2).matrix
+    with mpmath.workdps(50):
+        p = mpmath.zeros(n, n)
+        for i, xi in enumerate(pair.lengths):
+            p[2 * i, 2 * i + 1] = p[2 * i + 1, 2 * i] = mpmath.mpf(hbar) / (2 * mpmath.mpf(xi))
+        g = -(mpmath.mpf(distance) / mpmath.mpf(hbar)) * (mpmath.matrix(j.tolist()) * p)
+        assert all(g[a, b] == 0 for a in range(n) for b in range(n) if a != b)
+        return [mpmath.exp(g[a, a]) for a in range(n)]
+
+
+def assert_translation_per_entry(u, pair, distance):
+    """Each diagonal entry within 2 (1 + |d/(2 xi)|) eps of the 50-digit
+    value, relative, and every other entry exactly zero."""
+    want = mp_translation(pair, distance)
+    assert not (u - np.diag(np.diag(u))).any()
+    for a, w in enumerate(want):
+        bound = 2.0 * (1.0 + abs(distance / (2.0 * pair.lengths[a // 2]))) * EPS
+        with mpmath.workdps(50):
+            assert abs(mpmath.mpf(u[a, a]) - w) <= bound * w, (a, u[a, a], w)
 
 
 def raises_alike(reference, *calls):
@@ -167,6 +202,9 @@ class TestHamiltonianAndLevels:
         with pytest.raises(ConstraintError, match="^the oscillator Hamiltonian is not "
                                                   "finite at these parameters$"):
             oscillator_hamiltonian(pair)
+        with pytest.raises(ConstraintError, match="^the oscillator Hamiltonian is not "
+                                                  "finite at these parameters$"):
+            energy_levels([xi, 1.0], params)  # each level, one of them inf, was returned
 
     @pytest.mark.parametrize("name", ["x", "p"])
     def test_a_pair_takes_lengths_not_matrices(self, name):
@@ -191,13 +229,13 @@ class TestHamiltonianAndLevels:
         assert pair.x.tobytes() == ref.x.tobytes() and pair.p.tobytes() == ref.p.tobytes()
         assert pair.dim == ref.x.shape[0]
         want = raises_alike(lambda: ref_oscillator_hamiltonian(ref, params),
-                            lambda: _hamiltonian_diagonal(xis, params),
+                            lambda: energy_levels(xis, params),
                             lambda: oscillator_hamiltonian(pair))
         if want is not None:
             h = oscillator_hamiltonian(pair)
             assert h.matrix.tobytes() == want.matrix.tobytes()
             assert h.complex_linear is want.complex_linear is True
-            assert _hamiltonian_diagonal(xis, params).tobytes() == np.diag(want.matrix).tobytes()
+            assert energy_levels(xis, params).repeat(2).tobytes() == np.diag(want.matrix).tobytes()
 
     @pytest.mark.parametrize("xis", [[1.0, 0.0], [-1.0], [1.0, np.nan], [np.inf], [-0.0]])
     def test_bad_lengths_raise_as_the_loop_did(self, xis):
@@ -397,16 +435,14 @@ class TestUncertainty:
 
 class TestTranslation:
     def test_zero_distance(self):
-        params = OscillatorParams()
-        pair = build_canonical_pair([1.0, 1.0], params)
-        w = SymplecticForm(standard_complex_structure(2))
-        np.testing.assert_array_equal(translation_operator(pair, 0.0, w), np.eye(4))
+        pair = build_canonical_pair([1.0, 1.0], OscillatorParams())
+        np.testing.assert_array_equal(translation_operator(pair, 0.0), np.eye(4))
 
     def test_symplectic_but_far_from_orthogonal(self):
         params = OscillatorParams()
         pair = build_canonical_pair([1.0, 1.0], params)
         j = standard_complex_structure(2)
-        u = translation_operator(pair, 1.0, SymplecticForm(j))
+        u = translation_operator(pair, 1.0)
         flags = classify(u, j)
         assert flags.symplectic
         assert not flags.orthogonal
@@ -414,14 +450,38 @@ class TestTranslation:
         assert np.linalg.norm(u.T @ j.matrix @ u - j.matrix) <= 1e-9
 
     @pytest.mark.parametrize("distance", [0.3, 5.0, 40.0, -2.0])
-    def test_matches_scipy_expm(self, distance):
-        scipy_linalg = pytest.importorskip("scipy.linalg")
-        params = OscillatorParams(hbar=0.8)
-        pair = build_canonical_pair([0.7, 1.3], params)
-        j = standard_complex_structure(2)
-        u = translation_operator(pair, distance, SymplecticForm(j, params.hbar))
-        want = scipy_linalg.expm(-(distance / params.hbar) * (j.matrix @ pair.p))
-        assert np.linalg.norm(u - want) <= 1e-15 * np.linalg.norm(want)
+    def test_matches_mpmath_per_entry(self, distance):
+        pair = build_canonical_pair([0.7, 1.3], OscillatorParams(hbar=0.8))
+        assert_translation_per_entry(translation_operator(pair, distance), pair, distance)
+
+    def test_small_entry_and_symplecticity_at_distance_40(self):
+        # I + V expm1 V^T cancelled here: the entry exp(-28.6) = 3.9e-13 was
+        # off by 8.4e-6 relative, and ||U^T J U - J|| read 1.18e-5.
+        pair = build_canonical_pair([0.7, 1.3], OscillatorParams(hbar=0.8))
+        u = translation_operator(pair, 40.0)
+        small = mp_translation(pair, 40.0)[1]
+        assert float(small) == pytest.approx(3.9047e-13, rel=1e-4)
+        assert abs(u[1, 1] - small) <= 2.0 * (1.0 + 40.0 / 1.4) * EPS * small
+        j = standard_complex_structure(2).matrix
+        assert np.linalg.norm(u.T @ j @ u - j) <= 4.0 * EPS * np.linalg.norm(j)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=4), st.floats(-50.0, 50.0),
+           st.one_of(st.just(1.054571817e-34), st.floats(-30.0, 30.0).map(math.exp)))
+    def test_closed_form_against_mpmath_and_the_eigensolver_route(self, log_xis, distance,
+                                                                  hbar):
+        # hbar cancels from the closed form; the references both carry it.
+        xis = np.exp(log_xis)
+        phase = float(np.max(np.abs(distance / (2.0 * xis))))
+        assume(phase <= 700.0)  # exp(+-phase) stays in the float range
+        pair = build_canonical_pair(xis, OscillatorParams(hbar=hbar))
+        u = translation_operator(pair, distance)
+        assert_translation_per_entry(u, pair, distance)
+        ref = ref_translation_operator(
+            pair, distance, SymplecticForm(standard_complex_structure(xis.size), hbar))
+        assert np.abs(u - ref).max() <= 4.0 * (1.0 + phase) * EPS * np.abs(ref).max()
+        j = standard_complex_structure(xis.size).matrix
+        assert np.linalg.norm(u.T @ j @ u - j) <= 4.0 * EPS * np.linalg.norm(j)
 
     def test_generator_is_symmetric(self):
         pair = build_canonical_pair([0.7, 1.3], OscillatorParams())

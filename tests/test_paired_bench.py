@@ -1,6 +1,7 @@
 """`tools/paired_bench.py` on two stub checkouts whose `perfbench/run.py`
 prints fixed metrics at once and logs the order of its runs."""
 
+import importlib.util
 import json
 import re
 import shutil
@@ -43,13 +44,14 @@ def _checkout(root: Path, side: str, correct: bool = True) -> Path:
     bench["command"] = [sys.executable, "perfbench/run.py"]
     (root / side / "BENCHMARK.json").write_text(json.dumps(bench))
     (root / side / "tools").mkdir()
-    shutil.copy(ROOT / "tools" / "paired_bench.py", root / side / "tools")
+    for tool in ("paired_bench.py", "output_digest.py"):
+        shutil.copy(ROOT / "tools" / tool, root / side / "tools")
     return root / side
 
 
-def _run(this: Path, other: Path, seeds: str):
+def _run(this: Path, other: Path, seeds: str, workload="tensor_products", *extra):
     return subprocess.run([sys.executable, str(this / "tools" / "paired_bench.py"), str(other),
-                           "--workload", "tensor_products", "--seeds", seeds, "--seconds", "0.5"],
+                           "--workload", workload, "--seeds", seeds, "--seconds", "0.5", *extra],
                           capture_output=True, text=True, timeout=120)
 
 
@@ -82,3 +84,49 @@ def test_a_wrong_run_stops_the_script(tmp_path):
     assert proc.returncode == 1
     assert "seed 7 failed" in proc.stderr
     assert "ops_per_s" not in proc.stdout.split("\n", 1)[1]
+
+
+def _git(root: Path, *args):
+    subprocess.run(["git", "-C", str(root), "-c", "user.name=stub", "-c", "user.email=stub@example.com",
+                    *args], check=True, capture_output=True)
+
+
+def test_json_record_holds_every_metric_of_each_workload(tmp_path):
+    this, other = _checkout(tmp_path, "this"), _checkout(tmp_path, "other")
+    _git(other, "init", "-q")
+    _git(other, "add", "-A")
+    _git(other, "commit", "-q", "-m", "stub")
+    head = subprocess.run(["git", "-C", str(other), "rev-parse", "HEAD"], capture_output=True,
+                          text=True, check=True).stdout.strip()
+    path = tmp_path / "bench.json"
+    proc = _run(this, other, "1-3", "tensor_products,check_sweep", "--json", str(path))
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(path.read_text())
+    assert list(record) == ["seeds", "seconds", "provenance", "checkouts", "workloads"]
+    assert record["seeds"] == [1, 2, 3] and record["seconds"] == 0.5
+    spec = importlib.util.spec_from_file_location("output_digest",
+                                                  ROOT / "tools" / "output_digest.py")
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    assert record["provenance"] == digest.provenance()
+    # The other stub is a clean git checkout, though its run logged to a file beside it.
+    assert record["checkouts"] == {"this": {"commit": None, "dirty": None},
+                                   "other": {"commit": head, "dirty": False}}
+    assert list(record["workloads"]) == ["tensor_products", "check_sweep"]
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    for summary in record["workloads"].values():
+        assert list(summary) == [m["name"] for m in metrics]
+        for m in metrics:
+            entry = summary[m["name"]]
+            assert list(entry) == ["unit", "better", "wins", "pairs", "this", "other"]
+            assert (entry["unit"], entry["better"], entry["pairs"]) == (m["unit"], m["better"], 3)
+            for side in ("this", "other"):
+                assert list(entry[side]) == ["values", "median", "q1", "q3"]
+                assert len(entry[side]["values"]) == 3
+                assert entry[side]["q1"] <= entry[side]["median"] <= entry[side]["q3"]
+        # ops/s over seeds 1-3: this 111, 112, 113 against 101, 102, 103.
+        assert summary["ops_per_s"]["this"] == {"values": [111.0, 112.0, 113.0], "median": 112.0,
+                                                "q1": 111.5, "q3": 112.5}
+        assert summary["ops_per_s"]["wins"] == 3
+        assert summary["latency_tail_s"]["wins"] == 2  # seed 2 ties
+        assert summary["success_rate"]["wins"] == 0

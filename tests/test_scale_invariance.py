@@ -73,6 +73,22 @@ def test_predicate_verdicts_are_scale_invariant(case):
         assert hamiltonian(c * m, j).complex_linear is hamiltonian(m, j).complex_linear
 
 
+def stack_verdicts(m, j):
+    """`state_stack`'s flowed-matrix verdicts, or "asymmetric"."""
+    try:
+        return state_stack(m, j, density=False).physical.tolist()
+    except ConstraintError as exc:
+        assert "must be symmetric" in str(exc)
+        return "asymmetric"
+
+
+def predicate_verdicts(m, j):
+    """The same verdicts from `is_symmetric` and `commutes`."""
+    if not all(is_symmetric(x) for x in m):
+        return "asymmetric"
+    return [commutes(x, j.matrix) for x in m]
+
+
 @SETTINGS
 @given(wide_cases)
 def test_state_stack_verdicts_are_scale_invariant(case):
@@ -83,16 +99,10 @@ def test_state_stack_verdicts_are_scale_invariant(case):
     stack = np.array([plus + eps * minus, plus + eps * (g - g.T) / 2.0])
 
     def verdicts(m):
-        try:
-            return state_stack(m, j, density=False).physical.tolist()
-        except ConstraintError as exc:
-            assert "must be symmetric" in str(exc)
-            return "asymmetric"
+        return stack_verdicts(m, j)
 
     def predicates(m):
-        if not all(is_symmetric(x) for x in m):
-            return "asymmetric"
-        return [commutes(x, j.matrix) for x in m]
+        return predicate_verdicts(m, j)
 
     scaled = 2.0 ** k * stack
     assert verdicts(scaled) == verdicts(stack) == predicates(scaled) == predicates(stack)
@@ -217,6 +227,15 @@ def test_a_scale_past_the_float_range_admits_no_residual(capsys):
         assert not commutes(c * e, c * f) and commutes(c * e, c * e)
         assert anticommutes(c * z, c * x) and not anticommutes(c * z, c * z)
     assert commutes(np.array(big), np.zeros((2, 2)))  # inf * 0 is no scale
+    # state_stack judges such a matrix as the predicates do; it flagged this
+    # one physical, and m + m^T overflowed in its eigenvalues.
+    j = standard_complex_structure(1)
+    with pytest.raises(ConstraintError, match="^flowed matrix must be symmetric$"):
+        state_stack([big], j, density=False)
+    assert state_stack([np.diag([1e308, 1e308])], j, density=False).physical.tolist() == [True]
+    assert state_stack([np.diag([1e308, -1e308])], j, density=False).physical.tolist() == [False]
+    wide = state_stack([[[1e308, 1.7e308], [1.7e308, 1e308]]], density=False)
+    assert wide.min_eigenvalue[0] == pytest.approx(-0.7e308, rel=1e-15)
     with pytest.raises(ConstraintError, match="^Hamiltonian must be symmetric$"):
         hamiltonian(big, standard_complex_structure(1))
     code, out, err = run_cli(capsys, "evolve",
@@ -225,3 +244,18 @@ def test_a_scale_past_the_float_range_admits_no_residual(capsys):
                              "--steps", "1", "--t1", "1e-300")
     assert (code, out) == (2, "")
     assert err == "realqm: constraint violated: Hamiltonian must be symmetric\n"
+
+
+@SETTINGS
+@given(st.tuples(st.integers(0, 2**32 - 1), st.floats(*EPS_DECADES), st.integers(500, 1100)))
+def test_state_stack_verdicts_hold_where_a_scale_passes_the_float_range(case):
+    # Judged at the raw scale, an infinite scale admitted every residual.
+    # 2^k stops at the power that puts the largest entry in [2^1023, 2^1024).
+    seed, decade, k = case
+    _, j, s, a, plus, minus, eps = near_structure(seed, decade)
+    stack = np.array([plus + eps * minus, minus + eps * plus, s + eps * a, a + eps * s])
+    scaled = np.ldexp(stack, min(k, 1024 - np.frexp(np.abs(stack).max())[1]))
+    assert stack_verdicts(scaled, j) == predicate_verdicts(scaled, j)
+    for x, m in zip(scaled, stack):
+        assert stack_verdicts(x[np.newaxis], j) == predicate_verdicts(x[np.newaxis], j) \
+            == predicate_verdicts(m[np.newaxis], j)

@@ -13,11 +13,12 @@ which is useful for deliberately over-tightened diagnostic runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import dynamics, linalg, oscillator, realify, states, tensor
+from . import dynamics, linalg, oscillator, realify, states, tensor, trace
 
 __all__ = ["CheckResult", "SUITE_NAMES", "run_checks"]
 
@@ -523,10 +524,14 @@ def run_checks(suites=None, seed: int = 0,
         if name not in selected:
             continue
         rng = np.random.default_rng([seed, index])
-        for check_name, residual, threshold in runner(rng):
-            if threshold_override is not None:
-                threshold = threshold_override
-            results.append(CheckResult(suite=name, name=check_name,
-                                       residual=float(residual),
-                                       threshold=float(threshold)))
+        with trace.span("check", suite=name) as fields:
+            rows = [CheckResult(suite=name, name=check_name, residual=float(residual),
+                                threshold=float(threshold if threshold_override is None
+                                                else threshold_override))
+                    for check_name, residual, threshold in runner(rng)]
+            worst = max((r.residual / r.threshold for r in rows if r.threshold > 0),
+                        default=0.0)
+            fields.update(checks=len(rows), failures=sum(not r.passed for r in rows),
+                          worst_margin=worst if math.isfinite(worst) else None)
+        results += rows
     return results

@@ -19,7 +19,8 @@ has 17 significant digits and nothing is time- or environment-dependent, so
 identical arguments produce byte-identical output.  Nothing is written unless
 the whole command succeeds: the block texts are held and go to stdout or
 `--out` at the end.  Exit codes: 0 success, 1 usage error, 2 domain-constraint
-violation, 3 failed invariant check.
+violation, 3 failed invariant check.  With REALQM_TRACE=1 each stage also
+writes a JSON span to stderr (`realqm.trace`); stdout is unchanged.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import sys
 
 import numpy as np
 
-from . import checks, dynamics, oscillator, states
+from . import checks, dynamics, oscillator, states, trace
 # sym_eig is unused; perfbench's test_tracer_patches_every_binding_and_restores_them needs it.
 from .linalg import ConstraintError, Tolerance, _symmetric, _trusted, sym_eig
 from .realify import embed_matrix, standard_complex_structure
@@ -113,6 +114,7 @@ def _cells(columns: list[list], quote: bool = True) -> tuple[list[str], tuple]:
 _PAD = "  "  # one level of JSON indentation
 
 
+@functools.lru_cache(maxsize=1024)
 def _key(name, level: int) -> str:
     """The text of a JSON object key at `level` levels, up to its value."""
     return f"{_PAD * level}{json.dumps(str(name))}: "
@@ -133,9 +135,8 @@ def _render_json(value, indent: int = 0) -> str:
         return _enclose([_key(k, indent + 1) + _render_json(v, indent + 1)
                          for k, v in value.items()], indent, "{}")
     inner = _PAD * (indent + 1)
-    if {*map(type, value)} == {float}:
-        (spec,), cells = _cells([value])
-        return _enclose([inner + spec] * len(value), indent) % cells
+    if {*map(type, value)} == {float} and all(map(math.isfinite, value)):  # _cells' rule
+        return _enclose([inner + "%.17g"] * len(value), indent) % tuple(value)
     return _enclose([inner + _render_json(v, indent + 1) for v in value], indent)
 
 
@@ -153,34 +154,36 @@ def _write(args, payload: dict, names: list[str], blocks) -> None:
     `--out` only when every block has been formatted, so a failure writes
     nothing.
     """
-    as_json = args.format == "json"
-    if as_json:
-        keys = [_key(name, 3).replace("%", "%%") for name in names]
-        head = "{\n" + "".join(_key(k, 1) + _render_json(v, 1) + ",\n"
-                               for k, v in payload.items()) + _key("rows", 1)
-        tail = "\n}\n"
-    else:
-        head = ",".join(names) + "\n"
-    parts = [head]
-    rows = 0
-    for columns in blocks:
-        specs, values = _cells(columns, quote=as_json)
-        if not values:
-            continue
-        n = len(values) // len(specs)
+    with trace.span("render", format=args.format) as fields:
+        as_json = args.format == "json"
         if as_json:
-            row = _PAD * 2 + _enclose(map(str.__add__, keys, specs), 2, "{}")
-            parts.append(("[\n" if not rows else ",\n") + ",\n".join([row] * n) % values)
+            keys = [_key(name, 3).replace("%", "%%") for name in names]
+            head = "{\n" + "".join(_key(k, 1) + _render_json(v, 1) + ",\n"
+                                   for k, v in payload.items()) + _key("rows", 1)
+            tail = "\n}\n"
         else:
-            parts.append((",".join(specs) + "\n") * n % values)
-        rows += n
-    if as_json:
-        parts.append(("\n" + _PAD + "]" if rows else "[]") + tail)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.writelines(parts)
-    else:
-        sys.stdout.writelines(parts)
+            head = ",".join(names) + "\n"
+        parts = [head]
+        rows = 0
+        for columns in blocks:
+            specs, values = _cells(columns, quote=as_json)
+            if not values:
+                continue
+            n = len(values) // len(specs)
+            if as_json:
+                row = _PAD * 2 + _enclose(map(str.__add__, keys, specs), 2, "{}")
+                parts.append(("[\n" if not rows else ",\n") + ",\n".join([row] * n) % values)
+            else:
+                parts.append((",".join(specs) + "\n") * n % values)
+            rows += n
+        if as_json:
+            parts.append(("\n" + _PAD + "]" if rows else "[]") + tail)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.writelines(parts)
+        else:
+            sys.stdout.writelines(parts)
+        fields["rows"] = rows
 
 
 def _emit(args, payload: dict, table: dict) -> None:
@@ -193,12 +196,13 @@ def _emit(args, payload: dict, table: dict) -> None:
 
 
 def _config(args) -> dict:
+    tol = _tolerance(args)
     return {
         "hbar": float(args.hbar),
         "mass": float(args.mass),
         "omega": float(args.omega),
-        "abs_tol": _tolerance(args).abs_tol,
-        "spectral_gap_tol": _tolerance(args).spectral_gap_tol,
+        "abs_tol": tol.abs_tol,
+        "spectral_gap_tol": tol.spectral_gap_tol,
         "seed": int(args.seed),
         "format": args.format,
     }
@@ -276,10 +280,12 @@ def _floats(value, what: str) -> np.ndarray:
 def _matrix_from_spec(doc) -> np.ndarray:
     if not isinstance(doc, dict) or "dim" not in doc or "entries" not in doc:
         raise UsageError("matrix spec needs 'dim' and row-major 'entries'")
-    dim = _floats(doc["dim"], "matrix 'dim'")
-    if dim.shape != () or dim != int(dim):
-        raise UsageError(f"matrix 'dim' must be an integer, got {doc['dim']!r}")
-    dim = int(dim)
+    dim = doc["dim"]
+    if not (type(dim) is int and abs(dim) <= 2**53):  # such an int passes _floats unchanged
+        dim = _floats(dim, "matrix 'dim'")
+        if dim.shape != () or dim != int(dim):
+            raise UsageError(f"matrix 'dim' must be an integer, got {doc['dim']!r}")
+        dim = int(dim)
     entries = _floats(doc["entries"], "matrix 'entries'")
     if dim < 2 or dim % 2:
         raise UsageError(f"matrix dimension must be even and at least 2, got {dim}")
@@ -414,8 +420,12 @@ def _cmd_uncertainty(args) -> int:
 def _cmd_evolve(args) -> int:
     params = _params(args)
     tol = _tolerance(args)
-    start, rho = _state_from_spec(args.state, tol, need_physical=not args.diagnostics)
-    h = _hamiltonian_from_spec(args.hamiltonian, params, tol)
+    with trace.span("state") as fields:
+        start, rho = _state_from_spec(args.state, tol, need_physical=not args.diagnostics)
+        fields.update(dim=rho.dim, physical=rho.physical)
+    with trace.span("hamiltonian") as fields:
+        h = _hamiltonian_from_spec(args.hamiltonian, params, tol)
+        fields.update(dim=h.dim, complex_linear=h.complex_linear)
     if rho.dim != h.dim:
         raise UsageError(
             f"state dimension {rho.dim} does not match Hamiltonian dimension {h.dim}")
@@ -432,26 +442,27 @@ def _cmd_evolve(args) -> int:
     # A taken name is caught here, before any block is evolved.
     names = ["t", "trace", "min_eigenvalue", "physicality_residual", "energy"]
     observables = [h.matrix]
-    for text in args.observable or []:
-        key, doc = _load_spec(text)
-        if key != "observable":
-            raise UsageError(f"unknown observable spec key {key!r}")
-        if not isinstance(doc, dict):
-            raise UsageError("observable spec needs a 'matrix' and optionally a 'name'")
-        name = str(doc.get("name", f"obs{len(observables) - 1}"))
-        if name in names:
-            raise UsageError(f"observable name {name!r} is already a column")
-        if any(c in ',"\r\n' or "\ud800" <= c <= "\udfff" for c in name):
-            raise UsageError(f"observable name {name!r} contains a comma, a double "
-                             "quote, a line break or a surrogate")
-        matrix = _matrix_from_spec(doc.get("matrix"))
-        if matrix.shape != h.matrix.shape:
-            raise UsageError(f"observable {name!r} has dimension {matrix.shape[0]}, "
-                             f"expected {h.dim}")
-        if not _symmetric(matrix, tol):
-            raise ConstraintError(f"observable {name!r} must be symmetric")
-        names.append(name)
-        observables.append(matrix)
+    with trace.span("observables", count=len(args.observable or [])):
+        for text in args.observable or []:
+            key, doc = _load_spec(text)
+            if key != "observable":
+                raise UsageError(f"unknown observable spec key {key!r}")
+            if not isinstance(doc, dict):
+                raise UsageError("observable spec needs a 'matrix' and optionally a 'name'")
+            name = str(doc.get("name", f"obs{len(observables) - 1}"))
+            if name in names:
+                raise UsageError(f"observable name {name!r} is already a column")
+            if any(c in ',"\r\n' or "\ud800" <= c <= "\udfff" for c in name):
+                raise UsageError(f"observable name {name!r} contains a comma, a double "
+                                 "quote, a line break or a surrogate")
+            matrix = _matrix_from_spec(doc.get("matrix"))
+            if matrix.shape != h.matrix.shape:
+                raise UsageError(f"observable {name!r} has dimension {matrix.shape[0]}, "
+                                 f"expected {h.dim}")
+            if not _symmetric(matrix, tol):
+                raise ConstraintError(f"observable {name!r} must be symmetric")
+            names.append(name)
+            observables.append(matrix)
     if args.diagnostics:
         grid = ((block, [stack.trace, stack.min_eigenvalue, stack.physicality_residual,
                          *(np.einsum("tij,ji->t", stack.matrices, obs) for obs in observables)])
@@ -459,8 +470,7 @@ def _cmd_evolve(args) -> int:
     else:  # trace, spectrum and physicality are invariants of the motion
         fixed = [start.trace, start.min_eigenvalue, start.physicality_residual]
         grid = ((block, [c.repeat(block.size) for c in fixed] + columns)
-                for block, columns in dynamics.expectation_grid(
-                    rho, h, observables, times, w, tol))
+                for block, columns in dynamics._expectation_grid(rho, h, observables, times, w))
     payload = {
         "command": "evolve",
         "config": _config(args),
@@ -574,7 +584,8 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        with trace.span("parse"):
+            args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse signals usage problems (and --help)
         return int(exc.code or 0)
     try:

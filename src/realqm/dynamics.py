@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import trace
 from .linalg import (
     DEFAULT_TOL,
     ConstraintError,
@@ -183,18 +184,22 @@ def liouville_rhs(h: Hamiltonian, rho: DensityMatrix, w: SymplecticForm) -> np.n
     return _bracket(h.matrix, rho.matrix, w.omega)
 
 
-def _spectrum(h: Hamiltonian, w: SymplecticForm,
-              tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
-    """Each level e of a complex-linear H once, with complex eigenvectors
-    X = F W in the frame F of J: the setup a time grid's propagators share.
-    H's flag is trusted only with [H, J] negligible at this J and tol."""
+def _require_complex_linear(h: Hamiltonian, w: SymplecticForm, tol: Tolerance) -> None:
+    """H's flag is trusted only with [H, J] negligible at this J and tol."""
     if h.dim != w.j.dim:
         raise ValueError("matrix dimension does not match the complex structure")
     if not (h.complex_linear and _commutes(h.matrix, w.j.matrix, tol)):
         raise ConstraintError("propagator requires a Hamiltonian that commutes with J")
-    f = w.j.frame
-    e, w = np.linalg.eigh(f.conj().T @ h.matrix @ f)
-    return e, f @ w
+
+
+def _spectrum(h: Hamiltonian, w: SymplecticForm) -> tuple[np.ndarray, np.ndarray]:
+    """Each level e of an H that `_require_complex_linear` passed, once, with
+    complex eigenvectors X = F W in the frame F of J: the setup a time grid's
+    propagators share."""
+    with trace.span("decompose", dim=h.dim):
+        f = w.j.frame
+        e, v = np.linalg.eigh(f.conj().T @ h.matrix @ f)
+        return e, f @ v
 
 
 def _scaled_times(times: np.ndarray, e: np.ndarray, hbar: float) -> np.ndarray:
@@ -230,7 +235,8 @@ def propagator(h: Hamiltonian, t: float, w: SymplecticForm,
     the trace or the physicality of states (see `liouville_grid` for the
     deliberately unguarded flow).
     """
-    e, x = _spectrum(h, w, tol)
+    _require_complex_linear(h, w, tol)
+    e, x = _spectrum(h, w)
     theta = _scaled_times(np.array([t], dtype=float), e, w.hbar) * e
     half = np.sin(theta / 2.0)
     g = 2.0 * half * half + 1j * np.sin(theta)
@@ -255,19 +261,35 @@ def expectation_grid(rho0: DensityMatrix, h: Hamiltonian, observables, times,
     observables = [as_real_matrix(a) for a in observables]
     if rho0.dim != h.dim or any(a.shape != h.matrix.shape for a in observables):
         raise ValueError("Hamiltonian, state and observable dimensions differ")
-    e, x = _spectrum(h, w, tol)
+    _require_complex_linear(h, w, tol)
+    return _expectation_grid(rho0, h, observables, times, w)
+
+
+def _expectation_grid(rho0: DensityMatrix, h: Hamiltonian, observables,
+                      times: np.ndarray, w: SymplecticForm
+                      ) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
+    """`expectation_grid` over a 1-d float array of times, with observables
+    already validated and of H's shape, and an H that `_require_complex_linear`
+    passed at w: the phase guard still raises first.  The terms of all
+    observables come from one batched product each, bit for bit those of the
+    per-observable formula."""
+    e, x = _spectrum(h, w)
     scaled = _scaled_times(times, e, w.hbar)
     x_h = x.conj().T
     r, s = x_h @ rho0.matrix @ x, x_h @ rho0.matrix @ x.conj()
+    a = np.reshape(observables, (-1, h.dim, h.dim))
     # [M1 | M2] of each observable, read against [conj z | z] of each point.
-    terms = [np.hstack([r * (x_h @ a @ x).T, s * (x.T @ a @ x).T]) for a in observables]
+    terms = np.concatenate([r * (x_h @ a @ x).transpose(0, 2, 1),
+                            s * (x.T @ a @ x).transpose(0, 2, 1)], axis=2)
 
     def blocks():
         for start in range(0, times.size, _GRID_BLOCK):
             block = slice(start, start + _GRID_BLOCK)
-            z = np.exp(-1j * (scaled[block, np.newaxis] * e))
-            w = np.hstack([z.conj(), z])
-            yield times[block], [2.0 * ((z @ m) * w).sum(axis=1).real for m in terms]
+            with trace.span("grid_block", start=start, points=len(times[block])):
+                z = np.exp(-1j * (scaled[block, np.newaxis] * e))
+                w = np.hstack([z.conj(), z])
+                columns = list(2.0 * ((z @ terms) * w).sum(axis=2).real)
+            yield times[block], columns
 
     return blocks()
 
@@ -329,8 +351,10 @@ def liouville_grid(rho0: DensityMatrix, h: Hamiltonian, times, w: SymplecticForm
     def blocks():
         for start in range(0, times.size, _GRID_BLOCK):
             block = times[start:start + _GRID_BLOCK]
-            with np.errstate(over="ignore", invalid="ignore"):
-                flowed = np.stack([_flow(rho0.matrix, h_omega, float(t)) for t in block])
-            yield block, state_stack(flowed, w.j, tol, block, density=False)
+            with trace.span("grid_block", start=start, points=len(block)):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    flowed = np.stack([_flow(rho0.matrix, h_omega, float(t)) for t in block])
+                stack = state_stack(flowed, w.j, tol, block, density=False)
+            yield block, stack
 
     return blocks()

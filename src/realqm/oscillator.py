@@ -265,9 +265,14 @@ def uncertainty_product(alpha: float, beta: float, gamma: float, delta: float,
 def translation_operator(pair: CanonicalPair, distance: float) -> np.ndarray:
     """exp(-(d/hbar) J p) for the standard J, the diagonal exp(+-d/(2 xi_i)),
     interleaved: J p is diag(-+hbar/(2 xi_i)), so hbar cancels.  Symplectic
-    (each block's two entries are reciprocal) but not orthogonal for d != 0."""
-    k = distance / (2.0 * pair.lengths)
-    return np.diag(np.exp(np.column_stack([k, -k]).ravel()))
+    (each block's two entries are reciprocal) but not orthogonal for d != 0.
+    A result that is not finite raises ConstraintError, as in `linalg.expm`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = distance / (2.0 * pair.lengths)
+        entries = np.exp(np.column_stack([k, -k]).ravel())
+    if not np.isfinite(entries).all():
+        raise ConstraintError("matrix exponential is not finite")
+    return np.diag(entries)
 
 
 def build_fermionic(xi: float, params: OscillatorParams) -> FermionicStructure:

@@ -20,6 +20,8 @@ from .linalg import (
     DEFAULT_TOL,
     ConstraintError,
     Tolerance,
+    _HUGE,
+    _TINY,
     _TOP,
     _commutes,
     _eigh,
@@ -148,12 +150,57 @@ def state_stack(matrices, j: ComplexStructure | None = None, tol: Tolerance = DE
     residual or m + m^T can overflow, is judged by those predicates and
     measured at their reduced scale.  The earliest failing matrix raises
     ConstraintError, naming its entry of `times` when given.
+
+    A stack of one matrix that passes every check is judged by `_one`, with
+    scalar norms and no per-stack machinery, to the same statistics bit for
+    bit; any other stack, and so every message, comes from the batched route.
     """
     m = np.asarray(matrices, dtype=float)
     if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[1] < 1:
         raise ValueError(f"expected a (T, n, n) stack of matrices, got shape {m.shape}")
     if j is not None and m.shape[1] != j.dim:
         raise ValueError("matrix dimension does not match the complex structure")
+    if len(m) == 1 and (one := _one(m, j, tol, density)) is not None:
+        return one
+    return _batched(m, j, tol, times, density)
+
+
+def _one(m: np.ndarray, j: ComplexStructure | None, tol: Tolerance,
+         density: bool) -> StateStack | None:
+    """`_batched` of a (1, n, n) stack whose matrix passes every check, else
+    None.  The statistics are the batched route's own operations on one
+    matrix: `frobenius`, the trace, eigvalsh and m J - J m."""
+    a = m[0]
+    norm = frobenius(a)
+    scale = norm if j is None else norm * frobenius(j.matrix)
+    if not scale < _TOP:  # not finite, or judged at linalg._reduced's scale
+        return None
+    skew = a - a.T
+    sq = np.vdot(skew, skew)
+    # frobenius(skew) is sqrt(sq) in the normal range.  Below it (sq = 0 for
+    # an exactly symmetric matrix) each entry is below 2^-511, so the
+    # residual is below n 2^-511, and a negligible bound settles the verdict
+    # with no entry-by-entry zero test; any other case is the batched route's.
+    if not (negligible(math.sqrt(sq), norm, tol) if _TINY <= sq <= _HUGE
+            else sq < _TINY and negligible(len(a) * 2.0**-510, norm, tol)):
+        return None
+    trace = a.trace()
+    min_eigenvalue = np.linalg.eigvalsh((a + a.T) / 2.0)[0]
+    if density and not (abs(trace - 1.0) <= _TRACE_TOL and min_eigenvalue >= -_PSD_SLACK):
+        return None
+    if j is None:
+        residual, physical = np.nan, False
+    else:
+        residual = frobenius(a @ j.matrix - j.matrix @ a)
+        physical = negligible(residual, scale, tol)
+    return _trusted(StateStack, matrices=m, trace=np.array([trace]),
+                    min_eigenvalue=np.array([min_eigenvalue]),
+                    physicality_residual=np.array([residual]), physical=np.array([physical]))
+
+
+def _batched(m: np.ndarray, j: ComplexStructure | None, tol: Tolerance, times,
+             density: bool) -> StateStack:
+    """`state_stack` of a validated (T, n, n) stack, every matrix at once."""
     what = "density matrix" if density else "flowed matrix"
     where = (lambda k: "") if times is None else (lambda k: f" at t = {float(times[k])!r}")
     finite = np.isfinite(m).all(axis=(1, 2))

@@ -68,3 +68,37 @@ def test_first_point_is_the_initial_expectation_up_to_rounding(d, seed, log_scal
     [(_, (column,))] = expectation_grid(rho0, h, [a], [0.0, 1.0], SymplecticForm(j))
     bound = 8 * d * np.finfo(float).eps * np.linalg.norm(a)
     assert abs(column[0] - np.trace(rho0.matrix @ a)) <= bound
+
+
+def per_observable_columns(rho0, h, observables, times, w):
+    """The grid with one [M1 | M2] term and one z-product per observable: the
+    formula the batched terms must reproduce bit for bit."""
+    f = w.j.frame
+    e, v = np.linalg.eigh(f.conj().T @ h.matrix @ f)
+    x = f @ v
+    x_h = x.conj().T
+    r, s = x_h @ rho0.matrix @ x, x_h @ rho0.matrix @ x.conj()
+    terms = [np.hstack([r * (x_h @ a @ x).T, s * (x.T @ a @ x).T]) for a in observables]
+    z = np.exp(-1j * (np.asarray(times)[:, np.newaxis] / w.hbar * e))
+    zz = np.hstack([z.conj(), z])
+    return [2.0 * ((z @ m) * zz).sum(axis=1).real for m in terms]
+
+
+@SETTINGS
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 128),
+       st.floats(-3.0, 3.0))
+def test_batched_terms_equal_the_per_observable_formula(d, seed, count, points, log_hbar):
+    rng = np.random.default_rng(seed)
+    j = standard_complex_structure(d)
+    w = SymplecticForm(j, 10.0**log_hbar)
+    h_c = rand_complex(rng, d)
+    h = hamiltonian(embed_matrix(h_c + h_c.conj().T), j)
+    g = rand_complex(rng, d)
+    rho0 = density_matrix(embed_matrix(g @ g.conj().T) / (2.0 * np.trace(g @ g.conj().T).real), j)
+    observables = [a + a.T for a in rng.standard_normal((count, 2 * d, 2 * d))]
+    times = np.linspace(-5.0, 5.0, points)
+    [(_, columns)] = expectation_grid(rho0, h, observables, times, w)
+    want = per_observable_columns(rho0, h, observables, times, w)
+    assert len(columns) == count
+    for got, expected in zip(columns, want):
+        assert got.tobytes() == expected.tobytes()

@@ -1,6 +1,7 @@
 import decimal
 import math
 import re
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -482,6 +483,16 @@ class TestTranslation:
         assert np.abs(u - ref).max() <= 4.0 * (1.0 + phase) * EPS * np.abs(ref).max()
         j = standard_complex_structure(xis.size).matrix
         assert np.linalg.norm(u.T @ j @ u - j) <= 4.0 * EPS * np.linalg.norm(j)
+
+    @pytest.mark.parametrize("lengths, distance", [
+        ([1.0], 2000.0), ([1.0], -2000.0), ([1.0], float("nan")), ([1.0, 2.0], float("inf")),
+        ([1e-300], 1e300)])
+    def test_result_past_the_float_range_raises_without_a_warning(self, lengths, distance):
+        pair = build_canonical_pair(lengths, OscillatorParams())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConstraintError, match="^matrix exponential is not finite$"):
+                translation_operator(pair, distance)
 
     def test_generator_is_symmetric(self):
         pair = build_canonical_pair([0.7, 1.3], OscillatorParams())

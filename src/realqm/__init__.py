@@ -39,8 +39,6 @@ from .oscillator import (
     DualPictureReport,
     FermionicStructure,
     OscillatorParams,
-    build_canonical_pair,
-    build_fermionic,
     design_spectrum,
     dual_picture,
     energy_levels,
@@ -87,7 +85,6 @@ from .tensor import (
     FactorSpace,
     ProductSpace,
     build_product_space,
-    kron,
     lift_operator,
     physical_basis,
     physical_escape_check,

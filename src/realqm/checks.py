@@ -375,7 +375,7 @@ def _check_oscillator(rng) -> list[tuple[str, float, float]]:
     worst = 0.0
     for d in (1, 2, 8, 16):
         xis = rng.uniform(0.2, 3.0, size=d)
-        pair = oscillator.build_canonical_pair(xis, params)
+        pair = oscillator.CanonicalPair(xis, params)
         j = realify.standard_complex_structure(d)
         w = dynamics.SymplecticForm(j, params.hbar)
         bracket = dynamics.poisson_bracket(pair.x, pair.p, w)
@@ -401,7 +401,7 @@ def _check_oscillator(rng) -> list[tuple[str, float, float]]:
     out.append(("uncertainty_closed_form", worst, 1e-10))
     out.append(("uncertainty_floor", max(0.0, hbar / 2.0 - floor), 1e-12))
 
-    fs = oscillator.build_fermionic(1.3, params)
+    fs = oscillator.FermionicStructure(1.3, params)
     eye = np.eye(4)
     xi2_ = fs.xi * fs.xi
     worst = max(
@@ -462,7 +462,7 @@ def _check_tensor(rng) -> list[tuple[str, float, float]]:
     params = oscillator.OscillatorParams()
     space = tensor.build_product_space(
         [tensor.FactorSpace.standard(2), tensor.FactorSpace.standard(2)])
-    pair = oscillator.build_canonical_pair(rng.uniform(0.5, 2.0, size=2), params)
+    pair = oscillator.CanonicalPair(rng.uniform(0.5, 2.0, size=2), params)
     lifted_x = tensor.lift_operator(pair.x, 0, space)
     p_plus = space.physical_projector
     worst_escape = linalg.frobenius(p_plus @ lifted_x @ p_plus)

@@ -343,7 +343,7 @@ def _hamiltonian_from_spec(text: str, params: oscillator.OscillatorParams,
         length = _floats(doc["length"], "fermionic 'length'")
         if length.shape != ():
             raise UsageError("fermionic spec needs a single 'length' value")
-        fs = oscillator.build_fermionic(float(length), params)
+        fs = oscillator.FermionicStructure(float(length), params)
         _require_finite("the fermionic Hamiltonian", fs.hamiltonian)
         return dynamics.hamiltonian(fs.hamiltonian, standard_complex_structure(2), tol)
     if key == "matrix":
@@ -404,7 +404,7 @@ def _cmd_uncertainty(args) -> int:
     closed = oscillator.uncertainty_product(
         args.alpha, args.beta, args.gamma, args.delta, [args.xi1, args.xi2], params)
     rho = states.physical_density_4d(args.alpha, args.beta, args.gamma, args.delta)
-    pair = oscillator.build_canonical_pair([args.xi1, args.xi2], params)
+    pair = oscillator.CanonicalPair([args.xi1, args.xi2], params)
     _require_finite("the position or momentum operator", pair.x, pair.p)
     tol = _tolerance(args)
     delta_x = float(np.sqrt(max(states.variance(rho, pair.x, tol), 0.0)))

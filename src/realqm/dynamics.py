@@ -101,6 +101,7 @@ class Hamiltonian:
         return self.matrix.shape[0]
 
 
+# Holds only `u`; kept because perfbench/spans.py reads `.u` on what `propagator` returns.
 @dataclass(frozen=True, eq=False)
 class Propagator:
     u: np.ndarray

@@ -41,14 +41,12 @@ __all__ = [
     "CanonicalPair",
     "FermionicStructure",
     "DualPictureReport",
-    "build_canonical_pair",
     "oscillator_hamiltonian",
     "energy_levels",
     "lengths_from_energy",
     "design_spectrum",
     "uncertainty_product",
     "translation_operator",
-    "build_fermionic",
     "fermionic_propagator",
     "dual_picture",
 ]
@@ -164,10 +162,6 @@ def _check_lengths(xis) -> np.ndarray:
     return xis
 
 
-def build_canonical_pair(xis, params: OscillatorParams) -> CanonicalPair:
-    return CanonicalPair(xis, params)
-
-
 def oscillator_hamiltonian(pair: CanonicalPair) -> Hamiltonian:
     """p^2/(2m) + m w^2 x^2 / 2 at the pair's params: diagonal, with level E_i
     on block i as E_i I_2, so it commutes exactly with the standard J even
@@ -273,10 +267,6 @@ def translation_operator(pair: CanonicalPair, distance: float) -> np.ndarray:
     if not np.isfinite(entries).all():
         raise ConstraintError("matrix exponential is not finite")
     return np.diag(entries)
-
-
-def build_fermionic(xi: float, params: OscillatorParams) -> FermionicStructure:
-    return FermionicStructure(xi, params)
 
 
 def _rotation(unit: np.ndarray, theta: float) -> np.ndarray:

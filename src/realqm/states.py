@@ -179,10 +179,12 @@ def _one(m: np.ndarray, j: ComplexStructure | None, tol: Tolerance,
     sq = np.vdot(skew, skew)
     # frobenius(skew) is sqrt(sq) in the normal range.  Below it (sq = 0 for
     # an exactly symmetric matrix) each entry is below 2^-511, so the
-    # residual is below n 2^-511, and a negligible bound settles the verdict
-    # with no entry-by-entry zero test; any other case is the batched route's.
+    # residual is below n 2^-511: a negligible bound settles the verdict, and
+    # where the tolerance is too small for that, an exactly zero skew does;
+    # any other case is the batched route's.
     if not (negligible(math.sqrt(sq), norm, tol) if _TINY <= sq <= _HUGE
-            else sq < _TINY and negligible(len(a) * 2.0**-510, norm, tol)):
+            else sq < _TINY and (negligible(len(a) * 2.0**-510, norm, tol)
+                                 or not skew.any())):
         return None
     trace = a.trace()
     min_eigenvalue = np.linalg.eigvalsh((a + a.T) / 2.0)[0]

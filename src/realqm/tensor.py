@@ -20,9 +20,8 @@ instead of the O(n^2 c) of a dense product.  One unsigned kernel applies
 the physical projector the same way, a factor pair at a time, from either
 side.  A sign pattern's subspace is the physical half with each factor of
 sign -1 conjugated (J_k -> -J_k), so the kernel serves it given negated J
-arrays.  Closed-form subspace bases ran at 0.81-0.85x this route's speed
-and gave rounding noise where it gives exact zeros, so the factor route
-stays.
+arrays.  Closed-form subspace bases ran slower than this route and gave
+rounding noise where it gives exact zeros, so the factor route stays.
 
 Work sets.  Every n x n kernel allocates its arrays once, at the start of
 the call, and writes every product, projector step and residual into them
@@ -64,7 +63,6 @@ __all__ = [
     "ProductSpace",
     "EscapeCheck",
     "MAX_PRODUCT_DIM",
-    "kron",
     "build_product_space",
     "subspace_projector",
     "subspace_unit_relation",
@@ -120,11 +118,6 @@ class ProductSpace:
     @property
     def physical_rank(self) -> int:
         return 2 * int(np.prod([f.d for f in self.factors]))
-
-
-def kron(a, b) -> np.ndarray:
-    """Real tensor product with first-factor-major block layout."""
-    return np.kron(as_real_matrix(a), as_real_matrix(b))
 
 
 def _apply_lifted(m: np.ndarray, index: int, dims: list[int], x: np.ndarray,
@@ -222,6 +215,7 @@ def _settled(bound: float, scale: float, tol: Tolerance) -> bool | None:
     return None
 
 
+# Only ProductSpace(tuple(factors)); kept because perfbench/workloads.py calls it.
 def build_product_space(factors) -> ProductSpace:
     """The product of >= 2 factors; its dense units and projector are built on first read."""
     return ProductSpace(factors=tuple(factors))

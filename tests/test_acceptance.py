@@ -15,9 +15,9 @@ from realqm.dynamics import (
 )
 from realqm.linalg import ConstraintError, expm, sym_eig
 from realqm.oscillator import (
+    CanonicalPair,
+    FermionicStructure,
     OscillatorParams,
-    build_canonical_pair,
-    build_fermionic,
     design_spectrum,
     dual_picture,
     energy_levels,
@@ -157,7 +157,7 @@ def test_criterion_05_canonical_bracket():
     worst = 0.0
     for d in range(1, 9):
         xis = rng.uniform(0.1, 4.0, size=d)
-        pair = build_canonical_pair(xis, params)
+        pair = CanonicalPair(xis, params)
         w = SymplecticForm(standard_complex_structure(d), params.hbar)
         bracket = pair.x @ w.omega @ pair.p - pair.p @ w.omega @ pair.x
         worst = max(worst, np.linalg.norm(bracket - np.eye(2 * d)))
@@ -273,7 +273,7 @@ def test_criterion_10_translation_operator():
     j = standard_complex_structure(2)
     worst_residual, least_gap = 0.0, np.inf
     for lengths, hbar, distance in (([1.0, 1.0], 1.0, 1.0), ([0.7, 1.3], 0.8, 40.0)):
-        pair = build_canonical_pair(lengths, OscillatorParams(hbar=hbar))
+        pair = CanonicalPair(lengths, OscillatorParams(hbar=hbar))
         u = translation_operator(pair, distance)
         worst_residual = max(worst_residual, np.linalg.norm(u.T @ j.matrix @ u - j.matrix))
         least_gap = min(least_gap, np.linalg.norm(u.T @ u - np.eye(4)))
@@ -286,7 +286,7 @@ def test_criterion_11_fermionic_block():
     rng = np.random.default_rng(SEED)
     params = OscillatorParams()
     hbar, omega = params.hbar, params.omega
-    fs = build_fermionic(1.0, params)
+    fs = FermionicStructure(1.0, params)
     eye = np.eye(4)
     worst_identity = max(
         np.linalg.norm(fs.x @ fs.x - fs.xi**2 * eye),
@@ -348,7 +348,7 @@ def test_criterion_12_tensor_structure():
                         np.linalg.norm((ja - eta * jc) @ proj))
     params = OscillatorParams()
     space = build_product_space([FactorSpace.standard(2), FactorSpace.standard(2)])
-    pair = build_canonical_pair([1.0, 2.0], params)
+    pair = CanonicalPair([1.0, 2.0], params)
     x_a = lift_operator(pair.x, 0, space)
     p_plus = space.physical_projector
     worst = max(worst, np.linalg.norm(p_plus @ x_a @ p_plus))

@@ -31,8 +31,8 @@ from realqm.dynamics import (
 )
 from realqm.linalg import frobenius, sym_eig
 from realqm.oscillator import (
+    CanonicalPair,
     OscillatorParams,
-    build_canonical_pair,
     design_spectrum,
     oscillator_hamiltonian,
 )
@@ -161,6 +161,6 @@ def test_spectrum_eigenvalues_are_the_sorted_diagonal(levels):
     assert code == 0
     params = OscillatorParams()
     h = oscillator_hamiltonian(
-        build_canonical_pair(design_spectrum(targets, params, branches), params))
+        CanonicalPair(design_spectrum(targets, params, branches), params))
     eigenvalues = [row["eigenvalue"] for row in json.loads(out.getvalue())["rows"]]
     assert eigenvalues == sym_eig(h.matrix)[0].tolist()

@@ -19,8 +19,8 @@ from realqm.dynamics import (
 )
 from realqm.linalg import ConstraintError, _trusted, expm, sym_eig
 from realqm.oscillator import (
+    CanonicalPair,
     OscillatorParams,
-    build_canonical_pair,
     design_spectrum,
     oscillator_hamiltonian,
 )
@@ -51,7 +51,7 @@ class TestPoissonBracket:
 
     def test_canonical_pair(self):
         params = OscillatorParams(hbar=0.7)
-        pair = build_canonical_pair([1.0, 2.0, 0.5], params)
+        pair = CanonicalPair([1.0, 2.0, 0.5], params)
         w = SymplecticForm(standard_complex_structure(3), hbar=0.7)
         np.testing.assert_allclose(poisson_bracket(pair.x, pair.p, w), np.eye(6),
                                    atol=1e-15)
@@ -105,7 +105,7 @@ class TestJacobiIdentity:
 
     def test_canonical_triple(self):
         params = OscillatorParams()
-        pair = build_canonical_pair([1.0, 2.0], params)
+        pair = CanonicalPair([1.0, 2.0], params)
         h = oscillator_hamiltonian(pair)
         w = SymplecticForm(standard_complex_structure(2))
         assert jacobi_residual(pair.x, pair.p, h.matrix, w) <= 1e-9
@@ -120,7 +120,7 @@ class TestSymplecticLieForm:
 
     def test_canonical_pair_with_identity(self):
         params = OscillatorParams()
-        pair = build_canonical_pair([1.0, 0.5], params)
+        pair = CanonicalPair([1.0, 0.5], params)
         w = SymplecticForm(standard_complex_structure(2), hbar=params.hbar)
         assert symplectic_lie_form_check(pair.x, pair.p, np.eye(4), w)
 
@@ -180,7 +180,7 @@ class TestPropagator:
 
     def test_oscillator_blocks_rotate(self):
         params = OscillatorParams(hbar=0.5)
-        pair = build_canonical_pair([1.0, 2.0], params)
+        pair = CanonicalPair([1.0, 2.0], params)
         h = oscillator_hamiltonian(pair)
         j = standard_complex_structure(2)
         t = 0.8
@@ -228,7 +228,7 @@ class TestPropagator:
         params = OscillatorParams(hbar=0.7)
         targets = [1.5, 1.5, 0.9]
         h = oscillator_hamiltonian(
-            build_canonical_pair(design_spectrum(targets, params), params))
+            CanonicalPair(design_spectrum(targets, params), params))
         j = standard_complex_structure(3)
         t = 2.3
         u = propagator(h, t, SymplecticForm(j, params.hbar)).u
@@ -311,7 +311,7 @@ def generic_hamiltonian(j):
 
 def oscillator_1_2(j):
     params = OscillatorParams()
-    return oscillator_hamiltonian(build_canonical_pair([1.0, 2.0], params))
+    return oscillator_hamiltonian(CanonicalPair([1.0, 2.0], params))
 
 
 class TestLongTimeEvolve:

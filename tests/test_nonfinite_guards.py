@@ -12,7 +12,7 @@ import pytest
 
 from realqm.dynamics import SymplecticForm, symplectic_lie_form_check
 from realqm.linalg import ConstraintError, Tolerance
-from realqm.oscillator import OscillatorParams, build_fermionic, uncertainty_product
+from realqm.oscillator import FermionicStructure, OscillatorParams, uncertainty_product
 from realqm.realify import standard_complex_structure
 from realqm.states import physical_density_4d
 
@@ -80,4 +80,4 @@ def test_symplectic_lie_form_check(hbar):
 @pytest.mark.parametrize("xi", NON_FINITE)
 def test_build_fermionic(xi):
     with pytest.raises(ConstraintError, match="^length must be positive$"):
-        build_fermionic(xi, OscillatorParams())
+        FermionicStructure(xi, OscillatorParams())

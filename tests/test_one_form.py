@@ -13,7 +13,7 @@ import pytest
 
 from realqm import dynamics, oscillator
 from realqm.dynamics import SymplecticForm, evolve, expectation_grid, hamiltonian, propagator
-from realqm.oscillator import OscillatorParams, build_canonical_pair, translation_operator
+from realqm.oscillator import CanonicalPair, OscillatorParams, translation_operator
 from realqm.realify import standard_complex_structure
 from realqm.states import density_matrix
 
@@ -39,7 +39,7 @@ def test_no_public_function_takes_j_and_hbar(module):
     (lambda: evolve(RHO4, H4, 0.5, W3), ValueError, f"^{STRUCTURE}$"),
     # hbar cancels from a translation and its J is the standard one, so it
     # takes no form, of this dimension or any other.
-    (lambda: translation_operator(build_canonical_pair([1.0, 2.0], OscillatorParams()), 1.0, W3),
+    (lambda: translation_operator(CanonicalPair([1.0, 2.0], OscillatorParams()), 1.0, W3),
      TypeError, "takes 2 positional arguments but 3 were given"),
 ], ids=["propagator", "expectation_grid", "evolve", "translation_operator"])
 def test_form_of_another_dimension(call, error, message):

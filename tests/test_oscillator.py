@@ -14,8 +14,6 @@ from realqm.oscillator import (
     CanonicalPair,
     FermionicStructure,
     OscillatorParams,
-    build_canonical_pair,
-    build_fermionic,
     design_spectrum,
     dual_picture,
     energy_levels,
@@ -49,7 +47,7 @@ log_scale = st.floats(-300.0, 300.0)
 # The stated-matrix routes the derived types replaced, kept verbatim as the
 # references of the bit-for-bit tests; each returns its fields by name
 # where it built a `CanonicalPair` or `FermionicStructure`.
-def ref_build_canonical_pair(xis, params: OscillatorParams):
+def ref_canonical_pair(xis, params: OscillatorParams):
     xis = _check_lengths(xis)
     d = xis.size
     x = np.zeros((2 * d, 2 * d))
@@ -72,11 +70,11 @@ def ref_oscillator_hamiltonian(pair, params: OscillatorParams):
         return hamiltonian(m, standard_complex_structure(m.shape[0] // 2))
 
 
-def ref_build_fermionic(xi: float, params: OscillatorParams):
+def ref_fermionic(xi: float, params: OscillatorParams):
     xi = float(xi)
     if not 0.0 < xi < np.inf:
         raise ConstraintError("length must be positive")
-    pair = ref_build_canonical_pair([xi, xi], params)
+    pair = ref_canonical_pair([xi, xi], params)
     k = np.array([
         [0.0, 0.0, -1.0, 0.0],
         [0.0, 0.0, 0.0, -1.0],
@@ -150,7 +148,7 @@ def raises_alike(reference, *calls):
 
 class TestCanonicalPair:
     def test_four_dimensional_matrices(self):
-        pair = build_canonical_pair([1.0, 2.0], OscillatorParams(hbar=1.0))
+        pair = CanonicalPair([1.0, 2.0], OscillatorParams(hbar=1.0))
         np.testing.assert_array_equal(pair.x, np.diag([1.0, -1.0, 2.0, -2.0]))
         expected_p = 0.5 * np.array([
             [0.0, 1.0, 0.0, 0.0],
@@ -164,32 +162,32 @@ class TestCanonicalPair:
     def test_canonical_bracket_exact(self, d):
         rng = np.random.default_rng(SEED + d)
         params = OscillatorParams(hbar=1.7)
-        pair = build_canonical_pair(rng.uniform(0.1, 5.0, size=d), params)
+        pair = CanonicalPair(rng.uniform(0.1, 5.0, size=d), params)
         w = SymplecticForm(standard_complex_structure(d), hbar=params.hbar)
         bracket = poisson_bracket(pair.x, pair.p, w)
         assert np.linalg.norm(bracket - np.eye(2 * d)) <= 1e-12
 
     def test_anticommutes_with_j(self):
-        pair = build_canonical_pair([1.0, 0.3, 2.2], OscillatorParams())
+        pair = CanonicalPair([1.0, 0.3, 2.2], OscillatorParams())
         j = standard_complex_structure(3).matrix
         np.testing.assert_array_equal(pair.x @ j + j @ pair.x, np.zeros((6, 6)))
         np.testing.assert_array_equal(pair.p @ j + j @ pair.p, np.zeros((6, 6)))
 
     def test_rejects_nonpositive_length(self):
         with pytest.raises(ConstraintError):
-            build_canonical_pair([1.0, -0.5], OscillatorParams())
+            CanonicalPair([1.0, -0.5], OscillatorParams())
 
 
 class TestHamiltonianAndLevels:
     def test_ground_level_at_matched_length(self):
         params = OscillatorParams()
-        pair = build_canonical_pair([1.0 / np.sqrt(2.0)], params)
+        pair = CanonicalPair([1.0 / np.sqrt(2.0)], params)
         h = oscillator_hamiltonian(pair)
         np.testing.assert_allclose(np.diag(h.matrix), [0.5, 0.5], atol=1e-15)
 
     def test_commutes_with_j_though_x_p_do_not(self):
         params = OscillatorParams()
-        pair = build_canonical_pair([1.0, 2.0], params)
+        pair = CanonicalPair([1.0, 2.0], params)
         h = oscillator_hamiltonian(pair)
         j = standard_complex_structure(2).matrix
         assert np.linalg.norm(h.matrix @ j - j @ h.matrix) == 0.0
@@ -199,7 +197,7 @@ class TestHamiltonianAndLevels:
     @pytest.mark.parametrize("xi, omega", [(1e200, 1.0), (1e-200, 1.0), (1.0, 1e160)])
     def test_hamiltonian_that_overflows_is_a_domain_error(self, xi, omega):
         params = OscillatorParams(omega=omega)
-        pair = build_canonical_pair([xi, 1.0], params)
+        pair = CanonicalPair([xi, 1.0], params)
         with pytest.raises(ConstraintError, match="^the oscillator Hamiltonian is not "
                                                   "finite at these parameters$"):
             oscillator_hamiltonian(pair)
@@ -226,7 +224,7 @@ class TestHamiltonianAndLevels:
         # ConstraintError where H is not finite.
         params = OscillatorParams(*np.exp([log_m, log_w, log_hbar]))
         xis = np.exp(log_xis)
-        ref, pair = ref_build_canonical_pair(xis, params), build_canonical_pair(xis, params)
+        ref, pair = ref_canonical_pair(xis, params), CanonicalPair(xis, params)
         assert pair.x.tobytes() == ref.x.tobytes() and pair.p.tobytes() == ref.p.tobytes()
         assert pair.dim == ref.x.shape[0]
         want = raises_alike(lambda: ref_oscillator_hamiltonian(ref, params),
@@ -241,7 +239,7 @@ class TestHamiltonianAndLevels:
     @pytest.mark.parametrize("xis", [[1.0, 0.0], [-1.0], [1.0, np.nan], [np.inf], [-0.0]])
     def test_bad_lengths_raise_as_the_loop_did(self, xis):
         with pytest.raises(ConstraintError, match="^all lengths must be positive$"):
-            ref_build_canonical_pair(xis, OscillatorParams())
+            ref_canonical_pair(xis, OscillatorParams())
         with pytest.raises(ConstraintError, match="^all lengths must be positive$"):
             CanonicalPair(xis, OscillatorParams())
 
@@ -253,7 +251,7 @@ class TestHamiltonianAndLevels:
         rng = np.random.default_rng(SEED)
         params = OscillatorParams(mass=1.5, omega=0.8, hbar=1.2)
         xis = rng.uniform(0.3, 3.0, size=4)
-        pair = build_canonical_pair(xis, params)
+        pair = CanonicalPair(xis, params)
         h = oscillator_hamiltonian(pair)
         vals, _ = sym_eig(h.matrix)
         expected = np.sort(np.repeat(energy_levels(xis, params), 2))
@@ -372,7 +370,7 @@ class TestDesignSpectrum:
         params = OscillatorParams()
         xis = design_spectrum([0.625, 2.0], params)
         assert xis[0] == pytest.approx(1.0, rel=1e-12)  # plus branch of 0.625
-        pair = build_canonical_pair(xis, params)
+        pair = CanonicalPair(xis, params)
         h = oscillator_hamiltonian(pair)
         vals, _ = sym_eig(h.matrix)
         np.testing.assert_allclose(vals, [0.625, 0.625, 2.0, 2.0], rtol=1e-12)
@@ -424,7 +422,7 @@ class TestUncertainty:
             xis = rng.uniform(0.2, 3.0, size=2)
             closed = uncertainty_product(alpha, beta, gamma, delta, xis, params)
             rho = physical_density_4d(alpha, beta, gamma, delta)
-            pair = build_canonical_pair(xis, params)
+            pair = CanonicalPair(xis, params)
             direct = np.sqrt(variance(rho, pair.x) * variance(rho, pair.p))
             assert abs(closed - direct) <= 1e-10
             assert closed >= params.hbar / 2.0 - 1e-12
@@ -436,12 +434,12 @@ class TestUncertainty:
 
 class TestTranslation:
     def test_zero_distance(self):
-        pair = build_canonical_pair([1.0, 1.0], OscillatorParams())
+        pair = CanonicalPair([1.0, 1.0], OscillatorParams())
         np.testing.assert_array_equal(translation_operator(pair, 0.0), np.eye(4))
 
     def test_symplectic_but_far_from_orthogonal(self):
         params = OscillatorParams()
-        pair = build_canonical_pair([1.0, 1.0], params)
+        pair = CanonicalPair([1.0, 1.0], params)
         j = standard_complex_structure(2)
         u = translation_operator(pair, 1.0)
         flags = classify(u, j)
@@ -452,13 +450,13 @@ class TestTranslation:
 
     @pytest.mark.parametrize("distance", [0.3, 5.0, 40.0, -2.0])
     def test_matches_mpmath_per_entry(self, distance):
-        pair = build_canonical_pair([0.7, 1.3], OscillatorParams(hbar=0.8))
+        pair = CanonicalPair([0.7, 1.3], OscillatorParams(hbar=0.8))
         assert_translation_per_entry(translation_operator(pair, distance), pair, distance)
 
     def test_small_entry_and_symplecticity_at_distance_40(self):
         # I + V expm1 V^T cancelled here: the entry exp(-28.6) = 3.9e-13 was
         # off by 8.4e-6 relative, and ||U^T J U - J|| read 1.18e-5.
-        pair = build_canonical_pair([0.7, 1.3], OscillatorParams(hbar=0.8))
+        pair = CanonicalPair([0.7, 1.3], OscillatorParams(hbar=0.8))
         u = translation_operator(pair, 40.0)
         small = mp_translation(pair, 40.0)[1]
         assert float(small) == pytest.approx(3.9047e-13, rel=1e-4)
@@ -475,7 +473,7 @@ class TestTranslation:
         xis = np.exp(log_xis)
         phase = float(np.max(np.abs(distance / (2.0 * xis))))
         assume(phase <= 700.0)  # exp(+-phase) stays in the float range
-        pair = build_canonical_pair(xis, OscillatorParams(hbar=hbar))
+        pair = CanonicalPair(xis, OscillatorParams(hbar=hbar))
         u = translation_operator(pair, distance)
         assert_translation_per_entry(u, pair, distance)
         ref = ref_translation_operator(
@@ -488,14 +486,14 @@ class TestTranslation:
         ([1.0], 2000.0), ([1.0], -2000.0), ([1.0], float("nan")), ([1.0, 2.0], float("inf")),
         ([1e-300], 1e300)])
     def test_result_past_the_float_range_raises_without_a_warning(self, lengths, distance):
-        pair = build_canonical_pair(lengths, OscillatorParams())
+        pair = CanonicalPair(lengths, OscillatorParams())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConstraintError, match="^matrix exponential is not finite$"):
                 translation_operator(pair, distance)
 
     def test_generator_is_symmetric(self):
-        pair = build_canonical_pair([0.7, 1.3], OscillatorParams())
+        pair = CanonicalPair([0.7, 1.3], OscillatorParams())
         j = standard_complex_structure(2)
         jp = j.matrix @ pair.p
         assert np.linalg.norm(jp.T - jp) <= 1e-12
@@ -503,7 +501,7 @@ class TestTranslation:
 
 class TestFermionicStructure:
     def test_commuting_unit_matrix(self):
-        fs = build_fermionic(1.0, OscillatorParams())
+        fs = FermionicStructure(1.0, OscillatorParams())
         expected = np.array([
             [0.0, 0.0, -1.0, 0.0],
             [0.0, 0.0, 0.0, -1.0],
@@ -515,14 +513,14 @@ class TestFermionicStructure:
         np.testing.assert_array_equal(fs.commuting_unit.T, -fs.commuting_unit)
 
     def test_unit_commutes_with_pair(self):
-        fs = build_fermionic(0.8, OscillatorParams())
+        fs = FermionicStructure(0.8, OscillatorParams())
         k = fs.commuting_unit
         np.testing.assert_array_equal(k @ fs.x, fs.x @ k)
         np.testing.assert_array_equal(k @ fs.p, fs.p @ k)
 
     def test_square_relations(self):
         params = OscillatorParams(hbar=1.3)
-        fs = build_fermionic(0.9, params)
+        fs = FermionicStructure(0.9, params)
         eye = np.eye(4)
         assert np.linalg.norm(fs.x @ fs.x - fs.xi**2 * eye) <= 1e-12
         assert np.linalg.norm(fs.p @ fs.p
@@ -530,7 +528,7 @@ class TestFermionicStructure:
         assert np.linalg.norm(fs.x @ fs.p + fs.p @ fs.x) <= 1e-12
 
     def test_anticommutation_relations(self):
-        fs = build_fermionic(1.4, OscillatorParams(hbar=0.6))
+        fs = FermionicStructure(1.4, OscillatorParams(hbar=0.6))
         eye = np.eye(4)
         np.testing.assert_array_equal(fs.raising, fs.lowering.T)
         assert np.linalg.norm(fs.lowering @ fs.raising
@@ -540,7 +538,7 @@ class TestFermionicStructure:
 
     def test_three_hamiltonian_forms_agree(self):
         params = OscillatorParams(mass=1.1, omega=2.3, hbar=0.7)
-        fs = build_fermionic(1.2, params)
+        fs = FermionicStructure(1.2, params)
         eye = np.eye(4)
         ladder = params.hbar * params.omega * (fs.raising @ fs.lowering - eye / 2.0)
         bracket = -(params.omega / 2.0) * fs.commuting_unit @ (
@@ -554,13 +552,13 @@ class TestFermionicStructure:
 
     def test_hamiltonian_spectrum(self):
         params = OscillatorParams(omega=2.0, hbar=1.5)
-        fs = build_fermionic(1.0, params)
+        fs = FermionicStructure(1.0, params)
         vals, _ = sym_eig(fs.hamiltonian)
         half = params.hbar * params.omega / 2.0
         np.testing.assert_allclose(vals, [-half, -half, half, half], atol=1e-12)
 
     def test_swap_conjugates_the_units(self):
-        fs = build_fermionic(1.0, OscillatorParams())
+        fs = FermionicStructure(1.0, OscillatorParams())
         s = fs.basis_swap
         np.testing.assert_array_equal(s @ s, np.eye(4))
         j = standard_complex_structure(2).matrix
@@ -568,7 +566,7 @@ class TestFermionicStructure:
 
     def test_rejects_nonpositive_length(self):
         with pytest.raises(ConstraintError):
-            build_fermionic(0.0, OscillatorParams())
+            FermionicStructure(0.0, OscillatorParams())
 
     @pytest.mark.parametrize("name", FERMIONIC_MATRICES)
     def test_matrices_are_derived_not_arguments(self, name):
@@ -580,10 +578,10 @@ class TestFermionicStructure:
            log_scale, log_scale, log_scale)
     def test_fields_are_the_stated_route_bit_for_bit(self, xi, log_m, log_w, log_hbar):
         params = OscillatorParams(*np.exp([log_m, log_w, log_hbar]))
-        want = raises_alike(lambda: ref_build_fermionic(xi, params),
-                            lambda: build_fermionic(xi, params))
+        want = raises_alike(lambda: ref_fermionic(xi, params),
+                            lambda: FermionicStructure(xi, params))
         if want is not None:
-            fs = build_fermionic(xi, params)
+            fs = FermionicStructure(xi, params)
             assert type(fs.xi) is float and fs.xi == want.xi and fs.params is params
             for name in FERMIONIC_MATRICES:
                 assert getattr(fs, name).tobytes() == getattr(want, name).tobytes(), name
@@ -591,13 +589,13 @@ class TestFermionicStructure:
 
 class TestFermionicPropagator:
     def test_time_zero(self):
-        fs = build_fermionic(1.0, OscillatorParams())
+        fs = FermionicStructure(1.0, OscillatorParams())
         np.testing.assert_array_equal(fermionic_propagator(fs, 0.0), np.eye(4))
 
     def test_both_exponential_forms_agree(self):
         rng = np.random.default_rng(SEED)
         params = OscillatorParams(omega=1.7, hbar=0.9)
-        fs = build_fermionic(1.1, params)
+        fs = FermionicStructure(1.1, params)
         j = standard_complex_structure(2).matrix
         for t in rng.uniform(-6.0, 6.0, size=10):
             via_k = fermionic_propagator(fs, float(t))
@@ -607,7 +605,7 @@ class TestFermionicPropagator:
     def test_closed_form_matches_expm(self):
         rng = np.random.default_rng(SEED)
         params = OscillatorParams(omega=1.7, hbar=0.9)
-        fs = build_fermionic(1.1, params)
+        fs = FermionicStructure(1.1, params)
         j = standard_complex_structure(2).matrix
         for t in rng.uniform(-6.0, 6.0, size=10):
             via_h = expm(-(t / params.hbar) * (j @ fs.hamiltonian))
@@ -616,33 +614,33 @@ class TestFermionicPropagator:
             np.testing.assert_array_equal(fermionic_propagator(fs, -float(t)), u.T)
 
     def test_orthogonal(self):
-        fs = build_fermionic(1.0, OscillatorParams())
+        fs = FermionicStructure(1.0, OscillatorParams())
         u = fermionic_propagator(fs, 2.9)
         assert np.linalg.norm(u.T @ u - np.eye(4)) <= 1e-9
 
     def test_period(self):
         params = OscillatorParams(omega=1.3)
-        fs = build_fermionic(1.0, params)
+        fs = FermionicStructure(1.0, params)
         u = fermionic_propagator(fs, 4.0 * np.pi / params.omega)
         assert np.linalg.norm(u - np.eye(4)) <= 1e-8
 
 
 class TestDualPicture:
     def test_energy_trace(self):
-        fs = build_fermionic(1.0, OscillatorParams())
+        fs = FermionicStructure(1.0, OscillatorParams())
         report = dual_picture(0.25, 0.25, 0.0, 0.25, fs, 0.0)
         assert report.energy == pytest.approx(0.5, abs=1e-14)
         assert report.energy_tilde == pytest.approx(0.5, abs=1e-14)
 
     def test_position_expectations_differ(self):
-        fs = build_fermionic(1.0, OscillatorParams())
+        fs = FermionicStructure(1.0, OscillatorParams())
         report = dual_picture(0.5, 0.0, 0.0, 0.0, fs, 0.0)
         assert report.x_expectation == pytest.approx(0.0, abs=1e-14)
         assert report.x_expectation_tilde == pytest.approx(1.0, abs=1e-14)
 
     def test_swapped_state_commutes_with_k(self):
         rng = np.random.default_rng(SEED)
-        fs = build_fermionic(1.0, OscillatorParams())
+        fs = FermionicStructure(1.0, OscillatorParams())
         for _ in range(10):
             alpha, beta, gamma, delta = rand_state_params(rng)
             report = dual_picture(alpha, beta, gamma, delta, fs, 0.0)
@@ -657,7 +655,7 @@ class TestDualPicture:
     def test_diagonal_case_swaps_the_unit(self):
         # gamma = delta = 0: the swap turns diag(a, a, b, b) into
         # diag(a, b, a, b), which commutes with K instead of with J
-        fs = build_fermionic(1.0, OscillatorParams())
+        fs = FermionicStructure(1.0, OscillatorParams())
         report = dual_picture(0.3, 0.2, 0.0, 0.0, fs, 0.0)
         np.testing.assert_array_equal(report.rho_tilde, np.diag([0.3, 0.2, 0.3, 0.2]))
         j = standard_complex_structure(2).matrix
@@ -667,7 +665,7 @@ class TestDualPicture:
         assert np.linalg.norm(report.rho_tilde @ j - j @ report.rho_tilde) > 0.1
 
     def test_maximally_mixed_case_commutes_with_both_units(self):
-        fs = build_fermionic(1.0, OscillatorParams())
+        fs = FermionicStructure(1.0, OscillatorParams())
         report = dual_picture(0.25, 0.25, 0.0, 0.0, fs, 0.0)
         j = standard_complex_structure(2).matrix
         k = fs.commuting_unit
@@ -678,7 +676,7 @@ class TestDualPicture:
     def test_evolution_consistency(self):
         # the swapped picture evolves with the swapped propagator
         rng = np.random.default_rng(SEED)
-        fs = build_fermionic(1.0, OscillatorParams(omega=0.8))
+        fs = FermionicStructure(1.0, OscillatorParams(omega=0.8))
         s = fs.basis_swap
         for t in rng.uniform(-5.0, 5.0, size=5):
             alpha, beta, gamma, delta = rand_state_params(rng)

@@ -1,5 +1,5 @@
 """`tools/paired_bench.py` on two stub checkouts whose `perfbench/run.py`
-prints fixed metrics at once and logs the order of its runs."""
+prints fixed metrics at once, names its tree and logs the order of its runs."""
 
 import importlib.util
 import json
@@ -11,7 +11,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-STUB = '''import argparse, json, sys
+STUB = '''import argparse, json, subprocess, sys
 from pathlib import Path
 parser = argparse.ArgumentParser()
 parser.add_argument("--workload")
@@ -30,15 +30,21 @@ metrics = {
     "peak_rss_mb": 50.0 + seed,
     "setup_s": 0.2,
 }
+head = subprocess.run(["git", "-C", str(Path(__file__).parents[1]), "rev-parse", "HEAD"],
+                      capture_output=True, text=True)
+tree = {"git_sha": head.stdout.strip() if head.returncode == 0 else None,
+        "source_sha256": SIDE + (str(seed) if DRIFT else "")}
 print("human-readable lines first")
+print("report: " + json.dumps({"provenance": {**tree, "python": "3"}}))
 print(json.dumps({"correct": CORRECT, "attempted": 10, "failed": 0,
                   "metrics": {k: {"value": v, "unit": "u"} for k, v in metrics.items()}}))
 '''
 
 
-def _checkout(root: Path, side: str, correct: bool = True) -> Path:
+def _checkout(root: Path, side: str, correct: bool = True, drift: bool = False) -> Path:
     (root / side / "perfbench").mkdir(parents=True)
     stub = STUB.replace("SIDE", repr(side)).replace("CORRECT", repr(correct))
+    stub = stub.replace("DRIFT", repr(drift))
     (root / side / "perfbench" / "run.py").write_text(stub)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     bench["command"] = [sys.executable, "perfbench/run.py"]
@@ -86,6 +92,18 @@ def test_a_wrong_run_stops_the_script(tmp_path):
     assert "ops_per_s" not in proc.stdout.split("\n", 1)[1]
 
 
+def test_a_side_whose_tree_changes_between_runs_stops_the_script(tmp_path):
+    # The other stub names a new source hash on each seed, as a tree edited
+    # between runs would; its first run is seed 1, its second seed 2.
+    this, other = _checkout(tmp_path, "this"), _checkout(tmp_path, "other", drift=True)
+    path = tmp_path / "bench.json"
+    proc = _run(this, other, "1-3", "tensor_products", "--json", str(path))
+    assert proc.returncode == 1
+    assert re.search(r"other changed between runs: .*'other1'.* then .*'other2'", proc.stderr)
+    assert len((tmp_path / "order.log").read_text().splitlines()) == 3
+    assert not path.exists()
+
+
 def _git(root: Path, *args):
     subprocess.run(["git", "-C", str(root), "-c", "user.name=stub", "-c", "user.email=stub@example.com",
                     *args], check=True, capture_output=True)
@@ -109,9 +127,11 @@ def test_json_record_holds_every_metric_of_each_workload(tmp_path):
     digest = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(digest)
     assert record["provenance"] == digest.provenance()
-    # The other stub is a clean git checkout, though its run logged to a file beside it.
-    assert record["checkouts"] == {"this": {"commit": None, "dirty": None},
-                                   "other": {"commit": head, "dirty": False}}
+    # Each side's tree is the one its runs reported.  The other stub is a clean
+    # git checkout, though its run logged to a file beside it.
+    assert record["checkouts"] == {
+        "this": {"git_sha": None, "source_sha256": "this", "dirty": None},
+        "other": {"git_sha": head, "source_sha256": "other", "dirty": False}}
     assert list(record["workloads"]) == ["tensor_products", "check_sweep"]
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     for summary in record["workloads"].values():

@@ -114,3 +114,22 @@ def test_a_generic_state_takes_the_one_matrix_route(d, with_j):
     assert outcome(lambda: one) == outcome(
         lambda: states._batched(m[np.newaxis], j, DEFAULT_TOL, None, True))
     assert bool(one.physical[0]) is with_j
+
+
+@pytest.mark.parametrize("d", [1, 2, 8])
+def test_an_exactly_symmetric_state_takes_the_one_matrix_route_at_zero_tolerance(d, monkeypatch):
+    # At Tolerance(0.0) no bound on a residual below 2^-510 is negligible, so
+    # an exactly zero m - m^T went to the batched route for the same verdict.
+    g = rand_complex(np.random.default_rng(d), d)
+    h = g @ g.conj().T
+    h = (h + h.conj().T) / (2.0 * np.trace(h).real)  # exactly Hermitian
+    m = embed_matrix(h) / 2.0
+    assert not (m - m.T).any()
+    j, tol = standard_complex_structure(d), Tolerance(0.0)
+    want = outcome(lambda: states._batched(m[np.newaxis], j, tol, None, True))
+
+    def batched(*args):
+        raise AssertionError("the batched route was taken")
+
+    monkeypatch.setattr(states, "_batched", batched)
+    assert outcome(lambda: state_stack(m[np.newaxis], j, tol)) == want

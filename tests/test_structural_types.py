@@ -18,7 +18,8 @@ by identity.
 """
 
 import copy
-
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
@@ -26,7 +27,7 @@ import numpy as np
 import pytest
 
 import realqm
-from realqm import dynamics, linalg, oscillator, states
+from realqm import dynamics, linalg, oscillator, states, tensor
 from realqm.dynamics import Hamiltonian, SymplecticForm
 from realqm.realify import ComplexStructure, split_linear_antilinear, standard_complex_structure
 from realqm.states import DensityMatrix
@@ -149,11 +150,11 @@ def array_holders():
     j = standard_complex_structure(2)
     h = dynamics.hamiltonian(np.diag([1.0, 1.0, 2.0, 2.0]), j)
     rho = states.density_matrix(np.eye(4) / 4.0, j)
-    fs = oscillator.build_fermionic(1.3, oscillator.OscillatorParams())
+    fs = oscillator.FermionicStructure(1.3, oscillator.OscillatorParams())
     return [j, split_linear_antilinear(np.eye(4), j), SymplecticForm(j), h,
             dynamics.Propagator(u=np.eye(4)), rho,
             states.state_stack(rho.matrix[np.newaxis], j), states.spectral_decompose(h.matrix),
-            oscillator.build_canonical_pair([1.0, 2.0], fs.params), fs,
+            oscillator.CanonicalPair([1.0, 2.0], fs.params), fs,
             oscillator.dual_picture(0.25, 0.25, 0.1, 0.05, fs, 0.5), FactorSpace.standard(2),
             ProductSpace(factors=(FactorSpace.standard(1),) * 2)]
 
@@ -243,3 +244,14 @@ def test_flagged_values_are_built_by_validators_and_judged_once(monkeypatch, cap
     assert code == 0, err
     assert seen.count("hamiltonian") == 1
     assert seen[seen.index("enter"):seen.index("leave")] == ["enter"]
+
+
+@pytest.mark.parametrize("name", ["build_canonical_pair", "build_fermionic", "kron"])
+def test_constructor_aliases_are_gone(name):
+    # Each only restated CanonicalPair(xis, params), FermionicStructure(xi,
+    # params) or np.kron of two validated matrices; the constructor is the one spelling.
+    for module in (realqm, oscillator, tensor):
+        assert not hasattr(module, name)
+    for info in pkgutil.iter_modules(realqm.__path__):
+        module = importlib.import_module(f"realqm.{info.name}")
+        assert name not in getattr(module, "__all__", ())

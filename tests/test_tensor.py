@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from realqm.linalg import DEFAULT_TOL, sym_eig
-from realqm.oscillator import OscillatorParams, build_canonical_pair
+from realqm.oscillator import CanonicalPair, OscillatorParams
 from realqm.realify import embed_matrix, standard_complex_structure
 from realqm.states import physical_from_complex
 from realqm.tensor import (
@@ -13,7 +13,6 @@ from realqm.tensor import (
     ProductSpace,
     _apply_lifted,
     build_product_space,
-    kron,
     lift_operator,
     physical_basis,
     physical_escape_check,
@@ -29,29 +28,6 @@ SEED = 8293
 
 def two_factor_space(da, db):
     return build_product_space([FactorSpace.standard(da), FactorSpace.standard(db)])
-
-
-class TestKron:
-    def test_identity_factor(self):
-        rng = np.random.default_rng(SEED)
-        b = rng.standard_normal((3, 3))
-        out = kron(np.eye(2), b)
-        np.testing.assert_array_equal(out[:3, :3], b)
-        np.testing.assert_array_equal(out[3:, 3:], b)
-        np.testing.assert_array_equal(out[:3, 3:], np.zeros((3, 3)))
-
-    def test_dimension(self):
-        da, db = 2, 3
-        a = np.eye(2 * da)
-        b = np.eye(2 * db)
-        assert kron(a, b).shape == (4 * da * db, 4 * da * db)
-
-    def test_mixed_product(self):
-        rng = np.random.default_rng(SEED)
-        a, c = rng.standard_normal((2, 3, 3))
-        b, d = rng.standard_normal((2, 2, 2))
-        np.testing.assert_allclose(kron(a, b) @ kron(c, d), kron(a @ c, b @ d),
-                                   atol=1e-12)
 
 
 class TestProductSpace:
@@ -139,7 +115,7 @@ class TestLiftOperator:
 
     def test_commutation_inheritance(self):
         space = two_factor_space(2, 2)
-        pair = build_canonical_pair([1.0, 2.0], OscillatorParams())
+        pair = CanonicalPair([1.0, 2.0], OscillatorParams())
         x_a = lift_operator(pair.x, 0, space)
         ja, jb = space.units
         assert np.linalg.norm(x_a @ ja + ja @ x_a) <= 1e-12
@@ -183,7 +159,7 @@ class TestEscapeCheck:
 
     def test_anticommuting_position_escapes(self):
         space = two_factor_space(2, 2)
-        pair = build_canonical_pair([1.0, 2.0], OscillatorParams())
+        pair = CanonicalPair([1.0, 2.0], OscillatorParams())
         x_a = lift_operator(pair.x, 0, space)
         check = physical_escape_check(x_a, space)
         assert check.maps_across
@@ -191,7 +167,7 @@ class TestEscapeCheck:
 
     def test_square_returns(self):
         space = two_factor_space(2, 2)
-        pair = build_canonical_pair([1.0, 2.0], OscillatorParams())
+        pair = CanonicalPair([1.0, 2.0], OscillatorParams())
         x_a = lift_operator(pair.x, 0, space)
         check = physical_escape_check(x_a @ x_a, space)
         assert check.maps_within
@@ -260,7 +236,7 @@ class TestProductDensity:
             factor_states.append(
                 physical_from_complex(rho_c).matrix)
         p_plus = space.physical_projector
-        compressed = p_plus @ kron(factor_states[0], factor_states[1]) @ p_plus
+        compressed = p_plus @ np.kron(factor_states[0], factor_states[1]) @ p_plus
         rho = compressed / np.trace(compressed)
         assert validate_product_density(rho, space)
 

@@ -16,14 +16,18 @@ Printed: one line per seed with both sides' ops/s, then one line per
 end-to-end metric of `BENCHMARK.json`: each side's median and quartiles
 over the seeds, and the pairs in which this side is strictly better, in the
 metric's `better` direction.  A run that fails, prints no result or reports
-a wrong output stops the script with exit 1.  The script reads
+a wrong output stops the script with exit 1, and so does a side whose tree
+changes between its runs: each run's `report:` line names the tree it
+measured by its `git_sha` and the `source_sha256` of its `src/realqm`, and
+every run of a side must name the same one.  The script reads
 `BENCHMARK.json` and runs files under `perfbench/`; it imports neither
 checkout's library.
 
 With `--json PATH` the same summary is also written to PATH as one JSON
 object: the seeds and seconds, the machine's provenance (the header lines
-of `tools/output_digest.py`), each side's git commit (`null` outside a git
-checkout) and whether its tree had uncommitted changes, and per workload
+of `tools/output_digest.py`), each side's measured tree (`git_sha`, `null`
+outside a git checkout, and `source_sha256`) and whether it had uncommitted
+changes (`null` outside a git checkout), and per workload
 and end-to-end metric its unit and `better` direction, each side's
 per-seed values, median and quartiles, and the wins n of N pairs.
 """
@@ -59,29 +63,30 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def run_side(root: Path, command: list[str], workload: str, seed: int,
-             seconds: float) -> dict[str, float]:
-    """One benchmark run in `root`; its end-to-end metric values by name."""
+             seconds: float) -> tuple[dict[str, float], dict]:
+    """One benchmark run in `root`: its end-to-end metric values by name, and
+    the tree it measured, as its report line's `git_sha` and `source_sha256`."""
     argv = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
     proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
-    except (IndexError, ValueError):
+        report = next(json.loads(line.removeprefix("report: ")) for line in lines
+                      if line.startswith("report: "))
+        tree = {key: report["provenance"][key] for key in ("git_sha", "source_sha256")}
+    except (IndexError, ValueError, StopIteration, KeyError):
         result = None
     if proc.returncode != 0 or result is None or not result.get("correct", False):
         raise SystemExit(f"paired_bench: {root} seed {seed} failed (exit {proc.returncode})\n"
                          f"{proc.stderr.strip()}")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    return {name: m["value"] for name, m in result["metrics"].items()}, tree
 
 
-def commit(root: Path) -> dict:
-    """The checkout's HEAD and whether its tree differs from it; nulls outside git."""
-    def git(*args):
-        proc = subprocess.run(["git", "-C", str(root), *args], capture_output=True, text=True)
-        return proc.stdout.strip() if proc.returncode == 0 else None
-
-    head = git("rev-parse", "HEAD")
-    return {"commit": head, "dirty": None if head is None else bool(git("status", "--porcelain"))}
+def dirty(root: Path) -> bool | None:
+    """Whether the checkout's tree differs from its HEAD; null outside git."""
+    proc = subprocess.run(["git", "-C", str(root), "status", "--porcelain"],
+                          capture_output=True, text=True)
+    return bool(proc.stdout.strip()) if proc.returncode == 0 else None
 
 
 def provenance() -> list[str]:
@@ -93,16 +98,21 @@ def provenance() -> list[str]:
     return tool.provenance()
 
 
-def compare(bench: dict, roots: dict, workload: str, seeds: list[int],
+def compare(bench: dict, roots: dict, trees: dict, workload: str, seeds: list[int],
             seconds: float) -> dict:
-    """Run the pairs of one workload and print them; its summary per metric."""
+    """Run the pairs of one workload and print them; its summary per metric.
+    `trees` holds each side's tree from its first run, which every run must match."""
     runs = {side: [] for side in roots}
     print(f"paired_bench {workload}: {len(seeds)} seeds x {seconds:g} s, "
           f"this {roots['this']}, other {roots['other']}")
     for turn, seed in enumerate(seeds):
         order = ["this", "other"] if turn % 2 == 0 else ["other", "this"]
         for side in order:
-            runs[side].append(run_side(roots[side], bench["command"], workload, seed, seconds))
+            metrics, tree = run_side(roots[side], bench["command"], workload, seed, seconds)
+            if trees.setdefault(side, tree) != tree:
+                raise SystemExit(f"paired_bench: {roots[side]} changed between runs: "
+                                 f"{trees[side]} then {tree}")
+            runs[side].append(metrics)
         print(f"  seed {seed:<4} first {order[0]:<5}  ops_per_s this "
               f"{runs['this'][-1]['ops_per_s']:.6g}  other {runs['other'][-1]['ops_per_s']:.6g}")
     summary = {}
@@ -134,11 +144,13 @@ def main(argv=None) -> int:
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     roots = {"this": ROOT, "other": Path(args.other_root).resolve()}
-    workloads = {w: compare(bench, roots, w, args.seeds, args.seconds)
+    trees: dict = {}
+    workloads = {w: compare(bench, roots, trees, w, args.seeds, args.seconds)
                  for w in args.workload.split(",")}
     if args.json is not None:
         record = {"seeds": args.seeds, "seconds": args.seconds, "provenance": provenance(),
-                  "checkouts": {side: commit(root) for side, root in roots.items()},
+                  "checkouts": {side: {**trees[side], "dirty": dirty(root)}
+                                for side, root in roots.items()},
                   "workloads": workloads}
         args.json.write_text(json.dumps(record, indent=1) + "\n")
     return 0

@@ -297,7 +297,6 @@ def _check_states(rng) -> list[tuple[str, float, float]]:
         d = 3
         j = realify.standard_complex_structure(d)
         a_r = realify.embed_matrix(_rand_hermitean(rng, d))
-        decomp = states.spectral_decompose(a_r)
         _, vecs = linalg.sym_eig(a_r)
         v = vecs[:, 0]
         jv = j.matrix @ v

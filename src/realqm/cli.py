@@ -227,10 +227,7 @@ def _require_finite(what: str, *matrices) -> None:
 
 
 def _tolerance(args) -> Tolerance:
-    if args.tol is None:
-        return Tolerance()
-    abs_tol = float(args.tol)
-    return Tolerance(abs_tol, max(abs_tol, Tolerance().spectral_gap_tol))
+    return Tolerance() if args.tol is None else Tolerance(float(args.tol))
 
 
 def _params(args) -> oscillator.OscillatorParams:
@@ -412,7 +409,7 @@ def _cmd_uncertainty(args) -> int:
     bound = params.hbar / 2.0
     table.update(delta_x=[delta_x], delta_p=[delta_p], product=[delta_x * delta_p],
                  closed_form=[closed], lower_bound=[bound],
-                 bound_satisfied=[closed >= bound - 1e-12])
+                 bound_satisfied=[closed >= bound - 1e-12 * params.hbar])
     _emit(args, {"command": "uncertainty", "config": _config(args)}, table)
     return EXIT_OK
 

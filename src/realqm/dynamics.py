@@ -26,6 +26,7 @@ integrates any symmetric H, J-commuting or not, with no physicality guard.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -33,6 +34,7 @@ import numpy as np
 
 from . import trace
 from .linalg import (
+    _TOP,
     DEFAULT_TOL,
     ConstraintError,
     Tolerance,
@@ -166,6 +168,9 @@ def symplectic_lie_form_check(a, b, c, w: SymplecticForm,
     a, b, c = (as_real_matrix(m) for m in (a, b, c))
     if not a.shape[0] == b.shape[0] == c.shape[0] == w.j.dim:
         raise ValueError("matrix dimension does not match the complex structure")
+    if not frobenius(a) * frobenius(b) < _TOP:  # bilinear in (A, B), linear in C
+        ea, eb = (math.frexp(np.abs(m).max())[1] for m in (a, b))
+        a, b, c = np.ldexp(a, -ea), np.ldexp(b, -eb), np.ldexp(c, -ea - eb)
     jm = w.j.matrix
     lhs = (jm @ a) @ (jm @ b) - (jm @ b) @ (jm @ a)
     rhs = -w.hbar * (jm @ c)

@@ -3,13 +3,14 @@
 Everything downstream works on square numpy float64 arrays.  This module
 supplies their validation, a validated symmetric eigensolver on LAPACK, a
 Pade/scaling-squaring matrix exponential, and the tolerance-scaled
-predicates (symmetric, antisymmetric, commutes, anticommutes) that replace
-raw float comparisons everywhere else; all of them use `negligible`, whose
-bound is relative to each residual's scale with no floor (at the end of the
-float range they judge their arguments divided by powers of two).  Small matrices
-are many, so the cost of a call matters: each function validates each
-argument once, and `frobenius` is one BLAS dot unless the sum of squares
-leaves the normal range.
+predicates (symmetric, antisymmetric, commutes, anticommutes, and the one
+orthogonality and symplecticity rule `realify` asks) that replace raw float
+comparisons everywhere else; all of them use `negligible`, whose bound is
+relative to each residual's scale with no floor (at the end of the float
+range the homogeneous ones judge their arguments divided by powers of two).
+Small matrices are many, so the cost of a call matters: each function
+validates each argument once, and `frobenius` is one BLAS dot unless the sum
+of squares leaves the normal range.
 
 All functions are pure and never mutate their inputs.
 """
@@ -17,7 +18,7 @@ All functions are pure and never mutate their inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,20 +43,20 @@ class ConstraintError(ValueError):
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Comparison tolerances.
+    """Comparison tolerance: one settable value.
 
-    abs_tol scales all residual predicates; spectral_gap_tol is the absolute
-    gap below which neighbouring eigenvalues are merged into one cluster.
+    abs_tol scales all residual predicates; spectral_gap_tol, derived as
+    max(abs_tol, 1e-8), is the absolute gap below which neighbouring
+    eigenvalues are merged into one cluster.
     """
 
     abs_tol: float = 1e-10
-    spectral_gap_tol: float = 1e-8
+    spectral_gap_tol: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not (self.abs_tol >= 0.0 and self.spectral_gap_tol >= 0.0):  # NaN fails too
+        if not self.abs_tol >= 0.0:  # NaN fails too
             raise ValueError("tolerances must be nonnegative")
-        if self.spectral_gap_tol < self.abs_tol:
-            raise ValueError("spectral_gap_tol must be >= abs_tol")
+        object.__setattr__(self, "spectral_gap_tol", max(self.abs_tol, 1e-8))
 
 
 DEFAULT_TOL = Tolerance()
@@ -134,9 +135,12 @@ def is_symmetric(a, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 
 def is_antisymmetric(a, tol: Tolerance = DEFAULT_TOL) -> bool:
-    a = as_real_matrix(a)
+    return _antisymmetric(as_real_matrix(a), tol)
+
+
+def _antisymmetric(a: np.ndarray, tol: Tolerance) -> bool:  # validated
     if not (scale := frobenius(a)) < _TOP:
-        return is_antisymmetric(_reduced(a), tol)
+        return _antisymmetric(_reduced(a), tol)
     return negligible(frobenius(a + a.T), scale, tol)
 
 
@@ -151,10 +155,24 @@ def _commutes(a: np.ndarray, b: np.ndarray, tol: Tolerance) -> bool:  # validate
 
 
 def anticommutes(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
-    a, b = _pair(a, b)
+    return _anticommutes(*_pair(a, b), tol)
+
+
+def _anticommutes(a: np.ndarray, b: np.ndarray, tol: Tolerance) -> bool:  # validated, one shape
     if not (scale := frobenius(a) * frobenius(b)) < _TOP:
-        return anticommutes(_reduced(a), _reduced(b), tol)
+        return _anticommutes(_reduced(a), _reduced(b), tol)
     return negligible(frobenius(a @ b + b @ a), scale, tol)
+
+
+def _keeps_form(a: np.ndarray, g: np.ndarray | None, tol: Tolerance) -> bool:
+    """a^T g a = g (g None: I), orthogonality or symplecticity, at the scale |a|^2;
+    not homogeneous in a, so where |a|^2 is _TOP or more a residual past the
+    float range fails, and a finite one is judged over |a| at the scale |a|."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = frobenius(a.T @ a - np.eye(a.shape[0]) if g is None else a.T @ g @ a - g)
+    if (scale := frobenius(a)) * scale < _TOP:
+        return negligible(residual, scale * scale, tol)
+    return residual < math.inf and negligible(residual / scale, scale, tol)  # NaN fails
 
 
 def sym_eig(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:

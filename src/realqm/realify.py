@@ -27,11 +27,14 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _anticommutes,
+    _antisymmetric,
+    _commutes,
+    _keeps_form,
     _square_finite,
+    _symmetric,
     as_real_matrix,
     commutes,
-    frobenius,
-    negligible,
 )
 
 __all__ = [
@@ -64,9 +67,7 @@ class ComplexStructure:
     def __post_init__(self) -> None:
         # d is exact: no real matrix of odd size is antisymmetric and orthogonal.
         m = as_real_matrix(self.matrix)
-        fro = frobenius(m)
-        if not (negligible(frobenius(m + m.T), fro)
-                and negligible(frobenius(m.T @ m - np.eye(m.shape[0])), fro * fro)):
+        if not (_antisymmetric(m, DEFAULT_TOL) and _keeps_form(m, None, DEFAULT_TOL)):
             raise ValueError("a complex structure must be antisymmetric and orthogonal")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "d", m.shape[0] // 2)
@@ -204,14 +205,13 @@ def classify(a, j: ComplexStructure, tol: Tolerance = DEFAULT_TOL) -> OperatorFl
     if a.shape[0] != j.dim:
         raise ValueError("matrix dimension does not match the complex structure")
     jm = j.matrix
-    fro = frobenius(a)
     return OperatorFlags(
-        symmetric=negligible(frobenius(a - a.T), fro, tol),
-        antisymmetric=negligible(frobenius(a + a.T), fro, tol),
-        orthogonal=negligible(frobenius(a.T @ a - np.eye(a.shape[0])), fro * fro, tol),
-        symplectic=negligible(frobenius(a.T @ jm @ a - jm), fro * fro, tol),
-        complex_linear=negligible(frobenius(a @ jm - jm @ a), fro * frobenius(jm), tol),
-        complex_antilinear=negligible(frobenius(a @ jm + jm @ a), fro * frobenius(jm), tol),
+        symmetric=_symmetric(a, tol),
+        antisymmetric=_antisymmetric(a, tol),
+        orthogonal=_keeps_form(a, None, tol),
+        symplectic=_keeps_form(a, jm, tol),
+        complex_linear=_commutes(a, jm, tol),
+        complex_antilinear=_anticommutes(a, jm, tol),
     )
 
 

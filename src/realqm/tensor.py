@@ -55,7 +55,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, as_real_matrix, frobenius, negligible
+from .linalg import _TOP, DEFAULT_TOL, Tolerance, _reduced, as_real_matrix, frobenius, negligible
 from .realify import ComplexStructure, standard_complex_structure
 
 __all__ = [
@@ -287,8 +287,9 @@ def physical_escape_check(lifted, space: ProductSpace,
     lifted = as_real_matrix(lifted)
     if lifted.shape[0] != space.dim:
         raise ValueError("operator dimension does not match the product space")
+    if not (scale := frobenius(lifted)) < _TOP:
+        return physical_escape_check(_reduced(lifted), space, tol)
     units = [f.j.matrix for f in space.factors]
-    scale = frobenius(lifted)
     l_p, p_l_p, *scratch = _work_set(units, space.dim)
     _apply_projector(units, lifted, True, [l_p, *scratch])
     _apply_projector(units, l_p, False, [p_l_p, *scratch])

@@ -201,6 +201,15 @@ class TestUncertainty:
         assert out == ""
         assert err.startswith("realqm: constraint violated:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("hbar", ["1", "1e20"])
+    def test_bound_slack_is_in_units_of_hbar(self, capsys, hbar):
+        # alpha + beta is one rounding below 1/2, a valid state whose closed
+        # form is one rounding below hbar/2; a slack of 1e-12 failed it at 1e20.
+        code, out, _ = run_cli(capsys, "uncertainty", "0.2", "0.29999999999999993", "0", "0",
+                               "1", "1", "--hbar", hbar)
+        assert code == 0
+        assert json.loads(out)["rows"][0]["bound_satisfied"] is True
+
     def test_scales_with_hbar(self, capsys):
         code, out, _ = run_cli(capsys, "uncertainty", "0.25", "0.25", "0", "0",
                                "1", "1", "--hbar", "2.0")

@@ -60,7 +60,7 @@ NEAR = 1e-9
 
 
 def tol_of(abs_tol: float) -> Tolerance:
-    return Tolerance(abs_tol=abs_tol, spectral_gap_tol=max(abs_tol, 1e-8))
+    return Tolerance(abs_tol=abs_tol)
 
 
 def placed(pairs):

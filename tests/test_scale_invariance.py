@@ -7,11 +7,12 @@ is complex-linear only when it really commutes with J.
 """
 
 import json
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from realqm.dynamics import hamiltonian
+from realqm.dynamics import SymplecticForm, hamiltonian, symplectic_lie_form_check
 from realqm.linalg import (
     ConstraintError,
     anticommutes,
@@ -20,10 +21,20 @@ from realqm.linalg import (
     is_symmetric,
 )
 from realqm.realify import (
+    ComplexStructure,
+    classify,
+    conjugation_operator,
     embed_matrix,
     standard_complex_structure,
 )
 from realqm.states import state_stack
+from realqm.tensor import (
+    EscapeCheck,
+    FactorSpace,
+    ProductSpace,
+    lift_operator,
+    physical_escape_check,
+)
 
 from helpers import random_structure, run_cli
 
@@ -208,6 +219,7 @@ def test_verdicts_hold_where_a_scale_passes_the_float_range(case):
     seed, decade, k = case
     _, j, s, a, plus, minus, eps = near_structure(seed, decade)
     c = 2.0 ** k
+    space = ProductSpace((FactorSpace(j), FactorSpace.standard(1)))
     for m in (s + eps * a, a + eps * s):
         assert is_symmetric(to_the_top(m)) is is_symmetric(m)
         assert is_antisymmetric(to_the_top(m)) is is_antisymmetric(m)
@@ -216,6 +228,32 @@ def test_verdicts_hold_where_a_scale_passes_the_float_range(case):
         assert anticommutes(c * m, c * j.matrix) is anticommutes(m, j.matrix)
         assert commutes(to_the_top(m), j.matrix) is commutes(m, j.matrix)
         assert hamiltonian(to_the_top(m), j).complex_linear is hamiltonian(m, j).complex_linear
+        lifted = lift_operator(m, 0, space)
+        assert (physical_escape_check(to_the_top(lifted), space)
+                == physical_escape_check(lifted, space))
+    for m in (s + eps * a, a + eps * s, plus + eps * minus, minus + eps * plus):
+        # classify's flags but orthogonal and symplectic, which are not homogeneous
+        top, flags = classify(to_the_top(m), j), classify(m, j)
+        assert (top.symmetric, top.antisymmetric, top.complex_linear, top.complex_antilinear) == (
+            flags.symmetric, flags.antisymmetric, flags.complex_linear, flags.complex_antilinear)
+
+
+def test_orthogonality_and_symplecticity_past_the_float_range():
+    # a^T a = I and a^T J a = J are not homogeneous in a, so no power of two
+    # keeps their verdicts: a residual past the float range fails, and a
+    # residual is judged against |a| where only |a|^2 is past the range.
+    # Each of these read orthogonal and symplectic.
+    j = standard_complex_structure(2)
+    for m, expected in [  # symmetric, antisymmetric, orthogonal, symplectic, linear, antilinear
+        (1.5e308 * j.matrix, (False, True, False, False, True, False)),
+        (1e200 * np.eye(4), (True, False, False, False, True, False)),
+        (0.8e154 * np.eye(4), (True, False, False, False, True, False)),
+        (np.diag([1e200, 1e-200] * 2), (True, False, False, True, False, False)),
+    ]:
+        assert astuple(classify(m, j)) == expected
+    for c in (1e200, 0.8e154, 2.0):
+        with pytest.raises(ValueError, match="must be antisymmetric and orthogonal"):
+            ComplexStructure(c * j.matrix)
 
 
 def test_a_scale_past_the_float_range_admits_no_residual(capsys):
@@ -227,6 +265,20 @@ def test_a_scale_past_the_float_range_admits_no_residual(capsys):
         assert not commutes(c * e, c * f) and commutes(c * e, c * e)
         assert anticommutes(c * z, c * x) and not anticommutes(c * z, c * z)
     assert commutes(np.array(big), np.zeros((2, 2)))  # inf * 0 is no scale
+    # The escape check judges its operator as the predicates do; it read both
+    # verdicts true, which no nonzero operator has.
+    space = ProductSpace((FactorSpace.standard(1),) * 2)
+    for op, factor, verdicts in [(conjugation_operator(1), 0, (False, True)),
+                                 (np.eye(2), 1, (True, False))]:
+        lifted = lift_operator(1.5e308 * op, factor, space)
+        assert physical_escape_check(lifted, space) == EscapeCheck(*verdicts)
+    # {A, A} = 0 holds exactly; (JA)(JA) overflowed to inf - inf, which failed it.
+    rng = np.random.default_rng(9)
+    g = rng.standard_normal((4, 4))
+    w = SymplecticForm(standard_complex_structure(2))
+    for c in (1.0, 1e150, 1e160, 1e300):
+        a = c * (g + g.T) / 2.0
+        assert symplectic_lie_form_check(a, a, np.zeros((4, 4)), w)
     # state_stack judges such a matrix as the predicates do; it flagged this
     # one physical, and m + m^T overflowed in its eigenvalues.
     j = standard_complex_structure(1)

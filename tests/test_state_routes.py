@@ -80,7 +80,7 @@ def candidate(d, seed, commuting, skew, trace_off, lam_min, bad_entry, scale):
        st.sampled_from([0.0, 0.05, -5e-11, -2e-10, -1e-3]),
        st.one_of(st.none(), st.sampled_from([float("nan"), float("inf"), -float("inf")])),
        st.one_of(st.just(0), st.integers(-1100, 60), st.just("top")),
-       st.sampled_from([DEFAULT_TOL, Tolerance(0.0), Tolerance(1e-14), Tolerance(1e-6, 1e-6)]),
+       st.sampled_from([DEFAULT_TOL, Tolerance(0.0), Tolerance(1e-14), Tolerance(1e-6)]),
        st.booleans(), st.booleans())
 @example(2, 0, True, 0.0, 0.0, 0.05, None, 0, DEFAULT_TOL, True, True)  # the all-clear case
 @example(2, 0, True, 0.0, 0.0, 0.05, None, 0, Tolerance(0.0), True, True)

@@ -11,7 +11,7 @@ against a `J`, so they are no arguments: only the validators set them, through
 `linalg._trusted`.  Each invariant needs no outside `J`, so a build with
 inconsistent fields raises ValueError before any verdict can be read from it;
 a derived field (`ComplexStructure.d`, `FactorSpace.d`, `ProductSpace.dim`,
-`SymplecticForm.omega`, the matrices of a `CanonicalPair` and of a
+`SymplecticForm.omega`, `Tolerance.spectral_gap_tol`, the matrices of a `CanonicalPair` and of a
 `FermionicStructure`) is no argument at all, and neither is the time a
 `Propagator` was built for.  A type that holds arrays compares and hashes
 by identity.
@@ -134,13 +134,13 @@ DERIVED = [(DensityMatrix, "physical"), (Hamiltonian, "complex_linear"),
            *((oscillator.CanonicalPair, name) for name in ("x", "p")),
            *((oscillator.FermionicStructure, name) for name in (
                "x", "p", "commuting_unit", "lowering", "raising", "hamiltonian",
-               "basis_swap"))]
+               "basis_swap")), (linalg.Tolerance, "spectral_gap_tol")]
 
 
 @pytest.mark.parametrize("cls, name", DERIVED, ids=lambda v: getattr(v, "__name__", v))
 def test_derived_fields_are_no_arguments(cls, name):
-    args = {DensityMatrix: (np.eye(4) / 4.0,), Hamiltonian: (np.eye(4),)}.get(
-        cls, (1.0, oscillator.OscillatorParams()))
+    args = {DensityMatrix: (np.eye(4) / 4.0,), Hamiltonian: (np.eye(4),),
+            linalg.Tolerance: (1e-6,)}.get(cls, (1.0, oscillator.OscillatorParams()))
     value = cls(*args)
     with pytest.raises(TypeError, match=f"'{name}'"):
         cls(*args, **{name: getattr(value, name)})

@@ -54,7 +54,7 @@ NEAR = st.fixed_dictionaries({
 
 
 def _tol(case) -> Tolerance:
-    return Tolerance(abs_tol=10.0 ** case["log_tol"], spectral_gap_tol=1.0)
+    return Tolerance(abs_tol=10.0 ** case["log_tol"])
 
 
 def _sparse(rng, n: int, zeros: float) -> np.ndarray:

@@ -49,7 +49,7 @@ SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples
 FACTOR_LISTS = ((1, 1), (1, 2), (2, 1), (2, 2), (1, 1, 1), (1, 2, 1), (2, 1, 2))
 
 # Every tolerance passes, so every residual of a function is computed.
-ACCEPT_ALL = Tolerance(abs_tol=np.inf, spectral_gap_tol=np.inf)
+ACCEPT_ALL = Tolerance(abs_tol=np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +324,7 @@ def test_one_projector_test_gives_the_three_test_verdict(case, part, e):
     q = np.eye(space.dim) - p
     g = {"generic": g, "across": p @ g @ q, "outside": q @ g @ q}[part]
     rho = _scaled(rng, rho + 10.0 ** e * (g + g.T), case["k"], case["zeros"])
-    for tol in (DEFAULT_TOL, *(Tolerance(abs_tol=10.0 ** (e + i), spectral_gap_tol=np.inf)
-                               for i in (0, 1, 2))):
+    for tol in (DEFAULT_TOL, *(Tolerance(abs_tol=10.0 ** (e + i)) for i in (0, 1, 2))):
         assert (validate_product_density(rho, space, tol)
                 == _old_validate_product_density(rho, space, tol))
 

@@ -31,10 +31,11 @@ leaves the float range, a target below the spectral bound at a
 physical hbar, a valid `complex_density` with `-0.0` entries in `re`
 and `im`, whose signs the echoed state keeps, and the dim-16 flow again
 at hbar = 0.37, which pins Omega = -J/hbar at an hbar that is not a power
-of two; last, `evolve` under an `oscillator` Hamiltonian, which no workload
+of two; then `evolve` under an `oscillator` Hamiltonian, which no workload
 runs, at lengths 0.7, 1.3, 2.0 and at lengths near sqrt(hbar / (2 m w)) at a
-physical hbar.  Each CLI operation runs once with `--format json` and once
-with `--format csv`.
+physical hbar; last, `spectrum` at `--tol 1e-6` and `--tol 0`, which pin the
+spectral gap that `config` echoes, derived from `--tol`.  Each CLI operation
+runs once with `--format json` and once with `--format csv`.
 ROOT (default: the checkout holding this script) supplies both `src/` and
 `perfbench/`.  Nothing is written to disk.
 """
@@ -128,6 +129,8 @@ FIXED = [
      ["evolve", "--state", _RHO6,
       "--hamiltonian", '{"oscillator": {"lengths": [5e-18, 7.26e-18, 1.5e-17]}}',
       "--t1", "2", "--steps", "4", "--hbar", "1.054571817e-34"]),
+    ("spectrum --tol 1e-6", ["spectrum", "1.5,2.5", "--tol", "1e-6"]),
+    ("spectrum --tol 0", ["spectrum", "1.5,2.5", "--tol", "0"]),
 ]
 
 

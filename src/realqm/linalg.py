@@ -168,11 +168,15 @@ def _keeps_form(a: np.ndarray, g: np.ndarray | None, tol: Tolerance) -> bool:
     """a^T g a = g (g None: I), orthogonality or symplecticity, at the scale |a|^2;
     not homogeneous in a, so where |a|^2 is _TOP or more a residual past the
     float range fails, and a finite one is judged over |a| at the scale |a|."""
+    if (scale := frobenius(a)) * scale < _TOP:  # no entry of the residual overflows
+        return negligible(_form_residual(a, g), scale * scale, tol)
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = frobenius(a.T @ a - np.eye(a.shape[0]) if g is None else a.T @ g @ a - g)
-    if (scale := frobenius(a)) * scale < _TOP:
-        return negligible(residual, scale * scale, tol)
+        residual = _form_residual(a, g)
     return residual < math.inf and negligible(residual / scale, scale, tol)  # NaN fails
+
+
+def _form_residual(a: np.ndarray, g: np.ndarray | None) -> float:
+    return frobenius(a.T @ a - np.eye(a.shape[0]) if g is None else a.T @ g @ a - g)
 
 
 def sym_eig(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:

@@ -176,6 +176,4 @@ class TestTolerance:
             Tolerance(abs_tol=-1.0)
 
     def test_gap_derives_from_abs_tol(self):
-        # The gap was a second argument, which its one program caller, the
-        # CLI, derived from abs_tol as this does.
         assert [Tolerance(t).spectral_gap_tol for t in (0.0, 1e-6, np.inf)] == [1e-8, 1e-6, np.inf]

@@ -82,12 +82,19 @@ def _rand_state_params_4d(rng, n: int) -> tuple[np.ndarray, ...]:
 _SWEEP_BLOCK = 500
 
 
+def _closed_uncertainty(alpha, beta, xi1, xi2, hbar):
+    """hbar sqrt((a + b)^2 + a b (xi1/xi2 - xi2/xi1)^2) per sample: the
+    sweep's `closed`, within an ulp of `oscillator.uncertainty_product`."""
+    ratio = xi1 / xi2 - xi2 / xi1
+    return hbar * np.sqrt((alpha + beta) ** 2 + alpha * beta * ratio**2)
+
+
 def _uncertainty_sweep(alpha, beta, gamma, delta, xi1, xi2, hbar) -> tuple[float, float]:
     """max |direct - closed| and min direct of the R^4 uncertainty product.
 
     `direct` is sqrt(Var x * Var p) from dense rho, x and p, x.x and p.p as
-    generic 4x4 products and traces; `closed` is the paper's
-    hbar sqrt((a + b)^2 + a b (xi1/xi2 - xi2/xi1)^2).  The matrices are
+    generic 4x4 products and traces; `closed` is the paper's closed form,
+    `_closed_uncertainty`.  The matrices are
     stored entry-major, (4, 4, samples), one block at a time.
     """
     def product(u, v):
@@ -118,8 +125,7 @@ def _uncertainty_sweep(alpha, beta, gamma, delta, xi1, xi2, hbar) -> tuple[float
         var_x = trace(rho, product(x, x)) - trace(rho, x) ** 2
         var_p = trace(rho, product(p, p)) - trace(rho, p) ** 2
         direct = np.sqrt(var_x * var_p)
-        ratio = x1 / x2 - x2 / x1
-        closed = hbar * np.sqrt((a + b) ** 2 + a * b * ratio**2)
+        closed = _closed_uncertainty(a, b, x1, x2, hbar)
         # np.maximum and np.minimum carry a NaN through, as one np.max would.
         worst = np.maximum(worst, np.max(np.abs(direct - closed)))
         floor = np.minimum(floor, direct.min())

@@ -446,7 +446,9 @@ def _cmd_evolve(args) -> int:
                 raise UsageError(f"unknown observable spec key {key!r}")
             if not isinstance(doc, dict):
                 raise UsageError("observable spec needs a 'matrix' and optionally a 'name'")
-            name = str(doc.get("name", f"obs{len(observables) - 1}"))
+            name = doc.get("name", f"obs{len(observables) - 1}")
+            if not isinstance(name, str):
+                raise UsageError("observable name must be a JSON string")
             if name in names:
                 raise UsageError(f"observable name {name!r} is already a column")
             if any(c in ',"\r\n' or "\ud800" <= c <= "\udfff" for c in name):

@@ -20,8 +20,6 @@ from .linalg import (
     DEFAULT_TOL,
     ConstraintError,
     Tolerance,
-    _HUGE,
-    _TINY,
     _TOP,
     _commutes,
     _eigh,
@@ -137,114 +135,90 @@ class StateStack:
 
 def state_stack(matrices, j: ComplexStructure | None = None, tol: Tolerance = DEFAULT_TOL,
                 times=None, density: bool = True) -> StateStack:
-    """Validate a stack of states in one pass: the batched `density_matrix`.
+    """Validate a stack of states: the batched `density_matrix`.
 
     Every matrix must be finite and symmetric and, when `density` is set,
     have unit trace within 1e-10 and be PSD within 1e-10; density=False
-    only measures, for the trace-nonpreserving diagnostics flow.  The
-    products, traces and eigenvalues are batched; the norms of m, m - m^T
-    and mJ - Jm are each matrix's `frobenius`, so the symmetry and
-    physicality verdicts are those of `is_symmetric` and `commutes`.  One
-    eigvalsh of the symmetrized stack gives both the PSD test and
-    `min_eigenvalue`.  A matrix whose scale is 2^1023 or more, where a
-    residual or m + m^T can overflow, is judged by those predicates and
-    measured at their reduced scale.  The earliest failing matrix raises
-    ConstraintError, naming its entry of `times` when given.
-
-    A stack of one matrix that passes every check is judged by `_one`, with
-    scalar norms and no per-stack machinery, to the same statistics bit for
-    bit; any other stack, and so every message, comes from the batched route.
+    only measures, for the trace-nonpreserving diagnostics flow.  `_judge`
+    holds that rule and every message.  A stack of one is judged by it
+    alone; a longer stack is measured at once (the products, traces and
+    eigenvalues batched, each matrix's norms its `frobenius`), and each
+    matrix that is not clear there, by a failed check or a scale of 2^1023
+    or more, goes to `_judge` in index order.  So the earliest failing
+    matrix raises ConstraintError, naming its entry of `times` when given,
+    and every statistic is `_judge`'s bit for bit.
     """
     m = np.asarray(matrices, dtype=float)
     if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[1] < 1:
         raise ValueError(f"expected a (T, n, n) stack of matrices, got shape {m.shape}")
     if j is not None and m.shape[1] != j.dim:
         raise ValueError("matrix dimension does not match the complex structure")
-    if len(m) == 1 and (one := _one(m, j, tol, density)) is not None:
-        return one
-    return _batched(m, j, tol, times, density)
-
-
-def _one(m: np.ndarray, j: ComplexStructure | None, tol: Tolerance,
-         density: bool) -> StateStack | None:
-    """`_batched` of a (1, n, n) stack whose matrix passes every check, else
-    None.  The statistics are the batched route's own operations on one
-    matrix: `frobenius`, the trace, eigvalsh and m J - J m."""
-    a = m[0]
-    norm = frobenius(a)
-    scale = norm if j is None else norm * frobenius(j.matrix)
-    if not scale < _TOP:  # not finite, or judged at linalg._reduced's scale
-        return None
-    skew = a - a.T
-    sq = np.vdot(skew, skew)
-    # frobenius(skew) is sqrt(sq) in the normal range.  Below it (sq = 0 for
-    # an exactly symmetric matrix) each entry is below 2^-511, so the
-    # residual is below n 2^-511: a negligible bound settles the verdict, and
-    # where the tolerance is too small for that, an exactly zero skew does;
-    # any other case is the batched route's.
-    if not (negligible(math.sqrt(sq), norm, tol) if _TINY <= sq <= _HUGE
-            else sq < _TINY and (negligible(len(a) * 2.0**-510, norm, tol)
-                                 or not skew.any())):
-        return None
-    trace = a.trace()
-    min_eigenvalue = np.linalg.eigvalsh((a + a.T) / 2.0)[0]
-    if density and not (abs(trace - 1.0) <= _TRACE_TOL and min_eigenvalue >= -_PSD_SLACK):
-        return None
-    if j is None:
-        residual, physical = np.nan, False
-    else:
-        residual = frobenius(a @ j.matrix - j.matrix @ a)
-        physical = negligible(residual, scale, tol)
-    return _trusted(StateStack, matrices=m, trace=np.array([trace]),
-                    min_eigenvalue=np.array([min_eigenvalue]),
-                    physicality_residual=np.array([residual]), physical=np.array([physical]))
-
-
-def _batched(m: np.ndarray, j: ComplexStructure | None, tol: Tolerance, times,
-             density: bool) -> StateStack:
-    """`state_stack` of a validated (T, n, n) stack, every matrix at once."""
+    if times is not None and len(times) != len(m):
+        raise ValueError(f"expected {len(m)} times for the stack, got {len(times)}")
     what = "density matrix" if density else "flowed matrix"
     where = (lambda k: "") if times is None else (lambda k: f" at t = {float(times[k])!r}")
-    finite = np.isfinite(m).all(axis=(1, 2))
-    mt = m.transpose(0, 2, 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.array([frobenius(x) for x in m])
-        scale = norms if j is None else norms * frobenius(j.matrix)
-        inside = scale < _TOP  # finite, and no residual or m + m^T overflows
-        symmetric = negligible(np.array([frobenius(x) for x in m - mt]), norms, tol)
-        trace = np.trace(m, axis1=1, axis2=2)
-        min_eigenvalue = np.linalg.eigvalsh(
-            np.where(inside[:, np.newaxis, np.newaxis], (m + mt) / 2.0, 0.0))[:, 0]
-        if j is None:
-            residual = np.full(len(m), np.nan)
-            physical = np.zeros(len(m), dtype=bool)
+    if len(m) == 1:
+        trace, min_eigenvalue, residual, physical = (
+            np.array([x]) for x in _judge(m[0], j, tol, density, what, where(0)))
+    else:
+        mt = m.transpose(0, 2, 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = np.array([frobenius(x) for x in m])
+            scale = norms if j is None else norms * frobenius(j.matrix)
+            skew = np.array([frobenius(x) for x in m - mt])
+            clear = (scale < _TOP) & negligible(skew, norms, tol)
+            trace = np.trace(m, axis1=1, axis2=2)
+            min_eigenvalue = np.linalg.eigvalsh(
+                np.where(clear[:, np.newaxis, np.newaxis], (m + mt) / 2.0, 0.0))[:, 0]
+            if j is None:
+                residual = np.full(len(m), np.nan)
+                physical = np.zeros(len(m), dtype=bool)
+            else:
+                residual = np.array([frobenius(x) for x in m @ j.matrix - j.matrix @ m])
+                physical = negligible(residual, scale, tol)
+        if density:
+            clear &= (np.abs(trace - 1.0) <= _TRACE_TOL) & (min_eigenvalue >= -_PSD_SLACK)
+        for k in np.flatnonzero(~clear):
+            trace[k], min_eigenvalue[k], residual[k], physical[k] = _judge(
+                m[k], j, tol, density, what, where(k))
+    return _trusted(StateStack, matrices=m, trace=trace, min_eigenvalue=min_eigenvalue,
+                    physicality_residual=residual, physical=physical)
+
+
+def _judge(a: np.ndarray, j: ComplexStructure | None, tol: Tolerance, density: bool,
+           what: str, where: str) -> tuple[float, float, float, bool]:
+    """The state rule for one matrix, in order: finite, symmetric, then for a
+    density unit trace and PSD.  Raises ConstraintError naming `what` and
+    ending in `where`, else returns the trace, minimum eigenvalue,
+    physicality residual (NaN without J) and physical flag.  Where the
+    scale is 2^1023 or more, so that a residual or a + a^T can overflow,
+    symmetry and physicality are those of `_symmetric` and `_commutes`, and
+    the minimum eigenvalue is measured at their reduced scale."""
+    norm = frobenius(a)
+    scale = norm if j is None else norm * frobenius(j.matrix)
+    with np.errstate(over="ignore", invalid="ignore"):  # a trace or residual may leave the range
+        trace = a.trace()
+        residual = np.nan if j is None else frobenius(a @ j.matrix - j.matrix @ a)
+        if scale < _TOP:
+            symmetric = negligible(frobenius(a - a.T), norm, tol)
+            min_eigenvalue = np.linalg.eigvalsh((a + a.T) / 2.0)[0]
+            physical = j is not None and negligible(residual, scale, tol)
         else:
-            residual = np.array([frobenius(x) for x in m @ j.matrix - j.matrix @ m])
-            physical = negligible(residual, scale, tol)
-        if not inside.all():
-            for k in np.flatnonzero(finite & ~inside):  # judged at linalg._reduced's scale
-                symmetric[k] = _symmetric(m[k], tol)
-                physical[k] = j is not None and _commutes(m[k], j.matrix, tol)
-                e = math.frexp(np.abs(m[k]).max())[1]
-                r = np.ldexp(m[k], -e)
-                min_eigenvalue[k] = np.ldexp(np.linalg.eigvalsh((r + r.T) / 2.0)[0], e)
-    checks = [(~finite, lambda k: f"{what} is not finite"),
-              (~symmetric, lambda k: f"{what} must be symmetric")]
-    if density:
-        checks += [
-            (np.abs(trace - 1.0) > _TRACE_TOL,
-             lambda k: f"{what} must have unit trace, got {float(trace[k])!r}"),
-            (min_eigenvalue < -_PSD_SLACK,
-             lambda k: f"{what} must be positive semidefinite, "
-                       f"minimum eigenvalue {float(min_eigenvalue[k])!r}"),
-        ]
-    failing = np.logical_or.reduce([bad for bad, _ in checks])
-    if failing.any():
-        k = int(np.argmax(failing))
-        message = next(describe(k) for bad, describe in checks if bad[k])
-        raise ConstraintError(message + where(k))
-    return StateStack(matrices=m, trace=trace, min_eigenvalue=min_eigenvalue,
-                      physicality_residual=residual, physical=physical)
+            if not np.isfinite(a).all():
+                raise ConstraintError(f"{what} is not finite{where}")
+            symmetric = _symmetric(a, tol)
+            e = math.frexp(np.abs(a).max())[1]
+            r = np.ldexp(a, -e)
+            min_eigenvalue = np.ldexp(np.linalg.eigvalsh((r + r.T) / 2.0)[0], e)
+            physical = j is not None and _commutes(a, j.matrix, tol)
+    if not symmetric:
+        raise ConstraintError(f"{what} must be symmetric{where}")
+    if density and abs(trace - 1.0) > _TRACE_TOL:
+        raise ConstraintError(f"{what} must have unit trace, got {float(trace)!r}{where}")
+    if density and min_eigenvalue < -_PSD_SLACK:
+        raise ConstraintError(f"{what} must be positive semidefinite, "
+                              f"minimum eigenvalue {float(min_eigenvalue)!r}{where}")
+    return trace, min_eigenvalue, residual, physical
 
 
 def spectral_decompose(a, tol: Tolerance = DEFAULT_TOL) -> SpectralDecomposition:

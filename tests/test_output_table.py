@@ -270,6 +270,14 @@ class TestEvolveColumns:
         assert code == 0
         assert out.splitlines()[0].endswith(",energy,obs0,obs1")
 
+    @pytest.mark.parametrize("name", [None, 1, 2.5, True, {"a": 1}, ["x"]])
+    def test_name_that_is_not_a_string_is_usage_error(self, capsys, name):
+        # {"a": 1} once named a column "{'a': 1}", and null one "None".
+        text = json.dumps({"observable": {"name": name, "matrix": DIAGONAL}})
+        result = evolve(capsys, text)
+        assert_rejected(result, 1)
+        assert result[2] == "realqm: error: observable name must be a JSON string\n"
+
     @pytest.mark.parametrize("name", ["a,b", 'a"b', "a\rb", "a\nb"])
     def test_name_that_breaks_csv_is_usage_error(self, capsys, name):
         assert_rejected(evolve(capsys, observable(name)), 1)

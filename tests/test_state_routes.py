@@ -1,11 +1,12 @@
 """The one-matrix route of `state_stack` against the batched route.
 
-A stack of one matrix that passes every check is judged with scalar norms
-(`states._one`); anything else goes to the batched route, which holds every
-message.  Over matrices on every side of each check, `state_stack` of one
-matrix must raise the batched route's ConstraintError message, or return its
-trace, minimum eigenvalue, physicality residual and flag bit for bit; and
-`density_matrix` must agree with it.
+A stack of one matrix is judged by `states._judge` alone; a longer stack is
+measured at once and hands each matrix that is not clear there to `_judge`.
+Over matrices on every side of each check, a matrix judged alone and the
+same matrix between two clear states, with times, must raise the same
+ConstraintError message, naming its time, or give the same trace, minimum
+eigenvalue, physicality residual and flag bit for bit; and `density_matrix`
+must agree with them.  A clear matrix in a longer stack is not judged again.
 """
 
 import math
@@ -13,9 +14,9 @@ import math
 import numpy as np
 import pytest
 
-from realqm import states
 from realqm.linalg import DEFAULT_TOL, ConstraintError, Tolerance
 from realqm.realify import embed_matrix, standard_complex_structure
+from realqm import states
 from realqm.states import density_matrix, state_stack
 
 from helpers import rand_complex
@@ -28,13 +29,21 @@ SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples
 FIELDS = ("trace", "min_eigenvalue", "physicality_residual", "physical")
 
 
-def outcome(call):
-    """A ConstraintError's message, or the statistics' bytes."""
+def outcome(call, row):
+    """A ConstraintError's message, or the bytes of one row's statistics."""
     try:
         stack = call()
     except ConstraintError as exc:
         return str(exc)
-    return tuple((getattr(stack, f).dtype.str, getattr(stack, f).tobytes()) for f in FIELDS)
+    return tuple((getattr(stack, f).dtype.str, getattr(stack, f)[row].tobytes()) for f in FIELDS)
+
+
+def clear(d):
+    """An exactly Hermitian complex density, embedded and halved: symmetric and
+    J-commuting with zero residuals, so clear at every tolerance."""
+    g = rand_complex(np.random.default_rng(d), d)
+    h = g @ g.conj().T
+    return embed_matrix((h + h.conj().T) / (2.0 * np.trace(h).real)) / 2.0
 
 
 def candidate(d, seed, commuting, skew, trace_off, lam_min, bad_entry, scale):
@@ -89,47 +98,58 @@ def test_one_matrix_route_equals_the_batched_route(d, seed, commuting, skew, tra
                                                    bad_entry, scale, tol, with_j, density):
     m = candidate(d, seed, commuting, skew, trace_off, lam_min, bad_entry, scale)
     j = standard_complex_structure(d) if with_j else None
-    got = outcome(lambda: state_stack(m[np.newaxis], j, tol, density=density))
-    want = outcome(lambda: states._batched(m[np.newaxis], j, tol, None, density))
-    assert got == want
+    c = clear(d)
+    alone = outcome(lambda: state_stack(m[np.newaxis], j, tol, [1.5], density), 0)
+    among = outcome(lambda: state_stack(np.stack([c, m, c]), j, tol, [0.5, 1.5, 2.5], density), 1)
+    assert alone == among
+    if isinstance(alone, str):
+        assert alone.endswith(" at t = 1.5")
     if density and np.isfinite(m).all():  # density_matrix rejects the rest as input
         try:
             flag = density_matrix(m, j, tol).physical
         except ConstraintError as exc:
-            flag = str(exc)
-        physical = isinstance(want, tuple) and want[-1][1] == np.array([True]).tobytes()
-        assert flag == (want if isinstance(want, str) else physical)
+            assert alone == f"{exc} at t = 1.5"
+        else:
+            assert isinstance(alone, tuple) and alone[-1][1] == np.array(flag).tobytes()
+
+
+def judged(monkeypatch):
+    """The matrices `states._judge` is handed from here on."""
+    seen = []
+    judge = states._judge
+
+    def counted(a, *args):
+        seen.append(a)
+        return judge(a, *args)
+
+    monkeypatch.setattr(states, "_judge", counted)
+    return seen
 
 
 @pytest.mark.parametrize("d", [1, 2, 8])
 @pytest.mark.parametrize("with_j", [True, False])
-def test_a_generic_state_takes_the_one_matrix_route(d, with_j):
+def test_a_generic_state_takes_the_one_matrix_route(d, with_j, monkeypatch):
     # An embedded complex density: m - m^T and [m, J] are exactly zero.
-    rng = np.random.default_rng(d)
-    g = rand_complex(rng, d)
-    m = embed_matrix(g @ g.conj().T / np.trace(g @ g.conj().T).real) / 2.0
+    m = clear(d)
     j = standard_complex_structure(d) if with_j else None
-    one = states._one(m[np.newaxis], j, DEFAULT_TOL, True)
-    assert one is not None
-    assert outcome(lambda: one) == outcome(
-        lambda: states._batched(m[np.newaxis], j, DEFAULT_TOL, None, True))
-    assert bool(one.physical[0]) is with_j
+    among = outcome(lambda: state_stack(np.stack([m, m, m]), j), 1)
+    seen = judged(monkeypatch)
+    alone = outcome(lambda: state_stack(m[np.newaxis], j), 0)
+    assert len(seen) == 1 and (seen[0] == m).all()
+    assert alone == among
+    assert alone[-1][1] == np.array(with_j).tobytes()
 
 
 @pytest.mark.parametrize("d", [1, 2, 8])
 def test_an_exactly_symmetric_state_takes_the_one_matrix_route_at_zero_tolerance(d, monkeypatch):
-    # At Tolerance(0.0) no bound on a residual below 2^-510 is negligible, so
-    # an exactly zero m - m^T went to the batched route for the same verdict.
-    g = rand_complex(np.random.default_rng(d), d)
-    h = g @ g.conj().T
-    h = (h + h.conj().T) / (2.0 * np.trace(h).real)  # exactly Hermitian
-    m = embed_matrix(h) / 2.0
+    # At Tolerance(0.0) only a zero m - m^T is symmetric.  Judged alone the
+    # state passes; in a stack it is clear, so no matrix is judged again.
+    m = clear(d)
     assert not (m - m.T).any()
     j, tol = standard_complex_structure(d), Tolerance(0.0)
-    want = outcome(lambda: states._batched(m[np.newaxis], j, tol, None, True))
-
-    def batched(*args):
-        raise AssertionError("the batched route was taken")
-
-    monkeypatch.setattr(states, "_batched", batched)
-    assert outcome(lambda: state_stack(m[np.newaxis], j, tol)) == want
+    alone = outcome(lambda: state_stack(m[np.newaxis], j, tol), 0)
+    seen = judged(monkeypatch)
+    stack = state_stack(np.stack([m, m, m]), j, tol, [0.0, 1.0, 2.0])
+    assert seen == []
+    assert all(outcome(lambda: stack, row) == alone for row in range(3))
+    assert stack.physical.all()

@@ -389,6 +389,13 @@ class TestStateStack:
             state_stack(matrices, standard_complex_structure(2), times=times)
         assert str(info.value).endswith(f"at t = {float(times[index])!r}")
 
+    @pytest.mark.parametrize("times", [[0.0], [0.0, 0.5, 1.0], []])
+    def test_times_of_another_length_are_rejected_before_judging(self, times):
+        # The second matrix fails; a short `times` once raised IndexError naming it.
+        matrices = np.stack([np.eye(2) / 2.0, [[1.0, 2.0], [0.0, 1.0]]])
+        with pytest.raises(ValueError, match=f"expected 2 times for the stack, got {len(times)}"):
+            state_stack(matrices, times=times)
+
     def test_measure_only_accepts_non_states(self):
         rng = np.random.default_rng(SEED)
         matrices = self.stack(rng, 2, 3) * 3.0

@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from realqm import checks
+from realqm import checks, oscillator
 from realqm.checks import run_checks
 
 SEEDS = (0, 1, 2, 3, 4, 5, 2**32 + 1, 2**62 + 11)
@@ -109,6 +109,19 @@ def test_suite_reports_the_one_pass_residuals(seed):
         ("oscillator", name, float.fromhex(value).hex(), threshold)
         for name, value, threshold in zip(NAMES, ONE_PASS_RESIDUALS[seed], THRESHOLDS,
                                           strict=True)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sweep_closed_form_is_the_library_uncertainty_product(seed):
+    alpha, beta, gamma, delta, xi1, xi2, hbar = suite_samples(seed)
+    params = oscillator.OscillatorParams(hbar=hbar)
+    closed = checks._closed_uncertainty(alpha, beta, xi1, xi2, hbar)
+    library = [oscillator.uncertainty_product(*state, xis, params) for *state, xis in
+               zip(alpha, beta, gamma, delta, np.column_stack([xi1, xi2]), strict=True)]
+    # Within one unit in the last place, not bit for bit: the library squares
+    # its scalars with pow, which libm does not always round correctly, and the
+    # sweep squares arrays as x * x (1 to 3 of the 10 000 samples differ).
+    np.testing.assert_array_max_ulp(closed, np.array(library), maxulp=1)
 
 
 def test_block_stacks_stay_below_the_mmap_threshold():

@@ -33,8 +33,10 @@ and `im`, whose signs the echoed state keeps, and the dim-16 flow again
 at hbar = 0.37, which pins Omega = -J/hbar at an hbar that is not a power
 of two; then `evolve` under an `oscillator` Hamiltonian, which no workload
 runs, at lengths 0.7, 1.3, 2.0 and at lengths near sqrt(hbar / (2 m w)) at a
-physical hbar; last, `spectrum` at `--tol 1e-6` and `--tol 0`, which pin the
-spectral gap that `config` echoes, derived from `--tol`.  Each CLI operation
+physical hbar; then `spectrum` at `--tol 1e-6` and `--tol 0`, which pin the
+spectral gap that `config` echoes, derived from `--tol`; last, a dim-2
+`--diagnostics` flow over three time points whose last flowed matrix is
+not finite, which pins the message a stack of several matrices hands on.  Each CLI operation
 runs once with `--format json` and once with `--format csv`.
 ROOT (default: the checkout holding this script) supplies both `src/` and
 `perfbench/`.  Nothing is written to disk.
@@ -131,6 +133,10 @@ FIXED = [
       "--t1", "2", "--steps", "4", "--hbar", "1.054571817e-34"]),
     ("spectrum --tol 1e-6", ["spectrum", "1.5,2.5", "--tol", "1e-6"]),
     ("spectrum --tol 0", ["spectrum", "1.5,2.5", "--tol", "0"]),
+    ("matrix --diagnostics flowed matrix past the float range",
+     ["evolve", "--state", _matrix([[0.5, 0], [0, 0.5]]),
+      "--hamiltonian", _matrix([[1, 0], [0, -1]]), "--t1", "400", "--steps", "2",
+      "--diagnostics"]),
 ]
 
 

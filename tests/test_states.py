@@ -391,7 +391,7 @@ class TestStateStack:
 
     @pytest.mark.parametrize("times", [[0.0], [0.0, 0.5, 1.0], []])
     def test_times_of_another_length_are_rejected_before_judging(self, times):
-        # The second matrix fails; a short `times` once raised IndexError naming it.
+        # The second matrix fails: a short `times` raised IndexError naming its time.
         matrices = np.stack([np.eye(2) / 2.0, [[1.0, 2.0], [0.0, 1.0]]])
         with pytest.raises(ValueError, match=f"expected 2 times for the stack, got {len(times)}"):
             state_stack(matrices, times=times)

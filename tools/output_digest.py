@@ -35,9 +35,9 @@ of two; then `evolve` under an `oscillator` Hamiltonian, which no workload
 runs, at lengths 0.7, 1.3, 2.0 and at lengths near sqrt(hbar / (2 m w)) at a
 physical hbar; then `spectrum` at `--tol 1e-6` and `--tol 0`, which pin the
 spectral gap that `config` echoes, derived from `--tol`; last, a dim-2
-`--diagnostics` flow over three time points whose last flowed matrix is
-not finite, which pins the message a stack of several matrices hands on.  Each CLI operation
-runs once with `--format json` and once with `--format csv`.
+`--diagnostics` flow over three time points whose last flowed matrix is not
+finite, which pins the message a stack of several matrices hands on.  Each
+CLI operation runs once with `--format json` and once with `--format csv`.
 ROOT (default: the checkout holding this script) supplies both `src/` and
 `perfbench/`.  Nothing is written to disk.
 """

@@ -84,7 +84,8 @@ _SWEEP_BLOCK = 500
 
 def _closed_uncertainty(alpha, beta, xi1, xi2, hbar):
     """hbar sqrt((a + b)^2 + a b (xi1/xi2 - xi2/xi1)^2) per sample: the
-    sweep's `closed`, within an ulp of `oscillator.uncertainty_product`."""
+    sweep's `closed`, bit for bit `oscillator.uncertainty_product` (numpy
+    squares an array by multiplication)."""
     ratio = xi1 / xi2 - xi2 / xi1
     return hbar * np.sqrt((alpha + beta) ** 2 + alpha * beta * ratio**2)
 

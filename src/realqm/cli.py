@@ -30,13 +30,14 @@ import functools
 import itertools
 import json
 import math
+import re
 import sys
 
 import numpy as np
 
 from . import checks, dynamics, oscillator, states, trace
 # sym_eig is unused; perfbench's test_tracer_patches_every_binding_and_restores_them needs it.
-from .linalg import ConstraintError, Tolerance, _symmetric, _trusted, sym_eig
+from .linalg import ConstraintError, Tolerance, _commutes, _symmetric, _trusted, sym_eig
 from .realify import embed_matrix, standard_complex_structure
 
 __all__ = ["main", "run"]
@@ -56,6 +57,12 @@ class UsageError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A negative number is a value in any spelling, as in newer argparse
+        # (Python 3.11 takes -1e-3 for an option); no flag starts with a digit.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     # argparse exits with status 2 on bad usage, but 2 is reserved for
     # domain violations here, so remap usage problems to 1.
     def error(self, message):
@@ -321,7 +328,7 @@ def _state_from_spec(text: str, tol: Tolerance, need_physical: bool
         raise ConstraintError(
             "state does not commute with the complex structure; "
             "pass --diagnostics to evolve it anyway")
-    return stack, _trusted(states.DensityMatrix, matrix=m, physical=bool(stack.physical[0]))
+    return stack, _trusted(states.DensityMatrix, matrix=m)
 
 
 def _hamiltonian_from_spec(text: str, params: oscillator.OscillatorParams,
@@ -419,15 +426,17 @@ def _cmd_evolve(args) -> int:
     tol = _tolerance(args)
     with trace.span("state") as fields:
         start, rho = _state_from_spec(args.state, tol, need_physical=not args.diagnostics)
-        fields.update(dim=rho.dim, physical=rho.physical)
+        fields["dim"], fields["physical"] = rho.dim, bool(start.physical[0])
     with trace.span("hamiltonian") as fields:
         h = _hamiltonian_from_spec(args.hamiltonian, params, tol)
-        fields.update(dim=h.dim, complex_linear=h.complex_linear)
+        j = standard_complex_structure(h.dim // 2)
+        complex_linear = _commutes(h.matrix, j.matrix, tol)
+        fields["dim"], fields["complex_linear"] = h.dim, complex_linear
     if rho.dim != h.dim:
         raise UsageError(
             f"state dimension {rho.dim} does not match Hamiltonian dimension {h.dim}")
-    w = dynamics.SymplecticForm(standard_complex_structure(rho.dim // 2), params.hbar)
-    if not h.complex_linear and not args.diagnostics:
+    w = dynamics.SymplecticForm(j, params.hbar)
+    if not complex_linear and not args.diagnostics:
         raise ConstraintError(
             "Hamiltonian does not commute with the complex structure; "
             "pass --diagnostics to integrate the nonphysical flow anyway")

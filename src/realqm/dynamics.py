@@ -12,7 +12,8 @@ orthogonal, symplectic propagator U(t) = exp(-(t/hbar) J H), which J^2 = -I
 and [H, J] = 0 reduce to the closed form cos(tH/hbar) - J sin(tH/hbar).
 A `SymplecticForm` is built from J and hbar, holds the one hbar guard and
 derives Omega itself; every function that needs J and hbar takes a form.  A
-`Hamiltonian` checks itself, and only the validators set `complex_linear`.
+`Hamiltonian` checks itself and holds no J: `propagator` and
+`expectation_grid` ask `_commutes` at the form's J whether it commutes.
 
 Such an H is an embedded complex Hermitean d x d matrix, diagonalised once
 in the complex frame of J, where each level appears once.  In that energy
@@ -47,7 +48,7 @@ from .linalg import (
     negligible,
 )
 from .realify import ComplexStructure
-from .states import DensityMatrix, StateStack, state_stack
+from .states import DensityMatrix, StateStack, _check_observable, state_stack
 
 __all__ = [
     "SymplecticForm",
@@ -89,11 +90,10 @@ class SymplecticForm:
 
 @dataclass(frozen=True, eq=False)
 class Hamiltonian:
-    """A finite, symmetric generator; `complex_linear`, no argument, is False
-    unless a validator (`hamiltonian`, `oscillator_hamiltonian`) sets it."""
+    """A finite, symmetric generator.  It is complex-linear at the J in hand
+    when it commutes with it (`linalg.commutes`)."""
 
     matrix: np.ndarray
-    complex_linear: bool = field(default=False, init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "matrix", _generator(self.matrix, DEFAULT_TOL))
@@ -117,11 +117,11 @@ def _generator(matrix, tol: Tolerance) -> np.ndarray:  # the J-free rule for gen
 
 
 def hamiltonian(matrix, j: ComplexStructure, tol: Tolerance = DEFAULT_TOL) -> Hamiltonian:
-    """Validate a symmetric generator and record whether it commutes with J."""
+    """Validate a symmetric generator of J's dimension."""
     m = _generator(matrix, tol)
     if m.shape[0] != j.dim:
         raise ValueError("matrix dimension does not match the complex structure")
-    return _trusted(Hamiltonian, matrix=m, complex_linear=_commutes(m, j.matrix, tol))
+    return _trusted(Hamiltonian, matrix=m)
 
 
 def _check_bracket_args(*args, w: SymplecticForm, tol: Tolerance) -> list[np.ndarray]:
@@ -191,10 +191,10 @@ def liouville_rhs(h: Hamiltonian, rho: DensityMatrix, w: SymplecticForm) -> np.n
 
 
 def _require_complex_linear(h: Hamiltonian, w: SymplecticForm, tol: Tolerance) -> None:
-    """H's flag is trusted only with [H, J] negligible at this J and tol."""
+    """H generates a physical motion only with [H, J] negligible at the form's J and tol."""
     if h.dim != w.j.dim:
         raise ValueError("matrix dimension does not match the complex structure")
-    if not (h.complex_linear and _commutes(h.matrix, w.j.matrix, tol)):
+    if not _commutes(h.matrix, w.j.matrix, tol):
         raise ConstraintError("propagator requires a Hamiltonian that commutes with J")
 
 
@@ -261,10 +261,11 @@ def expectation_grid(rho0: DensityMatrix, h: Hamiltonian, observables, times,
     S = X^H rho0 conj X, M1 = R o (X^H A X)^T and M2 = S o (X^T A X)^T,
     Tr(rho(t) A) = 2 Re sum_kl (z_k M1_kl conj z_l + z_k M2_kl z_l), which is
     O(d^2) per point.  S sees only the antilinear part of rho0, nonzero for
-    a state that is physical only within tolerance.
+    a state that is physical only within tolerance.  Each observable must be
+    symmetric, by the rule and with the message of `states.expectation`.
     """
     times = np.asarray(times, dtype=float).reshape(-1)
-    observables = [as_real_matrix(a) for a in observables]
+    observables = [_check_observable(a, tol) for a in observables]
     if rho0.dim != h.dim or any(a.shape != h.matrix.shape for a in observables):
         raise ValueError("Hamiltonian, state and observable dimensions differ")
     _require_complex_linear(h, w, tol)
@@ -304,21 +305,18 @@ def evolve(rho0: DensityMatrix, h: Hamiltonian, t: float, w: SymplecticForm,
            tol: Tolerance = DEFAULT_TOL) -> DensityMatrix:
     """rho(t) = U(t) rho(0) U(t)^T, revalidated as a density matrix: the
     real-space reference at one time point.  U is orthogonal and symplectic,
-    so trace, spectrum and physicality are preserved; a physical rho0 whose
-    evolved state is not physical raises ConstraintError naming rho0 when it
-    does not commute with this J (its flag was judged against another), else
-    naming t."""
+    so trace, spectrum and physicality are preserved: an evolved state that
+    does not commute with the form's J, from a rho0 that does, raises
+    ConstraintError naming t.  A rho0 that does not commute with J evolves
+    unguarded."""
     if rho0.dim != h.dim:
         raise ValueError("Hamiltonian and state dimensions differ")
     u = propagator(h, t, w, tol).u
     stack = state_stack((u @ rho0.matrix @ u.T)[np.newaxis], w.j, tol, [t])
-    if rho0.physical and not stack.physical[0]:
-        if not _commutes(rho0.matrix, w.j.matrix, tol):
-            raise ConstraintError("the initial state does not commute with this complex "
-                                  "structure (it was judged physical against another)")
+    if not stack.physical[0] and _commutes(rho0.matrix, w.j.matrix, tol):
         raise ConstraintError(f"evolved state is not physical at t = {float(t)!r}: "
                               f"||[rho, J]|| = {float(stack.physicality_residual[0]):.3g}")
-    return _trusted(DensityMatrix, matrix=stack.matrices[0], physical=bool(stack.physical[0]))
+    return _trusted(DensityMatrix, matrix=stack.matrices[0])
 
 
 def _flow(rho: np.ndarray, h_omega: np.ndarray, t: float) -> np.ndarray:

@@ -167,7 +167,7 @@ def oscillator_hamiltonian(pair: CanonicalPair) -> Hamiltonian:
     on block i as E_i I_2, so it commutes exactly with the standard J even
     though x and p anticommute with it.  Overflow raises ConstraintError."""
     h = np.diag(energy_levels(pair.lengths, pair.params).repeat(2))
-    return _trusted(Hamiltonian, matrix=h, complex_linear=True)
+    return _trusted(Hamiltonian, matrix=h)
 
 
 def energy_levels(xis, params: OscillatorParams) -> np.ndarray:
@@ -246,14 +246,16 @@ def uncertainty_product(alpha: float, beta: float, gamma: float, delta: float,
         hbar * sqrt((alpha+beta)^2 + alpha*beta*(xi1/xi2 - xi2/xi1)^2)
 
     which is bounded below by hbar/2 and attains the bound whenever
-    xi1 = xi2.  State parameters are validated first.
+    xi1 = xi2.  State parameters are validated first.  Squares are products,
+    correctly rounded, where libm's pow need not be.
     """
     physical_density_4d(alpha, beta, gamma, delta)
     xis = _check_lengths(xis)
     if xis.size != 2:
         raise ValueError("the closed form needs exactly two lengths")
     ratio = xis[0] / xis[1] - xis[1] / xis[0]
-    return params.hbar * float(np.sqrt((alpha + beta) ** 2 + alpha * beta * ratio**2))
+    s = alpha + beta
+    return params.hbar * float(np.sqrt(s * s + alpha * beta * (ratio * ratio)))
 
 
 def translation_operator(pair: CanonicalPair, distance: float) -> np.ndarray:

@@ -6,13 +6,14 @@ that additionally commute with the complex structure J.  Physical states
 are the images of complex-theory density matrices under embedding followed
 by division by two (the real trace doubles), so they never have an
 eigenvalue above 1/2 and there are no pure states among them.  A
-`DensityMatrix` checks itself; only the validators set its `physical` flag.
+`DensityMatrix` checks itself and holds no J: a state is physical at the J
+in hand when it commutes with it (`linalg.commutes`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .linalg import (
     negligible,
     sym_eig,  # unused; perfbench's test_tracer_patches_every_binding_and_restores_them needs it
 )
-from .realify import ComplexStructure, embed_matrix, standard_complex_structure
+from .realify import ComplexStructure, embed_matrix
 
 __all__ = [
     "DensityMatrix",
@@ -60,13 +61,11 @@ _PARAM_SLACK = 1e-12
 class DensityMatrix:
     """A state: finite, symmetric, PSD within 1e-10, unit trace within 1e-10.
 
-    `physical` records whether it commutes with the J it was validated against
-    (only physical states correspond to states of the complex theory).  It is no
-    argument: a direct build has no J and leaves it False; validators set it.
+    Only the states that commute with J correspond to states of the complex
+    theory; ask `commutes(rho.matrix, j.matrix, tol)` at the J in hand.
     """
 
     matrix: np.ndarray
-    physical: bool = field(default=False, init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "matrix", density_matrix(self.matrix).matrix)
@@ -106,16 +105,18 @@ def _check_observable(a, tol: Tolerance, dim: int | None = None) -> np.ndarray:
 
 def density_matrix(matrix, j: ComplexStructure | None = None,
                    tol: Tolerance = DEFAULT_TOL) -> DensityMatrix:
-    """Validate a candidate state and tag whether it is physical.
+    """Validate a candidate state.
 
-    Boundary states with an eigenvalue of exactly zero are accepted.  When
-    no complex structure is supplied the physicality flag is False (the
-    general, non-physical state set).  The checks are those of
-    `state_stack`, on a stack of one.
+    Boundary states with an eigenvalue of exactly zero are accepted.  The
+    checks are those of `state_stack`, on a stack of one.  A complex
+    structure, when given, checks the dimension only: whether the state is
+    physical at it is `commutes(rho.matrix, j.matrix, tol)`.
     """
     m = as_real_matrix(matrix)
-    stack = state_stack(m[np.newaxis], j, tol)
-    return _trusted(DensityMatrix, matrix=m, physical=bool(stack.physical[0]))
+    if j is not None and m.shape[0] != j.dim:
+        raise ValueError("matrix dimension does not match the complex structure")
+    state_stack(m[np.newaxis], None, tol)
+    return _trusted(DensityMatrix, matrix=m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,8 +276,7 @@ def physical_from_complex(rho_c, tol: Tolerance = DEFAULT_TOL) -> DensityMatrix:
     eigenvalue reported is half that of rho.  The image commutes with J by
     construction and has no eigenvalue above 1/2.
     """
-    m = embed_matrix(rho_c) / 2.0
-    return density_matrix(m, standard_complex_structure(m.shape[0] // 2), tol)
+    return density_matrix(embed_matrix(rho_c) / 2.0, None, tol)
 
 
 def physical_density_4d(alpha: float, beta: float, gamma: float,
@@ -305,7 +305,7 @@ def physical_density_4d(alpha: float, beta: float, gamma: float,
         [gamma, -delta, beta, 0.0],
         [delta, gamma, 0.0, beta],
     ])
-    return _trusted(DensityMatrix, matrix=m, physical=True)
+    return _trusted(DensityMatrix, matrix=m)
 
 
 def are_orthogonal_states(rho1: DensityMatrix, rho2: DensityMatrix,

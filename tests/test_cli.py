@@ -9,12 +9,13 @@ import pytest
 
 from realqm import dynamics, linalg, states
 from realqm.cli import MAX_STEPS, _build_parser, main
-from realqm.realify import embed_matrix
+from realqm.realify import conjugation_operator, embed_matrix
 
 from helpers import run_cli
 
 STATE_QUARTER = '{"physical_density": [0.25, 0.25, 0, 0.25]}'
 FERMIONIC_H = '{"fermionic": {"length": 1.0}}'
+EVOLVE_QUARTER = ("evolve", "--state", STATE_QUARTER, "--hamiltonian", FERMIONIC_H, "--steps", "2")
 
 
 def generic_evolve_specs(d, seed=11):
@@ -469,6 +470,74 @@ class TestEvolveGrid:
         assert code == 1
         assert out == ""
         assert str(MAX_STEPS) in err
+
+
+class TestTimeReversal:
+    """The paper's time reversal, end to end: complex conjugation C (an
+    antiunitary, C J C = -J) turns the motion of (rho, H, A) on [0, T] into
+    that of (C rho C, C H C, C A C) on [0, -T], row by row."""
+
+    @staticmethod
+    def matrix(m):
+        return {"dim": len(m), "entries": m.ravel().tolist()}
+
+    @pytest.mark.parametrize("d, seed, t1", [(2, 1, 0.7), (2, 2, 9.5), (4, 3, 3.1),
+                                             (5, 4, 1.25), (8, 5, 12.5)])
+    def test_conjugated_motion_runs_backwards(self, capsys, d, seed, t1):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        rho = embed_matrix(g @ g.conj().T / np.trace(g @ g.conj().T).real) / 2.0
+        h_c = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        h = embed_matrix(h_c + h_c.conj().T)
+        a = rng.standard_normal((2 * d, 2 * d))
+        a = a + a.T  # generic: antilinear part included
+        c = conjugation_operator(d)
+
+        def rows(rho, h, a, t1):
+            code, out, err = run_cli(
+                capsys, "evolve", "--state", json.dumps({"matrix": self.matrix(rho)}),
+                "--hamiltonian", json.dumps({"matrix": self.matrix(h)}),
+                "--observable", json.dumps({"observable": {"name": "a", "matrix": self.matrix(a)}}),
+                "--t1", repr(t1), "--steps", "6")
+            assert code == 0, err
+            return json.loads(out)["rows"]
+
+        forward, backward = rows(rho, h, a, t1), rows(c @ rho @ c, c @ h @ c, c @ a @ c, -t1)
+        assert len(forward) == len(backward) == 7
+        for f, b in zip(forward, backward):
+            assert b["t"] == -f["t"]
+            for name in ("trace", "physicality_residual", "energy", "a"):
+                assert b[name] == f[name], name
+            # LAPACK rounds eigvalsh(C rho C) in the last digits its own way.
+            assert abs(b["min_eigenvalue"] - f["min_eigenvalue"]) <= 4 * np.finfo(float).eps
+
+
+class TestNegativeNumbers:
+    """A negative number is a value in every float spelling: Python 3.11's
+    argparse took one with an exponent, such as -1e-3, for an option."""
+
+    @pytest.mark.parametrize("argv, plain", [
+        ((*EVOLVE_QUARTER, "--t1", "-1e-3"), (*EVOLVE_QUARTER, "--t1", "-0.001")),
+        ((*EVOLVE_QUARTER, "--t0", "-1E2"), (*EVOLVE_QUARTER, "--t0", "-100")),
+        (("spectrum", "1", "--hbar", "-1e-3"), ("spectrum", "1", "--hbar", "-0.001")),
+        (("uncertainty", "0.25", "0.25", "-1e-3", "0", "1", "2"),
+         ("uncertainty", "0.25", "0.25", "-0.001", "0", "1", "2")),
+    ])
+    def test_exponent_spelling_reads_as_the_plain_one(self, capsys, argv, plain):
+        got = run_cli(capsys, *argv)
+        assert "expected one argument" not in got[2] and "required" not in got[2]
+        assert got == run_cli(capsys, *plain)
+
+    def test_a_target_list_may_start_with_a_negative_number(self, capsys):
+        code, out, err = run_cli(capsys, "spectrum", "-0.5,1")
+        assert (code, out) == (2, "")
+        assert "below the spectral bound" in err
+
+    @pytest.mark.parametrize("value", ["-inf", "-x"])
+    def test_other_words_after_a_dash_stay_usage_errors(self, capsys, value):
+        code, out, err = run_cli(capsys, *EVOLVE_QUARTER, "--t1", value)
+        assert (code, out) == (1, "")
+        assert "--t1: expected one argument" in err
 
 
 class TestInputBoundary:

@@ -60,11 +60,11 @@ def test_cli_complex_density_is_the_halved_embedding_with_signed_zeros():
     im = np.array([[-0.0, 0.2], [-0.2, 0.0]])
     spec = json.dumps({"complex_density": {"re": re.tolist(), "im": im.tolist()}})
     assert "-0.0" in spec
-    _, rho = _state_from_spec(spec, DEFAULT_TOL, need_physical=True)
+    stack, rho = _state_from_spec(spec, DEFAULT_TOL, need_physical=True)
     rho_c = np.empty((2, 2), dtype=complex)
     rho_c.real, rho_c.imag = re, im  # keeps the sign of every zero of both parts
     want = embed_matrix(rho_c) / 2.0
-    assert rho.physical and rho.matrix.tobytes() == want.tobytes()
+    assert stack.physical[0] and rho.matrix.tobytes() == want.tobytes()
     assert np.any((want == 0.0) & np.signbit(want))
     # re + 1j * im would lose the sign of the -0.0 entries of re.
     assert (embed_matrix(re + 1j * im) / 2.0).tobytes() != want.tobytes()

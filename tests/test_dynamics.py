@@ -17,7 +17,7 @@ from realqm.dynamics import (
     propagator,
     symplectic_lie_form_check,
 )
-from realqm.linalg import ConstraintError, _trusted, expm, sym_eig
+from realqm.linalg import ConstraintError, commutes, expm, sym_eig
 from realqm.oscillator import (
     CanonicalPair,
     OscillatorParams,
@@ -219,9 +219,25 @@ class TestPropagator:
         j = standard_complex_structure(2)
         x = np.diag([1.0, -1.0, 2.0, -2.0])  # anticommutes with J
         h = hamiltonian(x, j)
-        assert not h.complex_linear
+        assert not commutes(h.matrix, j.matrix)
         with pytest.raises(ConstraintError):
             propagator(h, 1.0, SymplecticForm(j))
+
+    def test_direct_build_that_commutes_with_j_is_accepted(self):
+        # Judged at the form's J, not by how it was built: a direct build was
+        # rejected while it could not carry a flag.
+        rng = np.random.default_rng(SEED)
+        j = standard_complex_structure(3)
+        w = SymplecticForm(j)
+        m = embed_matrix(rand_hermitean(rng, 3))
+        rho0 = rand_physical(rng, 3)
+        times = [0.0, 0.7, -2.5]
+        for t in times:
+            u = propagator(Hamiltonian(m), t, w).u
+            assert u.tobytes() == propagator(hamiltonian(m, j), t, w).u.tobytes()
+        (_, direct), = expectation_grid(rho0, Hamiltonian(m), [m], times, w)
+        (_, validated), = expectation_grid(rho0, hamiltonian(m, j), [m], times, w)
+        assert direct[0].tobytes() == validated[0].tobytes()
 
     def test_degenerate_oscillator_spectrum(self):
         # duplicate targets give fourfold-degenerate levels on the real side
@@ -275,7 +291,7 @@ class TestEvolve:
         for t in rng.uniform(-10.0, 10.0, size=8):
             rho_t = evolve(rho0, h, float(t), SymplecticForm(j))
             assert np.trace(rho_t.matrix) == pytest.approx(1.0, abs=1e-10)
-            assert rho_t.physical
+            assert commutes(rho_t.matrix, j.matrix)
             assert np.linalg.norm(rho_t.matrix @ j.matrix
                                   - j.matrix @ rho_t.matrix) <= 1e-9
 
@@ -345,7 +361,7 @@ class TestLongTimeEvolve:
 
 def flow_at(rho_matrix, h_matrix, t, w):
     """The one flowed matrix of a one-point `liouville_grid`, from a state
-    and a generator built directly (`physical` and `complex_linear` False)."""
+    and a generator built directly."""
     (_, stack), = liouville_grid(DensityMatrix(rho_matrix), Hamiltonian(h_matrix), [t], w)
     return stack.matrices[0]
 
@@ -444,7 +460,7 @@ class TestEvolveGrid:
         assert len(blocks) == 3
         for k in (0, 1, dynamics._GRID_BLOCK - 1, dynamics._GRID_BLOCK, len(times) - 1):
             rho_t = evolve(rho0, h, float(times[k]), w)
-            assert rho_t.physical
+            assert commutes(rho_t.matrix, j.matrix)
             u = propagator(h, float(times[k]), w).u
             np.testing.assert_array_equal(rho_t.matrix, u @ rho0.matrix @ u.T)
             for a, column in zip(observables, columns):
@@ -468,34 +484,30 @@ class TestEvolveGrid:
         with pytest.raises(ConstraintError):
             evolve(rand_physical(rng, 2), h, 1.0, w)
 
-    def test_state_flagged_physical_that_is_not_is_rejected(self):
+    def test_state_that_does_not_commute_evolves_unguarded(self):
         rng = np.random.default_rng(SEED)
         j = standard_complex_structure(2)
         w = SymplecticForm(j)
         h = hamiltonian(embed_matrix(np.diag([1.0, -0.5]).astype(complex)), j)
         m = np.diag([0.4, 0.1, 0.3, 0.2])  # each J pair has unequal diagonal entries
         assert np.linalg.norm(m @ j.matrix - j.matrix @ m) > 0.1
-        # A direct build cannot flag it; flagged as if judged against another J,
-        # evolve names the state, not the motion.
-        flagged = _trusted(DensityMatrix, matrix=m, physical=True)
-        with pytest.raises(ConstraintError, match="initial state does not commute"):
-            evolve(flagged, h, 0.5, w)
-        # Unflagged, it evolves; the grid carries its large antilinear part exactly.
+        # It evolves; the grid carries its large antilinear part exactly.
         a = rand_symmetric(rng, 4)
         times = np.linspace(0.5, 3.0, dynamics._GRID_BLOCK + 5)
         _, (column,) = self.grid(DensityMatrix(matrix=m), h, [a], times, w)
         for k in (0, dynamics._GRID_BLOCK, len(times) - 1):
             rho_t = evolve(DensityMatrix(matrix=m), h, float(times[k]), w)
-            assert not rho_t.physical
+            assert not commutes(rho_t.matrix, j.matrix)
             assert abs(column[k] - np.trace(rho_t.matrix @ a)) <= 1e-13 * np.linalg.norm(a, 2)
 
     def test_unphysical_input_is_named_not_only_the_evolved_state(self):
         j = standard_complex_structure(2)
         h = hamiltonian(embed_matrix(np.diag([1.0, -0.5]).astype(complex)), j)
         m = np.diag([1.0, 0.0, 0.0, 0.0])
-        # Its validator names it unphysical, so evolve blames nothing on the motion.
+        # It does not commute with J, so evolve blames nothing on the motion.
         rho0 = density_matrix(m, j)
-        assert not rho0.physical and not evolve(rho0, h, 0.5, SymplecticForm(j)).physical
+        rho_t = evolve(rho0, h, 0.5, SymplecticForm(j))
+        assert not commutes(rho0.matrix, j.matrix) and not commutes(rho_t.matrix, j.matrix)
 
     def test_physical_input_judged_once_and_drift_names_the_evolved_state(self, monkeypatch):
         rng = np.random.default_rng(SEED)
@@ -507,7 +519,7 @@ class TestEvolveGrid:
         stack = dynamics.state_stack
         monkeypatch.setattr(dynamics, "state_stack",
                             lambda *a, **k: calls.append(1) or stack(*a, **k))
-        assert evolve(rho0, h, 0.5, w).physical
+        assert commutes(evolve(rho0, h, 0.5, w).matrix, j.matrix)
         assert len(calls) == 1
         # An orthogonal U that does not commute with J: the input is physical, its image not.
         q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
@@ -516,26 +528,32 @@ class TestEvolveGrid:
             evolve(rho0, h, 0.5, w)
         assert len(calls) == 2
 
-    def test_state_judged_against_another_j_is_named(self, monkeypatch):
+    def test_direct_build_that_commutes_with_j_is_guarded(self, monkeypatch):
+        # Physical at the form's J however it was built: a direct build, which
+        # could not carry a flag, passed a broken motion unchecked.
+        rng = np.random.default_rng(SEED)
+        j = standard_complex_structure(2)
+        w = SymplecticForm(j)
+        h = hamiltonian(embed_matrix(rand_hermitean(rng, 2)), j)
+        rho0 = DensityMatrix(rand_physical(rng, 2).matrix)
+        q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        monkeypatch.setattr(dynamics, "propagator", lambda *a: SimpleNamespace(u=q))
+        with pytest.raises(ConstraintError, match=r"^evolved state is not physical at t = 0\.5: "):
+            evolve(rho0, h, 0.5, w)
+
+    def test_state_physical_at_another_j_evolves_at_this_one(self):
         rng = np.random.default_rng(SEED)
         q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
         j_rot = ComplexStructure(q @ standard_complex_structure(2).matrix @ q.T)
         w = SymplecticForm(j_rot)
         h = hamiltonian(q @ np.diag([1.0, 1.0, 2.0, 2.0]) @ q.T, j_rot)
         rho0 = physical_density_4d(0.25, 0.25, 0.1, 0.05)  # physical under the standard J
-        assert rho0.physical and h.complex_linear
-        calls = []
-        stack = dynamics.state_stack
-        monkeypatch.setattr(dynamics, "state_stack",
-                            lambda *a, **k: calls.append(1) or stack(*a, **k))
-        for t in (0.0, 0.5):
-            with pytest.raises(ConstraintError, match=r"^the initial state does not commute "
-                                                      r"with this complex structure"):
-                evolve(rho0, h, t, w)
-        assert len(calls) == 2
-        # The same state judged against the rotated J evolves under it.
+        assert not commutes(rho0.matrix, j_rot.matrix)
+        u = propagator(h, 0.5, w).u
+        assert evolve(rho0, h, 0.5, w).matrix.tobytes() == (u @ rho0.matrix @ u.T).tobytes()
+        # Turned to the rotated J, the same state stays physical under it.
         rotated = density_matrix(q @ rho0.matrix @ q.T, j_rot)
-        assert rotated.physical and evolve(rotated, h, 0.5, w).physical
+        assert commutes(evolve(rotated, h, 0.5, w).matrix, j_rot.matrix)
 
 
 class TestLiouvilleGrid:

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from realqm.dynamics import SymplecticForm, evolve, expectation_grid, hamiltonian
-from realqm.linalg import DEFAULT_TOL
+from realqm.linalg import DEFAULT_TOL, commutes
 from realqm.realify import embed_matrix, standard_complex_structure
-from realqm.states import density_matrix
+from realqm.states import density_matrix, expectation
 
 from helpers import rand_complex
 
@@ -41,7 +41,7 @@ def test_columns_match_evolve(d, seed, antilinear):
     delta = (delta + j.matrix @ delta @ j.matrix) / 2.0
     limit = 0.25 * DEFAULT_TOL.abs_tol * np.linalg.norm(rho) * np.linalg.norm(j.matrix)
     rho0 = density_matrix(rho + antilinear * limit * delta / np.linalg.norm(delta), j)
-    assert rho0.physical
+    assert commutes(rho0.matrix, j.matrix)
     a = rng.standard_normal((2 * d, 2 * d))
     a = a + a.T
     times = np.sort(rng.uniform(-10.0, 10.0, size=5))
@@ -102,3 +102,16 @@ def test_batched_terms_equal_the_per_observable_formula(d, seed, count, points, 
     assert len(columns) == count
     for got, expected in zip(columns, want):
         assert got.tobytes() == expected.tobytes()
+
+
+def test_an_asymmetric_observable_is_rejected_as_by_expectation():
+    # The grid read any square matrix; `states.expectation` rejects it.
+    j = standard_complex_structure(2)
+    h = hamiltonian(np.diag([1.0, 1.0, 2.0, 2.0]), j)
+    rho0 = density_matrix(np.eye(4) / 4.0, j)
+    a = np.arange(16.0).reshape(4, 4)
+    message = "^observables must be symmetric matrices$"
+    with pytest.raises(ValueError, match=message):
+        expectation(rho0, a)
+    with pytest.raises(ValueError, match=message):
+        expectation_grid(rho0, h, [np.eye(4), a], [0.0, 1.0], SymplecticForm(j))

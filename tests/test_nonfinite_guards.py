@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from realqm.dynamics import SymplecticForm, symplectic_lie_form_check
-from realqm.linalg import ConstraintError, Tolerance
+from realqm.linalg import ConstraintError, Tolerance, commutes
 from realqm.oscillator import FermionicStructure, OscillatorParams, uncertainty_product
 from realqm.realify import standard_complex_structure
 from realqm.states import physical_density_4d
@@ -40,7 +40,8 @@ def test_physical_density_4d(params, message):
 
 
 def test_physical_density_4d_still_accepts_the_boundary():
-    assert physical_density_4d(0.5, 0.0, 0.0, 0.0).physical
+    rho = physical_density_4d(0.5, 0.0, 0.0, 0.0)
+    assert commutes(rho.matrix, standard_complex_structure(2).matrix)
     assert uncertainty_product(0.25, 0.25, 0.0, 0.0, [1.0, 2.0], OscillatorParams()) == 0.625
 
 

@@ -296,7 +296,7 @@ class TestStates:
         pairs = [(residual[0], scale[0])]
         assert_flips(lambda t: bool(ref_stack_physical(m[np.newaxis], j.matrix, t)[0]), pairs)
         for tol in placed(pairs):
-            got = density_matrix(m, j, tol).physical
+            got = commutes(density_matrix(m, j, tol).matrix, j.matrix, tol)
             assert got is bool(ref_stack_physical(m[np.newaxis], j.matrix, tol)[0])
 
     def test_single_state_symmetry(self):

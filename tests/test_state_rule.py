@@ -10,7 +10,7 @@ physical, or a ConstraintError with the same message.
 import numpy as np
 import pytest
 
-from realqm.linalg import ConstraintError
+from realqm.linalg import ConstraintError, commutes
 from realqm.realify import embed_matrix, standard_complex_structure
 from realqm.states import density_matrix, physical_from_complex
 
@@ -26,7 +26,7 @@ def verdict(call):
         rho = call()
     except ConstraintError as exc:
         return str(exc)
-    assert rho.physical
+    assert commutes(rho.matrix, standard_complex_structure(rho.dim // 2).matrix)
     return rho.matrix
 
 
@@ -67,7 +67,8 @@ def test_psd_slack_applies_to_the_real_image(lam_min, accepted):
     # The real image has half the eigenvalues of rho_c, and its own 1e-10 slack.
     rho_c = np.diag([1.0 - lam_min, lam_min]).astype(complex)
     if accepted:
-        assert physical_from_complex(rho_c).physical
+        rho = physical_from_complex(rho_c)
+        assert commutes(rho.matrix, standard_complex_structure(2).matrix)
     else:
         with pytest.raises(ConstraintError,
                            match=r"positive semidefinite, minimum eigenvalue -1\.25e-10$"):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from realqm.linalg import ConstraintError, sym_eig
+from realqm.linalg import ConstraintError, commutes, sym_eig
 from realqm.realify import embed_matrix, standard_complex_structure
 from realqm.states import (
     are_orthogonal_states,
@@ -138,7 +138,7 @@ class TestPhysicalFromComplex:
     def test_pure_state(self):
         rho = physical_from_complex(np.diag([1.0 + 0j, 0.0]))
         np.testing.assert_allclose(rho.matrix, np.diag([0.5, 0.5, 0.0, 0.0]))
-        assert rho.physical
+        assert commutes(rho.matrix, standard_complex_structure(2).matrix)
 
     def test_maximally_mixed(self):
         d = 3
@@ -303,7 +303,7 @@ class TestSharpRealizability:
         v = vecs[:, 0]
         jv = j.matrix @ v
         rho = density_matrix((np.outer(v, v) + np.outer(jv, jv)) / 2.0, j=j)
-        assert rho.physical
+        assert commutes(rho.matrix, j.matrix)
         stats = measurement_statistics(rho, a)
         assert variance(rho, a) == pytest.approx(0.0, abs=1e-9)
         assert max(p for _, p in stats.outcomes) >= 1.0 - 1e-9
@@ -346,9 +346,9 @@ class TestStructuralInvariants:
 
     def test_general_states_accepted_without_physicality(self):
         # the wider state option: symmetric PSD unit trace, no J condition
-        rho = density_matrix(np.diag([1.0, 0.0, 0.0, 0.0]),
-                             j=standard_complex_structure(2))
-        assert not rho.physical
+        j = standard_complex_structure(2)
+        rho = density_matrix(np.diag([1.0, 0.0, 0.0, 0.0]), j=j)
+        assert not commutes(rho.matrix, j.matrix)
 
 
 class TestStateStack:
@@ -369,7 +369,7 @@ class TestStateStack:
             assert stack.min_eigenvalue[k] == pytest.approx(sym_eig(m)[0][0], abs=1e-15)
             assert stack.physicality_residual[k] == pytest.approx(
                 np.linalg.norm(m @ j.matrix - j.matrix @ m), abs=1e-15)
-            assert stack.physical[k] == density_matrix(m, j=j).physical
+            assert stack.physical[k] == commutes(density_matrix(m, j=j).matrix, j.matrix)
         assert list(stack.physical) == [True, True, False, True, True]
 
     @pytest.mark.parametrize("index,bad,message", [

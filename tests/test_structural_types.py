@@ -6,10 +6,10 @@ off its `J`; a `ProductSpace` has two or more factors and derives its
 dimension, their product, at most `MAX_PRODUCT_DIM`; a `SymplecticForm`
 holds a `J` and a positive, finite hbar and derives Omega = -J/hbar.  A
 `DensityMatrix` is a finite, symmetric, PSD, unit-trace matrix and a
-`Hamiltonian` a finite, symmetric one; their flags (`physical`, `complex_linear`) are verdicts
-against a `J`, so they are no arguments: only the validators set them, through
-`linalg._trusted`.  Each invariant needs no outside `J`, so a build with
-inconsistent fields raises ValueError before any verdict can be read from it;
+`Hamiltonian` a finite, symmetric one, each holding that matrix alone: whether
+it commutes with a `J` is asked of `commutes` at the `J` in hand, so neither
+takes a verdict (`physical`, `complex_linear`) as an argument.  Each invariant
+needs no outside `J`, so a build with inconsistent fields raises ValueError;
 a derived field (`ComplexStructure.d`, `FactorSpace.d`, `ProductSpace.dim`,
 `SymplecticForm.omega`, `Tolerance.spectral_gap_tol`, the matrices of a `CanonicalPair` and of a
 `FermionicStructure`) is no argument at all, and neither is the time a
@@ -18,6 +18,7 @@ by identity.
 """
 
 import copy
+import dataclasses
 import importlib
 import pkgutil
 import re
@@ -130,8 +131,7 @@ def test_inconsistent_fields_raise(seed, d, kind):
         bad()
 
 
-DERIVED = [(DensityMatrix, "physical"), (Hamiltonian, "complex_linear"),
-           *((oscillator.CanonicalPair, name) for name in ("x", "p")),
+DERIVED = [*((oscillator.CanonicalPair, name) for name in ("x", "p")),
            *((oscillator.FermionicStructure, name) for name in (
                "x", "p", "commuting_unit", "lowering", "raising", "hamiltonian",
                "basis_swap")), (linalg.Tolerance, "spectral_gap_tol")]
@@ -139,11 +139,16 @@ DERIVED = [(DensityMatrix, "physical"), (Hamiltonian, "complex_linear"),
 
 @pytest.mark.parametrize("cls, name", DERIVED, ids=lambda v: getattr(v, "__name__", v))
 def test_derived_fields_are_no_arguments(cls, name):
-    args = {DensityMatrix: (np.eye(4) / 4.0,), Hamiltonian: (np.eye(4),),
-            linalg.Tolerance: (1e-6,)}.get(cls, (1.0, oscillator.OscillatorParams()))
+    args = {linalg.Tolerance: (1e-6,)}.get(cls, (1.0, oscillator.OscillatorParams()))
     value = cls(*args)
     with pytest.raises(TypeError, match=f"'{name}'"):
         cls(*args, **{name: getattr(value, name)})
+
+
+@pytest.mark.parametrize("cls", [DensityMatrix, Hamiltonian], ids=lambda c: c.__name__)
+def test_states_and_generators_hold_their_matrix_alone(cls):
+    # A verdict against a J is no field: it is asked of `commutes` at the J in hand.
+    assert [f.name for f in dataclasses.fields(cls)] == ["matrix"]
 
 
 def array_holders():

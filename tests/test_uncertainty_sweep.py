@@ -118,10 +118,9 @@ def test_sweep_closed_form_is_the_library_uncertainty_product(seed):
     closed = checks._closed_uncertainty(alpha, beta, xi1, xi2, hbar)
     library = [oscillator.uncertainty_product(*state, xis, params) for *state, xis in
                zip(alpha, beta, gamma, delta, np.column_stack([xi1, xi2]), strict=True)]
-    # Within one unit in the last place, not bit for bit: the library squares
-    # its scalars with pow, which libm does not always round correctly, and the
-    # sweep squares arrays as x * x (1 to 3 of the 10 000 samples differ).
-    np.testing.assert_array_max_ulp(closed, np.array(library), maxulp=1)
+    # Bit for bit: both square by multiplication (libm's pow, which the
+    # library once used, put 1 to 3 of the 10 000 samples an ulp off).
+    assert closed.tobytes() == np.array(library).tobytes()
 
 
 def test_block_stacks_stay_below_the_mmap_threshold():

@@ -34,10 +34,12 @@ at hbar = 0.37, which pins Omega = -J/hbar at an hbar that is not a power
 of two; then `evolve` under an `oscillator` Hamiltonian, which no workload
 runs, at lengths 0.7, 1.3, 2.0 and at lengths near sqrt(hbar / (2 m w)) at a
 physical hbar; then `spectrum` at `--tol 1e-6` and `--tol 0`, which pin the
-spectral gap that `config` echoes, derived from `--tol`; last, a dim-2
+spectral gap that `config` echoes, derived from `--tol`; then a dim-2
 `--diagnostics` flow over three time points whose last flowed matrix is not
-finite, which pins the message a stack of several matrices hands on.  Each
-CLI operation runs once with `--format json` and once with `--format csv`.
+finite, which pins the message a stack of several matrices hands on; last,
+an `uncertainty` command of `check_sweep` at seed 111 whose gamma,
+-8.459291869593295e-05, pins that a negative number with an exponent is
+read as a value.  Each CLI operation runs once with `--format json` and once with `--format csv`.
 ROOT (default: the checkout holding this script) supplies both `src/` and
 `perfbench/`.  Nothing is written to disk.
 """
@@ -137,6 +139,11 @@ FIXED = [
      ["evolve", "--state", _matrix([[0.5, 0], [0, 0.5]]),
       "--hamiltonian", _matrix([[1, 0], [0, -1]]), "--t1", "400", "--steps", "2",
       "--diagnostics"]),
+    ("uncertainty negative number with an exponent",
+     ["uncertainty", "0.2697043273903688", "0.23029567260963119", "-8.459291869593295e-05",
+      "0.1367478927079709", "2.9750216397229927", "1.6060533307563667",
+      "--hbar", "0.7120146460984497", "--mass", "1.8732450727548688",
+      "--omega", "0.7992047198272685"]),
 ]
 
 

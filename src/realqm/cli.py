@@ -589,11 +589,89 @@ def _build_parser() -> _Parser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _routes() -> dict:
+    """Per subcommand name, read from the actions of `_build_parser()`: its
+    parser, its options by full spelling (None for one that `_table_route`
+    leaves to argparse, such as -h), its positionals in order, its required
+    options, and the namespace argparse fills before it reads an argument,
+    with a string default converted as argparse converts one left unset.  A
+    subcommand with an exclusive group, an option spelled like a negative
+    number, or a positional that is not a single store action is left out."""
+    parser = _build_parser()
+    command = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    routes = {}
+    for name, sub in command.choices.items():
+        options, positionals, defaults = {}, [], {command.dest: name}
+        for action in sub._actions:
+            single = type(action) in (argparse._StoreAction, argparse._AppendAction) \
+                and action.nargs is None
+            taken = single or isinstance(action, argparse._StoreConstAction)
+            options.update(dict.fromkeys(action.option_strings, action if taken else None))
+            if not action.option_strings:
+                positionals.append(action if single else None)
+            if argparse.SUPPRESS not in (action.dest, action.default):
+                defaults.setdefault(action.dest, action.default)
+        for dest, value in sub._defaults.items():
+            defaults.setdefault(dest, value)
+        for action in sub._actions:
+            if isinstance(action.default, str) and defaults.get(action.dest) is action.default:
+                defaults[action.dest] = sub._get_value(action, action.default)
+        if None in positionals or sub._mutually_exclusive_groups \
+                or sub._has_negative_number_optionals:
+            continue
+        required = {a for a in sub._actions if a.required and a.option_strings}
+        routes[name] = sub, options, positionals, required, defaults
+    return routes
+
+
+def _table_route(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace `parse_args(argv)` returns, for an argv spelled in full,
+    else None.  The first word must name a subcommand, each option be the
+    full spelling of a store, append or store-const option, and each value
+    be a word that does not start with '-', or a negative number by the
+    parser's own matcher.  Argparse's `_get_values` converts and checks each
+    value, and the option's own action stores it.  Every positional and
+    required option must be given.  Anything else, such as an abbreviation,
+    --opt=value, --, -h or a bad value, is argparse's to parse or reject,
+    with its own message."""
+    route = _routes().get(argv[0]) if argv else None
+    if route is None:
+        return None
+    sub, options, positionals, required, defaults = route
+    namespace = argparse.Namespace(**defaults)
+    seen, waiting, tokens = set(), iter(positionals), iter(argv[1:])
+    for token in tokens:
+        flag = token if token in options else None
+        action = options[flag] if flag else next(waiting, None)
+        if action is None:  # -h and the like, or one positional too many
+            return None
+        words = []
+        if not flag or action.nargs != 0:
+            word = next(tokens, "-") if flag else token  # "-": no value follows
+            if word.startswith("-") and not sub._negative_number_matcher.match(word):
+                return None
+            words.append(word)
+        try:
+            values = sub._get_values(action, words)
+        except argparse.ArgumentError:
+            return None
+        action(sub, namespace, values, flag)
+        seen.add(action)
+    if next(waiting, None) is not None or not required <= seen:
+        return None
+    return namespace
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        with trace.span("parse"):
-            args = parser.parse_args(argv)
+        with trace.span("parse") as fields:
+            args = _table_route(argv)
+            fields["route"] = "argparse" if args is None else "table"
+            if args is None:
+                args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse signals usage problems (and --help)
         return int(exc.code or 0)
     try:

@@ -46,3 +46,17 @@ def test_output_matches_the_committed_digest():
         f"{len(changed)} of {len(committed)} digest lines differ, and the output has "
         f"{len(got)} lines; if the change is intended, regenerate the file from the "
         f"checkout root with\n    {REGENERATE}\n" + "\n".join(changed[:10]))
+
+
+def test_respelled_commands_repeat_their_twins_hashes():
+    # Abbreviated flags and --opt=value spellings go through argparse, the fully
+    # spelled twin through the CLI's table route; the output must not tell.
+    hashes = {}
+    for line in COMMITTED.read_text().splitlines():
+        if line.startswith("fixed "):
+            where, label = line.split("  ", 1)
+            _, _, fmt, digest = where.split()
+            hashes[label, fmt] = digest
+    for label in ("physical_density abbreviated flags", "physical_density --opt=value"):
+        for fmt in ("json", "csv"):
+            assert hashes[label, fmt] == hashes["physical_density", fmt]

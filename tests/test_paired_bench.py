@@ -104,6 +104,35 @@ def test_a_side_whose_tree_changes_between_runs_stops_the_script(tmp_path):
     assert not path.exists()
 
 
+def _compile(root: Path) -> None:
+    cache = root / "src" / "realqm" / "__pycache__"
+    cache.mkdir(parents=True)
+    (cache / "cli.cpython-311.pyc").write_bytes(b"")
+
+
+def test_bytecode_on_one_side_only_stops_the_script(tmp_path):
+    # A launch that imports from .pyc files skips a compile the other side
+    # pays at every launch, so no run may start.
+    this, other = _checkout(tmp_path, "this"), _checkout(tmp_path, "other")
+    _compile(other)
+    proc = _run(this, other, "1")
+    assert proc.returncode == 1
+    assert "src/realqm/__pycache__: this False, other True" in proc.stderr
+    assert not (tmp_path / "order.log").exists()
+
+
+def test_bytecode_on_both_sides_is_recorded(tmp_path):
+    this, other = _checkout(tmp_path, "this"), _checkout(tmp_path, "other")
+    _compile(this)
+    _compile(other)
+    path = tmp_path / "bench.json"
+    proc = _run(this, other, "1", "tensor_products", "--json", str(path))
+    assert proc.returncode == 0, proc.stderr
+    assert ".pyc files this True, other True" in proc.stdout.splitlines()[0]
+    checkouts = json.loads(path.read_text())["checkouts"]
+    assert checkouts["this"]["bytecode"] is checkouts["other"]["bytecode"] is True
+
+
 def _git(root: Path, *args):
     subprocess.run(["git", "-C", str(root), "-c", "user.name=stub", "-c", "user.email=stub@example.com",
                     *args], check=True, capture_output=True)
@@ -130,8 +159,8 @@ def test_json_record_holds_every_metric_of_each_workload(tmp_path):
     # Each side's tree is the one its runs reported.  The other stub is a clean
     # git checkout, though its run logged to a file beside it.
     assert record["checkouts"] == {
-        "this": {"git_sha": None, "source_sha256": "this", "dirty": None},
-        "other": {"git_sha": head, "source_sha256": "other", "dirty": False}}
+        "this": {"git_sha": None, "source_sha256": "this", "dirty": None, "bytecode": False},
+        "other": {"git_sha": head, "source_sha256": "other", "dirty": False, "bytecode": False}}
     assert list(record["workloads"]) == ["tensor_products", "check_sweep"]
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     for summary in record["workloads"].values():

@@ -90,6 +90,18 @@ def test_evolve_stages(monkeypatch):
     assert [(b["start"], b["points"]) for b in blocks] == [(0, 128), (128, 128), (256, 45)]
 
 
+@pytest.mark.parametrize("argv, route, code", [
+    (COMMANDS[2], "table", 0),
+    (["spectrum", "--hb", "2", "1.5,2.5"], "argparse", 0),  # an abbreviation parses
+    (["evolve", "--steps", "x"], "argparse", 1),           # a usage error
+    (["spectrum", "-h"], "argparse", 0),
+])
+def test_parse_span_names_its_route(argv, route, code, monkeypatch):
+    got, _, err = run(argv, True, monkeypatch)
+    [parse] = [json.loads(line) for line in err.splitlines() if line.startswith('{"span": "parse"')]
+    assert got == code and parse["route"] == route
+
+
 def test_check_span_per_suite(monkeypatch):
     _, _, err = run(["check", "--suite", "states,dynamics"], True, monkeypatch)
     records = [json.loads(line) for line in err.splitlines() if line.startswith("{")]

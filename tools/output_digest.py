@@ -39,7 +39,11 @@ spectral gap that `config` echoes, derived from `--tol`; then a dim-2
 finite, which pins the message a stack of several matrices hands on; last,
 an `uncertainty` command of `check_sweep` at seed 111 whose gamma,
 -8.459291869593295e-05, pins that a negative number with an exponent is
-read as a value.  Each CLI operation runs once with `--format json` and once with `--format csv`.
+read as a value; then the first `physical_density` command twice more, once
+with the abbreviated flags `--stat` and `--ham` and once with `--opt=value`
+spellings, which argparse parses where the fully spelled commands take the
+CLI's table route, so their lines repeat their twin's hashes.  Each CLI
+operation runs once with `--format json` and once with `--format csv`.
 ROOT (default: the checkout holding this script) supplies both `src/` and
 `perfbench/`.  Nothing is written to disk.
 """
@@ -144,6 +148,12 @@ FIXED = [
       "0.1367478927079709", "2.9750216397229927", "1.6060533307563667",
       "--hbar", "0.7120146460984497", "--mass", "1.8732450727548688",
       "--omega", "0.7992047198272685"]),
+    ("physical_density abbreviated flags",
+     ["evolve", "--stat", '{"physical_density": [0.3, 0.2, 0.1, 0.05]}', "--ham", _H,
+      "--t1", "2", "--steps", "4"]),
+    ("physical_density --opt=value",
+     ["evolve", '--state={"physical_density": [0.3, 0.2, 0.1, 0.05]}', f"--hamiltonian={_H}",
+      "--t1=2", "--steps=4"]),
 ]
 
 

@@ -19,15 +19,21 @@ metric's `better` direction.  A run that fails, prints no result or reports
 a wrong output stops the script with exit 1, and so does a side whose tree
 changes between its runs: each run's `report:` line names the tree it
 measured by its `git_sha` and the `source_sha256` of its `src/realqm`, and
-every run of a side must name the same one.  The script reads
+every run of a side must name the same one.  Before any run, each side's
+`src/realqm/__pycache__` is looked at: one side holding compiled `.pyc`
+files and the other not would time a compile on one side only at every
+launch (as with PYTHONDONTWRITEBYTECODE=1), so the script stops with exit 1
+when the sides differ; the header of each workload names each side's state.  The script reads
 `BENCHMARK.json` and runs files under `perfbench/`; it imports neither
 checkout's library.
 
 With `--json PATH` the same summary is also written to PATH as one JSON
 object: the seeds and seconds, the machine's provenance (the header lines
 of `tools/output_digest.py`), each side's measured tree (`git_sha`, `null`
-outside a git checkout, and `source_sha256`) and whether it had uncommitted
-changes (`null` outside a git checkout), and per workload
+outside a git checkout, and `source_sha256`), whether it had uncommitted
+changes (`null` outside a git checkout) and whether its
+`src/realqm/__pycache__` held `.pyc` files before the first run (`bytecode`),
+and per workload
 and end-to-end metric its unit and `better` direction, each side's
 per-seed values, median and quartiles, and the wins n of N pairs.
 """
@@ -89,6 +95,11 @@ def dirty(root: Path) -> bool | None:
     return bool(proc.stdout.strip()) if proc.returncode == 0 else None
 
 
+def bytecode(root: Path) -> bool:
+    """Whether the checkout's `src/realqm/__pycache__` holds compiled files."""
+    return any((root / "src" / "realqm" / "__pycache__").glob("*.pyc"))
+
+
 def provenance() -> list[str]:
     """The header lines `tools/output_digest.py` prints: numpy, its BLAS, the CPU."""
     spec = importlib.util.spec_from_file_location("output_digest",
@@ -99,12 +110,14 @@ def provenance() -> list[str]:
 
 
 def compare(bench: dict, roots: dict, trees: dict, workload: str, seeds: list[int],
-            seconds: float) -> dict:
+            seconds: float, compiled: dict) -> dict:
     """Run the pairs of one workload and print them; its summary per metric.
-    `trees` holds each side's tree from its first run, which every run must match."""
+    `trees` holds each side's tree from its first run, which every run must
+    match; `compiled` whether each side held `.pyc` files before it."""
     runs = {side: [] for side in roots}
     print(f"paired_bench {workload}: {len(seeds)} seeds x {seconds:g} s, "
-          f"this {roots['this']}, other {roots['other']}")
+          f"this {roots['this']}, other {roots['other']}, .pyc files "
+          f"this {compiled['this']}, other {compiled['other']}")
     for turn, seed in enumerate(seeds):
         order = ["this", "other"] if turn % 2 == 0 else ["other", "this"]
         for side in order:
@@ -144,12 +157,18 @@ def main(argv=None) -> int:
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     roots = {"this": ROOT, "other": Path(args.other_root).resolve()}
+    compiled = {side: bytecode(root) for side, root in roots.items()}
+    if compiled["this"] != compiled["other"]:
+        raise SystemExit("paired_bench: .pyc files in src/realqm/__pycache__: "
+                         f"this {compiled['this']}, other {compiled['other']}; remove them, "
+                         "or compile both sides")
     trees: dict = {}
-    workloads = {w: compare(bench, roots, trees, w, args.seeds, args.seconds)
+    workloads = {w: compare(bench, roots, trees, w, args.seeds, args.seconds, compiled)
                  for w in args.workload.split(",")}
     if args.json is not None:
         record = {"seeds": args.seeds, "seconds": args.seconds, "provenance": provenance(),
-                  "checkouts": {side: {**trees[side], "dirty": dirty(root)}
+                  "checkouts": {side: {**trees[side], "dirty": dirty(root),
+                                        "bytecode": compiled[side]}
                                 for side, root in roots.items()},
                   "workloads": workloads}
         args.json.write_text(json.dumps(record, indent=1) + "\n")
